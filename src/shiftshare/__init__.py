@@ -52,9 +52,11 @@ from .estimate import (
     EstimateReport,
     InvertedDataset,
     RotembergTable,
+    ShiftFrameworkResult,
     demean_via_controls,
     effective_f,
     estimate_inverted,
+    estimate_shift_framework,
     gmm_share_instruments,
     invert,
     residualized_se,

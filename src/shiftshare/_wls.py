@@ -15,6 +15,37 @@ from .errors import EstimationError
 RANK_TOL = 1e-10
 
 
+def _pivoted_solve(
+    matrix: np.ndarray,
+    rhs: np.ndarray,
+    names: tuple[str, ...] | None,
+    subject: str,
+    deficiency: str,
+) -> np.ndarray:
+    """Least-squares solve of ``matrix @ coef = rhs`` by pivoted QR, rank-checked.
+
+    ``subject`` and ``deficiency`` word the two errors: "<subject> matrix is
+    identically zero" and "<deficiency>; collinear terms: ...".
+    """
+    q, r, piv = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag[0] == 0.0:
+        raise EstimationError(f"{subject} matrix is identically zero")
+    rank = int(np.sum(diag > RANK_TOL * diag[0]))
+    if rank < matrix.shape[1]:
+        dropped = piv[rank:]
+        labels = (
+            ", ".join(names[j] for j in dropped)
+            if names is not None
+            else ", ".join(f"column {j}" for j in dropped)
+        )
+        raise EstimationError(f"{deficiency}; collinear terms: {labels}")
+    coef_pivoted = scipy.linalg.solve_triangular(r, q.T @ rhs)
+    coef = np.empty_like(coef_pivoted)
+    coef[piv] = coef_pivoted
+    return coef
+
+
 def wls_coefficients(
     design: np.ndarray,
     response: np.ndarray,
@@ -31,25 +62,7 @@ def wls_coefficients(
     sw = np.sqrt(np.asarray(weights, dtype=float))
     a = design * sw[:, None]
     b = response * (sw[:, None] if response.ndim > 1 else sw)
-    q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    k = design.shape[1]
-    if diag.size == 0 or diag[0] == 0.0:
-        raise EstimationError("design matrix is identically zero")
-    rank = int(np.sum(diag > RANK_TOL * diag[0]))
-    if rank < k:
-        dropped = piv[rank:]
-        labels = (
-            ", ".join(names[j] for j in dropped)
-            if names is not None
-            else ", ".join(f"column {j}" for j in dropped)
-        )
-        raise EstimationError(f"rank-deficient design; collinear terms: {labels}")
-    rhs = q.T @ b
-    coef_pivoted = scipy.linalg.solve_triangular(r, rhs)
-    coef = np.empty_like(coef_pivoted)
-    coef[piv] = coef_pivoted
-    return coef
+    return _pivoted_solve(a, b, names, "design", "rank-deficient design")
 
 
 def wls_residualize(
@@ -70,23 +83,7 @@ def solve_square(
 ) -> np.ndarray:
     """Solve a square (possibly nonsymmetric) moment system with a rank check."""
     matrix = np.asarray(matrix, dtype=float)
-    q, r, piv = scipy.linalg.qr(matrix, pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        raise EstimationError("moment matrix is identically zero")
-    rank = int(np.sum(diag > RANK_TOL * diag[0]))
-    if rank < matrix.shape[1]:
-        dropped = piv[rank:]
-        labels = (
-            ", ".join(names[j] for j in dropped)
-            if names is not None
-            else ", ".join(f"column {j}" for j in dropped)
-        )
-        raise EstimationError(f"singular moment system; collinear terms: {labels}")
-    sol_pivoted = scipy.linalg.solve_triangular(r, q.T @ rhs)
-    sol = np.empty_like(sol_pivoted)
-    sol[piv] = sol_pivoted
-    return sol
+    return _pivoted_solve(matrix, rhs, names, "moment", "singular moment system")
 
 
 def add_intercept(columns: np.ndarray | None, n: int) -> tuple[np.ndarray, tuple[str, ...]]:

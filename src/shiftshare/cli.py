@@ -17,7 +17,6 @@ import dataclasses
 import datetime
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -34,15 +33,8 @@ from .construct import (
     shift_weights_from,
     zero_share_columns,
 )
-from .data import Dataset, load_inputs, _read_rows
-from .diagnose import (
-    aggregate_placebo,
-    autocorrelation,
-    balance_test_unit,
-    concentration,
-    icc,
-    shift_summary,
-)
+from .data import _fmt, _read_long_matrix, _share_rows, load_inputs
+from .diagnose import balance_test_unit, concentration, icc, shift_summary
 from .errors import (
     EstimationError,
     NumericalError,
@@ -50,15 +42,7 @@ from .errors import (
     ShiftShareError,
     ValidationError,
 )
-from .estimate import (
-    estimate_inverted,
-    invert,
-    residualized_se,
-    residualized_se_clustered,
-    rotemberg,
-    shiftshare_2sls,
-    shiftshare_ols,
-)
+from .estimate import estimate_shift_framework, rotemberg, shiftshare_2sls, shiftshare_ols
 from .rinfer import ri_estimate, ri_test
 from .simulate import ESTIMATORS, DgpConfig, run_coverage
 
@@ -84,8 +68,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, argv, inputs: list[Path], seed,
-                    extra=None, threads=None) -> None:
+def _write_manifest(out_dir: Path, argv, inputs: list[Path], seed, extra=None) -> None:
     manifest = {
         "command_line": list(argv),
         "input_digests": {str(p): _sha256(p) for p in inputs if p is not None},
@@ -93,7 +76,6 @@ def _write_manifest(out_dir: Path, argv, inputs: list[Path], seed,
             json.dumps(extra or {}, sort_keys=True).encode()
         ).hexdigest(),
         "seed": seed,
-        "threads": threads,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -129,27 +111,20 @@ def _write_csv_mirror(path: Path, payload: dict) -> None:
             writer.writerow([key, value])
 
 
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """CSV table; floats are written with ``repr`` of the Python float, so
+    they read back bit for bit."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(
+            [_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
+        )
 
 
-def _load_unit_shift_matrix(path: Path, fmt: str, unit_ids, shift_ids) -> np.ndarray:
-    rows = _read_rows(path, fmt)
-    needed = {"unit_id", "shift_id", "value"}
-    if rows and not needed.issubset(rows[0]):
-        raise SchemaError(f"{path}: expected columns unit_id, shift_id, value")
-    u_index = {str(u): i for i, u in enumerate(unit_ids)}
-    s_index = {str(s): j for j, s in enumerate(shift_ids)}
-    out = np.zeros((len(unit_ids), len(shift_ids)))
-    for row in rows:
-        u, s = str(row["unit_id"]), str(row["shift_id"])
-        if u not in u_index or s not in s_index:
-            raise ValidationError(f"{path}: unknown id pair ({u}, {s})")
-        out[u_index[u], s_index[s]] = float(row["value"])
-    return out
+def _terms(text: str | None) -> tuple[str, ...]:
+    """Terms of a comma-separated ``--residualize`` value."""
+    return tuple(t for t in (text or "").split(",") if t)
 
 
 def _add_io_arguments(parser, need_inputs=True):
@@ -165,12 +140,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="shiftshare", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("SHIFTSHARE_THREADS", "0")) or None,
-        help="worker-count cap (recorded; computation is deterministic regardless)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build exposures and preprocess shifts")
@@ -245,37 +214,22 @@ def _cmd_construct(args, argv) -> int:
         if args.initial_shares is None or args.unit_shifts is None:
             raise ValidationError("--decompose needs --initial-shares and --unit-shifts")
         initial = load_inputs(args.initial_shares, args.shifts, args.units, args.format)[0]
-        d_ij = _load_unit_shift_matrix(args.unit_shifts, args.format,
-                                       dataset.unit_ids, shifts.shift_ids)
+        d_ij = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
+                                 shifts.shift_ids, args.format)
         result = decompose(initial, shares, d_ij)
         _write_table(
             out / "decomposition.csv",
             ["unit_id", "expected", "shock", "share_change", "interaction", "observed"],
-            [
-                [u, repr(a), repr(b), repr(c), repr(d), repr(o)]
-                for u, a, b, c, d, o in zip(
-                    dataset.unit_ids, result.expected, result.shock,
-                    result.share_change, result.interaction, result.observed
-                )
-            ],
+            zip(dataset.unit_ids, result.expected, result.shock, result.share_change,
+                result.interaction, result.observed),
         )
 
     if args.complete_shares:
         completed = complete_shares(shares, shifts)
-        _write_table(
-            out / "completed_shares.csv",
-            ["unit_id", "shift_id", "weight"],
-            [
-                [completed.shares.row_ids[i], completed.shares.col_ids[j], repr(v)]
-                for (i, j), v in np.ndenumerate(completed.shares.weights)
-                if v != 0.0
-            ],
-        )
-        _write_table(
-            out / "sum_of_shares.csv",
-            ["unit_id", "sum_of_shares"],
-            [[u, repr(s)] for u, s in zip(dataset.unit_ids, completed.sum_of_shares)],
-        )
+        _write_table(out / "completed_shares.csv", ["unit_id", "shift_id", "weight"],
+                     _share_rows(completed.shares))
+        _write_table(out / "sum_of_shares.csv", ["unit_id", "sum_of_shares"],
+                     zip(dataset.unit_ids, completed.sum_of_shares))
         shares, shifts = completed.shares, completed.shifts
         w_j = shift_weights_from(dataset, shares)
 
@@ -287,25 +241,19 @@ def _cmd_construct(args, argv) -> int:
         _write_table(
             out / "shifts_replaced.csv",
             ["shift_id", "value", "replaced"],
-            [
-                [s, repr(v), int(r)]
-                for s, v, r in zip(shifts.shift_ids, shifts.values, replacement.replaced)
-            ],
+            zip(shifts.shift_ids, shifts.values, replacement.replaced.astype(int)),
         )
         if not args.quiet:
             print(f"replaced {replacement.n_replaced} of {shifts.n_shifts} shifts "
                   f"({replacement.replaced_fraction:.1%})")
 
     if args.residualize is not None:
-        spec = tuple(t for t in args.residualize.split(",") if t)
+        spec = _terms(args.residualize)
         res = residualize_shifts(shifts, spec, w_j)
         _write_table(
             out / "shift_residuals.csv",
             ["shift_id", "eta_hat", "fitted", "weight"],
-            [
-                [s, repr(e), repr(f), repr(w)]
-                for s, e, f, w in zip(shifts.shift_ids, res.eta_hat, res.fitted, w_j)
-            ],
+            zip(shifts.shift_ids, res.eta_hat, res.fitted, w_j),
         )
         if not args.quiet:
             print(f"residualized on {spec}; sse_ratio = {res.sse_ratio:.4f}")
@@ -313,23 +261,15 @@ def _cmd_construct(args, argv) -> int:
     if args.loo:
         if args.unit_shifts is None:
             raise ValidationError("--loo needs --unit-shifts")
-        d_ij = _load_unit_shift_matrix(args.unit_shifts, args.format,
-                                       dataset.unit_ids, shifts.shift_ids)
+        d_ij = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
+                                 shifts.shift_ids, args.format)
         loo = leave_one_out_shifts(d_ij, shares)
-        _write_table(
-            out / "loo_instrument.csv",
-            ["unit_id", "z_loo"],
-            [[u, repr(z)] for u, z in zip(dataset.unit_ids, loo.z)],
-        )
+        _write_table(out / "loo_instrument.csv", ["unit_id", "z_loo"],
+                     zip(dataset.unit_ids, loo.z))
 
-    exposure = build_exposure(shares, shifts)
-    _write_table(
-        out / "exposure.csv",
-        ["unit_id", "exposure"],
-        [[u, repr(x)] for u, x in zip(dataset.unit_ids, exposure)],
-    )
-    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=None,
-                    threads=args.threads)
+    _write_table(out / "exposure.csv", ["unit_id", "exposure"],
+                 zip(dataset.unit_ids, build_exposure(shares, shifts)))
+    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=None)
     return EXIT_OK
 
 
@@ -345,91 +285,6 @@ def _estimate_share_framework(args, shares, shifts, dataset):
     return payload
 
 
-def _aggregated_spec_controls(shares_c, shifts_c, spec):
-    """Unit-level aggregates of the residualization terms (the inverted
-    method needs these controlled for before inversion). The ``p_real``
-    aggregate is the sum-of-shares control, added separately."""
-    columns = []
-    label_names = {"cluster", "period", "exchange_group", *shifts_c.extras}
-    for term in spec:
-        if term == "p_real":
-            continue
-        if term in label_names:
-            labels = shifts_c.label_column(term)
-            for level in np.unique(labels)[1:]:  # first level absorbed
-                columns.append(shares_c.weights @ (labels == level).astype(float))
-        elif shifts_c.covariates is not None and term in shifts_c.covariate_names:
-            k = shifts_c.covariate_names.index(term)
-            columns.append(shares_c.weights @ shifts_c.covariates[:, k])
-    return np.column_stack(columns) if columns else None
-
-
-def _estimate_shift_framework(args, shares, shifts, dataset):
-    completed = complete_shares(shares, shifts)
-    shares_c, shifts_c = completed.shares, completed.shifts
-    spec = ("p_real",) + (
-        tuple(t for t in args.residualize.split(",") if t and t != "p_real")
-        if args.residualize
-        else ()
-    )
-    blocks = [completed.sum_of_shares[:, None]]
-    if dataset.controls is not None:
-        blocks.insert(0, dataset.controls)
-    aggregated = _aggregated_spec_controls(shares_c, shifts_c, spec)
-    if aggregated is not None:
-        blocks.append(aggregated)
-    augmented = Dataset(
-        outcome=dataset.outcome,
-        unit_ids=dataset.unit_ids,
-        regressor=dataset.regressor,
-        controls=np.column_stack(blocks),
-        unit_weights=dataset.unit_weights,
-        extras=dict(dataset.extras),
-    )
-    w_j = shift_weights_from(augmented, shares_c)
-    res = residualize_shifts(shifts_c, spec, w_j)
-    z_eta = shares_c.weights @ res.eta_hat
-
-    report = shiftshare_2sls(
-        augmented,
-        z_eta,
-        cluster=args.cluster_unit,
-        regressor=augmented.regressor if augmented.regressor is not None
-        else build_exposure(shares_c, shifts_c),
-    )
-    inv = invert(augmented, shares_c, shifts_c, residuals=res)
-    shift_cluster = None
-    if args.cluster_shift is not None:
-        shift_cluster = shifts_c.label_column(args.cluster_shift)
-    inv_report = estimate_inverted(inv, cluster=shift_cluster)
-    want = args.se
-    if want in ("all", "exposure"):
-        report.se_variants.update(
-            {k: v for k, v in inv_report.se_variants.items() if "exposure" in k}
-        )
-        report.first_stage_f.update(inv_report.first_stage_f)
-    if want in ("all", "residualized"):
-        report.se_variants["residualized"] = residualized_se(
-            augmented.unit_weights, shares_c, res.eta_hat, report.residuals, report.x_perp
-        )
-        if shift_cluster is not None:
-            report.se_variants["residualized_cluster"] = residualized_se_clustered(
-                augmented.unit_weights, shares_c, res.eta_hat,
-                report.residuals, report.x_perp, shift_cluster,
-            )
-    if want == "conventional":
-        report.se_variants = {
-            k: v for k, v in report.se_variants.items() if k.startswith("conventional")
-        }
-    report.m_shifts = inv_report.m_shifts
-    payload = {"estimate": report.to_dict(), "residualization": {
-        "spec": list(spec), "sse_ratio": res.sse_ratio,
-    }}
-    if args.rotemberg:
-        payload["rotemberg"] = rotemberg(augmented, shares_c, shifts_c).to_dict()
-    return payload
-
-
 def _cmd_estimate(args, argv) -> int:
     shares, shifts, dataset = load_inputs(args.shares, args.shifts, args.units, args.format)
     out = args.out
@@ -437,7 +292,14 @@ def _cmd_estimate(args, argv) -> int:
     if args.framework == "share":
         payload = _estimate_share_framework(args, shares, shifts, dataset)
     else:
-        payload = _estimate_shift_framework(args, shares, shifts, dataset)
+        payload = estimate_shift_framework(
+            shares, shifts, dataset,
+            residualize=_terms(args.residualize),
+            cluster_unit=args.cluster_unit,
+            cluster_shift=args.cluster_shift,
+            se=args.se,
+            with_rotemberg=args.rotemberg,
+        ).to_dict()
     payload["schema_version"] = SCHEMA_VERSION
     payload["framework"] = args.framework
     _write_json(out / "estimate.json", payload)
@@ -452,8 +314,7 @@ def _cmd_estimate(args, argv) -> int:
             print(f"  se[{name}] = {se:.6g}")
         for name, f in sorted(est.get("first_stage_f", {}).items()):
             print(f"  first_stage_f[{name}] = {f:.6g}")
-    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=None,
-                    threads=args.threads)
+    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=None)
     return EXIT_OK
 
 
@@ -479,8 +340,7 @@ def _cmd_ri(args, argv) -> int:
                              level=args.level, seed=args.seed, groups=args.groups)
         payload = {"schema_version": SCHEMA_VERSION, **result.to_dict()}
     _write_json(out / "ri.json", payload)
-    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=args.seed,
-                    threads=args.threads)
+    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=args.seed)
     return EXIT_OK
 
 
@@ -493,8 +353,8 @@ def _cmd_diagnose(args, argv) -> int:
 
     res = None
     if args.residualize is not None:
-        spec = tuple(t for t in args.residualize.split(",") if t)
-        res = residualize_shifts(shifts, spec, w_j)
+        res = residualize_shifts(shifts, _terms(args.residualize), w_j)
+    eta = shifts.values if res is None else res.eta_hat
 
     if args.concentration:
         labels = shifts.label_column(args.cluster) if args.cluster else None
@@ -508,15 +368,12 @@ def _cmd_diagnose(args, argv) -> int:
         payload["shift_summary"] = summary.to_dict()
 
     if args.icc:
-        labels = shifts.label_column(args.icc)
-        values = res.eta_hat if res is not None else shifts.values
-        r = icc(values, labels, seed=args.seed)
+        r = icc(eta, shifts.label_column(args.icc), seed=args.seed)
         payload.setdefault("icc", {})[args.icc] = {
             "icc": r.icc, "se": r.se, "n_groups": r.n_groups, "n_obs": r.n_obs,
         }
 
     if args.balance:
-        eta = res.eta_hat if res is not None else shifts.values
         variable = shares.weights @ eta
         cluster_labels = shifts.label_column(args.cluster) if args.cluster else None
         balance = {}
@@ -538,8 +395,7 @@ def _cmd_diagnose(args, argv) -> int:
     _write_json(out / "diagnose.json", payload)
     if args.tables:
         _write_csv_mirror(out / "diagnose.csv", payload)
-    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=args.seed,
-                    threads=args.threads)
+    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=args.seed)
     return EXIT_OK
 
 
@@ -580,8 +436,8 @@ def _cmd_simulate(args, argv) -> int:
         ["estimator", "replications", "n_failed", "mean_bias", "sd_beta",
          "mean_se", "coverage95", "rejection_rate"],
         [
-            [r.estimator, r.replications, r.n_failed, repr(r.mean_bias), repr(r.sd_beta),
-             repr(r.mean_se), repr(r.coverage95), repr(r.rejection_rate)]
+            [r.estimator, r.replications, r.n_failed, r.mean_bias, r.sd_beta,
+             r.mean_se, r.coverage95, r.rejection_rate]
             for r in results
         ],
     )
@@ -590,7 +446,7 @@ def _cmd_simulate(args, argv) -> int:
             print(f"{r.estimator}: coverage95 = {r.coverage95:.3f} "
                   f"(mean SE {r.mean_se:.4g}, sd {r.sd_beta:.4g}, failed {r.n_failed})")
     _write_manifest(out, argv, [args.config], seed=args.seed,
-                    extra=dataclasses.asdict(config), threads=args.threads)
+                    extra=dataclasses.asdict(config))
     return EXIT_OK
 
 

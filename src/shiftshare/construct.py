@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._wls import wls_coefficients
-from .data import Dataset, ShareMatrix, ShiftTable
+from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
 from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
 
 COMPLEMENT_ID = "__complement__"
@@ -153,6 +153,7 @@ def complete_shares(shares: ShareMatrix, shifts: ShiftTable | None = None) -> Co
             exchange_group=_extend(shifts.exchange_group),
             covariates=cov,
             covariate_names=names,
+            extras={k: _extend(v) for k, v in shifts.extras.items()},
         )
     return CompletedShares(shares=new_shares, shifts=new_shifts, sum_of_shares=sums)
 
@@ -219,9 +220,9 @@ class ShiftResiduals:
         return self.eta_hat.shape[0]
 
 
-def _group_codes(labels: np.ndarray) -> np.ndarray:
-    _, codes = np.unique(np.asarray(labels, dtype=object).astype(str), return_inverse=True)
-    return codes
+def _label_terms(shifts: ShiftTable) -> set[str]:
+    """Names of the shift table's label columns, the terms that enter as fixed effects."""
+    return {"cluster", "period", "exchange_group", *shifts.extras}
 
 
 def _weighted_group_demean(
@@ -291,10 +292,9 @@ def residualize_shifts(
     fe_codes: list[np.ndarray] = []
     cov_cols: list[np.ndarray] = []
     cov_names: list[str] = []
-    label_names = {"cluster", "period", "exchange_group", *shifts.extras}
     for term in spec:
-        if term in label_names:
-            fe_codes.append(_group_codes(shifts.label_column(term)))
+        if term in _label_terms(shifts):
+            fe_codes.append(_label_codes(shifts.label_column(term))[1])
         elif shifts.covariates is not None and term in shifts.covariate_names:
             k = shifts.covariate_names.index(term)
             cov_cols.append(shifts.covariates[:, k])

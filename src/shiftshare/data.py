@@ -44,6 +44,11 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _label_codes(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct labels (compared as strings) and each entry's index into them."""
+    return np.unique(np.asarray(labels, dtype=object).astype(str), return_inverse=True)
+
+
 def _frozen_labels(values) -> np.ndarray:
     out = np.array([str(v) for v in values], dtype=object)
     out.setflags(write=False)
@@ -408,17 +413,21 @@ def load_units(path: str | Path, fmt: str = "csv") -> Dataset:
     )
 
 
-def load_shares(
+def _read_long_matrix(
     path: str | Path,
+    column: str,
     unit_ids: Sequence[str],
     shift_ids: Sequence[str],
     fmt: str = "csv",
-) -> ShareMatrix:
+) -> np.ndarray:
+    """Dense units-by-shifts matrix from a long-format ``unit_id, shift_id,
+    <column>`` file; absent pairs are zero. Every id must be known and every
+    value must parse as a number."""
     rows = _read_rows(path, fmt)
-    _require_columns(rows, ("unit_id", "shift_id", "weight"), path)
+    _require_columns(rows, ("unit_id", "shift_id", column), path)
     unit_index = {str(u): i for i, u in enumerate(unit_ids)}
     shift_index = {str(s): j for j, s in enumerate(shift_ids)}
-    w = np.zeros((len(unit_ids), len(shift_ids)))
+    out = np.zeros((len(unit_ids), len(shift_ids)))
     unknown_units: list[str] = []
     unknown_shifts: list[str] = []
     for row in rows:
@@ -429,10 +438,8 @@ def load_shares(
         if s not in shift_index:
             unknown_shifts.append(s)
             continue
-        value = _parse_float(row["weight"], f"{path} share ({u}, {s})")
-        if value < 0:
-            raise ValidationError(f"{path}: negative share {value!r} at unit {u!r}, shift {s!r}")
-        w[unit_index[u], shift_index[s]] = value
+        value = _parse_float(row[column], f"{path} {column} ({u}, {s})")
+        out[unit_index[u], shift_index[s]] = value
     problems = []
     if unknown_units:
         problems.append(f"unit ids not in units file: {sorted(set(unknown_units))[:5]}")
@@ -440,6 +447,22 @@ def load_shares(
         problems.append(f"shift ids not in shifts file: {sorted(set(unknown_shifts))[:5]}")
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
+    return out
+
+
+def load_shares(
+    path: str | Path,
+    unit_ids: Sequence[str],
+    shift_ids: Sequence[str],
+    fmt: str = "csv",
+) -> ShareMatrix:
+    w = _read_long_matrix(path, "weight", unit_ids, shift_ids, fmt)
+    if np.any(w < 0):
+        i, j = np.argwhere(w < 0)[0]
+        raise ValidationError(
+            f"{path}: negative share {float(w[i, j])!r} at unit {str(unit_ids[i])!r}, "
+            f"shift {str(shift_ids[j])!r}"
+        )
     return ShareMatrix(weights=w, row_ids=tuple(unit_ids), col_ids=tuple(shift_ids))
 
 
@@ -472,6 +495,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _share_rows(shares: ShareMatrix):
+    """``(unit_id, shift_id, weight)`` of every nonzero share, row by row."""
+    rows, cols = np.nonzero(shares.weights)
+    values = shares.weights[rows, cols].tolist()
+    for i, j, w in zip(rows.tolist(), cols.tolist(), values):
+        yield shares.row_ids[i], shares.col_ids[j], w
+
+
 def save_inputs(
     directory: str | Path,
     shares: ShareMatrix,
@@ -483,9 +514,7 @@ def save_inputs(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     share_rows = [
-        {"unit_id": shares.row_ids[i], "shift_id": shares.col_ids[j], "weight": _fmt(w)}
-        for (i, j), w in np.ndenumerate(shares.weights)
-        if w != 0.0
+        {"unit_id": u, "shift_id": s, "weight": _fmt(w)} for u, s, w in _share_rows(shares)
     ]
     shift_rows = []
     for j in range(shifts.n_shifts):

@@ -21,9 +21,9 @@ import scipy.stats
 
 from ._wls import wls_coefficients
 from .construct import ShiftResiduals
-from .data import Dataset, ShareMatrix, ShiftTable
+from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
 from .errors import ShiftShareWarning, ValidationError
-from .estimate import residualized_se, residualized_se_clustered, shiftshare_2sls
+from .estimate import _sandwich_se, residualized_se, residualized_se_clustered, shiftshare_2sls
 
 DEFAULT_BOOTSTRAP_DRAWS = 1000
 
@@ -159,19 +159,12 @@ def balance_test_shift(
     coef = wls_coefficients(design, eta, w, ("placebo", "intercept"))
     resid = eta - design @ coef
     if cluster is not None:
-        labels = np.asarray(cluster, dtype=object).astype(str)
-        if labels.shape != (m,):
+        if np.shape(cluster) != (m,):
             raise ValidationError("cluster labels must cover all shifts")
-        _, codes = np.unique(labels, return_inverse=True)
+        codes = _label_codes(cluster)[1]
     else:
         codes = np.arange(m)
-    dw = design * w[:, None]
-    bread = np.linalg.inv(dw.T @ design)
-    scores = dw * resid[:, None]
-    sums = np.zeros((int(codes.max()) + 1, design.shape[1]))
-    np.add.at(sums, codes, scores)
-    cov = bread @ (sums.T @ sums) @ bread.T
-    se = float(np.sqrt(max(cov[0, 0], 0.0)))
+    se = _sandwich_se(design, design, w, resid, codes, 1.0)
     return BalanceResult(float(coef[0]), se, m, _normal_p(float(coef[0]), se), "exposure")
 
 
@@ -286,11 +279,10 @@ def icc(
     are clamped and flagged.
     """
     values = np.asarray(values, dtype=float)
-    labels = np.asarray(groups, dtype=object).astype(str)
-    if values.shape != labels.shape:
+    if values.shape != np.shape(groups):
         raise ValidationError("values and group labels must be aligned")
-    uniq, codes = np.unique(labels, return_inverse=True)
-    n_groups = uniq.shape[0]
+    levels, codes = _label_codes(groups)
+    n_groups = levels.shape[0]
     sizes = np.bincount(codes)
     if n_groups < 2 or np.count_nonzero(sizes >= 2) < 2:
         raise ValidationError("ICC needs at least 2 groups with at least 2 members")
@@ -370,11 +362,9 @@ def concentration(shift_weights: np.ndarray, clusters=None) -> ConcentrationRepo
         raise ValidationError("shift weights must be nonnegative")
     cluster_level = clusters is not None
     if cluster_level:
-        labels = np.asarray(clusters, dtype=object).astype(str)
-        if labels.shape != w.shape:
+        if np.shape(clusters) != w.shape:
             raise ValidationError("cluster labels misaligned with weights")
-        _, codes = np.unique(labels, return_inverse=True)
-        w = np.bincount(codes, weights=w)
+        w = np.bincount(_label_codes(clusters)[1], weights=w)
     total = w.sum()
     total_sq = float(np.sum(w**2))
     if total <= 0.0:

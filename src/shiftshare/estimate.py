@@ -30,8 +30,17 @@ from typing import Sequence
 import numpy as np
 
 from ._wls import add_intercept, solve_square, wls_coefficients, wls_residualize
-from .construct import COMPLEMENT_ID, ShiftResiduals, build_exposure
-from .data import Dataset, ShareMatrix, ShiftTable
+from .construct import (
+    COMPLEMENT_ID,
+    REAL_SHIFT_COVARIATE,
+    ShiftResiduals,
+    _label_terms,
+    build_exposure,
+    complete_shares,
+    residualize_shifts,
+    shift_weights_from,
+)
+from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
 from .errors import EstimationError, ShiftShareWarning, ValidationError
 
 WEAK_FIRST_STAGE_TOL = 1e-12
@@ -88,13 +97,7 @@ def _resolve_labels(source, labels) -> np.ndarray | None:
         raise ValidationError(
             f"cluster column name {labels!r} cannot be resolved here; pass a label array"
         )
-    out = np.asarray(labels, dtype=object).astype(str)
-    return out
-
-
-def _cluster_codes(labels: np.ndarray) -> np.ndarray:
-    _, codes = np.unique(labels, return_inverse=True)
-    return codes
+    return np.asarray(labels, dtype=object).astype(str)
 
 
 def _cluster_meat(scores: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -174,7 +177,6 @@ def shiftshare_2sls(
     names = ("x",) + control_names
 
     x_perp = wls_residualize(controls, x, e, control_names)
-    z_perp = wls_residualize(controls, z, e, control_names)
     first_stage_cov = float(np.sum(e * z * x_perp))
     if abs(first_stage_cov) < WEAK_FIRST_STAGE_TOL:
         raise EstimationError(
@@ -187,7 +189,7 @@ def shiftshare_2sls(
 
     labels = _resolve_labels(dataset, cluster)
     if labels is not None:
-        codes = _cluster_codes(labels)
+        codes = _label_codes(labels)[1]
         n_clusters = int(codes.max()) + 1
         if n_clusters < 2:
             raise EstimationError("clustered standard errors need at least 2 clusters")
@@ -269,6 +271,33 @@ def _endogenous(dataset: Dataset, shares: ShareMatrix, shifts: ShiftTable) -> np
     return build_exposure(shares, shifts)
 
 
+def _moment_vectors(
+    dataset: Dataset,
+    shares: ShareMatrix,
+    shifts: ShiftTable,
+    weights: np.ndarray | None = None,
+    partial: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shift-level aggregates ``(e * y) @ W`` and ``(e * x) @ W``.
+
+    ``x`` is the dataset's regressor, or the exposure when it has none. With
+    ``partial`` set, ``y`` and ``x`` are first residualized on the unit
+    controls (with intercept). ``weights`` replaces ``W = shares.weights``,
+    for instance by a subset of its columns.
+    """
+    if shares.n_units != dataset.n_units or shares.n_shifts != shifts.n_shifts:
+        raise ValidationError("dataset, shares and shifts are misaligned")
+    e = dataset.unit_weights
+    y = dataset.outcome
+    x = _endogenous(dataset, shares, shifts)
+    if partial:
+        controls, control_names = _unit_design(dataset)
+        y = wls_residualize(controls, y, e, control_names)
+        x = wls_residualize(controls, x, e, control_names)
+    w = shares.weights if weights is None else weights
+    return (e * y) @ w, (e * x) @ w
+
+
 def rotemberg(
     dataset: Dataset,
     shares: ShareMatrix,
@@ -282,15 +311,7 @@ def rotemberg(
     has (numerically) zero covariance with the residualized regressor get an
     undefined per-share estimate (NaN) but still receive a weight.
     """
-    if shares.n_units != dataset.n_units:
-        raise ValidationError("share matrix and dataset have different unit counts")
-    x = _endogenous(dataset, shares, shifts)
-    e = dataset.unit_weights
-    controls, control_names = _unit_design(dataset)
-    y_perp = wls_residualize(controls, dataset.outcome, e, control_names)
-    x_perp = wls_residualize(controls, x, e, control_names)
-    a = (e * y_perp) @ shares.weights
-    c = (e * x_perp) @ shares.weights
+    a, c = _moment_vectors(dataset, shares, shifts)
     d = shifts.values
     denom = float(np.dot(d, c))
     if abs(denom) < WEAK_FIRST_STAGE_TOL:
@@ -332,13 +353,7 @@ def gmm_share_instruments(dataset: Dataset, shares: ShareMatrix, shifts: ShiftTa
     moments into the single shift-share moment, so this recovers the
     shift-share estimate (generally with suboptimal efficiency).
     """
-    x = _endogenous(dataset, shares, shifts)
-    e = dataset.unit_weights
-    controls, control_names = _unit_design(dataset)
-    y_perp = wls_residualize(controls, dataset.outcome, e, control_names)
-    x_perp = wls_residualize(controls, x, e, control_names)
-    a = (e * y_perp) @ shares.weights
-    c = (e * x_perp) @ shares.weights
+    a, c = _moment_vectors(dataset, shares, shifts)
     denom = float(np.dot(shifts.values, c))
     if abs(denom) < WEAK_FIRST_STAGE_TOL:
         raise EstimationError("shift-weighted share moments do not identify the coefficient")
@@ -407,15 +422,6 @@ def invert(
         raise ValidationError("instrument values misaligned with share columns")
 
     e = dataset.unit_weights
-    x = _endogenous(dataset, shares, shifts)
-    controls, control_names = _unit_design(dataset)
-    if partial_controls:
-        y_use = wls_residualize(controls, dataset.outcome, e, control_names)
-        x_use = wls_residualize(controls, x, e, control_names)
-    else:
-        y_use = dataset.outcome
-        x_use = x
-
     w_j = e @ shares.weights
     kept = w_j > 0
     if not kept.all():
@@ -426,8 +432,10 @@ def invert(
         )
     w = w_j[kept]
     wt = shares.weights[:, kept]
-    ybar = (e * y_use) @ wt / w
-    xbar = (e * x_use) @ wt / w
+    y_sum, x_sum = _moment_vectors(dataset, shares, shifts, wt, partial=partial_controls)
+    ybar = y_sum / w
+    xbar = x_sum / w
+    controls = _unit_design(dataset)[0]
     control_bar = (wt.T @ (controls * e[:, None])) / w[:, None]
     cluster = shifts.cluster[kept] if shifts.cluster is not None else None
     return InvertedDataset(
@@ -529,7 +537,7 @@ def estimate_inverted(
             labels = labels[inverted.kept]
         if labels.shape[0] != m:
             raise ValidationError("cluster labels misaligned with shifts")
-        codes = _cluster_codes(labels)
+        codes = _label_codes(labels)[1]
         n_clusters = int(codes.max()) + 1
         if n_clusters < 2:
             raise EstimationError("clustered standard errors need at least 2 shift clusters")
@@ -622,7 +630,7 @@ def residualized_se_clustered(
     if denom == 0.0:
         raise EstimationError("degenerate first stage: sum e * x_perp * z is zero")
     t = (e * eps) @ shares.weights
-    codes = _cluster_codes(labels)
+    codes = _label_codes(labels)[1]
     per_cluster = np.bincount(codes, weights=t * eta)
     return float(np.sqrt(np.sum(np.sort(per_cluster**2))) / denom)
 
@@ -678,3 +686,125 @@ def demean_via_controls(shares: ShareMatrix, shift_covariates: np.ndarray) -> np
     if p.shape[0] != shares.n_shifts:
         raise ValidationError("shift covariates must have one row per shift")
     return shares.weights @ p
+
+
+# ---------------------------------------------------------------------------
+# the shift-exogeneity framework, end to end
+
+SE_MENUS = ("all", "conventional", "exposure", "residualized")
+
+
+@dataclass
+class ShiftFrameworkResult:
+    """Unit-level 2SLS on the residualized-shift instrument, with the SE menu
+    of the shift-level regression ``inverted`` merged into ``estimate``."""
+
+    estimate: EstimateReport
+    inverted: EstimateReport
+    residuals: ShiftResiduals
+    rotemberg: RotembergTable | None = None
+
+    def to_dict(self) -> dict:
+        payload = {
+            "estimate": self.estimate.to_dict(),
+            "residualization": {
+                "spec": list(self.residuals.spec),
+                "sse_ratio": self.residuals.sse_ratio,
+            },
+        }
+        if self.rotemberg is not None:
+            payload["rotemberg"] = self.rotemberg.to_dict()
+        return payload
+
+
+def _spec_controls(shares: ShareMatrix, shifts: ShiftTable, spec: Sequence[str]) -> list:
+    """Unit-level aggregates ``W p`` of the residualization terms, one column each.
+
+    A fixed effect gives one column per real level except the first sorted
+    one; the complement's own level never gets a column, so the real-level
+    columns together sum to the sum-of-shares control. ``p_real`` gets none:
+    its aggregate is the sum-of-shares control itself.
+    """
+    columns = []
+    for term in spec:
+        if term in _label_terms(shifts):
+            labels = shifts.label_column(term)
+            for level in _label_codes(labels[labels != COMPLEMENT_ID])[0][1:]:
+                columns.append(shares.weights @ (labels == level).astype(float))
+        elif term != REAL_SHIFT_COVARIATE and term in shifts.covariate_names:
+            k = shifts.covariate_names.index(term)
+            columns.append(shares.weights @ shifts.covariates[:, k])
+    return columns
+
+
+def estimate_shift_framework(
+    shares: ShareMatrix,
+    shifts: ShiftTable,
+    dataset: Dataset,
+    residualize: Sequence[str] = (),
+    cluster_unit=None,
+    cluster_shift: str | None = None,
+    se: str = "all",
+    with_rotemberg: bool = False,
+) -> ShiftFrameworkResult:
+    """Shift-share IV under shift exogeneity: construction, 2SLS and the SE menu.
+
+    Incomplete shares (a row sum off 1 by more than 1e-8) are completed, the
+    sum of shares joins the unit controls, and ``p_real`` is prepended to the
+    spec unless a label fixed effect in ``residualize`` already absorbs the
+    complement's own level. Shifts are residualized on the spec, the unit
+    controls gain the aggregated spec terms, and the unit-level 2SLS uses the
+    residualized shifts as instrument. The inverted regression gives the
+    exposure-robust SEs, clustered on the shift label column
+    ``cluster_shift`` when given. ``cluster_unit`` clusters the conventional
+    SE. ``se`` keeps ``all`` families, or the conventional SE alone or with
+    the ``exposure`` or ``residualized`` ones.
+    """
+    if se not in SE_MENUS:
+        raise ValidationError(f"unknown SE menu {se!r}; choose one of {SE_MENUS}")
+    spec = tuple(t for t in residualize if t != REAL_SHIFT_COVARIATE)
+    blocks = [] if dataset.controls is None else [dataset.controls]
+    if not shares.is_complete(tol=1e-8):
+        completed = complete_shares(shares, shifts)
+        shares, shifts = completed.shares, completed.shifts
+        blocks.append(completed.sum_of_shares[:, None])
+        if not any(t in _label_terms(shifts) for t in spec):
+            spec = (REAL_SHIFT_COVARIATE,) + spec
+    blocks += [column[:, None] for column in _spec_controls(shares, shifts, spec)]
+    augmented = Dataset(
+        outcome=dataset.outcome,
+        unit_ids=dataset.unit_ids,
+        regressor=dataset.regressor,
+        controls=np.column_stack(blocks) if blocks else None,
+        unit_weights=dataset.unit_weights,
+        extras=dict(dataset.extras),
+    )
+    res = residualize_shifts(shifts, spec, shift_weights_from(augmented, shares))
+    report = shiftshare_2sls(
+        augmented,
+        shares.weights @ res.eta_hat,
+        cluster=cluster_unit,
+        regressor=_endogenous(augmented, shares, shifts),
+    )
+    shift_labels = None if cluster_shift is None else shifts.label_column(cluster_shift)
+    inverted = estimate_inverted(invert(augmented, shares, shifts, residuals=res),
+                                 cluster=shift_labels)
+    if se in ("all", "exposure"):
+        report.se_variants.update(
+            {k: v for k, v in inverted.se_variants.items() if "exposure" in k}
+        )
+        report.first_stage_f.update(inverted.first_stage_f)
+    if se in ("all", "residualized"):
+        args = (augmented.unit_weights, shares, res.eta_hat, report.residuals, report.x_perp)
+        report.se_variants["residualized"] = residualized_se(*args)
+        if shift_labels is not None:
+            report.se_variants["residualized_cluster"] = residualized_se_clustered(
+                *args, shift_labels
+            )
+    if se == "conventional":
+        report.se_variants = {
+            k: v for k, v in report.se_variants.items() if k.startswith("conventional")
+        }
+    report.m_shifts = inverted.m_shifts
+    table = rotemberg(augmented, shares, shifts) if with_rotemberg else None
+    return ShiftFrameworkResult(estimate=report, inverted=inverted, residuals=res, rotemberg=table)

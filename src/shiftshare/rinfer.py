@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._wls import add_intercept, wls_residualize
-from .construct import build_exposure
-from .data import Dataset, ShareMatrix, ShiftTable
+from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
 from .errors import EstimationError, ShiftShareWarning, ValidationError
+from .estimate import _moment_vectors
 
 MIN_DRAWS_WARN = 100
 ENUMERATION_CAP = 100_000
@@ -98,12 +97,13 @@ def _group_indices(shifts: ShiftTable, groups) -> list[np.ndarray]:
     elif isinstance(groups, str):
         labels = shifts.label_column(groups)
     else:
-        labels = np.asarray(groups, dtype=object).astype(str)
-        if labels.shape != (shifts.n_shifts,):
+        labels = groups
+        if np.shape(labels) != (shifts.n_shifts,):
             raise ValidationError("exchange group labels must cover all shifts")
     if labels is None:
         return [np.arange(shifts.n_shifts)]
-    out = [np.flatnonzero(labels == g) for g in np.unique(labels)]
+    levels, codes = _label_codes(labels)
+    out = [np.flatnonzero(codes == g) for g in range(levels.shape[0])]
     small = [idx for idx in out if idx.size < 2]
     if small:
         raise ValidationError(
@@ -111,20 +111,6 @@ def _group_indices(shifts: ShiftTable, groups) -> list[np.ndarray]:
             "permutation within them is degenerate"
         )
     return out
-
-
-def _moment_vectors(dataset: Dataset, shares: ShareMatrix, shifts: ShiftTable):
-    """Per-shift cross-moment loadings after residualizing Y and X on controls."""
-    if shares.n_units != dataset.n_units or shares.n_shifts != shifts.n_shifts:
-        raise ValidationError("dataset, shares and shifts are misaligned")
-    e = dataset.unit_weights
-    x = dataset.regressor if dataset.regressor is not None else build_exposure(shares, shifts)
-    controls, names = add_intercept(dataset.controls, dataset.n_units)
-    y_perp = wls_residualize(controls, dataset.outcome, e, names)
-    x_perp = wls_residualize(controls, x, e, names)
-    s_y = (e * y_perp) @ shares.weights
-    s_x = (e * x_perp) @ shares.weights
-    return s_y, s_x
 
 
 def _n_permutations(group_indices: list[np.ndarray]) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .construct import residualize_shifts, shift_weights_from
 from .data import Dataset, ShareMatrix, ShiftTable
-from .errors import EstimationError, ShiftShareWarning, ValidationError
+from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
 from .estimate import estimate_inverted, invert, shiftshare_2sls
 
 SHARE_MODELS = ("dirichlet", "sparse-block", "network-inverse-degree")
@@ -341,7 +341,8 @@ def run_coverage(
             for name, fn in resolved:
                 try:
                     b, s = fn(data)
-                except (EstimationError, ValidationError, np.linalg.LinAlgError):
+                except (EstimationError, NumericalError, ValidationError,
+                        np.linalg.LinAlgError):
                     failed[name] += 1
                     continue
                 betas[name].append(b)

@@ -290,3 +290,117 @@ class TestFormatsAndFilters:
         assert code == 0
         report = json.loads((out / "estimate.json").read_text())
         assert set(report["estimate"]["se"]) == {"conventional_hc"}
+
+
+def complete_share_rows(text):
+    """The SHARES fixture with every unit's row rescaled to sum to one."""
+    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
+    totals = {}
+    for u, _, w in rows:
+        totals[u] = totals.get(u, 0.0) + float(w)
+    return "unit_id,shift_id,weight\n" + "".join(
+        f"{u},{s},{float(w) / totals[u]!r}\n" for u, s, w in rows
+    )
+
+
+class TestShiftFrameworkSpecs:
+    @pytest.mark.parametrize("spec", ["cluster", "cluster,p_1", "exchange_group"])
+    def test_fixed_effect_residualization(self, inputs, tmp_path, spec):
+        out = tmp_path / "fe"
+        code = main(["--quiet", "estimate", "--framework", "shift", "--residualize", spec,
+                     "--cluster-shift", "cluster", *io_args(inputs, out)])
+        assert code == 0
+        report = json.loads((out / "estimate.json").read_text())
+        assert report["residualization"]["spec"] == spec.split(",")
+        se = report["estimate"]["se"]
+        assert se["residualized"] == pytest.approx(se["hc_exposure_robust"], rel=1e-8)
+
+    @pytest.mark.parametrize("spec", [None, "p_1", "cluster"])
+    def test_complete_shares(self, inputs, tmp_path, spec):
+        inputs["shares"].write_text(complete_share_rows(SHARES))
+        out = tmp_path / "complete"
+        flags = [] if spec is None else ["--residualize", spec]
+        code = main(["--quiet", "estimate", "--framework", "shift", *flags,
+                     *io_args(inputs, out)])
+        assert code == 0
+        report = json.loads((out / "estimate.json").read_text())
+        assert report["residualization"]["spec"] == ([] if spec is None else [spec])
+        assert report["estimate"]["m_shifts"] == 4
+        se = report["estimate"]["se"]
+        assert se["residualized"] == pytest.approx(se["hc_exposure_robust"], rel=1e-8)
+
+    def test_report_is_the_library_result(self, inputs, tmp_path):
+        from shiftshare import estimate_shift_framework, load_csv
+
+        out = tmp_path / "lib"
+        code = main(["--quiet", "estimate", "--framework", "shift", "--residualize", "p_1",
+                     "--cluster-shift", "cluster", "--rotemberg", *io_args(inputs, out)])
+        assert code == 0
+        shares, shifts, dataset = load_csv(inputs["shares"], inputs["shifts"], inputs["units"])
+        result = estimate_shift_framework(shares, shifts, dataset, residualize=("p_1",),
+                                          cluster_shift="cluster", with_rotemberg=True)
+        report = json.loads((out / "estimate.json").read_text())
+        assert report == {**json.loads(json.dumps(result.to_dict())),
+                          "schema_version": 1, "framework": "shift"}
+
+
+def value_cells(path, skip=("unit_id", "shift_id", "replaced")):
+    import csv as csvmod
+
+    with open(path, newline="") as fh:
+        rows = list(csvmod.DictReader(fh))
+    return [v for row in rows for k, v in row.items() if k not in skip]
+
+
+class TestConstructTables:
+    def test_every_value_round_trips(self, inputs, tmp_path):
+        unit_shifts = tmp_path / "ds.csv"
+        lines = ["unit_id,shift_id,value"]
+        for i in range(8):
+            for j in range(4):
+                lines.append(f"u{i},s{j},{1.0 + (i + j) % 3 * 0.1}")
+        unit_shifts.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "tables"
+        code = main(["--quiet", "construct", "--complete-shares", "--replace-threshold", "0.2",
+                     "--residualize", "cluster", "--loo", "--decompose",
+                     "--initial-shares", str(inputs["shares"]),
+                     "--unit-shifts", str(unit_shifts), *io_args(inputs, out)])
+        assert code == 0
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == ["completed_shares.csv", "decomposition.csv", "exposure.csv",
+                         "loo_instrument.csv", "shift_residuals.csv", "shifts_replaced.csv",
+                         "sum_of_shares.csv"]
+        for name in names:
+            cells = value_cells(out / name)
+            assert cells, name
+            for cell in cells:
+                assert repr(float(cell)) == cell, (name, cell)
+        replaced = value_cells(out / "shifts_replaced.csv", skip=("shift_id", "value"))
+        assert set(replaced) <= {"0", "1"}
+
+    def test_completed_shares_skip_zeros(self, inputs, tmp_path):
+        inputs["shares"].write_text(SHARES.replace("u1,s0,0.1020", "u1,s0,0.0"))
+        out = tmp_path / "zeros"
+        assert main(["--quiet", "construct", "--complete-shares", *io_args(inputs, out)]) == 0
+        rows = (out / "completed_shares.csv").read_text().splitlines()
+        assert rows[:3] == ["unit_id,shift_id,weight", "u0,s0,0.0629", "u0,s1,0.0391"]
+        assert not any(r.startswith("u1,s0,") for r in rows)
+        assert len(rows) == 1 + 31 + 8  # 31 nonzero shares and 8 complements
+
+    def test_non_numeric_unit_shift_exits_one(self, inputs, tmp_path, capsys):
+        unit_shifts = tmp_path / "ds.csv"
+        unit_shifts.write_text("unit_id,shift_id,value\nu0,s0,1.0\nu0,s1,abc\n")
+        code = main(["--quiet", "construct", "--loo", "--unit-shifts", str(unit_shifts),
+                     *io_args(inputs, tmp_path / "bad")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'abc'" in err[0]
+
+
+def test_threads_flag_removed(inputs, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "estimate", *io_args(inputs, tmp_path / "t")])
+    assert exc.value.code == 64
+    assert main(["--quiet", "estimate", *io_args(inputs, tmp_path / "m")]) == 0
+    manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert "threads" not in manifest

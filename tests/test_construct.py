@@ -131,6 +131,14 @@ class TestCompleteShares:
         assert st.covariates[:, -1].tolist() == [1.0, 1.0, 1.0, 0.0]
         assert st.covariates[-1, 0] == 0.0
 
+    def test_extra_label_columns_kept(self, rng):
+        shares = random_share_matrix(rng, 5, 3)
+        shifts = table(rng.normal(size=3), extras={"region": ["r0", "r1", "r0"]})
+        completed = complete_shares(shares, shifts)
+        assert completed.shifts.label_column("region").tolist() == [
+            "r0", "r1", "r0", "__complement__"
+        ]
+
     def test_exposure_unchanged(self, rng):
         shares = random_share_matrix(rng, 6, 4)
         shifts = table(rng.normal(size=4))

@@ -127,6 +127,24 @@ class TestRoundTrip:
             assert paths[key].read_bytes() == paths2[key].read_bytes()
 
 
+    def test_share_rows_skip_explicit_zeros_in_row_major_order(self, tmp_path):
+        w = np.array([[0.0, 0.25, 0.0], [0.5, 0.0, 0.125], [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]])
+        with pytest.warns(ShiftShareWarning, match="all-zero"):
+            shares = ShareMatrix(w, ("a", "b", "c", "d"), ("s1", "s2", "s3"))
+        shifts = ShiftTable(np.array([1.0, -2.0, 0.5]), ("s1", "s2", "s3"))
+        dataset = Dataset(outcome=np.arange(4.0), unit_ids=("a", "b", "c", "d"))
+        paths = save_inputs(tmp_path, shares, shifts, dataset)
+        assert paths["shares"].read_bytes() == (
+            b"unit_id,shift_id,weight\r\n"
+            b"a,s2,0.25\r\n"
+            b"b,s1,0.5\r\n"
+            b"b,s3,0.125\r\n"
+            b"d,s1,0.1\r\n"
+            b"d,s2,0.2\r\n"
+            b"d,s3,0.3\r\n"
+        )
+
+
 class TestValidation:
     def test_zero_row_warns_but_passes(self):
         with pytest.warns(ShiftShareWarning, match="all-zero"):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftshare import (
     Dataset,
@@ -9,11 +11,13 @@ from shiftshare import (
     ShareMatrix,
     ShiftShareWarning,
     ShiftTable,
+    ValidationError,
     build_exposure,
     complete_shares,
     demean_via_controls,
     effective_f,
     estimate_inverted,
+    estimate_shift_framework,
     gmm_share_instruments,
     invert,
     residualize_shifts,
@@ -24,6 +28,7 @@ from shiftshare import (
     shiftshare_2sls,
     shiftshare_ols,
 )
+from shiftshare._wls import solve_square, wls_coefficients
 
 from conftest import matched_instance, random_share_matrix, shift_ids, unit_ids
 
@@ -549,3 +554,93 @@ class TestDemeanViaControls:
             z_eta = shares.weights @ res.eta_hat
             rep_unit = shiftshare_2sls(ds, z_eta)
             assert rep_unit.beta_hat == pytest.approx(rep_controls.beta_hat, rel=1e-9)
+
+
+class TestRankCheckedSolves:
+    def test_error_messages_name_the_collinear_terms(self):
+        design = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+        with pytest.raises(EstimationError, match="^rank-deficient design; collinear terms: a$"):
+            wls_coefficients(design, np.ones(3), np.ones(3), ("a", "b"))
+        with pytest.raises(EstimationError, match="^singular moment system; collinear terms: a$"):
+            solve_square(design[:2], np.ones(2), ("a", "b"))
+        with pytest.raises(EstimationError, match="^design matrix is identically zero$"):
+            wls_coefficients(np.zeros((3, 2)), np.ones(3), np.ones(3))
+        with pytest.raises(EstimationError, match="^moment matrix is identically zero$"):
+            solve_square(np.zeros((2, 2)), np.ones(2))
+
+
+SHIFT_SPECS = ((), ("p_1",), ("cluster",), ("cluster", "p_1"))
+
+
+def shift_framework_instance(seed, n, m, complete):
+    rng = np.random.default_rng(seed)
+    shares = random_share_matrix(rng, n, m, complete=complete)
+    d = rng.normal(0.5, 1.5, size=m)
+    shifts = ShiftTable(d, shift_ids(m), cluster=[f"c{j % 3}" for j in range(m)],
+                        covariates=rng.normal(size=(m, 1)))
+    x = shares.weights @ d + 0.4 * rng.normal(size=n)
+    controls = rng.normal(size=(n, 1))
+    y = 1.3 * x + 0.5 * controls[:, 0] + rng.normal(size=n)
+    dataset = Dataset(outcome=y, unit_ids=unit_ids(n), regressor=x, controls=controls,
+                      unit_weights=rng.uniform(0.5, 2.0, size=n))
+    return shares, shifts, dataset
+
+
+@pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
+class TestEstimateShiftFramework:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 120),
+        m=st.integers(6, 25),
+        complete=st.booleans(),
+        spec=st.sampled_from(SHIFT_SPECS),
+    )
+    def test_unit_and_shift_level_routes_agree(self, seed, n, m, complete, spec):
+        shares, shifts, dataset = shift_framework_instance(seed, n, m, complete)
+        result = estimate_shift_framework(shares, shifts, dataset, residualize=spec,
+                                          cluster_shift="cluster")
+        est, inv = result.estimate, result.inverted
+        assert est.beta_hat == pytest.approx(inv.beta_hat, rel=1e-8)
+        assert est.se_variants["residualized"] == pytest.approx(
+            est.se_variants["hc_exposure_robust"], rel=1e-8
+        )
+        assert est.se_variants["residualized_cluster"] == pytest.approx(
+            est.se_variants["cluster_exposure_robust"], rel=1e-8
+        )
+        assert ("p_real" in result.residuals.spec) == (not complete and "cluster" not in spec)
+
+    def test_incomplete_p1_spec_is_the_completed_composition(self, rng):
+        shares, shifts, dataset = shift_framework_instance(3, 60, 8, complete=False)
+        result = estimate_shift_framework(shares, shifts, dataset, residualize=("p_1",))
+        completed = complete_shares(shares, shifts)
+        shares_c, shifts_c = completed.shares, completed.shifts
+        controls = np.column_stack([dataset.controls, completed.sum_of_shares,
+                                    shares_c.weights @ shifts_c.covariates[:, 0]])
+        augmented = Dataset(outcome=dataset.outcome, unit_ids=dataset.unit_ids,
+                            regressor=dataset.regressor, controls=controls,
+                            unit_weights=dataset.unit_weights)
+        res = residualize_shifts(shifts_c, ("p_real", "p_1"),
+                                 shift_weights_from(augmented, shares_c))
+        report = shiftshare_2sls(augmented, shares_c.weights @ res.eta_hat)
+        assert result.residuals.spec == ("p_real", "p_1")
+        assert result.estimate.beta_hat == report.beta_hat
+        assert result.estimate.se_variants["conventional_hc"] == (
+            report.se_variants["conventional_hc"]
+        )
+
+    def test_fixed_effect_aggregates_skip_the_complement_and_first_level(self, rng):
+        shares, shifts, dataset = shift_framework_instance(5, 50, 9, complete=False)
+        result = estimate_shift_framework(shares, shifts, dataset, residualize=("cluster",))
+        # pi_1 (own control), sum of shares, then levels c1 and c2 of three
+        assert result.estimate.gamma_names == ("intercept", "pi_1", "pi_2", "pi_3", "pi_4")
+
+    def test_se_menu_and_rotemberg(self, rng):
+        shares, shifts, dataset = shift_framework_instance(7, 50, 9, complete=False)
+        conventional = estimate_shift_framework(shares, shifts, dataset, se="conventional")
+        assert set(conventional.estimate.se_variants) == {"conventional_hc"}
+        full = estimate_shift_framework(shares, shifts, dataset, with_rotemberg=True)
+        assert full.rotemberg.beta_hat == pytest.approx(full.estimate.beta_hat, rel=1e-8)
+        assert "rotemberg" in full.to_dict()
+        with pytest.raises(ValidationError, match="unknown SE menu"):
+            estimate_shift_framework(shares, shifts, dataset, se="everything")

@@ -5,6 +5,7 @@ import pytest
 
 from shiftshare import (
     DgpConfig,
+    NumericalError,
     ShiftShareWarning,
     ValidationError,
     generate,
@@ -146,6 +147,17 @@ class TestRunCoverage:
         results = run_coverage(cfg, [("flaky", flaky)], replications=120, seed=1)
         assert results[0].n_failed == 40
         assert results[0].replications == 120
+
+    def test_numerical_failures_counted(self):
+        cfg = DgpConfig(n=30, m=10, seed=0)
+
+        def diverges(data):
+            raise NumericalError("alternating demeaning did not converge")
+
+        results = run_coverage(cfg, [("diverges", diverges), "conventional-hc"],
+                               replications=100, seed=2)
+        assert results[0].n_failed == 100
+        assert results[1].n_failed == 0
 
     def test_low_replications_warn(self):
         cfg = DgpConfig(n=20, m=8, seed=0)
