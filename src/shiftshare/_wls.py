@@ -85,14 +85,3 @@ def solve_square(
     matrix = np.asarray(matrix, dtype=float)
     return _pivoted_solve(matrix, rhs, names, "moment", "singular moment system")
 
-
-def add_intercept(columns: np.ndarray | None, n: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Prepend an intercept column to an optional control matrix."""
-    ones = np.ones((n, 1))
-    if columns is None:
-        return ones, ("intercept",)
-    columns = np.atleast_2d(np.asarray(columns, dtype=float))
-    if columns.shape[0] != n:
-        columns = columns.T
-    names = ("intercept",) + tuple(f"control_{k + 1}" for k in range(columns.shape[1]))
-    return np.hstack([ones, columns]), names

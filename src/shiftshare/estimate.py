@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._wls import add_intercept, solve_square, wls_coefficients, wls_residualize
+from ._wls import solve_square, wls_coefficients, wls_residualize
 from .construct import (
     COMPLEMENT_ID,
     REAL_SHIFT_COVARIATE,
@@ -139,11 +139,12 @@ def _sandwich_se(
     return float(np.sqrt(max(var, 0.0)))
 
 
-def _unit_design(dataset: Dataset):
-    controls, names = add_intercept(dataset.controls, dataset.n_units)
-    if dataset.controls is not None and dataset.control_names:
-        names = ("intercept",) + dataset.control_names
-    return controls, names
+def _unit_design(dataset: Dataset) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The unit controls with an intercept column prepended, and their names."""
+    ones = np.ones((dataset.n_units, 1))
+    if dataset.controls is None:
+        return ones, ("intercept",)
+    return np.hstack([ones, dataset.controls]), ("intercept",) + dataset.control_names
 
 
 def shiftshare_2sls(
@@ -275,15 +276,13 @@ def _moment_vectors(
     dataset: Dataset,
     shares: ShareMatrix,
     shifts: ShiftTable,
-    weights: np.ndarray | None = None,
     partial: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shift-level aggregates ``(e * y) @ W`` and ``(e * x) @ W``.
 
     ``x`` is the dataset's regressor, or the exposure when it has none. With
     ``partial`` set, ``y`` and ``x`` are first residualized on the unit
-    controls (with intercept). ``weights`` replaces ``W = shares.weights``,
-    for instance by a subset of its columns.
+    controls (with intercept).
     """
     if shares.n_units != dataset.n_units or shares.n_shifts != shifts.n_shifts:
         raise ValidationError("dataset, shares and shifts are misaligned")
@@ -294,8 +293,7 @@ def _moment_vectors(
         controls, control_names = _unit_design(dataset)
         y = wls_residualize(controls, y, e, control_names)
         x = wls_residualize(controls, x, e, control_names)
-    w = shares.weights if weights is None else weights
-    return (e * y) @ w, (e * x) @ w
+    return (e * y) @ shares.weights, (e * x) @ shares.weights
 
 
 def rotemberg(
@@ -430,13 +428,14 @@ def invert(
             ShiftShareWarning,
             stacklevel=2,
         )
+    # aggregate every column and keep the shifts after: a column subset of
+    # the shares would be a dense n x m copy
     w = w_j[kept]
-    wt = shares.weights[:, kept]
-    y_sum, x_sum = _moment_vectors(dataset, shares, shifts, wt, partial=partial_controls)
-    ybar = y_sum / w
-    xbar = x_sum / w
+    y_sum, x_sum = _moment_vectors(dataset, shares, shifts, partial=partial_controls)
+    ybar = y_sum[kept] / w
+    xbar = x_sum[kept] / w
     controls = _unit_design(dataset)[0]
-    control_bar = (wt.T @ (controls * e[:, None])) / w[:, None]
+    control_bar = (shares.weights.T @ (controls * e[:, None]))[kept] / w[:, None]
     cluster = shifts.cluster[kept] if shifts.cluster is not None else None
     return InvertedDataset(
         ybar=ybar,
@@ -572,6 +571,30 @@ def estimate_inverted(
 # residualized-shift standard errors and effective F
 
 
+def _residualized_scores(
+    unit_weights: np.ndarray,
+    shares: ShareMatrix,
+    eta_hat: np.ndarray,
+    residuals: np.ndarray,
+    x_perp: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Per-shift scores ``(sum_i e_i w_ij eps_i) eta_j`` and ``|sum_i e_i x_perp_i z_i|``."""
+    e = np.asarray(unit_weights, dtype=float)
+    eta = np.asarray(eta_hat, dtype=float)
+    eps = np.asarray(residuals, dtype=float)
+    xp = np.asarray(x_perp, dtype=float)
+    if eta.shape != (shares.n_shifts,):
+        raise ValidationError("eta misaligned with share columns")
+    if eps.shape != (shares.n_units,) or xp.shape != (shares.n_units,):
+        raise ValidationError("residuals and x_perp must have one value per unit")
+    z = shares.weights @ eta
+    denom = abs(float(np.sum(e * xp * z)))
+    if denom == 0.0:
+        raise EstimationError("degenerate first stage: sum e * x_perp * z is zero")
+    t = (e * eps) @ shares.weights
+    return t * eta, denom
+
+
 def residualized_se(
     unit_weights: np.ndarray,
     shares: ShareMatrix,
@@ -587,22 +610,10 @@ def residualized_se(
     controls, this equals the heteroskedasticity-robust sandwich of the
     inverted regression.
     """
-    e = np.asarray(unit_weights, dtype=float)
-    eta = np.asarray(eta_hat, dtype=float)
-    eps = np.asarray(residuals, dtype=float)
-    xp = np.asarray(x_perp, dtype=float)
-    if eta.shape != (shares.n_shifts,):
-        raise ValidationError("eta misaligned with share columns")
-    if eps.shape != (shares.n_units,) or xp.shape != (shares.n_units,):
-        raise ValidationError("residuals and x_perp must have one value per unit")
-    z = shares.weights @ eta
-    denom = abs(float(np.sum(e * xp * z)))
-    if denom == 0.0:
-        raise EstimationError("degenerate first stage: sum e * x_perp * z is zero")
-    t = (e * eps) @ shares.weights
+    scores, denom = _residualized_scores(unit_weights, shares, eta_hat, residuals, x_perp)
     # sorted reduction: the singleton-cluster version must reproduce this
     # value bit for bit regardless of label order
-    return float(np.sqrt(np.sum(np.sort((t * eta) ** 2))) / denom)
+    return float(np.sqrt(np.sum(np.sort(scores**2))) / denom)
 
 
 def residualized_se_clustered(
@@ -618,20 +629,11 @@ def residualized_se_clustered(
     Reduces exactly to the unclustered estimator when every cluster is a
     singleton.
     """
-    e = np.asarray(unit_weights, dtype=float)
-    eta = np.asarray(eta_hat, dtype=float)
-    eps = np.asarray(residuals, dtype=float)
-    xp = np.asarray(x_perp, dtype=float)
     labels = np.asarray(clusters, dtype=object).astype(str)
     if labels.shape != (shares.n_shifts,):
         raise ValidationError("cluster labels must cover all shifts")
-    z = shares.weights @ eta
-    denom = abs(float(np.sum(e * xp * z)))
-    if denom == 0.0:
-        raise EstimationError("degenerate first stage: sum e * x_perp * z is zero")
-    t = (e * eps) @ shares.weights
-    codes = _label_codes(labels)[1]
-    per_cluster = np.bincount(codes, weights=t * eta)
+    scores, denom = _residualized_scores(unit_weights, shares, eta_hat, residuals, x_perp)
+    per_cluster = np.bincount(_label_codes(labels)[1], weights=scores)
     return float(np.sqrt(np.sum(np.sort(per_cluster**2))) / denom)
 
 

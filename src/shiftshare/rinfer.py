@@ -11,6 +11,10 @@ is exact by construction; otherwise permutations are sampled and the
 observed assignment joins the reference set, keeping the test valid at
 finite draw counts.
 
+Affinity also makes the confidence set exact: a draw's extremity changes
+only at the roots of a quadratic in the coefficient, so one sort of all
+roots gives the p-value everywhere. The set need not be an interval.
+
 Because the statistic shifts by the same constant under every within-group
 permutation when a constant is added to a group's shifts, demeaning the
 shifts changes neither p-values nor confidence intervals.
@@ -31,6 +35,7 @@ from .estimate import _moment_vectors
 
 MIN_DRAWS_WARN = 100
 ENUMERATION_CAP = 100_000
+TIE_TOL = 1e-12  # relative rounding noise of the confidence-set sweep
 
 
 @dataclass(frozen=True)
@@ -49,17 +54,20 @@ class RiTest:
 
 @dataclass(frozen=True)
 class RiResult:
-    """Randomization point estimate, confidence interval, and p-value profile.
+    """Randomization point estimate, confidence set, and p-value profile.
 
-    Each draw's statistic is affine in the hypothesized coefficient, so the
-    per-draw ``(intercept, slope)`` pairs encode the whole randomization
-    distribution; :meth:`stat_distribution` materializes it at any
-    coefficient value.
+    ``intervals`` is the exact confidence set as increasing disjoint closed
+    pieces, infinite where it is unbounded; ``ci_lower``/``ci_upper`` are
+    its hull. Each draw's statistic is affine in the hypothesized
+    coefficient, so the per-draw ``(intercept, slope)`` pairs encode the
+    whole randomization distribution; :meth:`stat_distribution`
+    materializes it at any coefficient value.
     """
 
     point_estimate: float
     ci_lower: float
     ci_upper: float
+    intervals: tuple[tuple[float, float], ...]
     level: float
     beta_grid: np.ndarray
     p_values: np.ndarray
@@ -80,7 +88,8 @@ class RiResult:
 
         return {
             "point_estimate": self.point_estimate,
-            "ci": {"lower": _finite(self.ci_lower), "upper": _finite(self.ci_upper)},
+            "ci": {"lower": _finite(self.ci_lower), "upper": _finite(self.ci_upper),
+                   "intervals": [[_finite(lo), _finite(hi)] for lo, hi in self.intervals]},
             "level": self.level,
             "beta_grid": [float(b) for b in self.beta_grid],
             "p_values": [float(p) for p in self.p_values],
@@ -124,10 +133,7 @@ def _n_permutations(group_indices: list[np.ndarray]) -> int:
 
 def _enumerate_permutations(group_indices: list[np.ndarray], m: int) -> np.ndarray:
     per_group = [list(itertools.permutations(idx.tolist())) for idx in group_indices]
-    total = 1
-    for perms in per_group:
-        total *= len(perms)
-    out = np.empty((total, m), dtype=np.int64)
+    out = np.empty((math.prod(len(perms) for perms in per_group), m), dtype=np.int64)
     base = np.arange(m, dtype=np.int64)
     for row, combo in enumerate(itertools.product(*per_group)):
         perm = base.copy()
@@ -155,7 +161,9 @@ def _randomization_moments(
     seed: int,
     groups,
 ):
-    """Observed and permuted (A, C) pairs defining T(beta) = A - beta * C."""
+    """Reference-set (A, C) pairs defining T(beta) = A - beta * C, observed
+    assignment first; also the draws within it (all but row 0 under
+    sampling) and the method."""
     if draws < MIN_DRAWS_WARN:
         warnings.warn(
             f"only {draws} randomization draws; p-values will be coarse",
@@ -171,19 +179,18 @@ def _randomization_moments(
         # itertools yields the identity permutation first, so row 0 is the
         # observed assignment, computed by the same kernel as every draw
         perms = _enumerate_permutations(group_indices, m)
-        permuted = d[perms]
-        a = permuted @ s_y
-        c = permuted @ s_x
-        return float(a[0]), float(c[0]), a, c, "enumeration"
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    perms = _sample_permutations(group_indices, m, draws, rng)
-    # prepend the identity so the observed statistic shares the exact
-    # floating-point path of the permuted ones (ties must be exact)
-    stacked = np.vstack([np.arange(m, dtype=np.int64)[None, :], perms])
-    permuted = d[stacked]
-    a = permuted @ s_y
-    c = permuted @ s_x
-    return float(a[0]), float(c[0]), a[1:], c[1:], "sampling"
+        first, method = 0, "enumeration"
+    else:
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        # prepend the identity so the observed statistic shares the exact
+        # floating-point path of the permuted ones (ties must be exact)
+        sampled = _sample_permutations(group_indices, m, draws, rng)
+        perms = np.vstack([np.arange(m, dtype=np.int64)[None, :], sampled])
+        first, method = 1, "sampling"
+    permuted = d[perms]
+    a_ref = permuted @ s_y
+    c_ref = permuted @ s_x
+    return a_ref, c_ref, a_ref[first:], c_ref[first:], method
 
 
 def _p_value(beta: float, a_obs, c_obs, a_ref, c_ref) -> float:
@@ -192,6 +199,53 @@ def _p_value(beta: float, a_obs, c_obs, a_ref, c_ref) -> float:
     dev = np.abs(a_ref - beta * c_ref - center)
     dev_obs = abs(a_obs - beta * c_obs - center)
     return float(np.count_nonzero(dev >= dev_obs)) / dev.shape[0]
+
+
+def _accepted_pieces(a_ref: np.ndarray, c_ref: np.ndarray, alpha: float):
+    """Exact ``{beta : p(beta) > alpha}`` by one sweep over the p-value steps.
+
+    Draw k is at least as extreme as the observed draw (row 0) when
+    ``(a_k - a_0 - beta (c_k - c_0)) * (a_k' + a_0' - beta (c_k' + c_0')) >= 0``,
+    primes marking deviations from the reference-set mean. Each factor's
+    root flips the draw's status and the draw counts at its roots. Returns
+    the accepted pieces as a ``(k, 2)`` array of closed ends and the larger
+    p-value of the two unbounded tails.
+    """
+    a_dev, c_dev = a_ref - np.mean(a_ref), c_ref - np.mean(c_ref)
+    p = np.stack([a_ref - a_ref[0], a_dev + a_dev[0]])
+    q = np.stack([c_ref - c_ref[0], c_dev + c_dev[0]])
+    # rounding residue is zero: the ratio of two residues (left by a draw
+    # mirroring the observed one, as when all groups have two shifts) would
+    # be a spurious root anywhere on the line
+    p[np.abs(p) <= TIE_TOL * np.max(np.abs(a_ref))] = 0.0
+    q[np.abs(q) <= TIE_TOL * np.max(np.abs(c_ref))] = 0.0
+    # a factor that is identically zero (row 0 itself, a draw equal to it,
+    # or its mirror image) makes the draw count everywhere
+    always = ((p == 0.0) & (q == 0.0)).any(axis=0)
+    # counting as beta -> -inf: each factor has the sign of q there (of p
+    # when constant), and a factor's root flips its sign
+    left = np.prod(np.where(q != 0.0, np.sign(q), np.sign(p)), axis=0) > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.sort(np.where(q != 0.0, p / q, np.nan), axis=0)
+    # a double root between two counting sides leaves the draw counting
+    always |= (roots[0] == roots[1]) & left
+    left &= ~always
+    roots[:, always] = np.nan
+    found = ~np.isnan(roots)
+    deltas = (np.where(left, -1.0, 1.0) * np.array([[1.0], [-1.0]]))[found]
+    breaks, at = np.unique(roots[found], return_inverse=True)
+    change = np.bincount(at, weights=deltas, minlength=breaks.size)
+    segments = np.count_nonzero(always | left) + np.r_[0.0, np.cumsum(change)]
+    # a draw counts at its root, so a point adds the draws entering there
+    entering = np.bincount(at, weights=deltas > 0, minlength=breaks.size)
+    accepted = np.empty(2 * breaks.size + 1, dtype=bool)
+    accepted[0::2] = segments / a_ref.size > alpha
+    accepted[1::2] = (segments[:-1] + entering) / a_ref.size > alpha
+    edges = np.diff(np.r_[0, accepted, 0])
+    # element e of ``accepted`` spans ends[e] to ends[e + 1]
+    ends = np.r_[-np.inf, np.repeat(breaks, 2), np.inf]
+    pieces = np.column_stack([ends[edges == 1], ends[edges == -1]])
+    return pieces, max(segments[0], segments[-1]) / a_ref.size
 
 
 def ri_test(
@@ -211,48 +265,20 @@ def ri_test(
     within-group permutation, otherwise the sampled draws plus the observed
     assignment.
     """
-    a_obs, c_obs, a, c, method = _randomization_moments(
+    a_ref, c_ref, a, c, method = _randomization_moments(
         dataset, shares, shifts, draws, seed, groups
     )
-    if method == "sampling":
-        a_ref = np.concatenate([[a_obs], a])
-        c_ref = np.concatenate([[c_obs], c])
-    else:
-        a_ref, c_ref = a, c
-    p = _p_value(beta0, a_obs, c_obs, a_ref, c_ref)
-    t_ref = a_ref - beta0 * c_ref
+    a_obs, c_obs = float(a_ref[0]), float(c_ref[0])
     return RiTest(
         beta0=float(beta0),
-        p_value=p,
+        p_value=_p_value(beta0, a_obs, c_obs, a_ref, c_ref),
         stat_observed=a_obs - beta0 * c_obs,
-        stat_mean=float(np.mean(t_ref)),
+        stat_mean=float(np.mean(a_ref - beta0 * c_ref)),
         stat_distribution=a - beta0 * c,
         method=method,
         draws=int(a.shape[0]),
         seed=seed,
     )
-
-
-def _bisect_endpoint(p_at, point: float, alpha: float, step: float, direction: int, tol: float):
-    """Walk outward from the point estimate until p <= alpha, then bisect."""
-    inner = point
-    outer = point + direction * step
-    expansions = 0
-    while p_at(outer) > alpha:
-        inner = outer
-        outer = point + (outer - point) * 2.0
-        expansions += 1
-        if expansions > 200:
-            raise EstimationError(
-                "confidence-interval endpoint not bracketed; widen the search bounds"
-            )
-    while abs(outer - inner) > tol:
-        mid = 0.5 * (inner + outer)
-        if p_at(mid) > alpha:
-            inner = mid
-        else:
-            outer = mid
-    return 0.5 * (inner + outer)
 
 
 def ri_estimate(
@@ -264,28 +290,23 @@ def ri_estimate(
     seed: int = 0,
     groups=None,
     grid: np.ndarray | None = None,
-    bounds: tuple[float, float] | None = None,
-    tol: float = 1e-6,
 ) -> RiResult:
-    """Randomization point estimate and confidence interval by test inversion.
+    """Randomization point estimate and exact confidence set by test inversion.
 
     The cross-moment is affine in the coefficient, so the point estimate
     (where the observed statistic equals the reference-set mean) has a
-    closed form; interval endpoints come from bisection on the p-value
-    profile to ``tol`` in coefficient units. The interval collects every
-    coefficient whose p-value exceeds ``1 - level``.
+    closed form, and so does the set of every coefficient whose p-value
+    exceeds ``1 - level``: ``intervals`` holds its disjoint closed pieces,
+    ``ci_lower``/``ci_upper`` their hull, infinite (with a warning) where the
+    set is unbounded. The p-value profile is evaluated on ``grid``, by
+    default 41 points around the hull.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level must be in (0, 1)")
-    a_obs, c_obs, a, c, method = _randomization_moments(
+    a_ref, c_ref, a, c, method = _randomization_moments(
         dataset, shares, shifts, draws, seed, groups
     )
-    if method == "sampling":
-        a_ref = np.concatenate([[a_obs], a])
-        c_ref = np.concatenate([[c_obs], c])
-    else:
-        a_ref, c_ref = a, c
-    alpha = 1.0 - level
+    a_obs, c_obs = float(a_ref[0]), float(c_ref[0])
     c_gap = c_obs - float(np.mean(c_ref))
     if c_gap == 0.0:
         raise EstimationError(
@@ -294,53 +315,31 @@ def ri_estimate(
         )
     point = (a_obs - float(np.mean(a_ref))) / c_gap
 
-    def p_at(beta: float) -> float:
-        return _p_value(beta, a_obs, c_obs, a_ref, c_ref)
-
-    # limiting p-value as |beta| grows: only the slope deviations survive.
-    # above the test level the confidence set is unbounded (weak
-    # identification), so report infinite endpoints instead of failing.
-    c_dev = np.abs(c_ref - float(np.mean(c_ref)))
-    p_limit = float(np.count_nonzero(c_dev >= abs(c_gap))) / c_dev.shape[0]
-    if bounds is None and p_limit > alpha:
+    pieces, p_tail = _accepted_pieces(a_ref, c_ref, 1.0 - level)
+    lower, upper = float(pieces[0, 0]), float(pieces[-1, 1])
+    bounded = math.isfinite(lower) and math.isfinite(upper)
+    if not bounded:
         warnings.warn(
             f"randomization confidence set is unbounded at level {level:g} "
-            f"(limiting p-value {p_limit:.3f}); reporting infinite endpoints",
+            f"(limiting p-value {p_tail:.3f}); reporting infinite endpoints",
             ShiftShareWarning,
             stacklevel=2,
         )
-        lower, upper = float("-inf"), float("inf")
-    elif bounds is not None:
-        lo_bound, hi_bound = bounds
-        if not (lo_bound < point < hi_bound):
-            raise EstimationError("bounds do not bracket the point estimate; widen them")
-        if p_at(lo_bound) > alpha or p_at(hi_bound) > alpha:
-            raise EstimationError(
-                "p-value above the test level at the given bounds; widen them"
-            )
-        lower = _bisect_endpoint(p_at, point, alpha, point - lo_bound, -1, tol)
-        upper = _bisect_endpoint(p_at, point, alpha, hi_bound - point, +1, tol)
-    else:
+    if grid is None and bounded:
+        # a one-point set (noiseless data) still gets distinct grid points
+        width = max(upper - lower, 1e-6)
+        grid = np.linspace(lower - 0.25 * width, upper + 0.25 * width, 41)
+    elif grid is None:
         spread = float(np.std(a_ref - point * c_ref))
-        scale = max(abs(point), spread / max(abs(c_gap), 1e-300), 1e-6)
-        lower = _bisect_endpoint(p_at, point, alpha, 0.5 * scale, -1, tol)
-        upper = _bisect_endpoint(p_at, point, alpha, 0.5 * scale, +1, tol)
-
-    if grid is None:
-        if np.isfinite(lower) and np.isfinite(upper):
-            width = max(upper - lower, tol)
-            grid = np.linspace(lower - 0.25 * width, upper + 0.25 * width, 41)
-        else:
-            spread = float(np.std(a_ref - point * c_ref))
-            scale = max(abs(point), spread / max(abs(c_gap), 1e-300), 1.0)
-            grid = np.linspace(point - 2 * scale, point + 2 * scale, 41)
-    else:
-        grid = np.asarray(grid, dtype=float)
-    p_values = np.array([p_at(b) for b in grid])
+        scale = max(abs(point), spread / max(abs(c_gap), 1e-300), 1.0)
+        grid = np.linspace(point - 2 * scale, point + 2 * scale, 41)
+    grid = np.asarray(grid, dtype=float)
+    p_values = np.array([_p_value(b, a_obs, c_obs, a_ref, c_ref) for b in grid])
     return RiResult(
         point_estimate=float(point),
-        ci_lower=float(lower),
-        ci_upper=float(upper),
+        ci_lower=lower,
+        ci_upper=upper,
+        intervals=tuple((float(lo), float(hi)) for lo, hi in pieces),
         level=level,
         beta_grid=grid,
         p_values=p_values,

@@ -187,6 +187,17 @@ class TestRiCommand:
         assert a == b
         assert a["level"] == 0.9
 
+    def test_confidence_set_pieces_in_report(self, inputs, tmp_path):
+        args = ["--quiet", "ri", "--draws", "300", "--seed", "3"]
+        assert main([*args, *io_args(inputs, tmp_path / "r1")]) == 0
+        assert main([*args, *io_args(inputs, tmp_path / "r2")]) == 0
+        raw = (tmp_path / "r1" / "ri.json").read_bytes()
+        assert raw == (tmp_path / "r2" / "ri.json").read_bytes()
+        ci = json.loads(raw)["ci"]
+        pieces = ci["intervals"]
+        assert pieces and all(len(piece) == 2 for piece in pieces)
+        assert [pieces[0][0], pieces[-1][1]] == [ci["lower"], ci["upper"]]
+
 
 class TestDiagnoseCommand:
     def test_full_battery(self, inputs, tmp_path):

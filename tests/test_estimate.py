@@ -1,5 +1,7 @@
 """Estimators, standard errors, and the algebraic equivalence properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,6 +304,24 @@ class TestInvert:
         assert inv.n_shifts == 2
         assert inv.kept.tolist() == [True, True, False]
 
+    @pytest.mark.parametrize("dropped", [0, 3])
+    @pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
+    def test_shares_are_not_copied(self, rng, dropped):
+        n, m = 2000, 500
+        w = random_share_matrix(rng, n, m, complete=True).weights.copy()
+        w[:, :dropped] = 0.0
+        shares = ShareMatrix(w, unit_ids(n), shift_ids(m))
+        shifts = ShiftTable(rng.normal(size=m), shift_ids(m))
+        ds = simple_dataset(rng, n, y=rng.normal(size=n), x=rng.normal(size=n))
+        tracemalloc.start()
+        try:
+            inv = invert(ds, shares, shifts, incomplete_ok=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inv.n_shifts == m - dropped
+        assert peak < 0.25 * shares.weights.nbytes
+
 
 class TestEstimateInverted:
     def test_point_estimate_equivalence(self, rng):
@@ -429,6 +449,20 @@ class TestResidualizedSe:
         with pytest.raises(EstimationError, match="degenerate"):
             residualized_se(np.full(n, 1 / n), shares, eta,
                             rng.normal(size=n), rng.normal(size=n))
+
+    def test_misaligned_inputs_rejected_with_and_without_clusters(self, rng):
+        n, m = 10, 4
+        shares = random_share_matrix(rng, n, m, complete=True)
+        e, eps, x_perp = np.full(n, 1 / n), rng.normal(size=n), rng.normal(size=n)
+        for se in (
+            lambda eta, eps: residualized_se(e, shares, eta, eps, x_perp),
+            lambda eta, eps: residualized_se_clustered(e, shares, eta, eps, x_perp,
+                                                       ["a", "a", "b", "b"]),
+        ):
+            with pytest.raises(ValidationError, match="eta misaligned"):
+                se(rng.normal(size=m + 1), eps)
+            with pytest.raises(ValidationError, match="one value per unit"):
+                se(rng.normal(size=m), eps[:-1])
 
     def test_singleton_clusters_reduce_exactly(self, rng):
         inst, res, rep = self.build(rng)

@@ -4,10 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftshare import (
     Dataset,
-    EstimationError,
     ShareMatrix,
     ShiftShareWarning,
     ShiftTable,
@@ -15,7 +16,7 @@ from shiftshare import (
     ri_estimate,
     ri_test,
 )
-from shiftshare.rinfer import _moment_vectors
+from shiftshare.rinfer import _moment_vectors, _p_value, _randomization_moments
 
 from conftest import random_share_matrix, shift_ids, unit_ids
 
@@ -133,12 +134,6 @@ class TestRiEstimate:
         assert a.ci_lower == pytest.approx(b.ci_lower, abs=1e-6)
         assert a.ci_upper == pytest.approx(b.ci_upper, abs=1e-6)
 
-    def test_bounds_error_suggests_widening(self, rng):
-        ds, shares, shifts = build_case(rng, n=100, m=25)
-        with pytest.raises(EstimationError, match="widen"):
-            ri_estimate(ds, shares, shifts, draws=400, seed=0,
-                        bounds=(1.49, 1.51))
-
     def test_unbounded_interval_warns(self, rng):
         # weak identification: tiny instrument slope relative to its draws
         n, m = 25, 4
@@ -151,6 +146,10 @@ class TestRiEstimate:
         with pytest.warns(ShiftShareWarning, match="unbounded"):
             result = ri_estimate(ds, shares, shifts, draws=500, seed=8)
         assert np.isinf(result.ci_lower) and np.isinf(result.ci_upper)
+        assert result.intervals[0][0] == -np.inf and result.intervals[-1][1] == np.inf
+        ci = result.to_dict()["ci"]
+        assert ci["lower"] is None and ci["upper"] is None
+        assert ci["intervals"][0][0] is None and ci["intervals"][-1][1] is None
 
     def test_moderate_size_control(self, rng):
         # quick sharp-null size check; the acceptance suite runs the full one
@@ -168,6 +167,119 @@ class TestRiEstimate:
             rejections += p <= 0.05
         rate = rejections / reps
         assert 0.01 <= rate <= 0.10
+
+
+def brute_force_profile(ds, shares, shifts, betas, draws, seed=0, groups=None):
+    """``_p_value`` at each of ``betas``, with the reference set ``ri_estimate`` uses."""
+    a, c, *_ = _randomization_moments(ds, shares, shifts, draws, seed, groups)
+    return np.array([_p_value(b, a[0], c[0], a, c) for b in betas]), a, c
+
+
+def breakpoints(a, c):
+    """Every beta at which some draw can change extremity relative to row 0."""
+    a_dev, c_dev = a - a.mean(), c - c.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.r_[(a - a[0]) / (c - c[0]), (a_dev + a_dev[0]) / (c_dev + c_dev[0])]
+    return np.sort(roots[np.isfinite(roots)])
+
+
+def inside(intervals, betas):
+    return np.array([any(lo <= b <= hi for lo, hi in intervals) for b in betas])
+
+
+def small_enumeration_case(seed):
+    """n=30 units over m=5 shifts, small enough to enumerate all 120 permutations."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(5), 30)
+    d = rng.normal(size=5)
+    x = w @ d + 0.5 * rng.normal(size=30)
+    y = x + rng.normal(size=30)
+    ds = Dataset(outcome=y, unit_ids=unit_ids(30), regressor=x)
+    return ds, ShareMatrix(w, unit_ids(30), shift_ids(5)), ShiftTable(d, shift_ids(5))
+
+
+class TestConfidenceSet:
+    def test_enumeration_endpoints_are_p_value_crossings(self, rng):
+        ds, shares, shifts = build_case(rng, n=40, m=5, noise=1.0)
+        result = ri_estimate(ds, shares, shifts, draws=2000, level=0.9)
+        assert result.method == "enumeration"
+        alpha = 1.0 - result.level
+        for lo, hi in result.intervals:
+            eps = 1e-7 * max(1.0, abs(lo), abs(hi))
+            below, above, first, last = brute_force_profile(
+                ds, shares, shifts, [lo - eps, hi + eps, lo + eps, hi - eps], draws=2000
+            )[0]
+            assert below <= alpha and above <= alpha
+            assert first > alpha and last > alpha
+        assert result.ci_lower == result.intervals[0][0]
+        assert result.ci_upper == result.intervals[-1][1]
+
+    @pytest.mark.parametrize("seed, pieces", [
+        (69, [(0.4944, 1.5921), (4.6624, 5.3539)]),
+        (257, [(-9.5201, 5.5165), (5.6444, 21.7047)]),
+    ])
+    def test_non_convex_sets_are_reported_piece_by_piece(self, seed, pieces):
+        ds, shares, shifts = small_enumeration_case(seed)
+        result = ri_estimate(ds, shares, shifts, draws=2000, level=0.95)
+        assert result.method == "enumeration"
+        assert np.array(result.intervals) == pytest.approx(np.array(pieces), abs=6e-5)
+        assert (result.ci_lower, result.ci_upper) == (result.intervals[0][0],
+                                                      result.intervals[-1][1])
+        assert result.ci_lower < result.point_estimate < result.ci_upper
+        grid = np.linspace(pieces[0][0] - 1.0, pieces[-1][1] + 1.0, 4001)
+        p = brute_force_profile(ds, shares, shifts, grid, draws=2000)[0]
+        near = np.min(np.abs(grid[:, None] - np.ravel(result.intervals)[None, :]), axis=1)
+        away = near > 1e-6
+        assert np.array_equal((p > 0.05)[away], inside(result.intervals, grid)[away])
+
+    def test_mirror_draw_counts_at_every_beta(self, rng):
+        # two groups of two: swapping both negates the observed deviation, so
+        # that draw is exactly as extreme as the observed one at every beta
+        # and p >= 2/4 everywhere
+        ds, shares, shifts = build_case(rng, n=8, m=4, noise=1.0,
+                                        groups=["g0", "g0", "g1", "g1"])
+        with pytest.warns(ShiftShareWarning, match="unbounded"):
+            result = ri_estimate(ds, shares, shifts, draws=100, level=0.75)
+        assert result.method == "enumeration"
+        assert result.intervals == ((-np.inf, np.inf),)
+
+    @pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 40),
+        m=st.integers(3, 10),
+        grouped=st.booleans(),
+        level=st.floats(0.5, 0.99),
+        noise=st.floats(0.1, 3.0),
+        draws=st.integers(100, 400),
+    )
+    def test_set_is_where_the_p_value_exceeds_alpha(self, seed, n, m, grouped, level,
+                                                     noise, draws):
+        rng = np.random.default_rng(seed)
+        # groups of two shifts have mirror draws, whose extremity _p_value
+        # decides by rounding; test_mirror_draw_counts_at_every_beta covers them
+        groups = ["g0"] * (m // 2) + ["g1"] * (m - m // 2) if grouped and m >= 6 else None
+        ds, shares, shifts = build_case(rng, n=n, m=m, noise=noise, groups=groups)
+        result = ri_estimate(ds, shares, shifts, draws=draws, level=level, seed=seed % 1000)
+        ends = np.ravel(result.intervals)
+        finite = np.r_[ends[np.isfinite(ends)], result.point_estimate]
+        width = max(1.0, np.ptp(finite))
+        # every piece, every gap between pieces, and a grid around them
+        probes = np.r_[
+            np.linspace(finite.min() - width, finite.max() + width, 201),
+            [0.5 * (lo + hi) for lo, hi in result.intervals if np.isfinite(lo + hi)],
+            0.5 * (ends[1:-1:2] + ends[2::2]),
+        ]
+        p, a, c = brute_force_profile(ds, shares, shifts, probes, draws=draws,
+                                      seed=seed % 1000)
+        roots = breakpoints(a, c)
+        near = np.min(np.abs(probes[:, None] - roots[None, :]), axis=1)
+        away = near > 1e-7 * np.maximum(1.0, np.abs(probes))
+        expected = p > 1.0 - level
+        assert np.array_equal(expected[away], inside(result.intervals, probes)[away])
+        lowers, uppers = ends[0::2], ends[1::2]
+        assert np.all(lowers <= uppers) and np.all(uppers[:-1] < lowers[1:])
 
 
 def test_result_distribution_is_affine_in_beta(rng):
