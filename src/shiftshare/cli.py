@@ -361,10 +361,13 @@ def _cmd_diagnose(args, argv) -> int:
         payload["concentration"] = concentration(w_j, clusters=labels).to_dict()
 
     if args.autocorr:
+        try:
+            lags = tuple(int(v) for v in args.autocorr.split(",") if v)
+        except ValueError:
+            raise ValidationError(f"--autocorr lags must be integers, got {args.autocorr!r}") from None
         if shifts.period is None:
             raise ValidationError("--autocorr needs a period column in the shifts file")
-        lags = [int(v) for v in args.autocorr.split(",") if v]
-        summary = shift_summary(shifts, w_j, residuals=res, lags=tuple(lags), seed=args.seed)
+        summary = shift_summary(shifts, w_j, residuals=res, lags=lags, seed=args.seed)
         payload["shift_summary"] = summary.to_dict()
 
     if args.icc:
@@ -400,9 +403,14 @@ def _cmd_diagnose(args, argv) -> int:
 
 
 def _parse_dgp_config(path: Path, seed: int) -> DgpConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(DgpConfig)}
+    kinds = {"int": int, "float": float, "str": str}
+    fields = {f.name: kinds[f.type] for f in dataclasses.fields(DgpConfig)}
     values: dict = {"seed": seed}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read config file ({exc.strerror})") from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -412,13 +420,12 @@ def _parse_dgp_config(path: Path, seed: int) -> DgpConfig:
         key, value = key.strip(), value.strip()
         if key not in fields:
             raise SchemaError(f"{path}:{line_no}: unknown DGP parameter {key!r}")
-        if key in ("n", "m", "n_blocks", "network_neighbors", "n_shift_clusters",
-                   "n_exchange_groups", "seed"):
-            values[key] = int(value)
-        elif key in ("share_model", "shift_model", "error_model"):
-            values[key] = value
-        else:
-            values[key] = float(value)
+        try:
+            values[key] = fields[key](value)
+        except ValueError:
+            raise SchemaError(
+                f"{path}:{line_no}: {key} must be {fields[key].__name__}, got {value!r}"
+            ) from None
     return DgpConfig(**values)
 
 

@@ -49,6 +49,16 @@ def _label_codes(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(np.asarray(labels, dtype=object).astype(str), return_inverse=True)
 
 
+def _columns(values, rows: int, message: str) -> np.ndarray:
+    """``values`` as a float matrix with one row per unit or shift: a 1-D
+    array is one column, and a 2-D array must already have ``rows`` rows."""
+    out = np.asarray(values, dtype=float)
+    out = out[:, None] if out.ndim == 1 else out
+    if out.ndim != 2 or out.shape[0] != rows:
+        raise ValidationError(message)
+    return out
+
+
 def _frozen_labels(values) -> np.ndarray:
     out = np.array([str(v) for v in values], dtype=object)
     out.setflags(write=False)
@@ -157,11 +167,7 @@ class ShiftTable:
                 raise ValidationError(f"{name} labels must cover all {m} shifts")
             object.__setattr__(self, name, _frozen_labels(labels))
         if self.covariates is not None:
-            cov = np.atleast_2d(np.asarray(self.covariates, dtype=float))
-            if cov.shape[0] != m:
-                cov = cov.T
-            if cov.shape[0] != m:
-                raise ValidationError("shift covariates must have one row per shift")
+            cov = _columns(self.covariates, m, "shift covariates must have one row per shift")
             if not np.all(np.isfinite(cov)):
                 raise ValidationError("shift covariates must be finite")
             object.__setattr__(self, "covariates", _frozen_array(cov))
@@ -229,11 +235,7 @@ class Dataset:
                 raise ValidationError("regressor contains non-finite values")
             object.__setattr__(self, "regressor", _frozen_array(x))
         if self.controls is not None:
-            pi = np.atleast_2d(np.asarray(self.controls, dtype=float))
-            if pi.shape[0] != n:
-                pi = pi.T
-            if pi.shape[0] != n:
-                raise ValidationError("controls must have one row per unit")
+            pi = _columns(self.controls, n, "controls must have one row per unit")
             if not np.all(np.isfinite(pi)):
                 raise ValidationError("controls contain non-finite values")
             object.__setattr__(self, "controls", _frozen_array(pi))
@@ -320,7 +322,10 @@ def _read_rows(path: str | Path, fmt: str) -> list[dict]:
             rows = json.load(fh)
         if not isinstance(rows, list):
             raise SchemaError(f"{path}: expected a JSON array of row objects")
-        return [dict(r) for r in rows]
+        for k, row in enumerate(rows):
+            if not isinstance(row, dict) or row.keys() != rows[0].keys():
+                raise SchemaError(f"{path}: row {k + 1} is not an object with the keys of row 1")
+        return rows
     raise SchemaError(f"unknown input format {fmt!r} (expected csv or json)")
 
 

@@ -40,7 +40,7 @@ from .construct import (
     residualize_shifts,
     shift_weights_from,
 )
-from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
+from .data import Dataset, ShareMatrix, ShiftTable, _columns, _label_codes
 from .errors import EstimationError, ShiftShareWarning, ValidationError
 
 WEAK_FIRST_STAGE_TOL = 1e-12
@@ -483,13 +483,14 @@ def estimate_inverted(
     """Weighted IV in the inverted regression with exposure-robust standard errors.
 
     Observations are shifts, weighted by their aggregate share, instrumented
-    by the (possibly residualized) shift value. ``shift_controls`` are
-    shift-level covariate columns aligned with the original shift table
-    (subset to the kept shifts internally); an intercept is always included.
-    Reports the heteroskedasticity-robust sandwich and, when shift cluster
-    labels are available, the cluster-robust one, both without
-    degrees-of-freedom corrections, plus conventional and effective
-    first-stage F statistics.
+    by the (possibly residualized) shift value. ``shift_controls`` (shift-level
+    covariate columns; a 1-D array is one column) and explicit ``cluster``
+    labels have one row per shift of the original shift table and are subset
+    to the kept shifts; an intercept is always included. Reports the
+    heteroskedasticity-robust sandwich and, when shift cluster labels are
+    available (``cluster``, else the table's cluster column), the
+    cluster-robust one, both without degrees-of-freedom corrections, plus
+    conventional and effective first-stage F statistics.
     """
     w = inverted.weight
     m = inverted.n_shifts
@@ -500,16 +501,8 @@ def estimate_inverted(
     q_cols = np.ones((m, 1))
     q_names: tuple[str, ...] = ("intercept",)
     if shift_controls is not None:
-        q = np.atleast_2d(np.asarray(shift_controls, dtype=float))
-        if q.shape[0] != m:
-            if q.shape[0] == inverted.kept.shape[0]:
-                q = q[inverted.kept]
-            elif q.T.shape[0] in (m, inverted.kept.shape[0]):
-                q = q.T
-                if q.shape[0] != m:
-                    q = q[inverted.kept]
-            else:
-                raise ValidationError("shift controls misaligned with shifts")
+        q = _columns(shift_controls, inverted.kept.shape[0],
+                     "shift controls must have one row per shift of the shift table")[inverted.kept]
         q_cols = np.hstack([q_cols, q])
         q_names = q_names + tuple(f"q_{k + 1}" for k in range(q.shape[1]))
 
@@ -528,14 +521,14 @@ def estimate_inverted(
     se_variants = {
         "hc_exposure_robust": _sandwich_se(regressors, instruments, w, resid, np.arange(m), 1.0)
     }
-    labels = _resolve_labels(None, cluster) if cluster is not None else inverted.cluster
+    labels = inverted.cluster
+    if cluster is not None:
+        labels = _resolve_labels(None, cluster)
+        if labels.shape != inverted.kept.shape:
+            raise ValidationError("cluster labels must have one entry per shift of the shift table")
+        labels = labels[inverted.kept]
     n_clusters = None
     if labels is not None:
-        labels = np.asarray(labels, dtype=object).astype(str)
-        if labels.shape[0] == inverted.kept.shape[0] and labels.shape[0] != m:
-            labels = labels[inverted.kept]
-        if labels.shape[0] != m:
-            raise ValidationError("cluster labels misaligned with shifts")
         codes = _label_codes(labels)[1]
         n_clusters = int(codes.max()) + 1
         if n_clusters < 2:
@@ -682,11 +675,7 @@ def demean_via_controls(shares: ShareMatrix, shift_covariates: np.ndarray) -> np
     ``p_j = 1`` the single column is the sum of shares (the incomplete-share
     control).
     """
-    p = np.atleast_2d(np.asarray(shift_covariates, dtype=float))
-    if p.shape[0] != shares.n_shifts:
-        p = p.T
-    if p.shape[0] != shares.n_shifts:
-        raise ValidationError("shift covariates must have one row per shift")
+    p = _columns(shift_covariates, shares.n_shifts, "shift covariates must have one row per shift")
     return shares.weights @ p
 
 

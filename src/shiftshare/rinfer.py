@@ -4,16 +4,19 @@ Shift values are reshuffled within exchangeability groups while shares,
 controls, and errors stay fixed; the test statistic is the weighted
 cross-moment between the recomputed instrument and the null-imposed
 residual. The statistic is affine in the hypothesized coefficient, which
-gives a closed-form point estimate and cheap p-value evaluation along any
-grid of coefficients. When the group structure admits fewer distinct
-permutations than requested draws, the full set is enumerated and the test
-is exact by construction; otherwise permutations are sampled and the
-observed assignment joins the reference set, keeping the test valid at
-finite draw counts.
+gives a closed-form point estimate. When the group structure admits fewer
+distinct permutations than requested draws, the full set is enumerated and
+the test is exact by construction; otherwise permutations are sampled and
+the observed assignment joins the reference set, keeping the test valid at
+finite draw counts. A permutation moves shifts only inside their group, so
+each draw's statistic is a sum of per-group terms, and memory grows with the
+draws times the largest group, not times all shifts.
 
-Affinity also makes the confidence set exact: a draw's extremity changes
-only at the roots of a quadratic in the coefficient, so one sort of all
-roots gives the p-value everywhere. The set need not be an interval.
+Affinity also makes every p-value exact: a draw's extremity changes only at
+the roots of a quadratic in the coefficient, so one sort of all roots gives
+the p-value everywhere as a step function. The point test, the p-value
+profile and the confidence set all read from it; the set need not be an
+interval.
 
 Because the statistic shifts by the same constant under every within-group
 permutation when a constant is added to a group's shifts, demeaning the
@@ -34,7 +37,6 @@ from .errors import EstimationError, ShiftShareWarning, ValidationError
 from .estimate import _moment_vectors
 
 MIN_DRAWS_WARN = 100
-ENUMERATION_CAP = 100_000
 TIE_TOL = 1e-12  # relative rounding noise of the confidence-set sweep
 
 
@@ -122,35 +124,14 @@ def _group_indices(shifts: ShiftTable, groups) -> list[np.ndarray]:
     return out
 
 
-def _n_permutations(group_indices: list[np.ndarray]) -> int:
+def _n_permutations(group_indices: list[np.ndarray], limit: int) -> int:
+    """Distinct within-group permutations, counted until the count passes ``limit``."""
     total = 1
     for idx in group_indices:
         total *= math.factorial(idx.size)
-        if total > ENUMERATION_CAP:
-            return total
+        if total > limit:
+            break
     return total
-
-
-def _enumerate_permutations(group_indices: list[np.ndarray], m: int) -> np.ndarray:
-    per_group = [list(itertools.permutations(idx.tolist())) for idx in group_indices]
-    out = np.empty((math.prod(len(perms) for perms in per_group), m), dtype=np.int64)
-    base = np.arange(m, dtype=np.int64)
-    for row, combo in enumerate(itertools.product(*per_group)):
-        perm = base.copy()
-        for idx, assigned in zip(group_indices, combo):
-            perm[idx] = assigned
-        out[row] = perm
-    return out
-
-
-def _sample_permutations(
-    group_indices: list[np.ndarray], m: int, draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    perm = np.tile(np.arange(m, dtype=np.int64), (draws, 1))
-    for idx in group_indices:
-        order = np.argsort(rng.random((draws, idx.size)), axis=1)
-        perm[:, idx] = idx[order]
-    return perm
 
 
 def _randomization_moments(
@@ -163,7 +144,10 @@ def _randomization_moments(
 ):
     """Reference-set (A, C) pairs defining T(beta) = A - beta * C, observed
     assignment first; also the draws within it (all but row 0 under
-    sampling) and the method."""
+    sampling) and the method. A is the sum over groups of
+    ``d[idx][order] @ s_y[idx]``, C likewise with ``s_x``."""
+    if draws < 1:
+        raise ValidationError(f"need at least 1 randomization draw, got {draws}")
     if draws < MIN_DRAWS_WARN:
         warnings.warn(
             f"only {draws} randomization draws; p-values will be coarse",
@@ -173,43 +157,39 @@ def _randomization_moments(
     s_y, s_x = _moment_vectors(dataset, shares, shifts)
     group_indices = _group_indices(shifts, groups)
     d = shifts.values
-    m = d.shape[0]
-    total = _n_permutations(group_indices)
-    if total <= max(draws, 1):
-        # itertools yields the identity permutation first, so row 0 is the
-        # observed assignment, computed by the same kernel as every draw
-        perms = _enumerate_permutations(group_indices, m)
-        first, method = 0, "enumeration"
-    else:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        # prepend the identity so the observed statistic shares the exact
-        # floating-point path of the permuted ones (ties must be exact)
-        sampled = _sample_permutations(group_indices, m, draws, rng)
-        perms = np.vstack([np.arange(m, dtype=np.int64)[None, :], sampled])
-        first, method = 1, "sampling"
-    permuted = d[perms]
-    a_ref = permuted @ s_y
-    c_ref = permuted @ s_x
+    enumerated = _n_permutations(group_indices, draws) <= draws
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    a_ref = c_ref = np.zeros(1)
+    for idx in group_indices:
+        if enumerated:
+            # itertools yields the identity first, so row 0 is the observed
+            # assignment, computed by the same kernel as every draw
+            orders = np.array(list(itertools.permutations(range(idx.size))))
+        else:
+            # prepend the identity so the observed statistic shares the exact
+            # floating-point path of the permuted ones (ties must be exact)
+            orders = np.vstack([np.arange(idx.size),
+                                np.argsort(rng.random((draws, idx.size)), axis=1)])
+        permuted = d[idx][orders]
+        a, c = permuted @ s_y[idx], permuted @ s_x[idx]
+        if enumerated:
+            # outer sums, last group fastest: the itertools.product order
+            a_ref, c_ref = np.add.outer(a_ref, a).ravel(), np.add.outer(c_ref, c).ravel()
+        else:
+            a_ref, c_ref = a_ref + a, c_ref + c
+    first, method = (0, "enumeration") if enumerated else (1, "sampling")
     return a_ref, c_ref, a_ref[first:], c_ref[first:], method
 
 
-def _p_value(beta: float, a_obs, c_obs, a_ref, c_ref) -> float:
-    """Share of the reference set at least as far from its mean as the observed draw."""
-    center = float(np.mean(a_ref)) - beta * float(np.mean(c_ref))
-    dev = np.abs(a_ref - beta * c_ref - center)
-    dev_obs = abs(a_obs - beta * c_obs - center)
-    return float(np.count_nonzero(dev >= dev_obs)) / dev.shape[0]
-
-
-def _accepted_pieces(a_ref: np.ndarray, c_ref: np.ndarray, alpha: float):
-    """Exact ``{beta : p(beta) > alpha}`` by one sweep over the p-value steps.
+def _p_value_steps(a_ref: np.ndarray, c_ref: np.ndarray):
+    """The exact p-value as a step function of beta, by one sweep over its steps.
 
     Draw k is at least as extreme as the observed draw (row 0) when
     ``(a_k - a_0 - beta (c_k - c_0)) * (a_k' + a_0' - beta (c_k' + c_0')) >= 0``,
     primes marking deviations from the reference-set mean. Each factor's
     root flips the draw's status and the draw counts at its roots. Returns
-    the accepted pieces as a ``(k, 2)`` array of closed ends and the larger
-    p-value of the two unbounded tails.
+    the sorted breakpoints and the p-values on the open segments and at the
+    breakpoints, alternating: segment, breakpoint, ..., segment.
     """
     a_dev, c_dev = a_ref - np.mean(a_ref), c_ref - np.mean(c_ref)
     p = np.stack([a_ref - a_ref[0], a_dev + a_dev[0]])
@@ -238,14 +218,27 @@ def _accepted_pieces(a_ref: np.ndarray, c_ref: np.ndarray, alpha: float):
     segments = np.count_nonzero(always | left) + np.r_[0.0, np.cumsum(change)]
     # a draw counts at its root, so a point adds the draws entering there
     entering = np.bincount(at, weights=deltas > 0, minlength=breaks.size)
-    accepted = np.empty(2 * breaks.size + 1, dtype=bool)
-    accepted[0::2] = segments / a_ref.size > alpha
-    accepted[1::2] = (segments[:-1] + entering) / a_ref.size > alpha
-    edges = np.diff(np.r_[0, accepted, 0])
-    # element e of ``accepted`` spans ends[e] to ends[e + 1]
+    counts = np.empty(2 * breaks.size + 1)
+    counts[0::2] = segments
+    counts[1::2] = segments[:-1] + entering
+    return breaks, counts / a_ref.size
+
+
+def _p_value_at(steps, beta):
+    """The step function of :func:`_p_value_steps` at ``beta`` (scalar or array)."""
+    breaks, p = steps
+    # off a breakpoint both searches give its segment k (entry 2k); on
+    # breakpoint k they give k and k + 1 (entry 2k + 1)
+    return p[np.searchsorted(breaks, beta, "left") + np.searchsorted(breaks, beta, "right")]
+
+
+def _accepted_pieces(steps, alpha: float) -> np.ndarray:
+    """Exact ``{beta : p(beta) > alpha}`` as a ``(k, 2)`` array of closed ends."""
+    breaks, p = steps
+    edges = np.diff(np.r_[0, p > alpha, 0])
+    # entry e of ``p`` spans ends[e] to ends[e + 1]
     ends = np.r_[-np.inf, np.repeat(breaks, 2), np.inf]
-    pieces = np.column_stack([ends[edges == 1], ends[edges == -1]])
-    return pieces, max(segments[0], segments[-1]) / a_ref.size
+    return np.column_stack([ends[edges == 1], ends[edges == -1]])
 
 
 def ri_test(
@@ -265,13 +258,15 @@ def ri_test(
     within-group permutation, otherwise the sampled draws plus the observed
     assignment.
     """
+    if not math.isfinite(beta0):
+        raise ValidationError(f"the null coefficient must be finite, got {beta0!r}")
     a_ref, c_ref, a, c, method = _randomization_moments(
         dataset, shares, shifts, draws, seed, groups
     )
     a_obs, c_obs = float(a_ref[0]), float(c_ref[0])
     return RiTest(
         beta0=float(beta0),
-        p_value=_p_value(beta0, a_obs, c_obs, a_ref, c_ref),
+        p_value=float(_p_value_at(_p_value_steps(a_ref, c_ref), beta0)),
         stat_observed=a_obs - beta0 * c_obs,
         stat_mean=float(np.mean(a_ref - beta0 * c_ref)),
         stat_distribution=a - beta0 * c,
@@ -315,10 +310,12 @@ def ri_estimate(
         )
     point = (a_obs - float(np.mean(a_ref))) / c_gap
 
-    pieces, p_tail = _accepted_pieces(a_ref, c_ref, 1.0 - level)
+    steps = _p_value_steps(a_ref, c_ref)
+    pieces = _accepted_pieces(steps, 1.0 - level)
     lower, upper = float(pieces[0, 0]), float(pieces[-1, 1])
     bounded = math.isfinite(lower) and math.isfinite(upper)
     if not bounded:
+        p_tail = max(steps[1][0], steps[1][-1])  # the p-values of the two unbounded segments
         warnings.warn(
             f"randomization confidence set is unbounded at level {level:g} "
             f"(limiting p-value {p_tail:.3f}); reporting infinite endpoints",
@@ -334,7 +331,7 @@ def ri_estimate(
         scale = max(abs(point), spread / max(abs(c_gap), 1e-300), 1.0)
         grid = np.linspace(point - 2 * scale, point + 2 * scale, 41)
     grid = np.asarray(grid, dtype=float)
-    p_values = np.array([_p_value(b, a_obs, c_obs, a_ref, c_ref) for b in grid])
+    p_values = _p_value_at(steps, grid)
     return RiResult(
         point_estimate=float(point),
         ci_lower=lower,

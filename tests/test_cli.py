@@ -408,6 +408,47 @@ class TestConstructTables:
         assert len(err) == 1 and err[0].startswith("error:") and "'abc'" in err[0]
 
 
+def _json_inputs_with_a_short_row(inputs, tmp_path):
+    for name in ("shares", "shifts", "units"):
+        lines = inputs[name].read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        if name == "units":
+            del rows[2]["x"]
+        (tmp_path / f"{name}.json").write_text(json.dumps(rows))
+    return ["--format", "json", "--shares", str(tmp_path / "shares.json"),
+            "--shifts", str(tmp_path / "shifts.json"), "--units", str(tmp_path / "units.json")]
+
+
+@pytest.mark.parametrize("case", ["json_row_missing_key", "negative_draws", "zero_draws",
+                                  "missing_config", "non_numeric_config",
+                                  "non_integer_lag", "nan_beta0"])
+def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "out")]
+    config = tmp_path / "dgp.cfg"
+    config.write_text("n = abc\n")
+    # a period column, so that --autocorr gets as far as parsing its lags
+    lines = SHIFTS.strip().splitlines()
+    inputs["shifts"].write_text("\n".join([lines[0] + ",period"] + [
+        f"{line},t{k % 2}" for k, line in enumerate(lines[1:])]) + "\n")
+    argv = {
+        "json_row_missing_key": ["estimate", *_json_inputs_with_a_short_row(inputs, tmp_path),
+                                 *out],
+        "negative_draws": ["ri", "--draws", "-5", *io_args(inputs, tmp_path / "out")],
+        "zero_draws": ["ri", "--draws", "0", *io_args(inputs, tmp_path / "out")],
+        "missing_config": ["simulate", "--config", str(tmp_path / "absent.cfg"), *out],
+        "non_numeric_config": ["simulate", "--config", str(config), *out],
+        "non_integer_lag": ["diagnose", "--autocorr", "a", *io_args(inputs, tmp_path / "out")],
+        "nan_beta0": ["ri", "--beta0", "nan", *io_args(inputs, tmp_path / "out")],
+    }[case]
+    assert main(["--quiet", *argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "Traceback" not in err[0]
+    if case == "non_numeric_config":
+        assert f"{config}:1:" in err[0]
+
+
 def test_threads_flag_removed(inputs, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--threads", "2", "estimate", *io_args(inputs, tmp_path / "t")])

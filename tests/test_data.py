@@ -164,6 +164,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="cluster"):
             ShiftTable(np.array([1.0, 2.0]), ("s1", "s2"), cluster=["only-one"])
 
+    def test_controls_and_covariates_are_never_transposed(self):
+        # a (k, n) array is rejected rather than transposed: with k == n a
+        # transpose guess could not tell the two layouts apart
+        with pytest.raises(ValidationError, match="one row per unit"):
+            Dataset(outcome=np.zeros(4), unit_ids=tuple("abcd"), controls=np.zeros((2, 4)))
+        with pytest.raises(ValidationError, match="one row per shift"):
+            ShiftTable(np.zeros(3), ("s1", "s2", "s3"), covariates=np.zeros((2, 3)))
+        one = Dataset(outcome=np.zeros(4), unit_ids=tuple("abcd"), controls=np.arange(4.0))
+        assert one.controls.shape == (4, 1)
+
     def test_immutability(self):
         shares = ShareMatrix(np.array([[0.5, 0.5]]), ("a",), ("s1", "s2"))
         with pytest.raises(ValueError):

@@ -378,6 +378,28 @@ class TestEstimateInverted:
         with pytest.raises(EstimationError, match="clusters"):
             estimate_inverted(inv, cluster=labels)
 
+    @pytest.mark.filterwarnings("ignore:a single shift carries")
+    def test_shift_inputs_align_with_the_original_shift_table(self, rng):
+        inst = matched_instance(rng, 50, 8)
+        ds, shares, shifts = inst["dataset"], inst["shares"], inst["shifts"]
+        weights = shares.weights.copy()
+        weights[:, 0] = 0.0  # shift 0 gets zero aggregate weight and is dropped
+        shares = ShareMatrix(weights, shares.row_ids, shares.col_ids)
+        with pytest.warns(ShiftShareWarning, match="dropping 1"):
+            inv = invert(ds, shares, shifts, incomplete_ok=True)
+        assert inv.kept.shape == (shifts.n_shifts,) and inv.n_shifts == shifts.n_shifts - 1
+        covariates = shifts.covariates
+        full = estimate_inverted(inv, shift_controls=covariates, cluster=shifts.cluster)
+        column = estimate_inverted(inv, shift_controls=covariates[:, 0])
+        assert len(full.gamma_names) == 1 + covariates.shape[1]
+        assert "cluster_exposure_robust" in full.se_variants
+        assert column.gamma_names == ("intercept", "q_1")
+        for bad in (covariates.T, covariates[inv.kept]):
+            with pytest.raises(ValidationError, match="one row per shift"):
+                estimate_inverted(inv, shift_controls=bad)
+        with pytest.raises(ValidationError, match="one entry per shift"):
+            estimate_inverted(inv, cluster=np.asarray(shifts.cluster)[inv.kept])
+
     def test_needs_two_shifts(self, rng):
         from shiftshare.estimate import InvertedDataset
 

@@ -1,6 +1,8 @@
 """Randomization inference: exactness, invariances, and reproducibility."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from shiftshare import (
     ri_estimate,
     ri_test,
 )
-from shiftshare.rinfer import _moment_vectors, _p_value, _randomization_moments
+from shiftshare.rinfer import _group_indices, _moment_vectors, _randomization_moments
 
 from conftest import random_share_matrix, shift_ids, unit_ids
 
@@ -169,10 +171,19 @@ class TestRiEstimate:
         assert 0.01 <= rate <= 0.10
 
 
+def abs_deviation_p_value(beta, a_ref, c_ref):
+    """Share of the reference set at least as far from its mean as row 0, by
+    comparing absolute deviations; ties of mirror draws are left to rounding."""
+    center = float(np.mean(a_ref)) - beta * float(np.mean(c_ref))
+    dev = np.abs(a_ref - beta * c_ref - center)
+    return float(np.count_nonzero(dev >= dev[0])) / dev.shape[0]
+
+
 def brute_force_profile(ds, shares, shifts, betas, draws, seed=0, groups=None):
-    """``_p_value`` at each of ``betas``, with the reference set ``ri_estimate`` uses."""
+    """The absolute-deviation p-value at each of ``betas``, with the reference
+    set ``ri_estimate`` uses."""
     a, c, *_ = _randomization_moments(ds, shares, shifts, draws, seed, groups)
-    return np.array([_p_value(b, a[0], c[0], a, c) for b in betas]), a, c
+    return np.array([abs_deviation_p_value(b, a, c) for b in betas]), a, c
 
 
 def breakpoints(a, c):
@@ -243,6 +254,18 @@ class TestConfidenceSet:
         assert result.method == "enumeration"
         assert result.intervals == ((-np.inf, np.inf),)
 
+    def test_mirror_draw_point_p_values_are_exact(self):
+        # the same design: ri_test and the p-value profile count the mirror
+        # draw at every beta, as the confidence set does
+        ds, shares, shifts = build_case(np.random.default_rng(0), n=8, m=4, noise=1.0,
+                                        groups=["g0", "g0", "g1", "g1"])
+        betas = np.array([-1000.0, -100.0, 100.0, 1000.0])
+        for beta in betas:
+            assert ri_test(ds, shares, shifts, beta0=beta, draws=100).p_value >= 0.5
+        with pytest.warns(ShiftShareWarning, match="unbounded"):
+            result = ri_estimate(ds, shares, shifts, draws=100, grid=betas)
+        assert np.all(result.p_values >= 0.5)
+
     @pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
     @settings(max_examples=40, deadline=None)
     @given(
@@ -257,8 +280,9 @@ class TestConfidenceSet:
     def test_set_is_where_the_p_value_exceeds_alpha(self, seed, n, m, grouped, level,
                                                      noise, draws):
         rng = np.random.default_rng(seed)
-        # groups of two shifts have mirror draws, whose extremity _p_value
-        # decides by rounding; test_mirror_draw_counts_at_every_beta covers them
+        # groups of two shifts have mirror draws, whose extremity the
+        # absolute-deviation oracle decides by rounding (the library counts
+        # them exactly); test_mirror_draw_counts_at_every_beta covers them
         groups = ["g0"] * (m // 2) + ["g1"] * (m - m // 2) if grouped and m >= 6 else None
         ds, shares, shifts = build_case(rng, n=n, m=m, noise=noise, groups=groups)
         result = ri_estimate(ds, shares, shifts, draws=draws, level=level, seed=seed % 1000)
@@ -289,3 +313,63 @@ def test_result_distribution_is_affine_in_beta(rng):
     dist1 = result.stat_distribution(1.0)
     assert dist0.shape == (result.draws,)
     assert np.allclose(dist0 - dist1, result.draw_slopes, rtol=1e-12)
+
+
+def draws_by_shifts_moments(ds, shares, shifts, draws, seed, groups):
+    """(A, C) from one (draws + 1) x m permuted copy of the shifts, observed
+    assignment first: every draw's full permutation index, sampled from the
+    same stream as the library or enumerated in ``itertools.product`` order."""
+    s_y, s_x = _moment_vectors(ds, shares, shifts)
+    group_indices = _group_indices(shifts, groups)
+    m = shifts.n_shifts
+    total = math.prod(math.factorial(idx.size) for idx in group_indices)
+    if total <= draws:
+        per_group = [list(itertools.permutations(idx.tolist())) for idx in group_indices]
+        perms = np.tile(np.arange(m), (total, 1))
+        for row, combo in enumerate(itertools.product(*per_group)):
+            for idx, assigned in zip(group_indices, combo):
+                perms[row, idx] = assigned
+    else:
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        perms = np.tile(np.arange(m), (draws + 1, 1))
+        for idx in group_indices:
+            perms[1:, idx] = idx[np.argsort(rng.random((draws, idx.size)), axis=1)]
+    permuted = shifts.values[perms]
+    return permuted @ s_y, permuted @ s_x
+
+
+class TestPerGroupMoments:
+    @pytest.mark.parametrize("groups, draws, method", [
+        (None, 300, "sampling"),
+        ([f"g{j % 3}" for j in range(12)], 300, "sampling"),
+        ([f"g{j % 4}" for j in range(12)], 2000, "enumeration"),
+        (["a"] * 2 + ["b"] * 3 + ["c"] * 2, 100, "enumeration"),
+        (["a"] * 5, 200, "enumeration"),
+    ])
+    def test_reference_set_matches_full_permutations(self, rng, groups, draws, method):
+        m = len(groups) if groups is not None else 12
+        ds, shares, shifts = build_case(rng, n=40, m=m, groups=groups)
+        a, c, _, _, got = _randomization_moments(ds, shares, shifts, draws, 7, None)
+        assert got == method
+        a_full, c_full = draws_by_shifts_moments(ds, shares, shifts, draws, 7, None)
+        if groups is None or len(set(groups)) == 1:
+            # one group: the same products over the same rows, bit for bit
+            assert np.array_equal(a, a_full) and np.array_equal(c, c_full)
+        else:
+            # per-group sums round differently; enumeration keeps its row order
+            assert a == pytest.approx(a_full, rel=1e-12)
+            assert c == pytest.approx(c_full, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
+    def test_memory_stays_below_one_draws_by_shifts_array(self):
+        rng = np.random.default_rng(3)
+        n, m, draws = 100, 1000, 1000
+        ds, shares, shifts = build_case(rng, n=n, m=m,
+                                        groups=[f"g{j % 10}" for j in range(m)])
+        tracemalloc.start()
+        try:
+            ri_estimate(ds, shares, shifts, draws=draws, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (draws + 1) * m * 8
