@@ -8,7 +8,7 @@ after construction so estimators and simulation replications can read
 them concurrently.
 
 File schemas (``--format csv`` or ``json``; JSON files hold a list of
-row objects mirroring the CSV columns):
+row objects mirroring the CSV columns; floats are parsed as 64-bit):
 
 * shares (long format): ``unit_id, shift_id, weight``
 * shifts: ``shift_id, value[, cluster][, period][, exchange_group][, p_1..p_k]``
@@ -16,16 +16,17 @@ row objects mirroring the CSV columns):
 * units: ``unit_id, y[, x][, w_e][, pi_1..pi_k]`` -- extra columns are
   kept as named auxiliary columns (cluster labels, placebo variables)
 
-All floats are parsed as 64-bit.
+CSV files use RFC 4180 quoting as ``save_inputs`` writes it: ``#`` is data, blank lines are
+skipped and ragged rows are rejected. A ``(unit_id, shift_id)`` pair may appear only once.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
+from itertools import compress, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -245,20 +246,17 @@ class Dataset:
                 )
             elif len(self.control_names) != pi.shape[1]:
                 raise ValidationError("control names do not match control columns")
-        if self.unit_weights is None:
-            e = np.full(n, 1.0 / n)
-        else:
-            e = np.asarray(self.unit_weights, dtype=float)
-            if e.shape != (n,):
-                raise ValidationError("unit weights must have one value per unit")
-            if np.any(~np.isfinite(e)) or np.any(e < 0):
-                raise ValidationError("unit weights must be finite and nonnegative")
-            total = e.sum()
-            if total <= 0:
-                raise ValidationError("unit weights must not all be zero")
+        e = np.full(n, 1.0 / n) if self.unit_weights is None else self.unit_weights
+        e = np.asarray(e, dtype=float)
+        if e.shape != (n,):
+            raise ValidationError("unit weights must have one value per unit")
+        if np.any(~np.isfinite(e)) or np.any(e < 0):
+            raise ValidationError("unit weights must be finite and nonnegative")
+        total = e.sum()
+        if total <= 0:
+            raise ValidationError("unit weights must not all be zero")
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:  # so that saved weights reload bit for bit
             e = e / total
-        if abs(e.sum() - 1.0) > WEIGHT_SUM_TOL:
-            e = e / e.sum()
         object.__setattr__(self, "unit_weights", _frozen_array(e))
         extras = {}
         for k, col in dict(self.extras).items():
@@ -307,114 +305,112 @@ class PanelIndex:
 # ingestion
 
 
-def _read_rows(path: str | Path, fmt: str) -> list[dict]:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"input file not found: {path}")
+def _read_columns(path: str | Path, fmt: str, required: Sequence[str]) -> dict[str, list]:
+    """The data rows of an input file as ``{column: values}``, in file order. The file must hold
+    a data row and the ``required`` columns, and every row the fields of the header or row 1."""
+    file = Path(path)
+    if not file.exists():
+        raise SchemaError(f"input file not found: {file}")
     if fmt == "csv":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise SchemaError(f"{path}: empty file, expected a header row")
-            return [dict(row) for row in reader]
-    if fmt == "json":
-        with open(path) as fh:
+        with open(file, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise SchemaError(f"{file}: empty file, expected a header row")
+            with warnings.catch_warnings():
+                # a header-only file is reported below as having no data rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                try:
+                    table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                       dtype=object, ndmin=2)
+                except ValueError:  # the number of fields changed between rows
+                    table = None
+        names, n_rows = header, -1 if table is None else len(table)
+    elif fmt == "json":
+        with open(file) as fh:
             rows = json.load(fh)
         if not isinstance(rows, list):
-            raise SchemaError(f"{path}: expected a JSON array of row objects")
+            raise SchemaError(f"{file}: expected a JSON array of row objects")
         for k, row in enumerate(rows):
             if not isinstance(row, dict) or row.keys() != rows[0].keys():
-                raise SchemaError(f"{path}: row {k + 1} is not an object with the keys of row 1")
-        return rows
-    raise SchemaError(f"unknown input format {fmt!r} (expected csv or json)")
-
-
-def _require_columns(rows: list[dict], required: Sequence[str], path) -> None:
-    if not rows:
+                raise SchemaError(f"{file}: row {k + 1} is not an object with the keys of row 1")
+        names, n_rows = list(rows[0]) if rows else [], len(rows)
+    else:
+        raise SchemaError(f"unknown input format {fmt!r} (expected csv or json)")
+    if n_rows == 0:
         raise SchemaError(f"{path}: no data rows")
-    have = set(rows[0])
-    for col in required:
-        if col not in have:
-            raise SchemaError(f"{path}: missing required column {col!r}")
+    for name in required:
+        if name not in names:
+            raise SchemaError(f"{path}: missing required column {name!r}")
+    if fmt == "json":
+        return {name: [row[name] for row in rows] for name in names}
+    if table is None or table.shape[1] != len(header):
+        with open(file, newline="") as fh:
+            # csv.reader splits records as loadtxt does; blank lines are skipped
+            records = enumerate(filter(None, csv.reader(fh)))
+            k = next(k for k, record in records if len(record) != len(header))
+        raise SchemaError(f"{path}: data row {k} does not have the header's {len(header)} fields")
+    return {name: table[:, k].tolist() for k, name in enumerate(header)}
 
 
-def _parse_float(raw, where: str) -> float:
+def _floats(values: Sequence, where) -> np.ndarray:
+    """``values`` as 64-bit floats; ``where(k)`` names entry ``k`` if it does not parse."""
     try:
-        value = float(raw)
+        return np.fromiter(map(float, values), dtype=float, count=len(values))
     except (TypeError, ValueError):
-        raise ValidationError(f"{where}: cannot parse {raw!r} as a number") from None
-    return value
+        for k, raw in enumerate(values):
+            try:
+                float(raw)
+            except (TypeError, ValueError):
+                raise ValidationError(f"{where(k)}: cannot parse {raw!r} as a number") from None
+        raise
+
+
+def _float_columns(columns: dict[str, list], names: Sequence[str], path) -> np.ndarray:
+    """The named columns as one float matrix, parsed row by row so that the
+    first bad entry of the first bad row is the one reported."""
+    flat = [value for row in zip(*(columns[c] for c in names)) for value in row]
+    where = lambda k: f"{path} column {names[k % len(names)]}"  # noqa: E731
+    return _floats(flat, where).reshape(-1, len(names))
 
 
 def load_shifts(path: str | Path, fmt: str = "csv") -> ShiftTable:
-    rows = _read_rows(path, fmt)
-    _require_columns(rows, ("shift_id", "value"), path)
-    ids = [row["shift_id"] for row in rows]
+    columns = _read_columns(path, fmt, ("shift_id", "value"))
+    ids = columns.pop("shift_id")
     if len(set(ids)) != len(ids):
         raise ValidationError(f"{path}: duplicate shift_id values")
-    values = [_parse_float(row["value"], f"{path} shift {row['shift_id']!r}") for row in rows]
-    for ident, v in zip(ids, values):
-        if not math.isfinite(v):
-            raise ValidationError(f"{path}: non-finite shift value for shift {ident!r}")
-    cols = [c for c in rows[0] if c not in ("shift_id", "value")]
-    label_cols = {}
-    for name in ("cluster", "period", "exchange_group"):
-        if name in cols:
-            label_cols[name] = [row[name] for row in rows]
-    cov_names = sorted((c for c in cols if c.startswith("p_")), key=lambda c: (len(c), c))
-    covariates = None
-    if cov_names:
-        covariates = np.array(
-            [[_parse_float(row[c], f"{path} column {c}") for c in cov_names] for row in rows]
-        )
-    extras = {
-        c: [row[c] for row in rows]
-        for c in cols
-        if c not in label_cols and c not in cov_names
-    }
+    values = _floats(columns.pop("value"), lambda k: f"{path} shift {ids[k]!r}")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"{path}: non-finite shift value for shift {ids[bad[0]]!r}")
+    labels = {c: columns.pop(c) for c in ("cluster", "period", "exchange_group") if c in columns}
+    cov_names = sorted((c for c in columns if c.startswith("p_")), key=lambda c: (len(c), c))
     return ShiftTable(
-        values=np.array(values),
+        values=values,
         shift_ids=tuple(ids),
-        covariates=covariates,
+        covariates=_float_columns(columns, cov_names, path) if cov_names else None,
         covariate_names=tuple(cov_names),
-        extras=extras,
-        **label_cols,
+        extras={c: col for c, col in columns.items() if c not in cov_names},
+        **labels,
     )
 
 
 def load_units(path: str | Path, fmt: str = "csv") -> Dataset:
-    rows = _read_rows(path, fmt)
-    _require_columns(rows, ("unit_id", "y"), path)
-    ids = [row["unit_id"] for row in rows]
+    columns = _read_columns(path, fmt, ("unit_id", "y"))
+    ids = columns.pop("unit_id")
     if len(set(ids)) != len(ids):
         raise ValidationError(f"{path}: duplicate unit_id values")
-    y = [_parse_float(row["y"], f"{path} unit {row['unit_id']!r}") for row in rows]
-    cols = [c for c in rows[0] if c not in ("unit_id", "y")]
-    x = None
-    if "x" in cols:
-        x = [_parse_float(row["x"], f"{path} column x") for row in rows]
-    weights = None
-    if "w_e" in cols:
-        weights = [_parse_float(row["w_e"], f"{path} column w_e") for row in rows]
-    pi_names = sorted((c for c in cols if c.startswith("pi_")), key=lambda c: (len(c), c))
-    controls = None
-    if pi_names:
-        controls = np.array(
-            [[_parse_float(row[c], f"{path} column {c}") for c in pi_names] for row in rows]
-        )
-    extras = {
-        c: [row[c] for row in rows]
-        for c in cols
-        if c not in ("x", "w_e") and c not in pi_names
-    }
+    y = _floats(columns.pop("y"), lambda k: f"{path} unit {ids[k]!r}")
+    x = _float_columns(columns, ("x",), path)[:, 0] if "x" in columns else None
+    weights = _float_columns(columns, ("w_e",), path)[:, 0] if "w_e" in columns else None
+    pi_names = sorted((c for c in columns if c.startswith("pi_")), key=lambda c: (len(c), c))
     return Dataset(
-        outcome=np.array(y),
+        outcome=y,
         unit_ids=tuple(ids),
-        regressor=None if x is None else np.array(x),
-        controls=controls,
+        regressor=x,
+        controls=_float_columns(columns, pi_names, path) if pi_names else None,
         control_names=tuple(pi_names),
-        unit_weights=None if weights is None else np.array(weights),
-        extras=extras,
+        unit_weights=weights,
+        extras={c: col for c, col in columns.items() if c not in ("x", "w_e", *pi_names)},
     )
 
 
@@ -426,32 +422,35 @@ def _read_long_matrix(
     fmt: str = "csv",
 ) -> np.ndarray:
     """Dense units-by-shifts matrix from a long-format ``unit_id, shift_id,
-    <column>`` file; absent pairs are zero. Every id must be known and every
-    value must parse as a number."""
-    rows = _read_rows(path, fmt)
-    _require_columns(rows, ("unit_id", "shift_id", column), path)
+    <column>`` file; absent pairs are zero. Every id must be known, every
+    value must parse as a number, and no pair may appear twice."""
+    columns = _read_columns(path, fmt, ("unit_id", "shift_id", column))
+    units, shifts = (list(map(str, columns[c])) for c in ("unit_id", "shift_id"))
     unit_index = {str(u): i for i, u in enumerate(unit_ids)}
     shift_index = {str(s): j for j, s in enumerate(shift_ids)}
-    out = np.zeros((len(unit_ids), len(shift_ids)))
-    unknown_units: list[str] = []
-    unknown_shifts: list[str] = []
-    for row in rows:
-        u, s = str(row["unit_id"]), str(row["shift_id"])
-        if u not in unit_index:
-            unknown_units.append(u)
-            continue
-        if s not in shift_index:
-            unknown_shifts.append(s)
-            continue
-        value = _parse_float(row[column], f"{path} {column} ({u}, {s})")
-        out[unit_index[u], shift_index[s]] = value
-    problems = []
-    if unknown_units:
-        problems.append(f"unit ids not in units file: {sorted(set(unknown_units))[:5]}")
-    if unknown_shifts:
-        problems.append(f"shift ids not in shifts file: {sorted(set(unknown_shifts))[:5]}")
+    rows = np.fromiter(map(unit_index.get, units, repeat(-1)), dtype=np.intp, count=len(units))
+    cols = np.fromiter(map(shift_index.get, shifts, repeat(-1)), dtype=np.intp, count=len(units))
+    # values are parsed where both ids are known, before unknown ids are reported
+    known = (rows >= 0) & (cols >= 0)
+    at = np.flatnonzero(known)
+    values = _floats(list(compress(columns[column], known.tolist())),
+                     lambda k: f"{path} {column} ({units[at[k]]}, {shifts[at[k]]})")
+    problems = [
+        f"{kind} ids not in {kind}s file: {sorted(set(compress(ids, bad.tolist())))[:5]}"
+        for kind, ids, bad in (("unit", units, rows < 0), ("shift", shifts, ~known & (rows >= 0)))
+        if bad.any()
+    ]
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
+    # a repeated pair would leave the order of the scatter below undefined
+    pairs = rows * len(shift_ids) + cols
+    order = np.argsort(pairs, kind="stable")
+    repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
+    if repeats.size:
+        k = repeats.min()
+        raise ValidationError(f"{path}: repeated (unit_id, shift_id) pair {(units[k], shifts[k])}")
+    out = np.zeros((len(unit_ids), len(shift_ids)))
+    out[rows, cols] = values
     return out
 
 

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
+import scipy.special
 
 from ._wls import wls_coefficients
 from .construct import ShiftResiduals
@@ -53,7 +53,7 @@ class BalanceResult:
 def _normal_p(coefficient: float, se: float) -> float:
     if se == 0.0:
         return 0.0 if coefficient != 0.0 else 1.0
-    return float(2.0 * scipy.stats.norm.sf(abs(coefficient / se)))
+    return float(2.0 * scipy.special.ndtr(-abs(coefficient / se)))
 
 
 def balance_test_unit(
@@ -230,7 +230,7 @@ def autocorrelation(
         p = 0.0
     else:
         stat = r * np.sqrt((n_pairs - 2) / (1.0 - r * r))
-        p = float(2.0 * scipy.stats.t.sf(abs(stat), df=n_pairs - 2))
+        p = float(2.0 * scipy.special.stdtr(n_pairs - 2, -abs(stat)))
     return AutocorrelationResult(lag=lag, correlation=r, p_value=p, n_pairs=n_pairs)
 
 

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftshare
 from shiftshare.cli import main
 
 SHARES = """unit_id,shift_id,weight
@@ -422,7 +427,8 @@ def _json_inputs_with_a_short_row(inputs, tmp_path):
 
 @pytest.mark.parametrize("case", ["json_row_missing_key", "negative_draws", "zero_draws",
                                   "missing_config", "non_numeric_config",
-                                  "non_integer_lag", "nan_beta0"])
+                                  "non_integer_lag", "nan_beta0", "csv_short_row",
+                                  "csv_long_row", "duplicate_share_pair"])
 def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")]
     config = tmp_path / "dgp.cfg"
@@ -431,6 +437,12 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
     lines = SHIFTS.strip().splitlines()
     inputs["shifts"].write_text("\n".join([lines[0] + ",period"] + [
         f"{line},t{k % 2}" for k, line in enumerate(lines[1:])]) + "\n")
+    u2 = "u2,0.7981,0.9137,1.870,-1.1740,-0.9651"
+    if case in ("csv_short_row", "csv_long_row"):
+        row = u2.rsplit(",", 1)[0] if case == "csv_short_row" else u2 + ",0.5"
+        inputs["units"].write_text(UNITS.replace(u2, row))
+    if case == "duplicate_share_pair":
+        inputs["shares"].write_text(SHARES + "u0,s0,0.01\n")
     argv = {
         "json_row_missing_key": ["estimate", *_json_inputs_with_a_short_row(inputs, tmp_path),
                                  *out],
@@ -440,6 +452,9 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         "non_numeric_config": ["simulate", "--config", str(config), *out],
         "non_integer_lag": ["diagnose", "--autocorr", "a", *io_args(inputs, tmp_path / "out")],
         "nan_beta0": ["ri", "--beta0", "nan", *io_args(inputs, tmp_path / "out")],
+        "csv_short_row": ["estimate", *io_args(inputs, tmp_path / "out")],
+        "csv_long_row": ["estimate", *io_args(inputs, tmp_path / "out")],
+        "duplicate_share_pair": ["estimate", *io_args(inputs, tmp_path / "out")],
     }[case]
     assert main(["--quiet", *argv]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -447,6 +462,19 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
     assert "Traceback" not in err[0]
     if case == "non_numeric_config":
         assert f"{config}:1:" in err[0]
+    if case in ("csv_short_row", "csv_long_row"):
+        assert f"{inputs['units']}: data row 3 " in err[0]
+    if case == "duplicate_share_pair":
+        assert f"{inputs['shares']}:" in err[0] and "('u0', 's0')" in err[0]
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats takes about 0.3 s to import, which every CLI call would pay
+    src = Path(shiftshare.__file__).resolve().parents[1]
+    probe = "import sys, shiftshare.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_threads_flag_removed(inputs, tmp_path):

@@ -1,5 +1,9 @@
 """Data model, validation, ingestion, and long-form reshaping."""
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +97,60 @@ class TestLoading:
         _, _, dataset = load_csv(paths["shares"], paths["shifts"], paths["units"])
         assert dataset.extra_column("region").tolist() == ["north", "south", "north"]
 
+    @pytest.mark.parametrize("units, row", [
+        (TOY_UNITS.replace("b,2.0,1.0,1.0,0.2", "b,2.0,1.0,1.0"), 2),
+        (TOY_UNITS.replace("c,0.5,0.25,1.0,0.3", "c,0.5,0.25,1.0,0.3,x"), 3),
+        (TOY_UNITS.replace(",pi_1\n", "\n"), 1),
+        # blank lines are not rows, and a quoted line break stays in its field
+        ('unit_id,y,x,w_e,pi_1,note\n\na,1.0,0.5,2.0,0.1,"x\ny"\n\n'
+         "b,2.0,1.0,1.0,0.2,z\nc,0.5,0.25,1.0,0.3\n", 3),
+    ], ids=["short", "long", "short_header", "blank_lines_and_quoted_break"])
+    def test_ragged_csv_row_names_file_and_data_row(self, tmp_path, units, row):
+        paths = write_toy(tmp_path, units=units)
+        with pytest.raises(SchemaError, match=rf"units\.csv: data row {row} does not have"):
+            load_csv(paths["shares"], paths["shifts"], paths["units"])
+
+
+# Labels that a CSV writer must quote or a reader could mangle: separators,
+# quotes, "#" (a comment marker to np.loadtxt unless comments=None), line
+# breaks, edge spaces, non-ASCII text, the empty string and number-like text.
+LABELS = st.sampled_from(
+    ["", " ", "a,b", '"q"', "#x", " lead", "trail ", "a\nb", "a\r\nb", "é ü", "1.5", "nan"]
+) | st.text(alphabet=',"# \r\nab\xe9.1', max_size=5)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [5e-324, -2.5e-310, 1e308, -1e308]
+)
+
+
+@st.composite
+def input_sets(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+    def labels(size, unique=False):
+        return draw(st.lists(LABELS, min_size=size, max_size=size, unique=unique))
+
+    def floats(shape, elements=FLOATS):
+        return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    unit_ids, shift_ids = tuple(labels(n, unique=True)), tuple(labels(m, unique=True))
+    weights = floats((n, m), st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(0.0, 1.0 / m))
+    # a share file needs a data row, so one share is nonzero
+    weights[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = draw(
+        st.floats(5e-324, 1.0 / m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShiftShareWarning)  # all-zero share rows
+        shares = ShareMatrix(weights, unit_ids, shift_ids)
+    unit_weights = floats((n,), st.floats(0.0, 1.0))
+    unit_weights[draw(st.integers(0, n - 1))] += draw(st.floats(5e-324, 1.0))
+    shifts = ShiftTable(floats((m,)), shift_ids, cluster=labels(m),
+                        covariates=floats((m, draw(st.integers(1, 2)))),
+                        extras={"note": labels(m)})
+    dataset = Dataset(outcome=floats((n,)), unit_ids=unit_ids, regressor=floats((n,)),
+                      controls=floats((n, draw(st.integers(1, 2)))),
+                      unit_weights=unit_weights, extras={"region": labels(n)})
+    return shares, shifts, dataset
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -126,6 +184,32 @@ class TestRoundTrip:
         for key in paths:
             assert paths[key].read_bytes() == paths2[key].read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_exact_for_any_labels_and_floats(self, fmt, data):
+        shares, shifts, dataset = data.draw(input_sets())
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShiftShareWarning)  # all-zero share rows
+            paths = save_inputs(Path(tmp, "one"), shares, shifts, dataset, fmt=fmt)
+            shares2, shifts2, dataset2 = load_inputs(
+                paths["shares"], paths["shifts"], paths["units"], fmt=fmt
+            )
+            paths2 = save_inputs(Path(tmp, "two"), shares2, shifts2, dataset2, fmt=fmt)
+            for key in paths:
+                assert paths[key].read_bytes() == paths2[key].read_bytes()
+        assert (shares2.row_ids, shares2.col_ids) == (shares.row_ids, shares.col_ids)
+        assert shifts2.shift_ids == shifts.shift_ids and dataset2.unit_ids == dataset.unit_ids
+        for a, b in [
+            (shares.weights, shares2.weights), (shifts.values, shifts2.values),
+            (shifts.covariates, shifts2.covariates), (dataset.outcome, dataset2.outcome),
+            (dataset.regressor, dataset2.regressor), (dataset.controls, dataset2.controls),
+            (dataset.unit_weights, dataset2.unit_weights),
+        ]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert shifts2.cluster.tolist() == shifts.cluster.tolist()
+        assert shifts2.extras["note"].tolist() == shifts.extras["note"].tolist()
+        assert dataset2.extras["region"].tolist() == dataset.extras["region"].tolist()
 
     def test_share_rows_skip_explicit_zeros_in_row_major_order(self, tmp_path):
         w = np.array([[0.0, 0.25, 0.0], [0.5, 0.0, 0.125], [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]])
