@@ -20,9 +20,7 @@ from .data import (
     PanelIndex,
     ShareMatrix,
     ShiftTable,
-    load_csv,
     load_inputs,
-    load_json,
     save_inputs,
     to_long_form,
 )

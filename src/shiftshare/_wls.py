@@ -8,7 +8,6 @@ largest one, and the offending columns are named in the error.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EstimationError
 
@@ -27,6 +26,8 @@ def _pivoted_solve(
     ``subject`` and ``deficiency`` word the two errors: "<subject> matrix is
     identically zero" and "<deficiency>; collinear terms: ...".
     """
+    import scipy.linalg  # here, not at module level: commands that never solve skip its import
+
     q, r, piv = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag[0] == 0.0:

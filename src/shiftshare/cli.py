@@ -33,7 +33,7 @@ from .construct import (
     shift_weights_from,
     zero_share_columns,
 )
-from .data import _fmt, _read_long_matrix, _share_rows, load_inputs
+from .data import _read_long_matrix, _share_columns, _write_columns, load_inputs
 from .diagnose import balance_test_unit, concentration, icc, shift_summary
 from .errors import (
     EstimationError,
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .estimate import estimate_shift_framework, rotemberg, shiftshare_2sls, shiftshare_ols
 from .rinfer import ri_estimate, ri_test
-from .simulate import ESTIMATORS, DgpConfig, run_coverage
+from .simulate import ESTIMATORS, CoverageResult, DgpConfig, run_coverage
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -109,17 +109,6 @@ def _write_csv_mirror(path: Path, payload: dict) -> None:
         writer.writerow(["metric", "value"])
         for key, value in _flatten(payload):
             writer.writerow([key, value])
-
-
-def _write_table(path: Path, header: list[str], rows) -> None:
-    """CSV table; floats are written with ``repr`` of the Python float, so
-    they read back bit for bit."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            [_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows
-        )
 
 
 def _terms(text: str | None) -> tuple[str, ...]:
@@ -217,19 +206,18 @@ def _cmd_construct(args, argv) -> int:
         d_ij = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
                                  shifts.shift_ids, args.format)
         result = decompose(initial, shares, d_ij)
-        _write_table(
-            out / "decomposition.csv",
-            ["unit_id", "expected", "shock", "share_change", "interaction", "observed"],
-            zip(dataset.unit_ids, result.expected, result.shock, result.share_change,
-                result.interaction, result.observed),
-        )
+        _write_columns(out / "decomposition.csv", "csv", {
+            "unit_id": dataset.unit_ids, "expected": result.expected, "shock": result.shock,
+            "share_change": result.share_change, "interaction": result.interaction,
+            "observed": result.observed,
+        })
 
     if args.complete_shares:
         completed = complete_shares(shares, shifts)
-        _write_table(out / "completed_shares.csv", ["unit_id", "shift_id", "weight"],
-                     _share_rows(completed.shares))
-        _write_table(out / "sum_of_shares.csv", ["unit_id", "sum_of_shares"],
-                     zip(dataset.unit_ids, completed.sum_of_shares))
+        _write_columns(out / "completed_shares.csv", "csv", _share_columns(completed.shares))
+        _write_columns(out / "sum_of_shares.csv", "csv", {
+            "unit_id": dataset.unit_ids, "sum_of_shares": completed.sum_of_shares,
+        })
         shares, shifts = completed.shares, completed.shifts
         w_j = shift_weights_from(dataset, shares)
 
@@ -238,11 +226,10 @@ def _cmd_construct(args, argv) -> int:
         shifts = replacement.shifts
         if args.replace_shares:
             shares = zero_share_columns(shares, replacement.replaced)
-        _write_table(
-            out / "shifts_replaced.csv",
-            ["shift_id", "value", "replaced"],
-            zip(shifts.shift_ids, shifts.values, replacement.replaced.astype(int)),
-        )
+        _write_columns(out / "shifts_replaced.csv", "csv", {
+            "shift_id": shifts.shift_ids, "value": shifts.values,
+            "replaced": replacement.replaced.astype(int),
+        })
         if not args.quiet:
             print(f"replaced {replacement.n_replaced} of {shifts.n_shifts} shifts "
                   f"({replacement.replaced_fraction:.1%})")
@@ -250,11 +237,10 @@ def _cmd_construct(args, argv) -> int:
     if args.residualize is not None:
         spec = _terms(args.residualize)
         res = residualize_shifts(shifts, spec, w_j)
-        _write_table(
-            out / "shift_residuals.csv",
-            ["shift_id", "eta_hat", "fitted", "weight"],
-            zip(shifts.shift_ids, res.eta_hat, res.fitted, w_j),
-        )
+        _write_columns(out / "shift_residuals.csv", "csv", {
+            "shift_id": shifts.shift_ids, "eta_hat": res.eta_hat, "fitted": res.fitted,
+            "weight": w_j,
+        })
         if not args.quiet:
             print(f"residualized on {spec}; sse_ratio = {res.sse_ratio:.4f}")
 
@@ -264,11 +250,11 @@ def _cmd_construct(args, argv) -> int:
         d_ij = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
                                  shifts.shift_ids, args.format)
         loo = leave_one_out_shifts(d_ij, shares)
-        _write_table(out / "loo_instrument.csv", ["unit_id", "z_loo"],
-                     zip(dataset.unit_ids, loo.z))
+        _write_columns(out / "loo_instrument.csv", "csv",
+                       {"unit_id": dataset.unit_ids, "z_loo": loo.z})
 
-    _write_table(out / "exposure.csv", ["unit_id", "exposure"],
-                 zip(dataset.unit_ids, build_exposure(shares, shifts)))
+    _write_columns(out / "exposure.csv", "csv",
+                   {"unit_id": dataset.unit_ids, "exposure": build_exposure(shares, shifts)})
     _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=None)
     return EXIT_OK
 
@@ -438,16 +424,9 @@ def _cmd_simulate(args, argv) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     results = run_coverage(config, estimators, replications=args.reps, seed=args.seed)
-    _write_table(
-        out / "coverage.csv",
-        ["estimator", "replications", "n_failed", "mean_bias", "sd_beta",
-         "mean_se", "coverage95", "rejection_rate"],
-        [
-            [r.estimator, r.replications, r.n_failed, r.mean_bias, r.sd_beta,
-             r.mean_se, r.coverage95, r.rejection_rate]
-            for r in results
-        ],
-    )
+    _write_columns(out / "coverage.csv", "csv", {
+        f.name: [getattr(r, f.name) for r in results] for f in dataclasses.fields(CoverageResult)
+    })
     if not args.quiet:
         for r in results:
             print(f"{r.estimator}: coverage95 = {r.coverage95:.3f} "

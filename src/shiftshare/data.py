@@ -17,7 +17,12 @@ row objects mirroring the CSV columns; floats are parsed as 64-bit):
   kept as named auxiliary columns (cluster labels, placebo variables)
 
 CSV files use RFC 4180 quoting as ``save_inputs`` writes it: ``#`` is data, blank lines are
-skipped and ragged rows are rejected. A ``(unit_id, shift_id)`` pair may appear only once.
+skipped and ragged rows are rejected. A ``(unit_id, shift_id)`` pair may appear only once, and
+a long-format file may hold no data rows (no nonzero pairs).
+
+Every CSV the package writes (``save_inputs`` and the CLI tables) uses the default
+``csv.writer`` dialect: QUOTE_MINIMAL quoting and ``\r\n`` line ends, with floats written as
+their ``repr`` so that they read back bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from itertools import compress, repeat
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -252,9 +257,12 @@ class Dataset:
             raise ValidationError("unit weights must have one value per unit")
         if np.any(~np.isfinite(e)) or np.any(e < 0):
             raise ValidationError("unit weights must be finite and nonnegative")
-        total = e.sum()
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+            total = e.sum()
         if total <= 0:
             raise ValidationError("unit weights must not all be zero")
+        if not np.isfinite(total):  # dividing by inf would zero every weight
+            raise ValidationError("unit weights must have a finite sum")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:  # so that saved weights reload bit for bit
             e = e / total
         object.__setattr__(self, "unit_weights", _frozen_array(e))
@@ -305,9 +313,13 @@ class PanelIndex:
 # ingestion
 
 
-def _read_columns(path: str | Path, fmt: str, required: Sequence[str]) -> dict[str, list]:
+def _read_columns(
+    path: str | Path, fmt: str, required: Sequence[str], allow_empty: bool = False
+) -> dict[str, list]:
     """The data rows of an input file as ``{column: values}``, in file order. The file must hold
-    a data row and the ``required`` columns, and every row the fields of the header or row 1."""
+    the ``required`` columns, a data row unless ``allow_empty``, and in every row the fields of
+    the header or row 1. An empty JSON array names no columns, so it holds the ``required``
+    ones."""
     file = Path(path)
     if not file.exists():
         raise SchemaError(f"input file not found: {file}")
@@ -317,7 +329,7 @@ def _read_columns(path: str | Path, fmt: str, required: Sequence[str]) -> dict[s
             if header is None:
                 raise SchemaError(f"{file}: empty file, expected a header row")
             with warnings.catch_warnings():
-                # a header-only file is reported below as having no data rows
+                # a header-only file is handled below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 try:
                     table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
@@ -333,16 +345,18 @@ def _read_columns(path: str | Path, fmt: str, required: Sequence[str]) -> dict[s
         for k, row in enumerate(rows):
             if not isinstance(row, dict) or row.keys() != rows[0].keys():
                 raise SchemaError(f"{file}: row {k + 1} is not an object with the keys of row 1")
-        names, n_rows = list(rows[0]) if rows else [], len(rows)
+        names, n_rows = list(rows[0]) if rows else list(required), len(rows)
     else:
         raise SchemaError(f"unknown input format {fmt!r} (expected csv or json)")
-    if n_rows == 0:
+    if n_rows == 0 and not allow_empty:
         raise SchemaError(f"{path}: no data rows")
     for name in required:
         if name not in names:
             raise SchemaError(f"{path}: missing required column {name!r}")
     if fmt == "json":
         return {name: [row[name] for row in rows] for name in names}
+    if n_rows == 0:
+        return {name: [] for name in header}
     if table is None or table.shape[1] != len(header):
         with open(file, newline="") as fh:
             # csv.reader splits records as loadtxt does; blank lines are skipped
@@ -422,9 +436,10 @@ def _read_long_matrix(
     fmt: str = "csv",
 ) -> np.ndarray:
     """Dense units-by-shifts matrix from a long-format ``unit_id, shift_id,
-    <column>`` file; absent pairs are zero. Every id must be known, every
-    value must parse as a number, and no pair may appear twice."""
-    columns = _read_columns(path, fmt, ("unit_id", "shift_id", column))
+    <column>`` file; absent pairs are zero, so a file without data rows is an
+    all-zero matrix. Every id must be known, every value must parse as a
+    number, and no pair may appear twice."""
+    columns = _read_columns(path, fmt, ("unit_id", "shift_id", column), allow_empty=True)
     units, shifts = (list(map(str, columns[c])) for c in ("unit_id", "shift_id"))
     unit_index = {str(u): i for i, u in enumerate(unit_ids)}
     shift_index = {str(s): j for j, s in enumerate(shift_ids)}
@@ -483,28 +498,58 @@ def load_inputs(
     return shares, shifts, dataset
 
 
-def load_csv(shares_path, shifts_path, units_path):
-    return load_inputs(shares_path, shifts_path, units_path, fmt="csv")
-
-
-def load_json(shares_path, shifts_path, units_path):
-    return load_inputs(shares_path, shifts_path, units_path, fmt="json")
-
-
 # ---------------------------------------------------------------------------
 # serialization (round-trips bit-identically: floats written with repr)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _cells(values, quote) -> list[str]:
+    """The cell texts of one column: ``repr`` of each value of a float array, else ``quote``
+    of each value's ``str``, called once per distinct text."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            return list(map(repr, values.tolist()))
+        values = values.tolist()
+    texts = list(map(str, values))
+    quoted = {text: quote(text) for text in set(texts)}
+    return list(map(quoted.__getitem__, texts))
 
 
-def _share_rows(shares: ShareMatrix):
-    """``(unit_id, shift_id, weight)`` of every nonzero share, row by row."""
+def _write_columns(path: Path, fmt: str, columns: Mapping[str, Sequence]) -> None:
+    """Write the table ``{name: values}`` with a header taken from the names.
+
+    A float array is written with ``repr`` of each value, so it reads back bit for bit; any
+    other column with ``str`` of each value (a Python float's ``str`` is its ``repr``). CSV
+    is the default ``csv.writer`` dialect: QUOTE_MINIMAL and ``\\r\\n`` line ends. JSON is
+    a list of row objects whose values are those strings.
+    """
+    names = list(columns)
+    if fmt == "csv":
+        writerow = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line written
+        # csv.writer leaves an empty field bare unless it is the only field of its row
+        single = len(names) == 1
+
+        def quote(text: str) -> str:
+            return writerow((text,))[:-2] if text or single else ""
+    elif fmt == "json":
+        quote = str
+    else:
+        raise SchemaError(f"unknown output format {fmt!r}")
+    rows = zip(*(_cells(values, quote) for values in columns.values()))
+    with open(path, "w", newline="") as fh:
+        if fmt == "csv":
+            fh.write("\r\n".join([",".join(map(quote, names)), *map(",".join, rows)]) + "\r\n")
+        else:  # json.dump streams; json.dumps would hold every piece of the text at once
+            json.dump([dict(zip(names, row)) for row in rows], fh, indent=1)
+
+
+def _share_columns(shares: ShareMatrix) -> dict[str, np.ndarray]:
+    """``unit_id, shift_id, weight`` of every nonzero share, row by row."""
     rows, cols = np.nonzero(shares.weights)
-    values = shares.weights[rows, cols].tolist()
-    for i, j, w in zip(rows.tolist(), cols.tolist(), values):
-        yield shares.row_ids[i], shares.col_ids[j], w
+    return {
+        "unit_id": np.asarray(shares.row_ids, dtype=object)[rows],
+        "shift_id": np.asarray(shares.col_ids, dtype=object)[cols],
+        "weight": shares.weights[rows, cols],
+    }
 
 
 def save_inputs(
@@ -517,56 +562,26 @@ def save_inputs(
     """Write the three input files into ``directory``; returns their paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    share_rows = [
-        {"unit_id": u, "shift_id": s, "weight": _fmt(w)} for u, s, w in _share_rows(shares)
-    ]
-    shift_rows = []
-    for j in range(shifts.n_shifts):
-        row = {"shift_id": shifts.shift_ids[j], "value": _fmt(shifts.values[j])}
-        for name in ("cluster", "period", "exchange_group"):
-            col = getattr(shifts, name)
-            if col is not None:
-                row[name] = str(col[j])
-        if shifts.covariates is not None:
-            for k, cname in enumerate(shifts.covariate_names):
-                row[cname] = _fmt(shifts.covariates[j, k])
-        for cname, col in shifts.extras.items():
-            row[cname] = str(col[j])
-        shift_rows.append(row)
-    unit_rows = []
-    for i in range(dataset.n_units):
-        row = {"unit_id": dataset.unit_ids[i], "y": _fmt(dataset.outcome[i])}
-        if dataset.regressor is not None:
-            row["x"] = _fmt(dataset.regressor[i])
-        row["w_e"] = _fmt(dataset.unit_weights[i])
-        if dataset.controls is not None:
-            for k, cname in enumerate(dataset.control_names):
-                row[cname] = _fmt(dataset.controls[i, k])
-        for cname, col in dataset.extras.items():
-            row[cname] = str(col[i])
-        unit_rows.append(row)
+    shift_columns = {"shift_id": shifts.shift_ids, "value": shifts.values}
+    for name in ("cluster", "period", "exchange_group"):
+        if getattr(shifts, name) is not None:
+            shift_columns[name] = getattr(shifts, name)
+    if shifts.covariates is not None:
+        shift_columns.update(zip(shifts.covariate_names, shifts.covariates.T))
+    shift_columns.update(shifts.extras)
+    unit_columns = {"unit_id": dataset.unit_ids, "y": dataset.outcome}
+    if dataset.regressor is not None:
+        unit_columns["x"] = dataset.regressor
+    unit_columns["w_e"] = dataset.unit_weights
+    if dataset.controls is not None:
+        unit_columns.update(zip(dataset.control_names, dataset.controls.T))
+    unit_columns.update(dataset.extras)
     ext = "csv" if fmt == "csv" else "json"
-    paths = {
-        "shares": directory / f"shares.{ext}",
-        "shifts": directory / f"shifts.{ext}",
-        "units": directory / f"units.{ext}",
-    }
-    for key, rows in (("shares", share_rows), ("shifts", shift_rows), ("units", unit_rows)):
-        _write_rows(paths[key], rows, fmt)
+    tables = {"shares": _share_columns(shares), "shifts": shift_columns, "units": unit_columns}
+    paths = {key: directory / f"{key}.{ext}" for key in tables}
+    for key, columns in tables.items():
+        _write_columns(paths[key], fmt, columns)
     return paths
-
-
-def _write_rows(path: Path, rows: list[dict], fmt: str) -> None:
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-    elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(rows, fh, indent=1)
-    else:
-        raise SchemaError(f"unknown output format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.special
 
 from ._wls import wls_coefficients
 from .construct import ShiftResiduals
@@ -53,6 +52,8 @@ class BalanceResult:
 def _normal_p(coefficient: float, se: float) -> float:
     if se == 0.0:
         return 0.0 if coefficient != 0.0 else 1.0
+    import scipy.special  # here, not at module level: commands that never test skip its import
+
     return float(2.0 * scipy.special.ndtr(-abs(coefficient / se)))
 
 
@@ -229,6 +230,8 @@ def autocorrelation(
     if abs(r) >= 1.0:
         p = 0.0
     else:
+        import scipy.special  # here, not at module level, as in _normal_p
+
         stat = r * np.sqrt((n_pairs - 2) / (1.0 - r * r))
         p = float(2.0 * scipy.special.stdtr(n_pairs - 2, -abs(stat)))
     return AutocorrelationResult(lag=lag, correlation=r, p_value=p, n_pairs=n_pairs)

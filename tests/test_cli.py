@@ -346,13 +346,13 @@ class TestShiftFrameworkSpecs:
         assert se["residualized"] == pytest.approx(se["hc_exposure_robust"], rel=1e-8)
 
     def test_report_is_the_library_result(self, inputs, tmp_path):
-        from shiftshare import estimate_shift_framework, load_csv
+        from shiftshare import estimate_shift_framework, load_inputs
 
         out = tmp_path / "lib"
         code = main(["--quiet", "estimate", "--framework", "shift", "--residualize", "p_1",
                      "--cluster-shift", "cluster", "--rotemberg", *io_args(inputs, out)])
         assert code == 0
-        shares, shifts, dataset = load_csv(inputs["shares"], inputs["shifts"], inputs["units"])
+        shares, shifts, dataset = load_inputs(inputs["shares"], inputs["shifts"], inputs["units"])
         result = estimate_shift_framework(shares, shifts, dataset, residualize=("p_1",),
                                           cluster_shift="cluster", with_rotemberg=True)
         report = json.loads((out / "estimate.json").read_text())
@@ -402,6 +402,15 @@ class TestConstructTables:
         assert rows[:3] == ["unit_id,shift_id,weight", "u0,s0,0.0629", "u0,s1,0.0391"]
         assert not any(r.startswith("u1,s0,") for r in rows)
         assert len(rows) == 1 + 31 + 8  # 31 nonzero shares and 8 complements
+
+    def test_unit_shifts_without_data_rows_are_all_zero(self, inputs, tmp_path):
+        unit_shifts = tmp_path / "ds.csv"
+        unit_shifts.write_text("unit_id,shift_id,value\n")
+        out = tmp_path / "empty"
+        code = main(["--quiet", "construct", "--loo", "--unit-shifts", str(unit_shifts),
+                     *io_args(inputs, out)])
+        assert code == 0
+        assert set(value_cells(out / "loo_instrument.csv")) == {"0.0"}
 
     def test_non_numeric_unit_shift_exits_one(self, inputs, tmp_path, capsys):
         unit_shifts = tmp_path / "ds.csv"
@@ -475,6 +484,41 @@ def test_cli_import_does_not_load_scipy_stats():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stdout.strip() == "False"
+
+
+# Runs ``main`` on the arguments in a fresh interpreter and prints, as JSON, its exit code
+# and the scipy modules loaded before and after it.
+FRESH_MAIN = """
+import json, sys
+from shiftshare.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+before = scipy_modules()
+print(json.dumps([main(sys.argv[1:]), before, scipy_modules()]))
+"""
+
+
+def run_fresh_main(args):
+    src = Path(shiftshare.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", FRESH_MAIN, "--quiet", *args],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_construct_loads_no_scipy(inputs, tmp_path):
+    # construct never solves, so it need not pay for importing scipy
+    code, before, after = run_fresh_main(["construct", "--complete-shares", "--residualize",
+                                          "cluster", *io_args(inputs, tmp_path / "c")])
+    assert (code, before, after) == (0, [], [])
+
+
+def test_estimate_imports_scipy_linalg_on_first_solve(inputs, tmp_path):
+    code, before, after = run_fresh_main(["estimate", *io_args(inputs, tmp_path / "e")])
+    assert (code, before) == (0, [])
+    assert "scipy.linalg" in after
 
 
 def test_threads_flag_removed(inputs, tmp_path):

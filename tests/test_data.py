@@ -1,5 +1,7 @@
 """Data model, validation, ingestion, and long-form reshaping."""
 
+import csv
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -16,11 +18,11 @@ from shiftshare import (
     ShiftShareWarning,
     ShiftTable,
     ValidationError,
-    load_csv,
     load_inputs,
     save_inputs,
     to_long_form,
 )
+from shiftshare.data import _write_columns
 
 TOY_SHARES = """unit_id,shift_id,weight
 a,s1,0.5
@@ -53,7 +55,7 @@ def write_toy(tmp_path, shares=TOY_SHARES, shifts=TOY_SHIFTS, units=TOY_UNITS):
 class TestLoading:
     def test_toy_fixture_round_trip(self, tmp_path):
         paths = write_toy(tmp_path)
-        shares, shifts, dataset = load_csv(paths["shares"], paths["shifts"], paths["units"])
+        shares, shifts, dataset = load_inputs(paths["shares"], paths["shifts"], paths["units"])
         assert shares.weights.tolist() == [[0.5, 0.25], [1.0, 0.0], [0.0, 0.4]]
         assert shares.row_ids == ("a", "b", "c")
         assert shifts.values.tolist() == [1.5, -2.0]
@@ -66,35 +68,35 @@ class TestLoading:
     def test_negative_share_names_cell(self, tmp_path):
         paths = write_toy(tmp_path, shares=TOY_SHARES.replace("b,s1,1.0", "b,s1,-0.1"))
         with pytest.raises(ValidationError, match=r"'b'.*'s1'"):
-            load_csv(paths["shares"], paths["shifts"], paths["units"])
+            load_inputs(paths["shares"], paths["shifts"], paths["units"])
 
     def test_row_sum_above_one_names_row(self, tmp_path):
         bad = "unit_id,shift_id,weight\na,s1,0.4\nb,s1,1.0\nc,s1,0.7\nc,s2,0.5\n"
         paths = write_toy(tmp_path, shares=bad)
         with pytest.raises(ValidationError, match=r"'c'"):
-            load_csv(paths["shares"], paths["shifts"], paths["units"])
+            load_inputs(paths["shares"], paths["shifts"], paths["units"])
 
     def test_missing_column_names_column(self, tmp_path):
         paths = write_toy(tmp_path, shifts="shift_id,val\ns1,1.0\ns2,2.0\n")
         with pytest.raises(SchemaError, match="'value'"):
-            load_csv(paths["shares"], paths["shifts"], paths["units"])
+            load_inputs(paths["shares"], paths["shifts"], paths["units"])
 
     def test_nan_shift_rejected(self, tmp_path):
         paths = write_toy(tmp_path, shifts="shift_id,value\ns1,nan\ns2,2.0\n")
         with pytest.raises(ValidationError, match="non-finite"):
-            load_csv(paths["shares"], paths["shifts"], paths["units"])
+            load_inputs(paths["shares"], paths["shifts"], paths["units"])
 
     def test_unknown_ids_reported(self, tmp_path):
         paths = write_toy(tmp_path, shares=TOY_SHARES + "zz,s1,0.1\n")
         with pytest.raises(ValidationError, match="zz"):
-            load_csv(paths["shares"], paths["shifts"], paths["units"])
+            load_inputs(paths["shares"], paths["shifts"], paths["units"])
 
     def test_extra_columns_kept(self, tmp_path):
         units = TOY_UNITS.replace("pi_1\n", "pi_1,region\n").replace(
             ",0.1\n", ",0.1,north\n").replace(",0.2\n", ",0.2,south\n").replace(
             ",0.3\n", ",0.3,north\n")
         paths = write_toy(tmp_path, units=units)
-        _, _, dataset = load_csv(paths["shares"], paths["shifts"], paths["units"])
+        _, _, dataset = load_inputs(paths["shares"], paths["shifts"], paths["units"])
         assert dataset.extra_column("region").tolist() == ["north", "south", "north"]
 
     @pytest.mark.parametrize("units, row", [
@@ -108,7 +110,7 @@ class TestLoading:
     def test_ragged_csv_row_names_file_and_data_row(self, tmp_path, units, row):
         paths = write_toy(tmp_path, units=units)
         with pytest.raises(SchemaError, match=rf"units\.csv: data row {row} does not have"):
-            load_csv(paths["shares"], paths["shifts"], paths["units"])
+            load_inputs(paths["shares"], paths["shifts"], paths["units"])
 
 
 # Labels that a CSV writer must quote or a reader could mangle: separators,
@@ -118,7 +120,7 @@ LABELS = st.sampled_from(
     ["", " ", "a,b", '"q"', "#x", " lead", "trail ", "a\nb", "a\r\nb", "é ü", "1.5", "nan"]
 ) | st.text(alphabet=',"# \r\nab\xe9.1', max_size=5)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [5e-324, -2.5e-310, 1e308, -1e308]
+    [5e-324, -2.5e-310, 1e308, -1e308, -0.0]
 )
 
 
@@ -135,9 +137,6 @@ def input_sets(draw):
 
     unit_ids, shift_ids = tuple(labels(n, unique=True)), tuple(labels(m, unique=True))
     weights = floats((n, m), st.sampled_from([0.0, 5e-324, 1e-310]) | st.floats(0.0, 1.0 / m))
-    # a share file needs a data row, so one share is nonzero
-    weights[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = draw(
-        st.floats(5e-324, 1.0 / m))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ShiftShareWarning)  # all-zero share rows
         shares = ShareMatrix(weights, unit_ids, shift_ids)
@@ -211,6 +210,19 @@ class TestRoundTrip:
         assert shifts2.extras["note"].tolist() == shifts.extras["note"].tolist()
         assert dataset2.extras["region"].tolist() == dataset.extras["region"].tolist()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_all_zero_shares_round_trip(self, tmp_path, fmt):
+        with pytest.warns(ShiftShareWarning, match="all-zero"):
+            shares = ShareMatrix(np.zeros((1, 1)), ("a",), ("s1",))
+        shifts = ShiftTable(np.array([1.0]), ("s1",))
+        dataset = Dataset(outcome=np.array([2.0]), unit_ids=("a",))
+        paths = save_inputs(tmp_path, shares, shifts, dataset, fmt=fmt)
+        assert paths["shares"].read_bytes() == {"csv": b"unit_id,shift_id,weight\r\n",
+                                                "json": b"[]"}[fmt]
+        with pytest.warns(ShiftShareWarning, match="all-zero"):
+            shares2, _, _ = load_inputs(paths["shares"], paths["shifts"], paths["units"], fmt=fmt)
+        assert shares2.weights.tolist() == [[0.0]] and shares2.row_ids == ("a",)
+
     def test_share_rows_skip_explicit_zeros_in_row_major_order(self, tmp_path):
         w = np.array([[0.0, 0.25, 0.0], [0.5, 0.0, 0.125], [0.0, 0.0, 0.0], [0.1, 0.2, 0.3]])
         with pytest.warns(ShiftShareWarning, match="all-zero"):
@@ -229,6 +241,47 @@ class TestRoundTrip:
         )
 
 
+def _fmt(value) -> str:
+    return repr(float(value))
+
+
+def write_rows(path, fmt, columns):
+    """Reference for ``_write_columns``: one row at a time, floats through ``_fmt``."""
+    cells = [[_fmt(v) if isinstance(v, float) else v for v in col] for col in columns.values()]
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(columns))
+            writer.writerows(zip(*cells))
+    else:
+        with open(path, "w") as fh:
+            json.dump([{k: str(v) for k, v in zip(columns, row)} for row in zip(*cells)], fh,
+                      indent=1)
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(0, 5))
+    names = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    kinds = {
+        "label": st.lists(LABELS, min_size=rows, max_size=rows),
+        "float": st.lists(FLOATS, min_size=rows, max_size=rows).map(np.array),
+        "int": st.lists(st.integers(-10**20, 10**20), min_size=rows, max_size=rows),
+    }
+    return {name: draw(st.one_of(*kinds.values())) for name in names}
+
+
+class TestColumnWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(columns=tables())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_a_row_by_row_writer(self, fmt, columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_columns(Path(tmp, "columns"), fmt, columns)
+            write_rows(Path(tmp, "rows"), fmt, columns)
+            assert Path(tmp, "columns").read_bytes() == Path(tmp, "rows").read_bytes()
+
+
 class TestValidation:
     def test_zero_row_warns_but_passes(self):
         with pytest.warns(ShiftShareWarning, match="all-zero"):
@@ -243,6 +296,11 @@ class TestValidation:
     def test_weights_normalized(self):
         ds = Dataset(outcome=np.zeros(4), unit_ids=tuple("abcd"), unit_weights=[2, 2, 2, 2])
         assert abs(ds.unit_weights.sum() - 1.0) < 1e-12
+
+    def test_weights_whose_sum_overflows_rejected(self):
+        # the sum is inf, and dividing by it would store all-zero weights
+        with pytest.raises(ValidationError, match="finite sum"):
+            Dataset(outcome=[1.0, 2.0], unit_ids=("a", "b"), unit_weights=[1e308, 1e308])
 
     def test_label_coverage(self):
         with pytest.raises(ValidationError, match="cluster"):
