@@ -12,7 +12,6 @@ failure, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime
 import hashlib
@@ -98,17 +97,14 @@ def _flatten(payload, prefix=""):
     elif isinstance(payload, (list, tuple)):
         rows.append((prefix.rstrip("."), json.dumps(payload)))
     else:
-        rows.append((prefix.rstrip("."), payload))
+        rows.append((prefix.rstrip("."), "" if payload is None else payload))
     return rows
 
 
 def _write_csv_mirror(path: Path, payload: dict) -> None:
-    # lossy flat mirror of the JSON report
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for key, value in _flatten(payload):
-            writer.writerow([key, value])
+    # lossy flat mirror of the JSON report; null is an empty cell
+    rows = _flatten(payload)
+    _write_columns(path, "csv", {"metric": [k for k, _ in rows], "value": [v for _, v in rows]})
 
 
 def _terms(text: str | None) -> tuple[str, ...]:

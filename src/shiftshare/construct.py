@@ -21,6 +21,8 @@ from .errors import EstimationError, NumericalError, ShiftShareWarning, Validati
 COMPLEMENT_ID = "__complement__"
 REAL_SHIFT_COVARIATE = "p_real"
 DEFAULT_REPLACE_THRESHOLD = 0.03
+DEMEAN_TOL = 1e-10  # largest group-mean move, relative to the data, at convergence
+DEMEAN_MAX_ITER = 10000  # alternating-demeaning sweeps before giving up
 
 
 def build_exposure(shares: ShareMatrix, shifts: ShiftTable | np.ndarray) -> np.ndarray:
@@ -50,10 +52,6 @@ class DecompositionResult:
     interaction: np.ndarray
     observed: np.ndarray
     reference_shifts: np.ndarray
-
-    @property
-    def components(self) -> tuple[np.ndarray, ...]:
-        return (self.expected, self.shock, self.share_change, self.interaction)
 
     def total(self) -> np.ndarray:
         return self.expected + self.shock + self.share_change + self.interaction
@@ -130,6 +128,9 @@ def complete_shares(shares: ShareMatrix, shifts: ShiftTable | None = None) -> Co
     if shifts is not None:
         if shifts.n_shifts != shares.n_shifts:
             raise ValidationError("shift table does not match the share matrix")
+        if REAL_SHIFT_COVARIATE in shifts.covariate_names:
+            raise ValidationError(f"shift covariate name {REAL_SHIFT_COVARIATE!r} is reserved "
+                                  "for the indicator that share completion adds")
         m = shifts.n_shifts
         indicator = np.concatenate([np.ones(m), [0.0]])
         if shifts.covariates is not None:
@@ -212,7 +213,6 @@ class ShiftResiduals:
     eta_hat: np.ndarray
     fitted: np.ndarray
     spec: tuple[str, ...]
-    weights_used: np.ndarray
     sse_ratio: float
 
     @property
@@ -226,7 +226,7 @@ def _label_terms(shifts: ShiftTable) -> set[str]:
 
 
 def _weighted_group_demean(
-    columns: np.ndarray, weights: np.ndarray, codes_list: list[np.ndarray], tol: float, max_iter: int
+    columns: np.ndarray, weights: np.ndarray, codes_list: list[np.ndarray]
 ) -> np.ndarray:
     """Alternating weighted demeaning over each fixed-effect dimension.
 
@@ -246,7 +246,7 @@ def _weighted_group_demean(
             [np.bincount(codes, weights=weights * col) for col in out.T]
         ).T / group_weights[0][:, None]
         return out - means[codes]
-    for _ in range(max_iter):
+    for _ in range(DEMEAN_MAX_ITER):
         biggest = 0.0
         for codes, gw in zip(codes_list, group_weights):
             means = np.vstack(
@@ -255,10 +255,10 @@ def _weighted_group_demean(
             out -= means[codes]
             if means.size:
                 biggest = max(biggest, float(np.max(np.abs(means))))
-        if biggest <= tol * scale:
+        if biggest <= DEMEAN_TOL * scale:
             return out
     raise NumericalError(
-        f"alternating demeaning did not converge within {max_iter} iterations"
+        f"alternating demeaning did not converge within {DEMEAN_MAX_ITER} iterations"
     )
 
 
@@ -267,8 +267,6 @@ def residualize_shifts(
     spec: Sequence[str],
     shift_weights: np.ndarray,
     intercept: bool = True,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
 ) -> ShiftResiduals:
     """Residualize shift values on fixed effects and covariates by weighted least squares.
 
@@ -306,7 +304,7 @@ def residualize_shifts(
     absorbs_constant = bool(fe_codes) or intercept
     if fe_codes:
         stacked = np.column_stack([d] + cov_cols) if cov_cols else d[:, None]
-        demeaned = _weighted_group_demean(stacked, w, fe_codes, tol, max_iter)
+        demeaned = _weighted_group_demean(stacked, w, fe_codes)
         d_dm = demeaned[:, 0]
         if cov_cols:
             x_dm = demeaned[:, 1:]
@@ -353,7 +351,6 @@ def residualize_shifts(
         eta_hat=eta,
         fitted=fitted,
         spec=tuple(spec),
-        weights_used=w,
         sse_ratio=sse_ratio,
     )
 

@@ -41,6 +41,7 @@ import numpy as np
 from .errors import SchemaError, ShiftShareWarning, ValidationError
 
 ROW_SUM_TOL = 1e-9
+COMPLETE_TOL = 1e-8  # a row summing to 1 within this is complete
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -63,6 +64,19 @@ def _columns(values, rows: int, message: str) -> np.ndarray:
     if out.ndim != 2 or out.shape[0] != rows:
         raise ValidationError(message)
     return out
+
+
+def _check_names(table: str, reserved: tuple[str, ...], names: Sequence[str]) -> None:
+    """Reject an auxiliary column name that repeats or that names one of the table's own
+    columns: ``save_inputs`` writes one column per name, so the later would replace the
+    earlier."""
+    seen = set()
+    for name in names:
+        if name in reserved:
+            raise ValidationError(f"{table} column name {name!r} is reserved")
+        if name in seen:
+            raise ValidationError(f"{table} column name {name!r} is used twice")
+        seen.add(name)
 
 
 def _frozen_labels(values) -> np.ndarray:
@@ -134,9 +148,9 @@ class ShareMatrix:
     def row_sums(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
-    def is_complete(self, tol: float = 1e-9) -> bool:
-        """True when every row sums to 1 within ``tol``."""
-        return bool(np.all(np.abs(self.row_sums() - 1.0) <= tol))
+    def is_complete(self) -> bool:
+        """True when every row sums to 1 within ``COMPLETE_TOL``."""
+        return bool(np.all(np.abs(self.row_sums() - 1.0) <= COMPLETE_TOL))
 
 
 @dataclass(frozen=True)
@@ -185,6 +199,8 @@ class ShiftTable:
                 raise ValidationError("covariate names do not match covariate columns")
         extras = {k: _frozen_labels(col) for k, col in dict(self.extras).items()}
         object.__setattr__(self, "extras", MappingProxyType(extras))
+        _check_names("shift", ("shift_id", "value", "cluster", "period", "exchange_group"),
+                     (*self.covariate_names, *extras))
 
     @property
     def n_shifts(self) -> int:
@@ -272,6 +288,7 @@ class Dataset:
                 raise ValidationError(f"extra column {k!r} must have one value per unit")
             extras[k] = _frozen_labels(col)
         object.__setattr__(self, "extras", MappingProxyType(extras))
+        _check_names("unit", ("unit_id", "y", "x", "w_e"), (*self.control_names, *extras))
 
     @property
     def n_units(self) -> int:
@@ -299,14 +316,6 @@ class PanelIndex:
         )
         if len(set(self.unit_period_map)) != len(self.unit_period_map):
             raise ValidationError("duplicate (unit, period) observation rows")
-
-    @property
-    def periods(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for _, t in self.shift_period_map:
-            if t not in seen:
-                seen.append(t)
-        return tuple(seen)
 
 
 # ---------------------------------------------------------------------------

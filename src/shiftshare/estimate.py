@@ -44,6 +44,7 @@ from .data import Dataset, ShareMatrix, ShiftTable, _columns, _label_codes
 from .errors import EstimationError, ShiftShareWarning, ValidationError
 
 WEAK_FIRST_STAGE_TOL = 1e-12
+ROTEMBERG_TOP = 10  # shifts listed in the Rotemberg report, by largest |alpha|
 DOMINANT_SHARE_RATIO = 0.10
 DOMINANT_SHARE_SQ_RATIO = 0.25
 
@@ -68,12 +69,6 @@ class EstimateReport:
     m_shifts: int | None = None
     n_clusters: int | None = None
 
-    def t_stat(self, variant: str) -> float:
-        se = self.se_variants[variant]
-        if se == 0.0:
-            return float("inf") if self.beta_hat != 0 else 0.0
-        return self.beta_hat / se
-
     def to_dict(self) -> dict:
         return {
             "beta_hat": self.beta_hat,
@@ -86,17 +81,15 @@ class EstimateReport:
         }
 
 
-def _resolve_labels(source, labels) -> np.ndarray | None:
+def _resolve_labels(dataset: Dataset | None, labels) -> np.ndarray | None:
     if labels is None:
         return None
     if isinstance(labels, str):
-        if isinstance(source, Dataset):
-            return source.extra_column(labels)
-        if isinstance(source, ShiftTable):
-            return source.label_column(labels)
-        raise ValidationError(
-            f"cluster column name {labels!r} cannot be resolved here; pass a label array"
-        )
+        if dataset is None:
+            raise ValidationError(
+                f"cluster column name {labels!r} cannot be resolved here; pass a label array"
+            )
+        return dataset.extra_column(labels)
     return np.asarray(labels, dtype=object).astype(str)
 
 
@@ -137,6 +130,16 @@ def _sandwich_se(
     cov = bread @ meat @ bread.T * correction
     var = cov[0, 0]
     return float(np.sqrt(max(var, 0.0)))
+
+
+def _conventional_f(instruments: np.ndarray, x: np.ndarray, weights: np.ndarray,
+                    names: tuple[str, ...], codes: np.ndarray, correction: float) -> float:
+    """Conventional first-stage F: the squared robust t of the first instrument
+    column in the weighted regression of ``x`` on all instrument columns."""
+    fs_coef = wls_coefficients(instruments, x, weights, names)
+    fs_resid = x - instruments @ fs_coef
+    fs_se = _sandwich_se(instruments, instruments, weights, fs_resid, codes, correction)
+    return float((fs_coef[0] / fs_se) ** 2) if fs_se > 0 else float("inf")
 
 
 def _unit_design(dataset: Dataset) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -203,13 +206,7 @@ def shiftshare_2sls(
     k = regressors.shape[1]
     correction = (g / (g - 1)) * ((n - 1) / (n - k)) if g > 1 and n > k else 1.0
     se = _sandwich_se(regressors, instruments, e, resid, codes, correction)
-
-    # conventional first-stage F: squared t of the instrument in the first stage
-    fs_design = np.column_stack([z, controls])
-    fs_coef = wls_coefficients(fs_design, x, e, ("z",) + control_names)
-    fs_resid = x - fs_design @ fs_coef
-    fs_se = _sandwich_se(fs_design, fs_design, e, fs_resid, codes, correction)
-    fs_f = float((fs_coef[0] / fs_se) ** 2) if fs_se > 0 else float("inf")
+    fs_f = _conventional_f(instruments, x, e, ("z",) + control_names, codes, correction)
 
     return EstimateReport(
         beta_hat=float(theta[0]),
@@ -300,7 +297,6 @@ def rotemberg(
     dataset: Dataset,
     shares: ShareMatrix,
     shifts: ShiftTable,
-    top_k: int = 10,
 ) -> RotembergTable:
     """Decompose the shift-share estimate over the per-share instruments.
 
@@ -324,7 +320,7 @@ def rotemberg(
     abs_alpha = np.abs(alpha)
     total = abs_alpha.sum()
     negative = float(abs_alpha[alpha < 0].sum() / total) if total > 0 else 0.0
-    order = np.argsort(-abs_alpha)[: max(top_k, 0)]
+    order = np.argsort(-abs_alpha)[:ROTEMBERG_TOP]
     top = [
         {
             "shift_id": shifts.shift_ids[j],
@@ -367,21 +363,16 @@ class InvertedDataset:
     """Shift-level aggregates of the unit data, one observation per shift.
 
     Aggregation weights are ``e_i w_ij / w_j``; each observation carries the
-    aggregate share ``w_j = sum_i e_i w_ij`` as its regression weight. With
-    ``partialled`` set, the outcome/regressor aggregates were built from
-    unit-level variables residualized on the unit controls, which is what
-    makes the shift-level point estimate reproduce the unit-level one.
+    aggregate share ``w_j = sum_i e_i w_ij`` as its regression weight.
     """
 
     ybar: np.ndarray
     xbar: np.ndarray
-    control_bar: np.ndarray
     weight: np.ndarray
     instrument: np.ndarray
     shift_values: np.ndarray
     shift_ids: tuple[str, ...]
     cluster: np.ndarray | None
-    partialled: bool
     kept: np.ndarray
     n_units: int
 
@@ -404,13 +395,15 @@ def invert(
     ``residuals`` is given. Shares should be completed first (or the
     sum-of-shares control included in the dataset controls and
     ``incomplete_ok`` set). Shifts with zero aggregate weight are dropped
-    with a warning.
+    with a warning. ``partial_controls`` residualizes the outcome and regressor
+    on the unit controls first, so the shift-level point estimate reproduces the
+    unit-level one.
     """
     if shares.n_units != dataset.n_units:
         raise ValidationError("share matrix and dataset have different unit counts")
     if shares.n_shifts != shifts.n_shifts:
         raise ValidationError("share matrix and shift table have different shift counts")
-    if not incomplete_ok and not shares.is_complete(tol=1e-8):
+    if not incomplete_ok and not shares.is_complete():
         raise ValidationError(
             "shares are incomplete; run complete_shares first or include the "
             "sum-of-shares control and pass incomplete_ok=True"
@@ -434,19 +427,15 @@ def invert(
     y_sum, x_sum = _moment_vectors(dataset, shares, shifts, partial=partial_controls)
     ybar = y_sum[kept] / w
     xbar = x_sum[kept] / w
-    controls = _unit_design(dataset)[0]
-    control_bar = (shares.weights.T @ (controls * e[:, None]))[kept] / w[:, None]
     cluster = shifts.cluster[kept] if shifts.cluster is not None else None
     return InvertedDataset(
         ybar=ybar,
         xbar=xbar,
-        control_bar=control_bar,
         weight=w,
         instrument=instrument[kept],
         shift_values=shifts.values[kept],
         shift_ids=tuple(np.array(shifts.shift_ids, dtype=object)[kept]),
         cluster=cluster,
-        partialled=partial_controls,
         kept=kept,
         n_units=dataset.n_units,
     )
@@ -537,10 +526,7 @@ def estimate_inverted(
             regressors, instruments, w, resid, codes, 1.0
         )
 
-    fs_coef = wls_coefficients(instruments, inverted.xbar, w, names)
-    fs_resid = inverted.xbar - instruments @ fs_coef
-    fs_se = _sandwich_se(instruments, instruments, w, fs_resid, np.arange(m), 1.0)
-    conventional_f = float((fs_coef[0] / fs_se) ** 2) if fs_se > 0 else float("inf")
+    conventional_f = _conventional_f(instruments, inverted.xbar, w, names, np.arange(m), 1.0)
     try:
         eff_f = effective_f(x_perp, inst_perp, w, shift_values=inverted.shift_values)
     except EstimationError:
@@ -755,7 +741,7 @@ def estimate_shift_framework(
         raise ValidationError(f"unknown SE menu {se!r}; choose one of {SE_MENUS}")
     spec = tuple(t for t in residualize if t != REAL_SHIFT_COVARIATE)
     blocks = [] if dataset.controls is None else [dataset.controls]
-    if not shares.is_complete(tol=1e-8):
+    if not shares.is_complete():
         completed = complete_shares(shares, shifts)
         shares, shifts = completed.shares, completed.shifts
         blocks.append(completed.sum_of_shares[:, None])

@@ -11,14 +11,17 @@ graph with binary seeding shifts.
 Randomness is organized as counter-based streams keyed by
 ``(seed, replication, role)``; adding estimators or reordering roles never
 perturbs the draws, and every estimator inside a replication sees the same
-data.
+data. A coverage estimator is a fit of one design and the SE key it reads
+from that fit's report, as a registry name or a custom ``(name, fit, se_key)``
+triple; each design is fitted once per replication, so the two exposure
+estimators share one shift-level regression.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +29,7 @@ import numpy as np
 from .construct import residualize_shifts, shift_weights_from
 from .data import Dataset, ShareMatrix, ShiftTable
 from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
-from .estimate import estimate_inverted, invert, shiftshare_2sls
+from .estimate import EstimateReport, estimate_inverted, invert, shiftshare_2sls
 
 SHARE_MODELS = ("dirichlet", "sparse-block", "network-inverse-degree")
 SHIFT_MODELS = ("iid-normal", "clustered", "exchangeable-groups", "bernoulli")
@@ -85,10 +88,11 @@ class DgpConfig:
             raise ValidationError("first-stage endogeneity must be a correlation in [-1, 1]")
         if self.share_model == "network-inverse-degree" and self.n != self.m:
             raise ValidationError("network shares need m == n (shifts are seeded nodes)")
-        for name in ("shift_sd", "error_sd", "pi_sd", "first_stage_noise_sd",
-                     "dirichlet_concentration"):
+        for name in ("shift_sd", "error_sd", "pi_sd", "first_stage_noise_sd"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
+        if not self.dirichlet_concentration > 0:  # zero would draw all-zero share rows
+            raise ValidationError("dirichlet_concentration must be positive")
 
 
 @dataclass(frozen=True)
@@ -131,12 +135,6 @@ def _draw_shares(config: DgpConfig, rng: np.random.Generator) -> np.ndarray:
                 w[np.ix_(rows, cols)] = rng.dirichlet(
                     np.full(cols.size, config.dirichlet_concentration), size=rows.size
                 )
-        # re-draw units that landed in an empty block (cannot happen with
-        # nonempty blocks, kept for safety)
-        empty = w.sum(axis=1) == 0
-        if empty.any():
-            w[empty] = rng.dirichlet(np.full(m, config.dirichlet_concentration),
-                                     size=int(empty.sum()))
         return w
     # network-inverse-degree on a ring: neighbors within `network_neighbors`
     k = max(1, int(config.network_neighbors))
@@ -236,40 +234,36 @@ def generate(config: DgpConfig, _path: tuple[int, ...] = ()) -> SimulatedData:
 # ---------------------------------------------------------------------------
 # coverage experiments
 
-Estimator = Callable[[SimulatedData], tuple[float, float]]
+Fit = Callable[[SimulatedData], EstimateReport]
 
 
-def _conventional_hc(data: SimulatedData) -> tuple[float, float]:
-    rep = shiftshare_2sls(data.dataset, data.instrument)
-    return rep.beta_hat, rep.se_variants["conventional_hc"]
+def _unit_fit(data: SimulatedData) -> EstimateReport:
+    return shiftshare_2sls(data.dataset, data.instrument)
 
 
-def _conventional_cluster(data: SimulatedData) -> tuple[float, float]:
+def _unit_cluster_fit(data: SimulatedData) -> EstimateReport:
     # arbitrary geography-style unit clusters that ignore the share structure
     n = data.dataset.n_units
     groups = max(2, n // 10)
     labels = [f"c{i % groups}" for i in range(n)]
-    rep = shiftshare_2sls(data.dataset, data.instrument, cluster=labels)
-    return rep.beta_hat, rep.se_variants["conventional_cluster"]
+    return shiftshare_2sls(data.dataset, data.instrument, cluster=labels)
 
 
-def _exposure_robust(data: SimulatedData, clustered: bool) -> tuple[float, float]:
+def _shift_fit(data: SimulatedData) -> EstimateReport:
     w_j = shift_weights_from(data.dataset, data.shares)
     res = residualize_shifts(data.shifts, (), w_j, intercept=True)
-    inv = invert(data.dataset, data.shares, data.shifts, residuals=res)
-    rep = estimate_inverted(inv)
-    if clustered and "cluster_exposure_robust" in rep.se_variants:
-        return rep.beta_hat, rep.se_variants["cluster_exposure_robust"]
+    rep = estimate_inverted(invert(data.dataset, data.shares, data.shifts, residuals=res))
     # without shift cluster labels every shift is its own cluster, which is
     # exactly the heteroskedasticity-robust variant
-    return rep.beta_hat, rep.se_variants["hc_exposure_robust"]
+    rep.se_variants.setdefault("cluster_exposure_robust", rep.se_variants["hc_exposure_robust"])
+    return rep
 
 
-ESTIMATORS: dict[str, Estimator] = {
-    "conventional-hc": _conventional_hc,
-    "conventional-cluster": _conventional_cluster,
-    "exposure-robust": lambda data: _exposure_robust(data, clustered=False),
-    "exposure-cluster": lambda data: _exposure_robust(data, clustered=True),
+ESTIMATORS: dict[str, tuple[Fit, str]] = {
+    "conventional-hc": (_unit_fit, "conventional_hc"),
+    "conventional-cluster": (_unit_cluster_fit, "conventional_cluster"),
+    "exposure-robust": (_shift_fit, "hc_exposure_robust"),
+    "exposure-cluster": (_shift_fit, "cluster_exposure_robust"),
 }
 
 
@@ -301,16 +295,17 @@ class CoverageResult:
 
 def run_coverage(
     config: DgpConfig,
-    estimators: Sequence[str | tuple[str, Estimator]],
+    estimators: Sequence[str | tuple[str, Fit, str]],
     replications: int,
     seed: int = 0,
     critical: float = 1.959963984540054,
 ) -> list[CoverageResult]:
     """Coverage and size of nominal 95% intervals across replications.
 
-    Every estimator sees the identical draw within a replication;
-    replication streams are keyed by ``(seed, replication)``. Estimator
-    failures are caught, counted, and excluded from the summary.
+    Every estimator sees the identical draw within a replication, and each
+    distinct fit runs once on it; replication streams are keyed by ``(seed,
+    replication)``. A failed fit is caught, counted against every estimator
+    that reads it, and excluded from the summary.
     """
     if replications < 100:
         warnings.warn(
@@ -318,38 +313,43 @@ def run_coverage(
             ShiftShareWarning,
             stacklevel=2,
         )
-    resolved: list[tuple[str, Estimator]] = []
+    resolved: list[tuple[str, Fit, str]] = []
     for item in estimators:
         if isinstance(item, str):
             if item not in ESTIMATORS:
                 raise ValidationError(
                     f"unknown estimator {item!r}; available: {sorted(ESTIMATORS)}"
                 )
-            resolved.append((item, ESTIMATORS[item]))
+            resolved.append((item, *ESTIMATORS[item]))
         else:
-            name, fn = item
-            resolved.append((str(name), fn))
+            name, fit, se_key = item
+            resolved.append((str(name), fit, se_key))
 
-    betas = {name: [] for name, _ in resolved}
-    ses = {name: [] for name, _ in resolved}
-    failed = {name: 0 for name, _ in resolved}
+    betas = {name: [] for name, _, _ in resolved}
+    ses = {name: [] for name, _, _ in resolved}
+    failed = {name: 0 for name, _, _ in resolved}
     base = dc_replace(config, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ShiftShareWarning)
         for rep in range(replications):
             data = generate(base, _path=(rep,))
-            for name, fn in resolved:
-                try:
-                    b, s = fn(data)
-                except (EstimationError, NumericalError, ValidationError,
-                        np.linalg.LinAlgError):
+            reports: dict[Fit, EstimateReport | None] = {}
+            for name, fit, se_key in resolved:
+                if fit not in reports:
+                    try:
+                        reports[fit] = fit(data)
+                    except (EstimationError, NumericalError, ValidationError,
+                            np.linalg.LinAlgError):
+                        reports[fit] = None
+                report = reports[fit]
+                if report is None:
                     failed[name] += 1
                     continue
-                betas[name].append(b)
-                ses[name].append(s)
+                betas[name].append(report.beta_hat)
+                ses[name].append(report.se_variants[se_key])
 
     results = []
-    for name, _ in resolved:
+    for name, _, _ in resolved:
         b = np.asarray(betas[name])
         s = np.asarray(ses[name])
         if b.size == 0:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, reproducibility."""
 
+import csv
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import shiftshare
+from shiftshare import cli
 from shiftshare.cli import main
 
 SHARES = """unit_id,shift_id,weight
@@ -249,6 +251,62 @@ class TestSimulateCommand:
         assert code == 1
 
 
+def write_reference_mirror(path, payload):
+    """The report's CSV mirror written row by row with ``csv.writer``: nested keys joined by
+    dots in sorted order, lists as JSON text, and ``None`` left to ``csv.writer``."""
+    def flatten(value, key):
+        if isinstance(value, dict):
+            for k in sorted(value):
+                yield from flatten(value[k], f"{key}.{k}" if key else k)
+        elif isinstance(value, (list, tuple)):
+            yield key, json.dumps(value)
+        else:
+            yield key, value
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["metric", "value"])
+        writer.writerows(flatten(payload, ""))
+
+
+class TestCsvMirror:
+    def test_bytes_equal_a_row_by_row_writer(self, tmp_path):
+        payload = {
+            "schema_version": 1, "flag": True, "off": False, "missing": None,
+            "estimate": {"beta_hat": 0.1 + 0.2, "n": -8, "zero": -0.0,
+                         "se": {"hc": float("nan"), "big": float("inf"), "tiny": 5e-324}},
+            "top": [{"shift_id": "s0", "beta_j": None}, 2.5, "x"],
+            "pair": (1, float("nan")),
+            "note": 'a, "quoted" text', "empty": "", "lines": "one\ntwo",
+        }
+        cli._write_csv_mirror(tmp_path / "mirror.csv", payload)
+        write_reference_mirror(tmp_path / "reference.csv", payload)
+        mirror = (tmp_path / "mirror.csv").read_bytes()
+        assert mirror == (tmp_path / "reference.csv").read_bytes()
+        assert b"\r\nmissing,\r\n" in mirror and b"\r\nempty,\r\n" in mirror
+
+    @pytest.mark.parametrize("command, report", [
+        (["estimate", "--framework", "shift", "--cluster-shift", "cluster", "--rotemberg",
+          "--report", "csv"], "estimate"),
+        (["estimate", "--framework", "share", "--report", "csv"], "estimate"),
+        (["diagnose", "--concentration", "--cluster", "cluster", "--balance", "placebo",
+          "--icc", "cluster", "--residualize", "p_1", "--tables"], "diagnose"),
+    ])
+    def test_report_mirror_bytes_equal_a_row_by_row_writer(self, command, report, inputs,
+                                                           tmp_path, monkeypatch):
+        # the payload as the command holds it: the JSON file sorts the keys of the
+        # Rotemberg rows, which the mirror writes in their own order
+        payloads = []
+        write_json = cli._write_json
+        monkeypatch.setattr(cli, "_write_json",
+                            lambda path, payload: (payloads.append(payload),
+                                                   write_json(path, payload)))
+        out = tmp_path / "run"
+        assert main(["--quiet", *command, *io_args(inputs, out)]) == 0
+        write_reference_mirror(tmp_path / "reference.csv", payloads[0])
+        assert (out / f"{report}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -437,11 +495,15 @@ def _json_inputs_with_a_short_row(inputs, tmp_path):
 @pytest.mark.parametrize("case", ["json_row_missing_key", "negative_draws", "zero_draws",
                                   "missing_config", "non_numeric_config",
                                   "non_integer_lag", "nan_beta0", "csv_short_row",
-                                  "csv_long_row", "duplicate_share_pair"])
+                                  "csv_long_row", "duplicate_share_pair",
+                                  "zero_dirichlet_concentration"])
 def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")]
     config = tmp_path / "dgp.cfg"
     config.write_text("n = abc\n")
+    # zero concentration would draw all-zero shares, so every replication would fail
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("n = 20\nm = 8\ndirichlet_concentration = 0\n")
     # a period column, so that --autocorr gets as far as parsing its lags
     lines = SHIFTS.strip().splitlines()
     inputs["shifts"].write_text("\n".join([lines[0] + ",period"] + [
@@ -464,6 +526,8 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         "csv_short_row": ["estimate", *io_args(inputs, tmp_path / "out")],
         "csv_long_row": ["estimate", *io_args(inputs, tmp_path / "out")],
         "duplicate_share_pair": ["estimate", *io_args(inputs, tmp_path / "out")],
+        "zero_dirichlet_concentration": ["simulate", "--config", str(zero), "--reps", "5",
+                                         *out],
     }[case]
     assert main(["--quiet", *argv]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -475,6 +539,9 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         assert f"{inputs['units']}: data row 3 " in err[0]
     if case == "duplicate_share_pair":
         assert f"{inputs['shares']}:" in err[0] and "('u0', 's0')" in err[0]
+    if case == "zero_dirichlet_concentration":
+        assert "dirichlet_concentration" in err[0]
+        assert not (tmp_path / "out" / "coverage.csv").exists()
 
 
 def test_cli_import_does_not_load_scipy_stats():

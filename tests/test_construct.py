@@ -130,6 +130,10 @@ class TestCompleteShares:
         assert st.covariate_names[-1] == "p_real"
         assert st.covariates[:, -1].tolist() == [1.0, 1.0, 1.0, 0.0]
         assert st.covariates[-1, 0] == 0.0
+        # a second p_real column would be saved over the first
+        with pytest.raises(ValidationError, match="'p_real' is reserved"):
+            complete_shares(shares, table(np.zeros(3), covariates=np.ones(3),
+                                          covariate_names=("p_real",)))
 
     def test_extra_label_columns_kept(self, rng):
         shares = random_share_matrix(rng, 5, 3)

@@ -302,6 +302,31 @@ class TestValidation:
         with pytest.raises(ValidationError, match="finite sum"):
             Dataset(outcome=[1.0, 2.0], unit_ids=("a", "b"), unit_weights=[1e308, 1e308])
 
+    def test_column_names_that_save_inputs_would_overwrite_rejected(self):
+        # saved, a control named x replaced the regressor and an extra named value
+        # replaced the shift values; every repeated name is rejected when built
+        with pytest.raises(ValidationError, match="'x'"):
+            Dataset(outcome=[1.0, 2.0], unit_ids=("a", "b"), regressor=[3.0, 4.0],
+                    controls=[[5.0], [6.0]], control_names=("x",))
+        with pytest.raises(ValidationError, match="'value'"):
+            ShiftTable([1.0, 2.0], ("s1", "s2"), extras={"value": ["a", "b"]})
+        unit = {"outcome": [1.0, 2.0], "unit_ids": ("a", "b")}
+        for name in ("unit_id", "y", "x", "w_e"):
+            with pytest.raises(ValidationError, match=f"'{name}'"):
+                Dataset(**unit, extras={name: ["p", "q"]})
+        with pytest.raises(ValidationError, match="'pi_1'"):
+            Dataset(**unit, controls=[[5.0], [6.0]], extras={"pi_1": ["p", "q"]})
+        with pytest.raises(ValidationError, match="'c'"):
+            Dataset(**unit, controls=np.zeros((2, 2)), control_names=("c", "c"))
+        shift = {"values": [1.0, 2.0], "shift_ids": ("s1", "s2")}
+        for name in ("shift_id", "value", "cluster", "period", "exchange_group"):
+            with pytest.raises(ValidationError, match=f"'{name}'"):
+                ShiftTable(**shift, covariates=[0.0, 1.0], covariate_names=(name,))
+        with pytest.raises(ValidationError, match="'p_1'"):
+            ShiftTable(**shift, covariates=[0.0, 1.0], extras={"p_1": ["a", "b"]})
+        with pytest.raises(ValidationError, match="'k'"):
+            ShiftTable(**shift, covariates=np.zeros((2, 2)), covariate_names=("k", "k"))
+
     def test_label_coverage(self):
         with pytest.raises(ValidationError, match="cluster"):
             ShiftTable(np.array([1.0, 2.0]), ("s1", "s2"), cluster=["only-one"])

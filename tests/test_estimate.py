@@ -348,9 +348,9 @@ class TestEstimateInverted:
         from shiftshare.estimate import InvertedDataset
 
         inv = InvertedDataset(
-            ybar=ybar, xbar=xbar, control_bar=np.ones((m, 1)), weight=w,
+            ybar=ybar, xbar=xbar, weight=w,
             instrument=d, shift_values=d, shift_ids=shift_ids(m), cluster=None,
-            partialled=True, kept=np.ones(m, dtype=bool), n_units=m,
+            kept=np.ones(m, dtype=bool), n_units=m,
         )
         rep = estimate_inverted(inv)
         d_c = d - np.sum(w * d)
@@ -404,10 +404,10 @@ class TestEstimateInverted:
         from shiftshare.estimate import InvertedDataset
 
         inv = InvertedDataset(
-            ybar=np.array([1.0]), xbar=np.array([1.0]), control_bar=np.ones((1, 1)),
+            ybar=np.array([1.0]), xbar=np.array([1.0]),
             weight=np.array([1.0]), instrument=np.array([1.0]),
             shift_values=np.array([1.0]), shift_ids=shift_ids(1), cluster=None,
-            partialled=True, kept=np.ones(1, dtype=bool), n_units=1,
+            kept=np.ones(1, dtype=bool), n_units=1,
         )
         with pytest.raises(EstimationError, match="at least 2 shifts"):
             estimate_inverted(inv)

@@ -1,10 +1,13 @@
 """Data-generating processes and the coverage experiment runner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from shiftshare import (
     DgpConfig,
+    EstimationError,
     NumericalError,
     ShiftShareWarning,
     ValidationError,
@@ -12,6 +15,7 @@ from shiftshare import (
     run_coverage,
     shiftshare_2sls,
 )
+from shiftshare import simulate
 from shiftshare.simulate import ESTIMATORS
 
 
@@ -105,6 +109,9 @@ class TestGenerate:
             DgpConfig(n=10, m=8, share_model="network-inverse-degree")
         with pytest.raises(ValidationError):
             DgpConfig(n=10, m=5, share_error_frac=1.5)
+        for alpha in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValidationError, match="dirichlet_concentration"):
+                DgpConfig(n=20, m=8, dirichlet_concentration=alpha)
 
 
 class TestRunCoverage:
@@ -123,11 +130,11 @@ class TestRunCoverage:
         def capture(tag):
             def fn(data):
                 seen.setdefault(tag, []).append(data.dataset.outcome.copy())
-                rep = shiftshare_2sls(data.dataset, data.instrument)
-                return rep.beta_hat, rep.se_variants["conventional_hc"]
+                return shiftshare_2sls(data.dataset, data.instrument)
             return fn
 
-        results = run_coverage(cfg, [("a", capture("a")), ("b", capture("b"))],
+        results = run_coverage(cfg, [("a", capture("a"), "conventional_hc"),
+                                     ("b", capture("b"), "conventional_hc")],
                                replications=100, seed=3)
         assert all(np.array_equal(x, y) for x, y in zip(seen["a"], seen["b"]))
         assert results[0].coverage95 == results[1].coverage95
@@ -141,10 +148,10 @@ class TestRunCoverage:
             if calls["k"] % 3 == 0:
                 from shiftshare.errors import EstimationError
                 raise EstimationError("synthetic failure")
-            rep = shiftshare_2sls(data.dataset, data.instrument)
-            return rep.beta_hat, rep.se_variants["conventional_hc"]
+            return shiftshare_2sls(data.dataset, data.instrument)
 
-        results = run_coverage(cfg, [("flaky", flaky)], replications=120, seed=1)
+        results = run_coverage(cfg, [("flaky", flaky, "conventional_hc")],
+                               replications=120, seed=1)
         assert results[0].n_failed == 40
         assert results[0].replications == 120
 
@@ -154,7 +161,7 @@ class TestRunCoverage:
         def diverges(data):
             raise NumericalError("alternating demeaning did not converge")
 
-        results = run_coverage(cfg, [("diverges", diverges), "conventional-hc"],
+        results = run_coverage(cfg, [("diverges", diverges, "conventional_hc"), "conventional-hc"],
                                replications=100, seed=2)
         assert results[0].n_failed == 100
         assert results[1].n_failed == 0
@@ -198,3 +205,55 @@ class TestEstimatorVariants:
         results = run_coverage(cfg, ["exposure-cluster"], replications=100, seed=3)
         assert results[0].n_failed == 0
         assert np.isfinite(results[0].coverage95)
+
+
+def _fails_on_positive_first_shift(data):
+    # a shift-level fit that fails on about half of the draws
+    if data.shifts.values[0] > 0:
+        raise EstimationError("synthetic failure")
+    return ESTIMATORS["exposure-robust"][0](data)
+
+
+class TestOneFitPerDesign:
+    CONFIGS = {
+        "clustered-shifts": DgpConfig(n=40, m=16, shift_model="clustered", n_shift_clusters=4,
+                                      shift_rho=0.3, error_model="share-correlated"),
+        "no-shift-clusters": DgpConfig(n=40, m=16, share_model="sparse-block", n_blocks=4),
+    }
+
+    def test_exposure_estimators_share_one_fit(self, monkeypatch):
+        calls = []
+        fit = simulate.estimate_inverted
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "estimate_inverted", counted)
+        results = run_coverage(self.CONFIGS["clustered-shifts"],
+                               ["exposure-robust", "exposure-cluster"], replications=100, seed=0)
+        assert len(calls) == 100
+        assert [r.n_failed for r in results] == [0, 0]
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_together_equals_alone(self, name):
+        config = self.CONFIGS[name]
+        together = run_coverage(config, list(ESTIMATORS), replications=100, seed=4)
+        alone = [run_coverage(config, [e], replications=100, seed=4)[0] for e in ESTIMATORS]
+        assert together == alone
+        by_name = {r.estimator: r for r in together}
+        robust, cluster = by_name["exposure-robust"], by_name["exposure-cluster"]
+        # without shift cluster labels the clustered SE falls back to the HC one
+        fallback = replace(cluster, estimator="exposure-robust") == robust
+        assert fallback == (name == "no-shift-clusters")
+
+    def test_failed_fit_fails_every_estimator_reading_it(self):
+        config = self.CONFIGS["clustered-shifts"]
+        estimators = [("robust", _fails_on_positive_first_shift, "hc_exposure_robust"),
+                      "conventional-hc",
+                      ("cluster", _fails_on_positive_first_shift, "cluster_exposure_robust")]
+        together = run_coverage(config, estimators, replications=100, seed=6)
+        alone = [run_coverage(config, [e], replications=100, seed=6)[0] for e in estimators]
+        assert together == alone
+        assert together[0].n_failed == together[2].n_failed > 0
+        assert together[1].n_failed == 0
