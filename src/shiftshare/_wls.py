@@ -1,11 +1,16 @@
 """Weighted least-squares primitives shared by the estimators.
 
-All solves go through QR with column pivoting; a design is treated as rank
-deficient when a pivoted diagonal entry falls below ``RANK_TOL`` times the
-largest one, and the offending columns are named in the error.
+All solves go through one rank-checked QR with column pivoting, written on
+numpy alone: a thin ``np.linalg.qr`` of the matrix beside its right-hand side,
+then Businger–Golub pivoting on the small triangle it leaves. A design is
+treated as rank deficient when a pivoted diagonal entry falls below
+``RANK_TOL`` times the largest one, and the offending columns are named in
+the error.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,17 +28,46 @@ def _pivoted_solve(
 ) -> np.ndarray:
     """Least-squares solve of ``matrix @ coef = rhs`` by pivoted QR, rank-checked.
 
+    ``np.linalg.qr`` of ``[matrix | rhs]`` leaves the k×k triangle R of the
+    matrix beside ``Q'rhs``; Householder steps with column pivoting then
+    factor that triangle again. Each step takes the column with the largest
+    remaining norm, the first one on a tie (LAPACK's ``idamax`` rule). As Q
+    is orthonormal, a pivoted QR of R is one of the matrix.
+
     ``subject`` and ``deficiency`` word the two errors: "<subject> matrix is
     identically zero" and "<deficiency>; collinear terms: ...".
     """
-    import scipy.linalg  # here, not at module level: commands that never solve skip its import
-
-    q, r, piv = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
+    n, k = matrix.shape
+    p = min(n, k)
+    r = np.linalg.qr(np.column_stack([matrix, rhs]), mode="r")[:p]
+    top = np.abs(r[:, :k]).max(initial=0.0)
+    if top == 0.0:
         raise EstimationError(f"{subject} matrix is identically zero")
+    # an exact power-of-two rescale keeps the squared column norms from over- or underflowing
+    r *= 2.0 ** -math.frexp(top)[1]
+    piv = np.arange(k)
+    for j in range(min(p, k - 1)):  # the last column has nothing left to pivot with
+        tail = r[j:, j:k]
+        norms = np.einsum("ij,ij->j", tail, tail)
+        best = j + int(np.argmax(norms))
+        if best != j:
+            r[:, [j, best]] = r[:, [best, j]]
+            piv[[j, best]] = piv[[best, j]]
+        alpha = math.sqrt(norms[best - j])
+        if j + 1 == p or alpha == 0.0:
+            break
+        x = r[j:, j]
+        x0 = float(x[0])
+        beta = -math.copysign(alpha, x0)
+        v = x / (x0 - beta)
+        v[0] = 1.0
+        trailing = r[j:, j + 1:]
+        trailing -= np.multiply.outer(v * ((beta - x0) / beta), v @ trailing)
+        r[j, j] = beta
+        x[1:] = 0.0
+    diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > RANK_TOL * diag[0]))
-    if rank < matrix.shape[1]:
+    if rank < k:
         dropped = piv[rank:]
         labels = (
             ", ".join(names[j] for j in dropped)
@@ -41,10 +75,9 @@ def _pivoted_solve(
             else ", ".join(f"column {j}" for j in dropped)
         )
         raise EstimationError(f"{deficiency}; collinear terms: {labels}")
-    coef_pivoted = scipy.linalg.solve_triangular(r, q.T @ rhs)
-    coef = np.empty_like(coef_pivoted)
-    coef[piv] = coef_pivoted
-    return coef
+    coef = np.empty((k, r.shape[1] - k))
+    coef[piv] = np.linalg.solve(r[:, :k], r[:, k:])
+    return coef[:, 0] if np.ndim(rhs) == 1 else coef
 
 
 def wls_coefficients(

@@ -12,6 +12,7 @@ Herfindahl index as the effective number of independent shifts.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -52,9 +53,7 @@ class BalanceResult:
 def _normal_p(coefficient: float, se: float) -> float:
     if se == 0.0:
         return 0.0 if coefficient != 0.0 else 1.0
-    import scipy.special  # here, not at module level: commands that never test skip its import
-
-    return float(2.0 * scipy.special.ndtr(-abs(coefficient / se)))
+    return math.erfc(abs(coefficient / se) / math.sqrt(2.0))
 
 
 def balance_test_unit(
@@ -230,7 +229,8 @@ def autocorrelation(
     if abs(r) >= 1.0:
         p = 0.0
     else:
-        import scipy.special  # here, not at module level, as in _normal_p
+        # the only scipy import in the package, here so that no other command pays for it
+        import scipy.special
 
         stat = r * np.sqrt((n_pairs - 2) / (1.0 - r * r))
         p = float(2.0 * scipy.special.stdtr(n_pairs - 2, -abs(stat)))

@@ -115,6 +115,21 @@ def _iv_solve(
     return theta, resid
 
 
+def _sandwich_cov(
+    regressors: np.ndarray,
+    instruments: np.ndarray,
+    weights: np.ndarray,
+    resid: np.ndarray,
+    codes: np.ndarray,
+    correction: float,
+) -> np.ndarray:
+    """Cluster-robust sandwich covariance of the coefficients of the IV solve."""
+    qe = instruments * weights[:, None]
+    bread = np.linalg.inv(qe.T @ regressors)
+    meat = _cluster_meat(qe * resid[:, None], codes)
+    return bread @ meat @ bread.T * correction
+
+
 def _sandwich_se(
     regressors: np.ndarray,
     instruments: np.ndarray,
@@ -124,11 +139,7 @@ def _sandwich_se(
     correction: float,
 ) -> float:
     """Cluster-robust sandwich SE of the first coefficient of the IV solve."""
-    qe = instruments * weights[:, None]
-    bread = np.linalg.inv(qe.T @ regressors)
-    meat = _cluster_meat(qe * resid[:, None], codes)
-    cov = bread @ meat @ bread.T * correction
-    var = cov[0, 0]
+    var = _sandwich_cov(regressors, instruments, weights, resid, codes, correction)[0, 0]
     return float(np.sqrt(max(var, 0.0)))
 
 
@@ -640,10 +651,7 @@ def effective_f(
     design = np.column_stack([np.ones_like(eta), eta])
     coef = wls_coefficients(design, xb, w, ("intercept", "eta"))
     fitted = design @ coef
-    v = xb - fitted
-    bread = np.linalg.inv(design.T @ (design * w[:, None]))
-    meat = (design * (w * v)[:, None]).T @ (design * (w * v)[:, None])
-    cov = bread @ meat @ bread.T
+    cov = _sandwich_cov(design, design, w, xb - fitted, np.arange(w.size), 1.0)
     numerator = float(np.sum(w * fitted**2))
     denominator = float(
         cov[1, 1] * np.sum(w * d**2) + 2.0 * cov[0, 1] * np.sum(w * d) + cov[0, 0] * np.sum(w)

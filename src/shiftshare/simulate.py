@@ -345,6 +345,11 @@ def run_coverage(
                 if report is None:
                     failed[name] += 1
                     continue
+                if se_key not in report.se_variants:
+                    raise ValidationError(
+                        f"estimator {name!r} reads SE {se_key!r}, which its fit does not "
+                        f"report; it reports {sorted(report.se_variants)}"
+                    )
                 betas[name].append(report.beta_hat)
                 ses[name].append(report.se_variants[se_key])
 

@@ -377,9 +377,35 @@ def complete_share_rows(text):
     )
 
 
+def write_wide_inputs(inputs, n=20, m=8, seed=5):
+    """Overwrite the input files with ``n`` units and ``m`` incomplete shifts in
+    the fixture's columns, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(m), size=n) * rng.uniform(0.5, 0.95, size=(n, 1))
+    d = rng.normal(0.5, 1.0, size=m)
+    x = w @ d + 0.3 * rng.normal(size=n)
+    y = 1.2 * x + rng.normal(size=n)
+    p_1 = rng.normal(size=m)
+    units = np.column_stack([y, x, rng.uniform(0.5, 2.0, size=n), rng.normal(size=(n, 2))])
+    inputs["shares"].write_text("unit_id,shift_id,weight\n" + "".join(
+        f"u{i},s{j},{share!r}\n"
+        for i, row in enumerate(w.tolist()) for j, share in enumerate(row)))
+    inputs["shifts"].write_text("shift_id,value,cluster,exchange_group,p_1\n" + "".join(
+        f"s{j},{value!r},{('east', 'west')[j % 2]},g{j % 2},{p!r}\n"
+        for j, (value, p) in enumerate(zip(d.tolist(), p_1.tolist()))))
+    inputs["units"].write_text("unit_id,y,x,w_e,pi_1,placebo\n" + "".join(
+        f"u{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(units.tolist())))
+
+
 class TestShiftFrameworkSpecs:
-    @pytest.mark.parametrize("spec", ["cluster", "cluster,p_1", "exchange_group"])
-    def test_fixed_effect_residualization(self, inputs, tmp_path, spec):
+    # The fixture's four shifts and the complement fit cluster and p_1 exactly, which
+    # leaves both SEs zero up to round-off; that spec runs on a wider input instead.
+    @pytest.mark.parametrize("spec, wide", [("cluster", False), ("cluster,p_1", True),
+                                            ("exchange_group", False)],
+                             ids=["cluster", "cluster,p_1", "exchange_group"])
+    def test_fixed_effect_residualization(self, inputs, tmp_path, spec, wide):
+        if wide:
+            write_wide_inputs(inputs)
         out = tmp_path / "fe"
         code = main(["--quiet", "estimate", "--framework", "shift", "--residualize", spec,
                      "--cluster-shift", "cluster", *io_args(inputs, out)])
@@ -387,6 +413,7 @@ class TestShiftFrameworkSpecs:
         report = json.loads((out / "estimate.json").read_text())
         assert report["residualization"]["spec"] == spec.split(",")
         se = report["estimate"]["se"]
+        assert se["hc_exposure_robust"] > 1e-3
         assert se["residualized"] == pytest.approx(se["hc_exposure_robust"], rel=1e-8)
 
     @pytest.mark.parametrize("spec", [None, "p_1", "cluster"])
@@ -575,17 +602,26 @@ def run_fresh_main(args):
     return json.loads(result.stdout.splitlines()[-1])
 
 
-def test_construct_loads_no_scipy(inputs, tmp_path):
-    # construct never solves, so it need not pay for importing scipy
-    code, before, after = run_fresh_main(["construct", "--complete-shares", "--residualize",
-                                          "cluster", *io_args(inputs, tmp_path / "c")])
+@pytest.mark.parametrize("kind", ["construct", "estimate_share", "estimate_shift", "ri",
+                                  "diagnose", "simulate"])
+def test_commands_load_no_scipy(kind, inputs, tmp_path):
+    # scipy takes about 0.2 s to import; only `diagnose --autocorr` needs it (for stdtr)
+    config = tmp_path / "dgp.cfg"
+    config.write_text("n = 30\nm = 10\n")
+    io = io_args(inputs, tmp_path / "out")
+    argv = {
+        "construct": ["construct", "--complete-shares", "--residualize", "cluster", *io],
+        "estimate_share": ["estimate", "--framework", "share", "--rotemberg", *io],
+        "estimate_shift": ["estimate", "--framework", "shift", "--residualize", "p_1",
+                           "--cluster-shift", "cluster", "--rotemberg", *io],
+        "ri": ["ri", "--draws", "200", "--groups", "exchange_group", "--seed", "3", *io],
+        "diagnose": ["diagnose", "--concentration", "--cluster", "cluster", "--balance",
+                     "placebo", "--icc", "cluster", "--residualize", "p_1", *io],
+        "simulate": ["simulate", "--config", str(config), "--reps", "5", "--seed", "2",
+                     "--out", str(tmp_path / "out")],
+    }[kind]
+    code, before, after = run_fresh_main(argv)
     assert (code, before, after) == (0, [], [])
-
-
-def test_estimate_imports_scipy_linalg_on_first_solve(inputs, tmp_path):
-    code, before, after = run_fresh_main(["estimate", *io_args(inputs, tmp_path / "e")])
-    assert (code, before) == (0, [])
-    assert "scipy.linalg" in after
 
 
 def test_threads_flag_removed(inputs, tmp_path):

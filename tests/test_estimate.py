@@ -30,7 +30,7 @@ from shiftshare import (
     shiftshare_2sls,
     shiftshare_ols,
 )
-from shiftshare._wls import solve_square, wls_coefficients
+from shiftshare._wls import RANK_TOL, _pivoted_solve, solve_square, wls_coefficients
 
 from conftest import matched_instance, random_share_matrix, shift_ids, unit_ids
 
@@ -623,6 +623,90 @@ class TestRankCheckedSolves:
             wls_coefficients(np.zeros((3, 2)), np.ones(3), np.ones(3))
         with pytest.raises(EstimationError, match="^moment matrix is identically zero$"):
             solve_square(np.zeros((2, 2)), np.ones(2))
+
+
+def lapack_pivoted_solve(matrix, rhs, names):
+    """Reference solve: the same rank rule and error texts on LAPACK's pivoted QR."""
+    import scipy.linalg
+
+    q, r, piv = scipy.linalg.qr(matrix, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    if diag.size == 0 or diag[0] == 0.0:
+        raise EstimationError("design matrix is identically zero")
+    rank = int(np.sum(diag > RANK_TOL * diag[0]))
+    if rank < matrix.shape[1]:
+        labels = ", ".join(names[j] for j in piv[rank:])
+        raise EstimationError(f"rank-deficient design; collinear terms: {labels}")
+    coef = np.empty((matrix.shape[1], *rhs.shape[1:]))
+    coef[piv] = scipy.linalg.solve_triangular(r, q.T @ rhs)
+    return coef
+
+
+def first_copy(matrix, k):
+    """The first column equal to column ``k`` up to sign."""
+    column = matrix[:, k]
+    return next(i for i in range(k + 1)
+                if np.array_equal(matrix[:, i], column) or np.array_equal(matrix[:, i], -column))
+
+
+def solve_outcome(solve, matrix, rhs, names):
+    """The coefficients, or the error text with its named terms replaced by the
+    sorted first copies of their columns.
+
+    Which of two copies a pivoted QR keeps is a tie that its round-off breaks
+    (LAPACK's as much as ours), and so is the order of the terms past the rank.
+    """
+    try:
+        return solve(matrix, rhs, names)
+    except EstimationError as exc:
+        head, _, terms = str(exc).partition("; collinear terms: ")
+        named = terms.split(", ") if terms else []
+        return head, sorted(first_copy(matrix, names.index(term)) for term in named)
+
+
+@st.composite
+def solver_inputs(draw):
+    """Tall or square matrices with zero columns, exact and scaled copies of other
+    columns and constant columns (beside an intercept when column 0 is one),
+    at a power-of-ten scale, and a right-hand side of 0 (a vector), 1 or 3 columns."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.standard_normal((n, k))
+    if draw(st.booleans()):
+        matrix[:, 0] = 1.0
+    defect = st.tuples(st.sampled_from(["zero", "copy", "scaled", "constant"]),
+                       st.integers(0, k - 1), st.integers(0, k - 1),
+                       st.sampled_from([-1.0, 0.5, 2.0, 3.0, -0.1, 1e3]))
+    for kind, j, source, factor in draw(st.lists(defect, max_size=3)):
+        matrix[:, j] = {"zero": 0.0, "copy": matrix[:, source],
+                        "scaled": factor * matrix[:, source], "constant": factor}[kind]
+    matrix *= 10.0 ** draw(st.integers(-200, 200))
+    columns = draw(st.sampled_from([0, 1, 3]))
+    rhs = rng.standard_normal((n, columns) if columns else n)
+    return matrix, rhs
+
+
+class TestPivotedSolveAgainstLapack:
+    @settings(max_examples=300, deadline=None)
+    @given(case=solver_inputs())
+    def test_same_outcome_as_lapack(self, case):
+        matrix, rhs = case
+        names = tuple(f"c{j}" for j in range(matrix.shape[1]))
+
+        def solve(a, b, labels):
+            return _pivoted_solve(a, b, labels, "design", "rank-deficient design")
+
+        ours = solve_outcome(solve, matrix, rhs, names)
+        reference = solve_outcome(lapack_pivoted_solve, matrix, rhs, names)
+        assert isinstance(ours, tuple) == isinstance(reference, tuple), (ours, reference)
+        if isinstance(reference, tuple):
+            assert ours == reference
+        else:
+            assert ours.shape == reference.shape
+            if np.linalg.cond(matrix) <= 1e3:
+                scale = np.max(np.abs(reference))
+                assert np.max(np.abs(ours - reference)) <= 1e-10 * scale
 
 
 SHIFT_SPECS = ((), ("p_1",), ("cluster",), ("cluster", "p_1"))

@@ -257,3 +257,11 @@ class TestOneFitPerDesign:
         assert together == alone
         assert together[0].n_failed == together[2].n_failed > 0
         assert together[1].n_failed == 0
+
+    def test_se_key_missing_from_the_report_is_a_validation_error(self):
+        unit_fit = ESTIMATORS["conventional-hc"][0]
+        with pytest.warns(ShiftShareWarning, match="only 5 replications"):
+            with pytest.raises(ValidationError,
+                               match=r"'hc_exposure_robust'.*\['conventional_hc'\]"):
+                run_coverage(DgpConfig(n=20, m=8), [("x", unit_fit, "hc_exposure_robust")],
+                             replications=5)
