@@ -4,8 +4,9 @@ All solves go through one rank-checked QR with column pivoting, written on
 numpy alone: a thin ``np.linalg.qr`` of the matrix beside its right-hand side,
 then Businger–Golub pivoting on the small triangle it leaves. A design is
 treated as rank deficient when a pivoted diagonal entry falls below
-``RANK_TOL`` times the largest one, and the offending columns are named in
-the error.
+``RANK_TOL`` times the largest one. There is one wording per failure:
+"rank-deficient design; collinear terms: ..." naming the offending columns,
+and "design matrix is identically zero".
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ def _pivoted_solve(
     matrix: np.ndarray,
     rhs: np.ndarray,
     names: tuple[str, ...] | None,
-    subject: str,
-    deficiency: str,
 ) -> np.ndarray:
     """Least-squares solve of ``matrix @ coef = rhs`` by pivoted QR, rank-checked.
 
@@ -34,15 +33,15 @@ def _pivoted_solve(
     remaining norm, the first one on a tie (LAPACK's ``idamax`` rule). As Q
     is orthonormal, a pivoted QR of R is one of the matrix.
 
-    ``subject`` and ``deficiency`` word the two errors: "<subject> matrix is
-    identically zero" and "<deficiency>; collinear terms: ...".
+    Raises "design matrix is identically zero", or "rank-deficient design;
+    collinear terms: ..." naming the columns past the rank.
     """
     n, k = matrix.shape
     p = min(n, k)
     r = np.linalg.qr(np.column_stack([matrix, rhs]), mode="r")[:p]
     top = np.abs(r[:, :k]).max(initial=0.0)
     if top == 0.0:
-        raise EstimationError(f"{subject} matrix is identically zero")
+        raise EstimationError("design matrix is identically zero")
     # an exact power-of-two rescale keeps the squared column norms from over- or underflowing
     r *= 2.0 ** -math.frexp(top)[1]
     piv = np.arange(k)
@@ -74,7 +73,7 @@ def _pivoted_solve(
             if names is not None
             else ", ".join(f"column {j}" for j in dropped)
         )
-        raise EstimationError(f"{deficiency}; collinear terms: {labels}")
+        raise EstimationError(f"rank-deficient design; collinear terms: {labels}")
     coef = np.empty((k, r.shape[1] - k))
     coef[piv] = np.linalg.solve(r[:, :k], r[:, k:])
     return coef[:, 0] if np.ndim(rhs) == 1 else coef
@@ -96,7 +95,7 @@ def wls_coefficients(
     sw = np.sqrt(np.asarray(weights, dtype=float))
     a = design * sw[:, None]
     b = response * (sw[:, None] if response.ndim > 1 else sw)
-    return _pivoted_solve(a, b, names, "design", "rank-deficient design")
+    return _pivoted_solve(a, b, names)
 
 
 def wls_residualize(
@@ -108,14 +107,3 @@ def wls_residualize(
     """Residuals of ``response`` columns after weighted projection on ``design``."""
     coef = wls_coefficients(design, response, weights, names)
     return np.asarray(response, dtype=float) - np.asarray(design, dtype=float) @ coef
-
-
-def solve_square(
-    matrix: np.ndarray,
-    rhs: np.ndarray,
-    names: tuple[str, ...] | None = None,
-) -> np.ndarray:
-    """Solve a square (possibly nonsymmetric) moment system with a rank check."""
-    matrix = np.asarray(matrix, dtype=float)
-    return _pivoted_solve(matrix, rhs, names, "moment", "singular moment system")
-

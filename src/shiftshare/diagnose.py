@@ -19,11 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._wls import wls_coefficients
 from .construct import ShiftResiduals
 from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
 from .errors import ShiftShareWarning, ValidationError
-from .estimate import _sandwich_se, residualized_se, residualized_se_clustered, shiftshare_2sls
+from .estimate import (
+    _partialled_iv,
+    _robust_se,
+    residualized_se,
+    residualized_se_clustered,
+    shiftshare_2sls,
+)
 
 DEFAULT_BOOTSTRAP_DRAWS = 1000
 
@@ -155,17 +160,16 @@ def balance_test_shift(
         raise ValidationError("placebo, eta and weights must be aligned")
     if np.ptp(t) == 0.0:
         return BalanceResult(0.0, 0.0, m, 1.0, "exposure", degenerate=True)
-    design = np.column_stack([t, np.ones(m)])
-    coef = wls_coefficients(design, eta, w, ("placebo", "intercept"))
-    resid = eta - design @ coef
+    # the placebo instruments itself, with an intercept as the only control
+    beta, _, resid, t_perp, _, denom = _partialled_iv(np.ones((m, 1)), ("intercept",), t, t, eta, w)
     if cluster is not None:
         if np.shape(cluster) != (m,):
             raise ValidationError("cluster labels must cover all shifts")
         codes = _label_codes(cluster)[1]
     else:
         codes = np.arange(m)
-    se = _sandwich_se(design, design, w, resid, codes, 1.0)
-    return BalanceResult(float(coef[0]), se, m, _normal_p(float(coef[0]), se), "exposure")
+    se = _robust_se(w * t_perp * resid, codes, denom)
+    return BalanceResult(beta, se, m, _normal_p(beta, se), "exposure")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 """Shift-share estimation and the standard-error menu.
 
-Point estimation runs through one just-identified weighted moment solve, so
-the self-instrumenting identity (instrumenting the regressor with itself
+Every coefficient is one just-identified weighted IV with controls, so point
+estimates come from one partialled solve (``_partialled_iv``): a single
+weighted regression of instrument, regressor and outcome on the controls,
+then the ratio of two cross-moments (Frisch-Waugh-Lovell). Every standard
+error is one score-sum formula (``_robust_se``): the root of the summed
+squared per-cluster score sums over the absolute cross-moment. OLS runs the
+same code path with the regressor as its own instrument, so the
+self-instrumenting identity (instrumenting the regressor with itself
 reproduces weighted OLS) holds exactly. On top of that sit:
 
 * conventional cluster-robust covariance at a user-supplied unit clustering,
@@ -23,13 +29,14 @@ correction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ._wls import solve_square, wls_coefficients, wls_residualize
+from ._wls import wls_coefficients, wls_residualize
 from .construct import (
     COMPLEMENT_ID,
     REAL_SHIFT_COVARIATE,
@@ -93,64 +100,53 @@ def _resolve_labels(dataset: Dataset | None, labels) -> np.ndarray | None:
     return np.asarray(labels, dtype=object).astype(str)
 
 
-def _cluster_meat(scores: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Sum of outer products of within-cluster score sums."""
-    k = scores.shape[1]
-    sums = np.zeros((codes.max() + 1, k))
-    np.add.at(sums, codes, scores)
-    return sums.T @ sums
+def _robust_se(scores: np.ndarray, codes: np.ndarray, denom: float,
+               correction: float = 1.0) -> float:
+    """Cluster-robust SE ``sqrt(correction * sum_g (sum_{i in g} s_i)^2) / |denom|``.
+
+    The cluster sums are divided by a power of two before squaring, which is
+    exact and keeps scores of any finite scale from overflowing. The sorted
+    reduction makes singleton clusters reproduce the unclustered value bit
+    for bit, whatever the label order.
+    """
+    sums = np.bincount(codes, weights=scores)
+    scale = 2.0 ** math.frexp(float(np.max(np.abs(sums), initial=0.0)))[1]
+    total = float(np.sum(np.sort((sums / scale) ** 2)))
+    return math.sqrt(correction * total) * scale / abs(denom)
 
 
-def _iv_solve(
-    regressors: np.ndarray,
-    instruments: np.ndarray,
-    response: np.ndarray,
-    weights: np.ndarray,
-    names: tuple[str, ...],
-):
-    """Just-identified weighted IV: solve ``Q'E R theta = Q'E y``."""
-    qe = instruments * weights[:, None]
-    theta = solve_square(qe.T @ regressors, qe.T @ response, names)
-    resid = response - regressors @ theta
-    return theta, resid
+def _partialled_iv(controls: np.ndarray, names: tuple[str, ...], z: np.ndarray,
+                   x: np.ndarray, y: np.ndarray, weights: np.ndarray):
+    """Just-identified weighted IV of ``y`` on ``x`` and the controls, instrumented
+    by ``z`` and the controls, by partialling out (Frisch-Waugh-Lovell).
+
+    One weighted regression of ``[z, x, y]`` on the controls gives the
+    residualized columns and the controls' coefficients ``B``; then
+    ``beta = sum w z_perp y_perp / sum w z_perp x_perp`` and
+    ``gamma = B_y - beta B_x``. Returns ``(beta, gamma, residuals, z_perp,
+    x_perp, denom)`` with ``denom = sum w z_perp x_perp``; the scores of
+    ``beta`` are ``w z_perp residuals / denom``. The first stage counts as weak
+    when ``|denom|`` is below ``WEAK_FIRST_STAGE_TOL`` times ``sum w |z x|``.
+    """
+    stacked = np.column_stack([z, x, y])
+    coef = wls_coefficients(controls, stacked, weights, names)
+    z_perp, x_perp, y_perp = (stacked - controls @ coef).T
+    denom = float(np.sum(weights * z_perp * x_perp))
+    # relative to the same sum without cancellation, so the check holds at any scale
+    if abs(denom) < WEAK_FIRST_STAGE_TOL * float(np.sum(weights * np.abs(z * x))):
+        raise EstimationError(f"weak or zero first stage: |cov(Z, X-perp)| = {abs(denom):.3e}")
+    beta = float(np.sum(weights * z_perp * y_perp)) / denom
+    return beta, coef[:, 2] - beta * coef[:, 1], y_perp - beta * x_perp, z_perp, x_perp, denom
 
 
-def _sandwich_cov(
-    regressors: np.ndarray,
-    instruments: np.ndarray,
-    weights: np.ndarray,
-    resid: np.ndarray,
-    codes: np.ndarray,
-    correction: float,
-) -> np.ndarray:
-    """Cluster-robust sandwich covariance of the coefficients of the IV solve."""
-    qe = instruments * weights[:, None]
-    bread = np.linalg.inv(qe.T @ regressors)
-    meat = _cluster_meat(qe * resid[:, None], codes)
-    return bread @ meat @ bread.T * correction
-
-
-def _sandwich_se(
-    regressors: np.ndarray,
-    instruments: np.ndarray,
-    weights: np.ndarray,
-    resid: np.ndarray,
-    codes: np.ndarray,
-    correction: float,
-) -> float:
-    """Cluster-robust sandwich SE of the first coefficient of the IV solve."""
-    var = _sandwich_cov(regressors, instruments, weights, resid, codes, correction)[0, 0]
-    return float(np.sqrt(max(var, 0.0)))
-
-
-def _conventional_f(instruments: np.ndarray, x: np.ndarray, weights: np.ndarray,
-                    names: tuple[str, ...], codes: np.ndarray, correction: float) -> float:
-    """Conventional first-stage F: the squared robust t of the first instrument
-    column in the weighted regression of ``x`` on all instrument columns."""
-    fs_coef = wls_coefficients(instruments, x, weights, names)
-    fs_resid = x - instruments @ fs_coef
-    fs_se = _sandwich_se(instruments, instruments, weights, fs_resid, codes, correction)
-    return float((fs_coef[0] / fs_se) ** 2) if fs_se > 0 else float("inf")
+def _conventional_f(z_perp: np.ndarray, x_perp: np.ndarray, weights: np.ndarray,
+                    codes: np.ndarray, correction: float) -> float:
+    """Conventional first-stage F: the squared robust t of the instrument in the
+    weighted regression of ``x`` on the instrument and the controls."""
+    denom = float(np.sum(weights * z_perp**2))
+    pi = float(np.sum(weights * z_perp * x_perp)) / denom
+    se = _robust_se(weights * z_perp * (x_perp - pi * z_perp), codes, denom, correction)
+    return (pi / se) ** 2 if se > 0 else float("inf")
 
 
 def _unit_design(dataset: Dataset) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -187,20 +183,10 @@ def shiftshare_2sls(
     if x.shape != (n,):
         raise ValidationError("regressor must have one value per unit")
     e = dataset.unit_weights
-    y = dataset.outcome
     controls, control_names = _unit_design(dataset)
-    names = ("x",) + control_names
-
-    x_perp = wls_residualize(controls, x, e, control_names)
-    first_stage_cov = float(np.sum(e * z * x_perp))
-    if abs(first_stage_cov) < WEAK_FIRST_STAGE_TOL:
-        raise EstimationError(
-            f"weak or zero first stage: |cov(Z, X-perp)| = {abs(first_stage_cov):.3e}"
-        )
-
-    regressors = np.column_stack([x, controls])
-    instruments = np.column_stack([z, controls])
-    theta, resid = _iv_solve(regressors, instruments, y, e, names)
+    beta, gamma, resid, z_perp, x_perp, denom = _partialled_iv(
+        controls, control_names, z, x, dataset.outcome, e
+    )
 
     labels = _resolve_labels(dataset, cluster)
     if labels is not None:
@@ -214,14 +200,14 @@ def shiftshare_2sls(
         n_clusters = None
         key = "conventional_hc"
     g = int(codes.max()) + 1
-    k = regressors.shape[1]
+    k = 1 + controls.shape[1]
     correction = (g / (g - 1)) * ((n - 1) / (n - k)) if g > 1 and n > k else 1.0
-    se = _sandwich_se(regressors, instruments, e, resid, codes, correction)
-    fs_f = _conventional_f(instruments, x, e, ("z",) + control_names, codes, correction)
+    se = _robust_se(e * z_perp * resid, codes, denom, correction)
+    fs_f = _conventional_f(z_perp, x_perp, e, codes, correction)
 
     return EstimateReport(
-        beta_hat=float(theta[0]),
-        gamma_hat=theta[1:].copy(),
+        beta_hat=beta,
+        gamma_hat=gamma,
         gamma_names=control_names,
         se_variants={key: se},
         first_stage_f={"conventional": fs_f},
@@ -235,8 +221,8 @@ def shiftshare_2sls(
 def shiftshare_ols(dataset: Dataset, exposure: np.ndarray, cluster=None) -> EstimateReport:
     """Weighted OLS of the outcome on the shift-share exposure and controls.
 
-    Runs as 2SLS with the exposure instrumenting itself, which is the same
-    linear system solved the same way.
+    Runs as 2SLS with the exposure instrumenting itself, which takes the same
+    partialled solve with the same inputs.
     """
     exposure = np.asarray(exposure, dtype=float)
     report = shiftshare_2sls(dataset, exposure, cluster=cluster, regressor=exposure)
@@ -506,21 +492,11 @@ def estimate_inverted(
         q_cols = np.hstack([q_cols, q])
         q_names = q_names + tuple(f"q_{k + 1}" for k in range(q.shape[1]))
 
-    inst = inverted.instrument
-    names = ("instrument",) + q_names
-    inst_perp = wls_residualize(q_cols, inst, w, q_names)
-    x_perp = wls_residualize(q_cols, inverted.xbar, w, q_names)
-    denom = float(np.sum(w * inst_perp * inverted.xbar))
-    if abs(denom) < WEAK_FIRST_STAGE_TOL or float(np.sum(w * inst_perp**2)) == 0.0:
-        raise EstimationError("instrument has no variation after shift-level controls")
-
-    regressors = np.column_stack([inverted.xbar, q_cols])
-    instruments = np.column_stack([inst, q_cols])
-    theta, resid = _iv_solve(regressors, instruments, inverted.ybar, w, names)
-
-    se_variants = {
-        "hc_exposure_robust": _sandwich_se(regressors, instruments, w, resid, np.arange(m), 1.0)
-    }
+    beta, gamma, resid, inst_perp, x_perp, denom = _partialled_iv(
+        q_cols, q_names, inverted.instrument, inverted.xbar, inverted.ybar, w
+    )
+    scores = w * inst_perp * resid
+    se_variants = {"hc_exposure_robust": _robust_se(scores, np.arange(m), denom)}
     labels = inverted.cluster
     if cluster is not None:
         labels = _resolve_labels(None, cluster)
@@ -533,19 +509,17 @@ def estimate_inverted(
         n_clusters = int(codes.max()) + 1
         if n_clusters < 2:
             raise EstimationError("clustered standard errors need at least 2 shift clusters")
-        se_variants["cluster_exposure_robust"] = _sandwich_se(
-            regressors, instruments, w, resid, codes, 1.0
-        )
+        se_variants["cluster_exposure_robust"] = _robust_se(scores, codes, denom)
 
-    conventional_f = _conventional_f(instruments, inverted.xbar, w, names, np.arange(m), 1.0)
+    conventional_f = _conventional_f(inst_perp, x_perp, w, np.arange(m), 1.0)
     try:
         eff_f = effective_f(x_perp, inst_perp, w, shift_values=inverted.shift_values)
     except EstimationError:
         eff_f = float("nan")
 
     return EstimateReport(
-        beta_hat=float(theta[0]),
-        gamma_hat=theta[1:].copy(),
+        beta_hat=beta,
+        gamma_hat=gamma,
         gamma_names=q_names,
         se_variants=se_variants,
         first_stage_f={"conventional": conventional_f, "effective": eff_f},
@@ -601,9 +575,7 @@ def residualized_se(
     inverted regression.
     """
     scores, denom = _residualized_scores(unit_weights, shares, eta_hat, residuals, x_perp)
-    # sorted reduction: the singleton-cluster version must reproduce this
-    # value bit for bit regardless of label order
-    return float(np.sqrt(np.sum(np.sort(scores**2))) / denom)
+    return _robust_se(scores, np.arange(scores.size), denom)
 
 
 def residualized_se_clustered(
@@ -623,8 +595,7 @@ def residualized_se_clustered(
     if labels.shape != (shares.n_shifts,):
         raise ValidationError("cluster labels must cover all shifts")
     scores, denom = _residualized_scores(unit_weights, shares, eta_hat, residuals, x_perp)
-    per_cluster = np.bincount(_label_codes(labels)[1], weights=scores)
-    return float(np.sqrt(np.sum(np.sort(per_cluster**2))) / denom)
+    return _robust_se(scores, _label_codes(labels)[1], denom)
 
 
 def effective_f(
@@ -640,7 +611,10 @@ def effective_f(
     heteroskedasticity-robust covariance of the two coefficients, and forms
     the ratio of the weighted mean squared fitted value to the trace term
     built from the shift second moments. ``shift_values`` defaults to
-    ``eta_hat``.
+    ``eta_hat``. The covariance sums the outer products of the coefficients'
+    closed-form influences: ``w eta_c r / sum w eta_c^2`` for the slope, with
+    ``eta_c`` the weighted-demeaned shift and ``r`` the residual, and
+    ``w r / sum w`` minus the weighted mean shift times that for the intercept.
     """
     xb = np.asarray(xbar_perp, dtype=float)
     eta = np.asarray(eta_hat, dtype=float)
@@ -651,7 +625,13 @@ def effective_f(
     design = np.column_stack([np.ones_like(eta), eta])
     coef = wls_coefficients(design, xb, w, ("intercept", "eta"))
     fitted = design @ coef
-    cov = _sandwich_cov(design, design, w, xb - fitted, np.arange(w.size), 1.0)
+    resid = xb - fitted
+    total = float(np.sum(w))
+    eta_mean = float(np.sum(w * eta)) / total
+    eta_c = eta - eta_mean
+    slope = w * eta_c * resid / float(np.sum(w * eta_c**2))
+    psi = np.stack([w * resid / total - eta_mean * slope, slope])
+    cov = psi @ psi.T
     numerator = float(np.sum(w * fitted**2))
     denominator = float(
         cov[1, 1] * np.sum(w * d**2) + 2.0 * cov[0, 1] * np.sum(w * d) + cov[0, 0] * np.sum(w)

@@ -134,6 +134,24 @@ def _n_permutations(group_indices: list[np.ndarray], limit: int) -> int:
     return total
 
 
+def _group_moments(d: np.ndarray, s_y: np.ndarray, s_x: np.ndarray, enumerated: bool,
+                   draws: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One exchange group's terms ``d[order] @ s_y`` and ``d[order] @ s_x``, observed
+    order first. Its draws x group-size arrays die on return, so no two groups'
+    arrays are alive at once."""
+    if enumerated:
+        # itertools yields the identity first, so row 0 is the observed
+        # assignment, computed by the same kernel as every draw
+        orders = np.array(list(itertools.permutations(range(d.size))))
+    else:
+        # prepend the identity so the observed statistic shares the exact
+        # floating-point path of the permuted ones (ties must be exact)
+        orders = np.vstack([np.arange(d.size),
+                            np.argsort(rng.random((draws, d.size)), axis=1)])
+    permuted = d[orders]
+    return permuted @ s_y, permuted @ s_x
+
+
 def _randomization_moments(
     dataset: Dataset,
     shares: ShareMatrix,
@@ -161,17 +179,7 @@ def _randomization_moments(
     rng = np.random.Generator(np.random.Philox(key=seed))
     a_ref = c_ref = np.zeros(1)
     for idx in group_indices:
-        if enumerated:
-            # itertools yields the identity first, so row 0 is the observed
-            # assignment, computed by the same kernel as every draw
-            orders = np.array(list(itertools.permutations(range(idx.size))))
-        else:
-            # prepend the identity so the observed statistic shares the exact
-            # floating-point path of the permuted ones (ties must be exact)
-            orders = np.vstack([np.arange(idx.size),
-                                np.argsort(rng.random((draws, idx.size)), axis=1)])
-        permuted = d[idx][orders]
-        a, c = permuted @ s_y[idx], permuted @ s_x[idx]
+        a, c = _group_moments(d[idx], s_y[idx], s_x[idx], enumerated, draws, rng)
         if enumerated:
             # outer sums, last group fastest: the itertools.product order
             a_ref, c_ref = np.add.outer(a_ref, a).ravel(), np.add.outer(c_ref, c).ravel()

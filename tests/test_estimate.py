@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from shiftshare import (
     Dataset,
     EstimationError,
+    InvertedDataset,
     ShareMatrix,
     ShiftShareWarning,
     ShiftTable,
     ValidationError,
+    balance_test_shift,
     build_exposure,
     complete_shares,
     demean_via_controls,
@@ -30,7 +32,7 @@ from shiftshare import (
     shiftshare_2sls,
     shiftshare_ols,
 )
-from shiftshare._wls import RANK_TOL, _pivoted_solve, solve_square, wls_coefficients
+from shiftshare._wls import RANK_TOL, _pivoted_solve, wls_coefficients
 
 from conftest import matched_instance, random_share_matrix, shift_ids, unit_ids
 
@@ -43,6 +45,35 @@ def simple_dataset(rng, n, controls=None, weights=None, y=None, x=None):
         controls=controls,
         unit_weights=weights,
     )
+
+
+def textbook_iv(regressors, instruments, response, weights, codes, correction):
+    """Reference just-identified weighted IV: the explicit moment solve and the
+    cluster sandwich ``(Q'E R)^-1 meat (Q'E R)^-T``. Returns the coefficients
+    and the corrected SE of the first one."""
+    qe = instruments * weights[:, None]
+    bread = np.linalg.inv(qe.T @ regressors)
+    theta = bread @ (qe.T @ response)
+    scores = qe * (response - regressors @ theta)[:, None]
+    sums = np.zeros((codes.max() + 1, scores.shape[1]))
+    np.add.at(sums, codes, scores)
+    cov = bread @ (sums.T @ sums) @ bread.T * correction
+    return theta, np.sqrt(cov[0, 0])
+
+
+@st.composite
+def iv_inputs(draw):
+    """A generator, 8-80 observations, 0-3 control columns, random weights and,
+    half the time, labels of 2 to n/2 clusters."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(8, 80))
+    controls = rng.normal(size=(n, draw(st.integers(0, 3))))
+    weights = rng.uniform(0.2, 2.0, size=n)
+    labels = None
+    if draw(st.booleans()):
+        g = draw(st.integers(2, n // 2))
+        labels = np.array([f"c{i % g}" for i in rng.permutation(n)])
+    return rng, n, controls, weights, labels
 
 
 class TestOls:
@@ -131,22 +162,103 @@ class TestTwoStage:
         assert rep.beta_hat == pytest.approx(ols_on_z.beta_hat, rel=1e-12)
         assert rep.first_stage_f["conventional"] > 1e10
 
-    def test_matches_explicit_2sls_oracle(self, rng):
-        n = 100
+    @settings(max_examples=150, deadline=None)
+    @given(case=iv_inputs())
+    def test_matches_explicit_2sls_oracle(self, case):
+        rng, n, controls, e, labels = case
         z = rng.normal(size=n)
         x = 0.8 * z + rng.normal(size=n)
-        controls = rng.normal(size=(n, 1))
-        e = rng.uniform(0.2, 2.0, size=n)
-        y = 1.1 * x + 0.7 * controls[:, 0] + rng.normal(size=n)
-        ds = simple_dataset(rng, n, controls=controls, weights=e, y=y, x=x)
-        rep = shiftshare_2sls(ds, z)
-        regressors = np.column_stack([x, np.ones(n), controls])
-        instruments = np.column_stack([z, np.ones(n), controls])
+        y = 1.1 * x + controls @ rng.normal(size=controls.shape[1]) + rng.normal(size=n)
+        ds = simple_dataset(rng, n, controls=controls if controls.shape[1] else None,
+                            weights=e, y=y, x=x)
+        rep = shiftshare_2sls(ds, z, cluster=labels)
         ew = ds.unit_weights
-        oracle = np.linalg.solve(
-            instruments.T @ (regressors * ew[:, None]), instruments.T @ (ew * y)
+        unit_design = np.column_stack([np.ones(n), controls])
+        codes = np.arange(n) if labels is None else np.unique(labels, return_inverse=True)[1]
+        g, k = codes.max() + 1, 1 + unit_design.shape[1]
+        correction = g / (g - 1) * (n - 1) / (n - k)
+        instruments = np.column_stack([z, unit_design])
+        theta, se = textbook_iv(np.column_stack([x, unit_design]), instruments, y, ew, codes,
+                                correction)
+        assert rep.beta_hat == pytest.approx(theta[0], rel=1e-8)
+        assert np.max(np.abs(rep.gamma_hat - theta[1:])) <= 1e-8 * np.max(np.abs(theta))
+        key = "conventional_hc" if labels is None else "conventional_cluster"
+        assert rep.se_variants[key] == pytest.approx(se, rel=1e-8)
+        pi, pi_se = textbook_iv(instruments, instruments, x, ew, codes, correction)
+        assert rep.first_stage_f["conventional"] == pytest.approx((pi[0] / pi_se) ** 2, rel=1e-8)
+
+    @pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(case=iv_inputs())
+    def test_inverted_and_balance_match_explicit_oracle(self, case):
+        rng, m, q, w, labels = case
+        inst = rng.normal(size=m)
+        xbar = 0.8 * inst + rng.normal(size=m)
+        ybar = 1.1 * xbar + rng.normal(size=m)
+        inverted = InvertedDataset(
+            ybar=ybar, xbar=xbar, weight=w, instrument=inst, shift_values=inst,
+            shift_ids=shift_ids(m), cluster=labels, kept=np.ones(m, dtype=bool), n_units=m,
         )
-        assert rep.beta_hat == pytest.approx(oracle[0], abs=1e-10)
+        rep = estimate_inverted(inverted, shift_controls=q if q.shape[1] else None)
+        shift_design = np.column_stack([np.ones(m), q])
+        regressors = np.column_stack([xbar, shift_design])
+        instruments = np.column_stack([inst, shift_design])
+        theta, se = textbook_iv(regressors, instruments, ybar, w, np.arange(m), 1.0)
+        assert rep.beta_hat == pytest.approx(theta[0], rel=1e-8)
+        assert np.max(np.abs(rep.gamma_hat - theta[1:])) <= 1e-8 * np.max(np.abs(theta))
+        assert rep.se_variants["hc_exposure_robust"] == pytest.approx(se, rel=1e-8)
+        pi, pi_se = textbook_iv(instruments, instruments, xbar, w, np.arange(m), 1.0)
+        assert rep.first_stage_f["conventional"] == pytest.approx((pi[0] / pi_se) ** 2, rel=1e-8)
+        codes = np.arange(m)
+        if labels is not None:
+            codes = np.unique(labels, return_inverse=True)[1]
+            _, se_cluster = textbook_iv(regressors, instruments, ybar, w, codes, 1.0)
+            assert rep.se_variants["cluster_exposure_robust"] == pytest.approx(se_cluster, rel=1e-8)
+        balance = balance_test_shift(xbar, ybar, w, cluster=labels)
+        design = np.column_stack([xbar, np.ones(m)])
+        coef, balance_se = textbook_iv(design, design, ybar, w, codes, 1.0)
+        assert balance.coefficient == pytest.approx(coef[0], rel=1e-8)
+        assert balance.se == pytest.approx(balance_se, rel=1e-8)
+
+    def test_regressor_at_extreme_scale(self, rng):
+        # no moment matrix is formed, so a regressor at 1e200 scale neither
+        # overflows nor reads as collinear with the controls
+        n = 60
+        z = rng.normal(size=n)
+        x = 0.8 * z + rng.normal(size=n)
+        controls = rng.normal(size=(n, 2))
+        y = 1.1 * x + controls @ [0.7, -0.3] + rng.normal(size=n)
+        e = rng.uniform(0.2, 2.0, size=n)
+        rep = shiftshare_2sls(simple_dataset(rng, n, controls=controls, weights=e, y=y, x=x), z)
+        big = shiftshare_2sls(
+            simple_dataset(rng, n, controls=controls, weights=e, y=y, x=x * 1e200), z
+        )
+        assert big.beta_hat * 1e200 == pytest.approx(rep.beta_hat, rel=1e-12)
+        assert big.se_variants["conventional_hc"] * 1e200 == pytest.approx(
+            rep.se_variants["conventional_hc"], rel=1e-12
+        )
+        assert big.first_stage_f["conventional"] == pytest.approx(
+            rep.first_stage_f["conventional"], rel=1e-12
+        )
+
+    def test_instrument_at_small_scale(self, rng):
+        # rescaling the instrument or the placebo by 1e-7 changes nothing: the
+        # weak-first-stage check is relative, and no moment matrix mixes scales
+        n = 50
+        z = rng.normal(size=n)
+        x = 0.8 * z + rng.normal(size=n)
+        ds = simple_dataset(rng, n, y=1.1 * x + rng.normal(size=n), x=x)
+        rep = shiftshare_2sls(ds, z)
+        small = shiftshare_2sls(ds, z * 1e-7)
+        assert small.beta_hat == pytest.approx(rep.beta_hat, rel=1e-12)
+        assert small.se_variants["conventional_hc"] == pytest.approx(
+            rep.se_variants["conventional_hc"], rel=1e-12
+        )
+        w = rng.uniform(0.5, 1.0, size=n)
+        balance = balance_test_shift(z, x, w)
+        balance_small = balance_test_shift(z * 1e-7, x, w)
+        assert balance_small.coefficient * 1e-7 == pytest.approx(balance.coefficient, rel=1e-12)
+        assert balance_small.se * 1e-7 == pytest.approx(balance.se, rel=1e-12)
 
     def test_weak_instrument_error(self, rng):
         n = 40
@@ -617,12 +729,8 @@ class TestRankCheckedSolves:
         design = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
         with pytest.raises(EstimationError, match="^rank-deficient design; collinear terms: a$"):
             wls_coefficients(design, np.ones(3), np.ones(3), ("a", "b"))
-        with pytest.raises(EstimationError, match="^singular moment system; collinear terms: a$"):
-            solve_square(design[:2], np.ones(2), ("a", "b"))
         with pytest.raises(EstimationError, match="^design matrix is identically zero$"):
             wls_coefficients(np.zeros((3, 2)), np.ones(3), np.ones(3))
-        with pytest.raises(EstimationError, match="^moment matrix is identically zero$"):
-            solve_square(np.zeros((2, 2)), np.ones(2))
 
 
 def lapack_pivoted_solve(matrix, rhs, names):
@@ -694,10 +802,7 @@ class TestPivotedSolveAgainstLapack:
         matrix, rhs = case
         names = tuple(f"c{j}" for j in range(matrix.shape[1]))
 
-        def solve(a, b, labels):
-            return _pivoted_solve(a, b, labels, "design", "rank-deficient design")
-
-        ours = solve_outcome(solve, matrix, rhs, names)
+        ours = solve_outcome(_pivoted_solve, matrix, rhs, names)
         reference = solve_outcome(lapack_pivoted_solve, matrix, rhs, names)
         assert isinstance(ours, tuple) == isinstance(reference, tuple), (ours, reference)
         if isinstance(reference, tuple):

@@ -373,3 +373,20 @@ class TestPerGroupMoments:
         finally:
             tracemalloc.stop()
         assert peak < (draws + 1) * m * 8
+
+    @pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
+    def test_one_group_of_draws_arrays_alive_at_a_time(self):
+        # a group holds two draws x group-size arrays at its peak (orders,
+        # then the permuted shifts); a third would mean the previous group's
+        # arrays are still alive while the next group's are built
+        rng = np.random.default_rng(4)
+        n, m, n_groups, draws = 100, 400, 4, 2000
+        ds, shares, shifts = build_case(rng, n=n, m=m,
+                                        groups=[f"g{j % n_groups}" for j in range(m)])
+        tracemalloc.start()
+        try:
+            ri_estimate(ds, shares, shifts, draws=draws, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (draws + 1) * (m // n_groups) * 8
