@@ -417,9 +417,9 @@ def _cmd_simulate(args, argv) -> int:
     unknown = [e for e in estimators if e not in ESTIMATORS]
     if unknown:
         raise ValidationError(f"unknown estimators: {unknown}; available: {sorted(ESTIMATORS)}")
+    results = run_coverage(config, estimators, replications=args.reps, seed=args.seed)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    results = run_coverage(config, estimators, replications=args.reps, seed=args.seed)
     _write_columns(out / "coverage.csv", "csv", {
         f.name: [getattr(r, f.name) for r in results] for f in dataclasses.fields(CoverageResult)
     })

@@ -115,6 +115,13 @@ def _robust_se(scores: np.ndarray, codes: np.ndarray, denom: float,
     return math.sqrt(correction * total) * scale / abs(denom)
 
 
+def _cancels(denom: float, terms: np.ndarray) -> bool:
+    """Whether ``denom`` is below ``WEAK_FIRST_STAGE_TOL`` times the absolute sum
+    of ``terms``, a sum like it without cancellation, so the first-stage test
+    holds at any scale."""
+    return abs(denom) < WEAK_FIRST_STAGE_TOL * float(np.sum(np.abs(terms)))
+
+
 def _partialled_iv(controls: np.ndarray, names: tuple[str, ...], z: np.ndarray,
                    x: np.ndarray, y: np.ndarray, weights: np.ndarray):
     """Just-identified weighted IV of ``y`` on ``x`` and the controls, instrumented
@@ -132,8 +139,7 @@ def _partialled_iv(controls: np.ndarray, names: tuple[str, ...], z: np.ndarray,
     coef = wls_coefficients(controls, stacked, weights, names)
     z_perp, x_perp, y_perp = (stacked - controls @ coef).T
     denom = float(np.sum(weights * z_perp * x_perp))
-    # relative to the same sum without cancellation, so the check holds at any scale
-    if abs(denom) < WEAK_FIRST_STAGE_TOL * float(np.sum(weights * np.abs(z * x))):
+    if _cancels(denom, weights * z * x):
         raise EstimationError(f"weak or zero first stage: |cov(Z, X-perp)| = {abs(denom):.3e}")
     beta = float(np.sum(weights * z_perp * y_perp)) / denom
     return beta, coef[:, 2] - beta * coef[:, 1], y_perp - beta * x_perp, z_perp, x_perp, denom
@@ -305,10 +311,10 @@ def rotemberg(
     a, c = _moment_vectors(dataset, shares, shifts)
     d = shifts.values
     denom = float(np.dot(d, c))
-    if abs(denom) < WEAK_FIRST_STAGE_TOL:
+    if _cancels(denom, d * c):
         raise EstimationError("shift-share instrument has zero covariance with the regressor")
     alpha = d * c / denom
-    tol = WEAK_FIRST_STAGE_TOL * max(1.0, float(np.max(np.abs(c))))
+    tol = WEAK_FIRST_STAGE_TOL * float(np.max(np.abs(c)))
     defined = np.abs(c) > tol
     if not defined.any():
         raise EstimationError("no share column has a usable first stage; all beta_j undefined")
@@ -346,7 +352,7 @@ def gmm_share_instruments(dataset: Dataset, shares: ShareMatrix, shifts: ShiftTa
     """
     a, c = _moment_vectors(dataset, shares, shifts)
     denom = float(np.dot(shifts.values, c))
-    if abs(denom) < WEAK_FIRST_STAGE_TOL:
+    if _cancels(denom, shifts.values * c):
         raise EstimationError("shift-weighted share moments do not identify the coefficient")
     return float(np.dot(shifts.values, a) / denom)
 

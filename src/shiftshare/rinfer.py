@@ -9,8 +9,10 @@ distinct permutations than requested draws, the full set is enumerated and
 the test is exact by construction; otherwise permutations are sampled and
 the observed assignment joins the reference set, keeping the test valid at
 finite draw counts. A permutation moves shifts only inside their group, so
-each draw's statistic is a sum of per-group terms, and memory grows with the
-draws times the largest group, not times all shifts.
+each draw's statistic is a sum of per-group terms. Sampled draws stream
+through blocks of about ``BLOCK_ELEMENTS`` permuted shifts, so memory is
+bounded by one block plus a few arrays of length draws, whatever the group
+sizes.
 
 Affinity also makes every p-value exact: a draw's extremity changes only at
 the roots of a quadratic in the coefficient, so one sort of all roots gives
@@ -38,6 +40,7 @@ from .estimate import _moment_vectors
 
 MIN_DRAWS_WARN = 100
 TIE_TOL = 1e-12  # relative rounding noise of the confidence-set sweep
+BLOCK_ELEMENTS = 1 << 16  # permuted shifts per sampled block: 512 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -137,19 +140,27 @@ def _n_permutations(group_indices: list[np.ndarray], limit: int) -> int:
 def _group_moments(d: np.ndarray, s_y: np.ndarray, s_x: np.ndarray, enumerated: bool,
                    draws: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One exchange group's terms ``d[order] @ s_y`` and ``d[order] @ s_x``, observed
-    order first. Its draws x group-size arrays die on return, so no two groups'
-    arrays are alive at once."""
+    order first. Sampled orders are drawn in blocks of rows holding about
+    ``BLOCK_ELEMENTS`` permuted shifts; the stream fills row-major, so the
+    blocks consume the same uniforms, and give the same orders, as one
+    draws x group-size call would."""
     if enumerated:
         # itertools yields the identity first, so row 0 is the observed
         # assignment, computed by the same kernel as every draw
-        orders = np.array(list(itertools.permutations(range(d.size))))
-    else:
-        # prepend the identity so the observed statistic shares the exact
-        # floating-point path of the permuted ones (ties must be exact)
-        orders = np.vstack([np.arange(d.size),
-                            np.argsort(rng.random((draws, d.size)), axis=1)])
-    permuted = d[orders]
-    return permuted @ s_y, permuted @ s_x
+        permuted = d[np.array(list(itertools.permutations(range(d.size))))]
+        return permuted @ s_y, permuted @ s_x
+    a, c = np.empty(draws + 1), np.empty(draws + 1)
+    rows = max(2, BLOCK_ELEMENTS // d.size)
+    for start in range(0, draws + 1, rows):
+        stop = min(start + rows, draws + 1)
+        orders = np.argsort(rng.random((stop - max(start, 1), d.size)), axis=1)
+        if start == 0:
+            # prepend the identity so the observed statistic shares the exact
+            # floating-point path of the permuted ones (ties must be exact)
+            orders = np.vstack([np.arange(d.size), orders])
+        permuted = d[orders]
+        a[start:stop], c[start:stop] = permuted @ s_y, permuted @ s_x
+    return a, c
 
 
 def _randomization_moments(

@@ -307,6 +307,8 @@ def run_coverage(
     replication)``. A failed fit is caught, counted against every estimator
     that reads it, and excluded from the summary.
     """
+    if replications < 1:
+        raise ValidationError(f"need at least 1 replication, got {replications}")
     if replications < 100:
         warnings.warn(
             f"only {replications} replications; coverage estimates will be noisy",
@@ -324,6 +326,8 @@ def run_coverage(
         else:
             name, fit, se_key = item
             resolved.append((str(name), fit, se_key))
+    if not resolved:
+        raise ValidationError(f"no estimators given; available: {sorted(ESTIMATORS)}")
 
     betas = {name: [] for name, _, _ in resolved}
     ses = {name: [] for name, _, _ in resolved}

@@ -250,6 +250,21 @@ class TestSimulateCommand:
                      "--reps", "100", "--out", str(tmp_path / "s")])
         assert code == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (["--reps", "-5"], "at least 1 replication"),
+        (["--reps", "0"], "at least 1 replication"),
+        (["--estimators", ","], "no estimators given"),
+    ])
+    def test_no_work_exits_one(self, args, message, tmp_path, capsys):
+        config = tmp_path / "dgp.txt"
+        config.write_text("n = 20\nm = 8\n")
+        out = tmp_path / "sim"
+        assert main(["--quiet", "simulate", "--config", str(config), *args,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+        assert not out.exists()
+
 
 def write_reference_mirror(path, payload):
     """The report's CSV mirror written row by row with ``csv.writer``: nested keys joined by

@@ -1,6 +1,7 @@
 """Estimators, standard errors, and the algebraic equivalence properties."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from shiftshare import (
     shiftshare_ols,
 )
 from shiftshare._wls import RANK_TOL, _pivoted_solve, wls_coefficients
+from shiftshare.simulate import DgpConfig, generate
 
 from conftest import matched_instance, random_share_matrix, shift_ids, unit_ids
 
@@ -350,6 +352,19 @@ class TestRotemberg:
             rep = shiftshare_2sls(ds, inst["instrument"])
             beta_gmm = gmm_share_instruments(ds, inst["shares"], inst["shifts"])
             assert beta_gmm == pytest.approx(rep.beta_hat, rel=1e-10)
+
+    def test_identified_at_small_scale(self):
+        # shifts and regressor at 1e-7 scale shrink the first-stage sum far
+        # below any absolute tolerance, yet the instrument is as strong as
+        # before: both checks are relative, as in shiftshare_2sls
+        data = generate(DgpConfig(n=60, m=8, seed=3))
+        shifts = data.shifts.with_values(data.shifts.values * 1e-7)
+        ds = replace(data.dataset, regressor=data.dataset.regressor * 1e-7)
+        beta = shiftshare_2sls(ds, build_exposure(data.shares, shifts)).beta_hat
+        tab = rotemberg(ds, data.shares, shifts)
+        assert tab.beta_hat == pytest.approx(beta, rel=1e-10)
+        assert tab.recombined() == pytest.approx(beta, rel=1e-10)
+        assert gmm_share_instruments(ds, data.shares, shifts) == pytest.approx(beta, rel=1e-10)
 
 
 class TestInvert:

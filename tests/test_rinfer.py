@@ -18,6 +18,7 @@ from shiftshare import (
     ri_estimate,
     ri_test,
 )
+from shiftshare import rinfer
 from shiftshare.rinfer import _group_indices, _moment_vectors, _randomization_moments
 
 from conftest import random_share_matrix, shift_ids, unit_ids
@@ -390,3 +391,30 @@ class TestPerGroupMoments:
         finally:
             tracemalloc.stop()
         assert peak < 3 * (draws + 1) * (m // n_groups) * 8
+
+    @pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
+    def test_memory_is_bounded_by_a_block_not_the_group(self):
+        # one group of 5000 shifts at 2000 draws: a draws x group-size array
+        # alone would take 80 MB
+        rng = np.random.default_rng(5)
+        ds, shares, shifts = build_case(rng, n=40, m=5000)
+        tracemalloc.start()
+        try:
+            ri_estimate(ds, shares, shifts, draws=2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("groups", [None, [f"g{j % 3}" for j in range(30)]])
+    @pytest.mark.parametrize("block", [1, 10**9])
+    def test_block_size_leaves_the_reference_set(self, rng, monkeypatch, groups, block):
+        # blocks read the uniform stream in order, so the draws are the same
+        # permutations whatever the block size; only the products' rounding moves
+        ds, shares, shifts = build_case(rng, n=40, m=30, groups=groups)
+        a, c, _, _, method = _randomization_moments(ds, shares, shifts, 300, 7, None)
+        monkeypatch.setattr(rinfer, "BLOCK_ELEMENTS", block)
+        a_b, c_b, _, _, method_b = _randomization_moments(ds, shares, shifts, 300, 7, None)
+        assert method_b == method == "sampling"
+        assert a_b == pytest.approx(a, rel=1e-12)
+        assert c_b == pytest.approx(c, rel=1e-12)

@@ -176,6 +176,19 @@ class TestRunCoverage:
         with pytest.raises(ValidationError, match="unknown estimator"):
             run_coverage(cfg, ["nope"], replications=100, seed=0)
 
+    @pytest.mark.parametrize("replications", [0, -5])
+    def test_no_replications_rejected(self, replications):
+        cfg = DgpConfig(n=20, m=8, seed=0)
+        with pytest.raises(ValidationError, match="at least 1 replication"):
+            run_coverage(cfg, ["conventional-hc"], replications=replications, seed=0)
+
+    def test_no_estimators_rejected(self, monkeypatch):
+        # rejected before any replication is drawn
+        monkeypatch.setattr(simulate, "generate", None)
+        cfg = DgpConfig(n=20, m=8, seed=0)
+        with pytest.raises(ValidationError, match="no estimators given"):
+            run_coverage(cfg, [], replications=100, seed=0)
+
     def test_iid_conventional_coverage_band(self):
         # quick version of the calibration run; the acceptance suite runs the
         # full-size experiment
