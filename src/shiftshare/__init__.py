@@ -51,7 +51,6 @@ from .estimate import (
     InvertedDataset,
     RotembergTable,
     ShiftFrameworkResult,
-    demean_via_controls,
     effective_f,
     estimate_inverted,
     estimate_shift_framework,

@@ -359,7 +359,7 @@ def _cmd_diagnose(args, argv) -> int:
         }
 
     if args.balance:
-        variable = shares.weights @ eta
+        variable = shares.exposure(eta)
         cluster_labels = shifts.label_column(args.cluster) if args.cluster else None
         balance = {}
         for col in args.balance.split(","):

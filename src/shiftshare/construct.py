@@ -32,7 +32,7 @@ def build_exposure(shares: ShareMatrix, shifts: ShiftTable | np.ndarray) -> np.n
         raise ValidationError(
             f"dimension mismatch: {shares.n_shifts} share columns vs {values.shape[0]} shifts"
         )
-    return shares.weights @ values
+    return shares.exposure(values)
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,7 @@ def complete_shares(shares: ShareMatrix, shifts: ShiftTable | None = None) -> Co
     sum per unit.
     """
     sums = shares.row_sums()
-    complement = np.clip(1.0 - sums, 0.0, None)
-    new_w = np.hstack([shares.weights, complement[:, None]])
-    new_shares = ShareMatrix(
-        weights=new_w,
-        row_ids=shares.row_ids,
-        col_ids=shares.col_ids + (COMPLEMENT_ID,),
-    )
+    new_shares = shares.with_column(np.clip(1.0 - sums, 0.0, None), COMPLEMENT_ID)
     new_shifts = None
     if shifts is not None:
         if shifts.n_shifts != shares.n_shifts:
@@ -196,14 +190,7 @@ def replace_shifts(
 
 def zero_share_columns(shares: ShareMatrix, replaced: np.ndarray) -> ShareMatrix:
     """Optional mirror of the replacement rule on the independent-variable shares."""
-    replaced = np.asarray(replaced, dtype=bool)
-    if replaced.shape != (shares.n_shifts,):
-        raise ValidationError("replacement mask misaligned with share columns")
-    w = shares.weights.copy()
-    w[:, replaced] = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ShiftShareWarning)
-        return ShareMatrix(weights=w, row_ids=shares.row_ids, col_ids=shares.col_ids)
+    return shares.zero_columns(replaced)
 
 
 @dataclass(frozen=True)
@@ -359,7 +346,7 @@ def shift_weights_from(dataset: Dataset, shares: ShareMatrix) -> np.ndarray:
     """Importance-weighted aggregate share of each shift: ``w_j = sum_i e_i w_ij``."""
     if dataset.n_units != shares.n_units:
         raise ValidationError("dataset and share matrix have different unit counts")
-    return dataset.unit_weights @ shares.weights
+    return shares.aggregate(dataset.unit_weights)
 
 
 @dataclass(frozen=True)

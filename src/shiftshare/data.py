@@ -93,7 +93,8 @@ class ShareMatrix:
     ``1 + ROW_SUM_TOL``. Rows summing to more than that are rejected
     rather than renormalized, since silent renormalization would corrupt
     the incomplete-share control downstream. All-zero rows are legal but
-    flagged with a warning.
+    flagged with a warning. Other modules reach the shares only through the
+    products ``exposure`` and ``aggregate`` and the pattern operations.
     """
 
     weights: np.ndarray
@@ -151,6 +152,43 @@ class ShareMatrix:
     def is_complete(self) -> bool:
         """True when every row sums to 1 within ``COMPLETE_TOL``."""
         return bool(np.all(np.abs(self.row_sums() - 1.0) <= COMPLETE_TOL))
+
+    def exposure(self, values) -> np.ndarray:
+        """``W @ values`` for a vector or a matrix with one row per shift."""
+        values = np.asarray(values, dtype=float)
+        if values.ndim not in (1, 2) or values.shape[0] != self.n_shifts:
+            raise ValidationError(f"exposure needs one row per shift ({self.n_shifts})")
+        return self.weights @ values
+
+    def aggregate(self, unit_values) -> np.ndarray:
+        """``unit_values @ W`` for a vector or a matrix with one column per unit."""
+        unit_values = np.asarray(unit_values, dtype=float)
+        if unit_values.ndim not in (1, 2) or unit_values.shape[-1] != self.n_units:
+            raise ValidationError(f"aggregation needs one column per unit ({self.n_units})")
+        return unit_values @ self.weights
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row indices, column indices and values of the nonzero shares, row by row."""
+        rows, cols = np.nonzero(self.weights)
+        return rows, cols, self.weights[rows, cols]
+
+    def with_column(self, values, col_id: str) -> "ShareMatrix":
+        """The shares with a column of per-unit ``values`` appended as ``col_id``."""
+        column = np.asarray(values, dtype=float)[:, None]
+        return ShareMatrix(np.hstack([self.weights, column]), self.row_ids,
+                           self.col_ids + (col_id,))
+
+    def zero_columns(self, mask) -> "ShareMatrix":
+        """The shares with the columns of the boolean ``mask`` set to zero, without
+        the all-zero-row warning."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.n_shifts,):
+            raise ValidationError("column mask misaligned with share columns")
+        w = self.weights.copy()
+        w[:, mask] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShiftShareWarning)
+            return ShareMatrix(w, self.row_ids, self.col_ids)
 
 
 @dataclass(frozen=True)
@@ -553,11 +591,11 @@ def _write_columns(path: Path, fmt: str, columns: Mapping[str, Sequence]) -> Non
 
 def _share_columns(shares: ShareMatrix) -> dict[str, np.ndarray]:
     """``unit_id, shift_id, weight`` of every nonzero share, row by row."""
-    rows, cols = np.nonzero(shares.weights)
+    rows, cols, values = shares.nonzero()
     return {
         "unit_id": np.asarray(shares.row_ids, dtype=object)[rows],
         "shift_id": np.asarray(shares.col_ids, dtype=object)[cols],
-        "weight": shares.weights[rows, cols],
+        "weight": values,
     }
 
 
@@ -630,7 +668,8 @@ def to_long_form(
 
     long_w = np.zeros((n * T, m * T))
     for t, sh in enumerate(shares_by_period):
-        long_w[t * n : (t + 1) * n, t * m : (t + 1) * m] = sh.weights
+        rows, cols, w = sh.nonzero()
+        long_w[rows + t * n, cols + t * m] = w
 
     row_ids = tuple(f"{u}@{periods[t]}" for t in range(T) for u in base.row_ids)
     col_ids = tuple(f"{s}@{periods[t]}" for t in range(T) for s in base.col_ids)

@@ -26,7 +26,6 @@ from .estimate import (
     _partialled_iv,
     _robust_se,
     residualized_se,
-    residualized_se_clustered,
     shiftshare_2sls,
 )
 
@@ -112,12 +111,7 @@ def balance_test_unit(
     if se_mode == "exposure":
         if shares is None or eta_hat is None:
             raise ValidationError("exposure-robust balance test needs shares and eta_hat")
-        if cluster is not None:
-            se = residualized_se_clustered(
-                e, shares, eta_hat, rep.residuals, rep.x_perp, cluster
-            )
-        else:
-            se = residualized_se(e, shares, eta_hat, rep.residuals, rep.x_perp)
+        se = residualized_se(e, shares, eta_hat, rep.residuals, rep.x_perp, clusters=cluster)
     elif se_mode == "conventional":
         key = "conventional_cluster" if unit_cluster is not None else "conventional_hc"
         se = rep.se_variants[key]
@@ -136,9 +130,9 @@ def aggregate_placebo(
         raise ValidationError("placebo must have one value per unit")
     e = np.full(n, 1.0 / n) if unit_weights is None else np.asarray(unit_weights, dtype=float)
     e = e / e.sum()
-    w_j = e @ shares.weights
+    w_j = shares.aggregate(e)
     safe = np.where(w_j > 0, w_j, 1.0)
-    return np.where(w_j > 0, (e * t) @ shares.weights / safe, 0.0)
+    return np.where(w_j > 0, shares.aggregate(e * t) / safe, 0.0)
 
 
 def balance_test_shift(

@@ -326,6 +326,9 @@ def run_coverage(
         else:
             name, fit, se_key = item
             resolved.append((str(name), fit, se_key))
+        if resolved[-1][0] in {name for name, _, _ in resolved[:-1]}:
+            # results are kept by name, so a repeat would pool its draws twice
+            raise ValidationError(f"estimator {resolved[-1][0]!r} is given more than once")
     if not resolved:
         raise ValidationError(f"no estimators given; available: {sorted(ESTIMATORS)}")
 

@@ -9,7 +9,6 @@ from shiftshare import (
     ShiftTable,
     build_exposure,
     complete_shares,
-    demean_via_controls,
 )
 
 
@@ -51,7 +50,7 @@ def matched_instance(rng, n, m, n_covariates=2, beta=1.7, extra_unit_control=Tru
     e = rng.uniform(0.5, 2.0, size=n)
     z = build_exposure(shares, shifts)
     x = z + endog_noise * rng.normal(size=n)
-    aggregated = demean_via_controls(shares, shifts.covariates)
+    aggregated = shares.exposure(shifts.covariates)
     blocks = [aggregated]
     if extra_unit_control:
         blocks.insert(0, rng.normal(size=(n, 1)))

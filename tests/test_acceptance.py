@@ -26,7 +26,6 @@ from shiftshare import (
     invert,
     residualize_shifts,
     residualized_se,
-    residualized_se_clustered,
     ri_estimate,
     ri_test,
     rotemberg,
@@ -135,9 +134,9 @@ def test_criterion_05_residualized_se_reductions():
             worst_hc,
             abs(se - rep_inv.se_variants["hc_exposure_robust"]) / max(se, 1e-12),
         )
-        se_singleton = residualized_se_clustered(
+        se_singleton = residualized_se(
             ds.unit_weights, shares, res.eta_hat, rep.residuals, rep.x_perp,
-            [f"own{j}" for j in range(shares.n_shifts)],
+            clusters=[f"own{j}" for j in range(shares.n_shifts)],
         )
         worst_singleton = max(worst_singleton, abs(se_singleton - se))
     check(5, "residualized SE equals the inverted-regression robust SE", worst_hc, 1e-8)

@@ -254,6 +254,7 @@ class TestSimulateCommand:
         (["--reps", "-5"], "at least 1 replication"),
         (["--reps", "0"], "at least 1 replication"),
         (["--estimators", ","], "no estimators given"),
+        (["--estimators", "conventional-hc,conventional-hc"], "given more than once"),
     ])
     def test_no_work_exits_one(self, args, message, tmp_path, capsys):
         config = tmp_path / "dgp.txt"

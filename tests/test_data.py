@@ -1,5 +1,6 @@
 """Data model, validation, ingestion, and long-form reshaping."""
 
+import ast
 import csv
 import json
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftshare
 from shiftshare import (
     Dataset,
     SchemaError,
@@ -357,6 +359,102 @@ class TestValidation:
         w = gen.dirichlet(np.ones(m), size=n) * gen.uniform(0.1, 1.0, size=(n, 1))
         shares = ShareMatrix(w, tuple(map(str, range(n))), tuple(map(str, range(m))))
         assert np.all(shares.row_sums() <= 1.0 + 1e-9)
+
+
+@st.composite
+def share_patterns(draw):
+    """A share matrix of 1-12 units over 1-10 shifts at any density, with some
+    all-zero rows and columns, and a generator for the arguments."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    w = gen.uniform(0.0, 1.0, size=(n, m)) * (gen.random((n, m)) < density)
+    w[draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = 0.0
+    w[:, draw(st.lists(st.integers(0, m - 1), max_size=m))] = 0.0
+    sums = w.sum(axis=1, keepdims=True)
+    w = np.where(sums > 0, w / np.where(sums > 0, sums, 1.0), 0.0)
+    w *= gen.uniform(0.1, 1.0, size=(n, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShiftShareWarning)  # all-zero share rows
+        shares = ShareMatrix(w, tuple(f"u{i}" for i in range(n)), tuple(f"s{j}" for j in range(m)))
+    return shares, gen
+
+
+class TestShareOperator:
+    """The contract of ``ShareMatrix``'s products and pattern operations against
+    the dense array. Dense storage gives the products bit for bit (``RTOL`` 0); a
+    different storage states its relative tolerance here."""
+
+    RTOL = 0.0
+
+    @given(case=share_patterns(), k=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_products_match_the_dense_array(self, case, k):
+        shares, gen = case
+        n, m = shares.n_units, shares.n_shifts
+        for a in (gen.normal(size=m), gen.normal(size=(m, k))):
+            np.testing.assert_allclose(shares.exposure(a), shares.weights @ a,
+                                       rtol=self.RTOL, atol=0)
+        for b in (gen.normal(size=n), gen.normal(size=(k, n))):
+            np.testing.assert_allclose(shares.aggregate(b), b @ shares.weights,
+                                       rtol=self.RTOL, atol=0)
+
+    @given(case=share_patterns())
+    @settings(max_examples=80, deadline=None)
+    def test_pattern_operations_match_the_dense_array(self, case):
+        shares, gen = case
+        rows, cols, values = shares.nonzero()
+        assert np.all(values != 0.0)
+        assert np.all(np.diff(rows * shares.n_shifts + cols) > 0)  # row by row
+        scattered = np.zeros((shares.n_units, shares.n_shifts))
+        scattered[rows, cols] = values
+        assert np.array_equal(scattered, shares.weights)
+
+        column = np.clip(1.0 - shares.row_sums(), 0.0, None) * gen.uniform(size=shares.n_units)
+        wider = shares.with_column(column, "extra")
+        assert np.array_equal(wider.weights, np.hstack([shares.weights, column[:, None]]))
+        assert wider.col_ids == shares.col_ids + ("extra",)
+        assert wider.row_ids == shares.row_ids
+
+        mask = gen.random(shares.n_shifts) < 0.5
+        expected = shares.weights.copy()
+        expected[:, mask] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ShiftShareWarning)  # zeroed rows stay quiet
+            zeroed = shares.zero_columns(mask)
+        assert np.array_equal(zeroed.weights, expected)
+        assert (zeroed.row_ids, zeroed.col_ids) == (shares.row_ids, shares.col_ids)
+
+    def test_misaligned_arguments_rejected(self):
+        shares = ShareMatrix(np.array([[0.5, 0.25]]), ("a",), ("s1", "s2"))
+        with pytest.raises(ValidationError, match="one row per shift"):
+            shares.exposure(np.ones(3))
+        with pytest.raises(ValidationError, match="one column per unit"):
+            shares.aggregate(np.ones((2, 2)))
+        with pytest.raises(ValidationError, match="misaligned"):
+            shares.zero_columns([True])
+
+
+# reads of the share array outside data.py: elementwise uses against a
+# caller's dense units-by-shifts matrix
+SHARE_ARRAY_READERS = {("construct.py", "decompose"), ("construct.py", "leave_one_out_shifts")}
+
+
+def test_only_data_reads_the_share_array():
+    """Every other module reaches the shares through ``ShareMatrix``'s methods, so
+    the storage can change inside one class."""
+    found = set()
+    for path in sorted(Path(shiftshare.__file__).parent.glob("*.py")):
+        if path.name == "data.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            where = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "weights":
+                    found.add((path.name, where, node.lineno))
+    leaks = sorted(f for f in found if f[:2] not in SHARE_ARRAY_READERS)
+    assert not leaks, f"share array read outside data.py: {leaks}"
+    assert {f[:2] for f in found} == SHARE_ARRAY_READERS
 
 
 class TestLongForm:

@@ -19,7 +19,6 @@ from shiftshare import (
     balance_test_shift,
     build_exposure,
     complete_shares,
-    demean_via_controls,
     effective_f,
     estimate_inverted,
     estimate_shift_framework,
@@ -34,6 +33,7 @@ from shiftshare import (
     shiftshare_ols,
 )
 from shiftshare._wls import RANK_TOL, _pivoted_solve, wls_coefficients
+from shiftshare.estimate import _partialled_iv
 from shiftshare.simulate import DgpConfig, generate
 
 from conftest import matched_instance, random_share_matrix, shift_ids, unit_ids
@@ -66,14 +66,16 @@ def textbook_iv(regressors, instruments, response, weights, codes, correction):
 @st.composite
 def iv_inputs(draw):
     """A generator, 8-80 observations, 0-3 control columns, random weights and,
-    half the time, labels of 2 to n/2 clusters."""
+    half the time, labels of 3 to n/2 clusters. Two clusters are left out: their
+    score sums are exact negatives of each other, so one near-cancelled sum can make
+    the first-stage F ill-conditioned (``test_two_cluster_first_stage_f``)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(8, 80))
     controls = rng.normal(size=(n, draw(st.integers(0, 3))))
     weights = rng.uniform(0.2, 2.0, size=n)
     labels = None
     if draw(st.booleans()):
-        g = draw(st.integers(2, n // 2))
+        g = draw(st.integers(3, n // 2))
         labels = np.array([f"c{i % g}" for i in rng.permutation(n)])
     return rng, n, controls, weights, labels
 
@@ -188,6 +190,50 @@ class TestTwoStage:
         assert rep.se_variants[key] == pytest.approx(se, rel=1e-8)
         pi, pi_se = textbook_iv(instruments, instruments, x, ew, codes, correction)
         assert rep.first_stage_f["conventional"] == pytest.approx((pi[0] / pi_se) ** 2, rel=1e-8)
+
+    def test_two_cluster_first_stage_f(self):
+        # The case iv_inputs drew from seed 27 with n=8, one control and two
+        # clusters, where the oracle test above once failed. With two clusters the
+        # first stage's cluster score sums are exact negatives of each other (their
+        # total is its normal equation), so its meat is one sum squared twice. Here
+        # that sum is 3e-5 of its terms' absolute sum and F is 2.2e10, and moving x
+        # by 1e-13 of its scale moves F by more than 1e-8: F is not defined to 1e-8
+        # on this draw. (The oracle's sandwich squares the score sums before they
+        # cancel and missed F by 1.55e-8.) The coefficient and its SE are well
+        # conditioned and still match the oracle to 1e-8.
+        rng = np.random.default_rng(27)
+        n = 8
+        controls = rng.normal(size=(n, 1))
+        e = rng.uniform(0.2, 2.0, size=n)
+        labels = np.array([f"c{i % 2}" for i in rng.permutation(n)])
+        z = rng.normal(size=n)
+        x = 0.8 * z + rng.normal(size=n)
+        y = 1.1 * x + controls @ rng.normal(size=1) + rng.normal(size=n)
+
+        def fit(regressor):
+            ds = simple_dataset(rng, n, controls=controls, weights=e, y=y, x=regressor)
+            return shiftshare_2sls(ds, z, cluster=labels), ds.unit_weights
+
+        rep, ew = fit(x)
+        f = rep.first_stage_f["conventional"]
+        assert 2.2e10 < f < 2.3e10
+        unit_design = np.column_stack([np.ones(n), controls])
+        _, _, resid, z_perp, _, _ = _partialled_iv(unit_design, ("intercept", "pi_1"),
+                                                   z, z, x, ew)
+        scores = ew * z_perp * resid
+        in_c0 = labels == "c0"
+        s0, s1 = scores[in_c0].sum(), scores[~in_c0].sum()
+        assert abs(s0 + s1) <= 1e-9 * abs(s0)
+        assert abs(s0) < 1e-4 * np.abs(scores[in_c0]).sum()
+        nudged, _ = fit(x + 1e-13 * np.abs(x).max() * np.where(in_c0, np.sign(z_perp), 0.0))
+        assert abs(nudged.first_stage_f["conventional"] / f - 1) > 1e-8
+        assert nudged.beta_hat == pytest.approx(rep.beta_hat, rel=1e-11)
+        codes = np.unique(labels, return_inverse=True)[1]
+        theta, se = textbook_iv(np.column_stack([x, unit_design]),
+                                np.column_stack([z, unit_design]), y, ew, codes,
+                                2 * (n - 1) / (n - 3))
+        assert rep.beta_hat == pytest.approx(theta[0], rel=1e-8)
+        assert rep.se_variants["conventional_cluster"] == pytest.approx(se, rel=1e-8)
 
     @pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
     @settings(max_examples=100, deadline=None)
@@ -605,8 +651,8 @@ class TestResidualizedSe:
         e, eps, x_perp = np.full(n, 1 / n), rng.normal(size=n), rng.normal(size=n)
         for se in (
             lambda eta, eps: residualized_se(e, shares, eta, eps, x_perp),
-            lambda eta, eps: residualized_se_clustered(e, shares, eta, eps, x_perp,
-                                                       ["a", "a", "b", "b"]),
+            lambda eta, eps: residualized_se(e, shares, eta, eps, x_perp,
+                                             clusters=["a", "a", "b", "b"]),
         ):
             with pytest.raises(ValidationError, match="eta misaligned"):
                 se(rng.normal(size=m + 1), eps)
@@ -618,19 +664,28 @@ class TestResidualizedSe:
         ds, shares = inst["dataset"], inst["shares"]
         se = residualized_se(ds.unit_weights, shares, res.eta_hat,
                              rep.residuals, rep.x_perp)
-        se_singleton = residualized_se_clustered(
+        se_singleton = residualized_se(
             ds.unit_weights, shares, res.eta_hat, rep.residuals, rep.x_perp,
-            [f"only{j}" for j in range(shares.n_shifts)],
+            clusters=[f"only{j}" for j in range(shares.n_shifts)],
         )
         assert se_singleton == se
+
+    def test_clustered_name_is_the_clustered_se(self, rng):
+        inst, res, rep = self.build(rng)
+        args = (inst["dataset"].unit_weights, inst["shares"], res.eta_hat, rep.residuals,
+                rep.x_perp)
+        clusters = [f"c{j % 3}" for j in range(inst["shares"].n_shifts)]
+        assert residualized_se_clustered(*args, clusters) == residualized_se(
+            *args, clusters=clusters
+        )
 
     def test_single_cluster_collapse(self, rng):
         inst, res, rep = self.build(rng)
         ds, shares = inst["dataset"], inst["shares"]
         z = shares.weights @ res.eta_hat
-        se_one = residualized_se_clustered(
+        se_one = residualized_se(
             ds.unit_weights, shares, res.eta_hat, rep.residuals, rep.x_perp,
-            ["c"] * shares.n_shifts,
+            clusters=["c"] * shares.n_shifts,
         )
         e = ds.unit_weights
         oracle = abs(np.sum(e * z * rep.residuals)) / abs(np.sum(e * rep.x_perp * z))
@@ -656,7 +711,7 @@ class TestResidualizedSe:
             )
             num += s_c**2
         oracle = np.sqrt(num) / den
-        se = residualized_se_clustered(e, shares, eta, eps, x_perp, clusters)
+        se = residualized_se(e, shares, eta, eps, x_perp, clusters=clusters)
         assert se == pytest.approx(oracle, rel=1e-12)
 
 
@@ -708,15 +763,18 @@ class TestEffectiveF:
 
 
 class TestDemeanViaControls:
+    """Aggregated shift covariates ``W p`` as unit controls, the counterpart of
+    demeaning the shifts on ``p``."""
+
     def test_unit_covariate_gives_share_sum(self, rng):
         shares = random_share_matrix(rng, 10, 4)
-        control = demean_via_controls(shares, np.ones(4))
+        control = shares.exposure(np.ones((4, 1)))
         assert np.allclose(control[:, 0], shares.row_sums(), rtol=1e-14)
 
     def test_one_hot_gives_group_sums(self, rng):
         shares = random_share_matrix(rng, 8, 4)
         p = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        control = demean_via_controls(shares, p)
+        control = shares.exposure(p)
         assert np.allclose(control[:, 0], shares.weights[:, :2].sum(axis=1), rtol=1e-14)
         assert np.allclose(control[:, 1], shares.weights[:, 2:].sum(axis=1), rtol=1e-14)
 

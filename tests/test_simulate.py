@@ -189,6 +189,15 @@ class TestRunCoverage:
         with pytest.raises(ValidationError, match="no estimators given"):
             run_coverage(cfg, [], replications=100, seed=0)
 
+    def test_repeated_estimator_name_rejected(self, monkeypatch):
+        # results are kept by name, so a repeat would pool its draws twice;
+        # rejected before any replication is drawn
+        monkeypatch.setattr(simulate, "generate", None)
+        cfg = DgpConfig(n=20, m=8, seed=0)
+        with pytest.raises(ValidationError, match="'conventional-hc' is given more than once"):
+            run_coverage(cfg, ["conventional-hc", "exposure-robust", "conventional-hc"],
+                         replications=100, seed=0)
+
     def test_iid_conventional_coverage_band(self):
         # quick version of the calibration run; the acceptance suite runs the
         # full-size experiment
