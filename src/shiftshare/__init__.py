@@ -13,7 +13,6 @@ from .construct import (
     replace_shifts,
     residualize_shifts,
     shift_weights_from,
-    zero_share_columns,
 )
 from .data import (
     Dataset,

@@ -30,7 +30,6 @@ from .construct import (
     replace_shifts,
     residualize_shifts,
     shift_weights_from,
-    zero_share_columns,
 )
 from .data import _read_long_matrix, _share_columns, _write_columns, load_inputs
 from .diagnose import balance_test_unit, concentration, icc, shift_summary
@@ -221,7 +220,7 @@ def _cmd_construct(args, argv) -> int:
         replacement = replace_shifts(shifts, w_j, args.replace_threshold)
         shifts = replacement.shifts
         if args.replace_shares:
-            shares = zero_share_columns(shares, replacement.replaced)
+            shares = shares.zero_columns(replacement.replaced)
         _write_columns(out / "shifts_replaced.csv", "csv", {
             "shift_id": shifts.shift_ids, "value": shifts.values,
             "replaced": replacement.replaced.astype(int),

@@ -21,7 +21,7 @@ from .errors import EstimationError, NumericalError, ShiftShareWarning, Validati
 COMPLEMENT_ID = "__complement__"
 REAL_SHIFT_COVARIATE = "p_real"
 DEFAULT_REPLACE_THRESHOLD = 0.03
-DEMEAN_TOL = 1e-10  # largest group-mean move, relative to the data, at convergence
+DEMEAN_TOL = 1e-10  # largest group mean at convergence, relative to its column's largest entry
 DEMEAN_MAX_ITER = 10000  # alternating-demeaning sweeps before giving up
 
 
@@ -188,11 +188,6 @@ def replace_shifts(
     return ShiftReplacement(shifts=shifts.with_values(values), replaced=mask, threshold=threshold)
 
 
-def zero_share_columns(shares: ShareMatrix, replaced: np.ndarray) -> ShareMatrix:
-    """Optional mirror of the replacement rule on the independent-variable shares."""
-    return shares.zero_columns(replaced)
-
-
 @dataclass(frozen=True)
 class ShiftResiduals:
     """Residualized shifts together with the specification that produced them."""
@@ -217,32 +212,31 @@ def _weighted_group_demean(
 ) -> np.ndarray:
     """Alternating weighted demeaning over each fixed-effect dimension.
 
-    Avoids materializing the dummy matrix; converges to the same projection
-    as a dense weighted dummy regression. Groups with zero total weight get
-    mean zero.
+    Each sweep subtracts every dimension's weighted group means in turn. This
+    converges to the projection of a dense weighted dummy regression without
+    materializing the dummies. A sweep leaves the columns centred in its last
+    dimension, and each earlier dimension has since moved by at most the later
+    dimensions' group means. So the loop stops after the first sweep in which
+    no group mean past the first dimension exceeds ``DEMEAN_TOL`` times its
+    column's largest entry; one dimension stops after one sweep, and none
+    returns a copy. Groups with zero total weight get mean zero.
     """
     out = columns.copy()
-    scale = max(1.0, float(np.max(np.abs(out))) if out.size else 1.0)
+    tol = DEMEAN_TOL * np.max(np.abs(out), axis=0, initial=0.0)
     group_weights = []
     for codes in codes_list:
         gw = np.bincount(codes, weights=weights)
         group_weights.append(np.where(gw > 0, gw, 1.0))
-    if len(codes_list) == 1:
-        codes = codes_list[0]
-        means = np.vstack(
-            [np.bincount(codes, weights=weights * col) for col in out.T]
-        ).T / group_weights[0][:, None]
-        return out - means[codes]
     for _ in range(DEMEAN_MAX_ITER):
-        biggest = 0.0
-        for codes, gw in zip(codes_list, group_weights):
+        converged = True
+        for k, (codes, gw) in enumerate(zip(codes_list, group_weights)):
             means = np.vstack(
                 [np.bincount(codes, weights=weights * col) for col in out.T]
             ).T / gw[:, None]
             out -= means[codes]
-            if means.size:
-                biggest = max(biggest, float(np.max(np.abs(means))))
-        if biggest <= DEMEAN_TOL * scale:
+            if k and np.any(np.abs(means) > tol):
+                converged = False
+        if converged:
             return out
     raise NumericalError(
         f"alternating demeaning did not converge within {DEMEAN_MAX_ITER} iterations"
@@ -259,9 +253,14 @@ def residualize_shifts(
 
     ``spec`` lists terms by name: label columns of the shift table
     (``cluster``, ``period``, ``exchange_group``, or any extra column) enter
-    as fixed effects, covariate names enter linearly. Fixed effects are
-    absorbed by alternating weighted demeaning rather than dummy expansion.
-    An empty spec with ``intercept=False`` returns the raw values.
+    as fixed effects, covariate names enter linearly. ``intercept`` adds the
+    fixed effect with one level when the spec has no label term. The fixed
+    effects are absorbed from the shifts and covariates by alternating
+    weighted demeaning; the demeaned covariates are then partialled out
+    (Frisch-Waugh-Lovell). A covariate the demeaning absorbs is named in the
+    error. Every tolerance is relative to the data, so scaling the shifts and
+    covariates by a power of two scales ``eta_hat`` exactly. An empty spec
+    with ``intercept=False`` returns the raw values.
 
     The universe of shifts residualized here may be larger than the set that
     later enters a regression; pass the wider table with its own weights.
@@ -288,52 +287,34 @@ def residualize_shifts(
             raise ValidationError(f"unknown residualization term {term!r}")
 
     d = shifts.values.astype(float)
-    absorbs_constant = bool(fe_codes) or intercept
-    if fe_codes:
-        stacked = np.column_stack([d] + cov_cols) if cov_cols else d[:, None]
-        demeaned = _weighted_group_demean(stacked, w, fe_codes)
-        d_dm = demeaned[:, 0]
-        if cov_cols:
-            x_dm = demeaned[:, 1:]
-            norms = np.sqrt((w[:, None] * x_dm**2).sum(axis=0))
-            base = np.sqrt((w[:, None] * np.column_stack(cov_cols) ** 2).sum(axis=0))
-            dead = norms <= 1e-10 * np.maximum(base, 1.0)
-            if np.any(dead):
-                bad = ", ".join(n for n, flag in zip(cov_names, dead) if flag)
-                raise EstimationError(
-                    f"rank-deficient design; collinear terms: {bad} (absorbed by fixed effects)"
-                )
-            coef = wls_coefficients(x_dm, d_dm, w, tuple(cov_names))
-            eta = d_dm - x_dm @ coef
-        else:
-            eta = d_dm
-    elif cov_cols or intercept:
-        cols = []
-        names = []
-        if intercept:
-            cols.append(np.ones_like(d))
-            names.append("intercept")
-        cols.extend(cov_cols)
-        names.extend(cov_names)
-        design = np.column_stack(cols)
-        coef = wls_coefficients(design, d, w, tuple(names))
-        eta = d - design @ coef
-    else:
-        eta = d.copy()
+    if intercept and not fe_codes:
+        fe_codes.append(np.zeros(d.shape[0], dtype=np.intp))
+    stacked = np.column_stack([d] + cov_cols)
+    demeaned = _weighted_group_demean(stacked, w, fe_codes)
+    eta = demeaned[:, 0]
+    if cov_cols:
+        x_dm = demeaned[:, 1:]
+        norms = np.sqrt((w[:, None] * x_dm**2).sum(axis=0))
+        base = np.sqrt((w[:, None] * stacked[:, 1:] ** 2).sum(axis=0))
+        dead = norms <= 1e-10 * base
+        if np.any(dead):
+            bad = ", ".join(n for n, flag in zip(cov_names, dead) if flag)
+            raise EstimationError(
+                f"rank-deficient design; collinear terms: {bad} (absorbed by fixed effects)"
+            )
+        eta = eta - x_dm @ wls_coefficients(x_dm, eta, w, tuple(cov_names))
 
     fitted = d - eta
     wsum = w.sum()
-    if absorbs_constant:
-        mean_raw = float((w * d).sum() / wsum)
-        denom = float((w * (d - mean_raw) ** 2).sum())
-    else:
-        denom = float((w * d**2).sum())
+    # any fixed effect absorbs the constant: eta is then weighted-centred, and
+    # the variation it is compared with is centred too
+    centre = float((w * d).sum() / wsum) if fe_codes else 0.0
+    denom = float((w * (d - centre) ** 2).sum())
     num = float((w * eta**2).sum())
     sse_ratio = 1.0 if denom == 0.0 else min(max(num / denom, 0.0), 1.0)
-    if absorbs_constant:
-        mean_eta = abs(float((w * eta).sum() / wsum))
-        if mean_eta > 1e-8 * max(1.0, float(np.max(np.abs(d))) if d.size else 1.0):
-            raise NumericalError(f"residualized shifts have weighted mean {mean_eta!r}, not 0")
+    mean_eta = abs(float((w * eta).sum() / wsum))
+    if fe_codes and mean_eta > 1e-8 * float(np.max(np.abs(d))):
+        raise NumericalError(f"residualized shifts have weighted mean {mean_eta!r}, not 0")
     return ShiftResiduals(
         eta_hat=eta,
         fitted=fitted,

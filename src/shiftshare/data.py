@@ -119,7 +119,7 @@ class ShareMatrix:
         if np.any(w < 0):
             i, j = np.argwhere(w < 0)[0]
             raise ValidationError(
-                f"negative share {w[i, j]!r} at unit {self.row_ids[i]!r}, "
+                f"negative share {float(w[i, j])!r} at unit {self.row_ids[i]!r}, "
                 f"shift {self.col_ids[j]!r}"
             )
         sums = w.sum(axis=1)
@@ -127,7 +127,7 @@ class ShareMatrix:
         if bad.size:
             i = bad[0]
             raise ValidationError(
-                f"row sum {sums[i]!r} for unit {self.row_ids[i]!r} exceeds 1 + {ROW_SUM_TOL}"
+                f"row sum {float(sums[i])!r} for unit {self.row_ids[i]!r} exceeds 1 + {ROW_SUM_TOL}"
             )
         zero = np.flatnonzero(sums == 0.0)
         if zero.size:

@@ -461,6 +461,50 @@ class TestShiftFrameworkSpecs:
                           "schema_version": 1, "framework": "shift"}
 
 
+def write_positive_covariate(path, factor):
+    """Replace the ``p_1`` column of a shifts CSV by ``factor * exp(p_1)``, a
+    positive covariate such as import values, in units of ``factor``."""
+    lines = path.read_text().strip().splitlines()
+    k = lines[0].split(",").index("p_1")
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[k] = repr(factor * float(np.exp(float(row[k]))))
+    path.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+
+
+class TestLargeUnitCovariates:
+    # a covariate in 1e10 units (say, import values in dollars) residualizes
+    # like the same covariate in units of one
+    def test_construct_residuals_do_not_depend_on_units(self, inputs, tmp_path):
+        eta = {}
+        for factor in (1.0, 1e10):
+            write_wide_inputs(inputs)
+            write_positive_covariate(inputs["shifts"], factor)
+            out = tmp_path / f"x{factor:g}"
+            assert main(["--quiet", "construct", "--residualize", "p_1",
+                         *io_args(inputs, out)]) == 0
+            with open(out / "shift_residuals.csv", newline="") as fh:
+                eta[factor] = np.array([float(row["eta_hat"]) for row in csv.DictReader(fh)])
+        assert np.max(np.abs(eta[1e10] - eta[1.0])) <= 1e-12 * np.max(np.abs(eta[1.0]))
+
+    def test_diagnose_accepts_large_units(self, inputs, tmp_path):
+        write_wide_inputs(inputs)
+        write_positive_covariate(inputs["shifts"], 1e10)
+        assert main(["--quiet", "diagnose", "--residualize", "p_1", "--concentration",
+                     *io_args(inputs, tmp_path / "d")]) == 0
+        assert "concentration" in json.loads((tmp_path / "d" / "diagnose.json").read_text())
+
+
+def test_over_unit_share_row_message(inputs, tmp_path, capsys):
+    rows = SHARES.replace("u0,s0,0.0629", "u0,s0,0.5").replace("u0,s1,0.0391", "u0,s1,0.25")
+    inputs["shares"].write_text(rows.replace("u0,s2,0.1496", "u0,s2,0.5")
+                                .replace("u0,s3,0.2912", "u0,s3,0.25"))
+    assert main(["--quiet", "estimate", *io_args(inputs, tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: row sum 1.5 for unit 'u0' exceeds 1 + 1e-09\n"
+    )
+
+
 def value_cells(path, skip=("unit_id", "shift_id", "replaced")):
     import csv as csvmod
 

@@ -3,6 +3,8 @@ residualization, and leave-one-out instruments."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftshare import (
     EstimationError,
@@ -16,7 +18,6 @@ from shiftshare import (
     leave_one_out_shifts,
     replace_shifts,
     residualize_shifts,
-    zero_share_columns,
 )
 from shiftshare._wls import wls_coefficients
 
@@ -192,7 +193,7 @@ class TestReplaceShifts:
     def test_share_column_mirror(self, rng):
         shares = random_share_matrix(rng, 4, 3)
         mask = np.array([True, False, False])
-        zeroed = zero_share_columns(shares, mask)
+        zeroed = shares.zero_columns(mask)
         assert np.all(zeroed.weights[:, 0] == 0.0)
         assert np.array_equal(zeroed.weights[:, 1:], shares.weights[:, 1:])
 
@@ -300,6 +301,32 @@ class TestResidualizeShifts:
     def test_unknown_term(self):
         with pytest.raises(ValidationError, match="nope"):
             residualize_shifts(table([1.0, 2.0]), ("nope",), np.ones(2))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(12, 40),
+        spec=st.sampled_from([(), ("p_1",), ("p_1", "p_2"), ("cluster",), ("cluster", "p_1"),
+                              ("cluster", "period"), ("cluster", "period", "p_1")]),
+        k=st.sampled_from([-40, -20, 20, 40]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_any_scale_scales_residuals_exactly(self, seed, m, spec, k):
+        # unbalanced labels and random weights; every tolerance is relative to the
+        # data, so a power-of-two rescale of shifts and covariates changes no decision
+        rng = np.random.default_rng(seed)
+        labels = {
+            "cluster": rng.choice([f"g{g}" for g in range(rng.integers(2, 6))], size=m),
+            "period": rng.choice([f"{2000 + t}" for t in range(rng.integers(2, 5))], size=m),
+        }
+        values = rng.normal(0.5, 2.0, size=m)
+        covs = rng.normal(size=(m, 2)) * [1.0, 7.0]
+        w = rng.uniform(0.05, 2.0, size=m)
+        base = residualize_shifts(table(values, covariates=covs, **labels), spec, w)
+        scaled = residualize_shifts(
+            table(values * 2.0**k, covariates=covs * 2.0**k, **labels), spec, w
+        )
+        assert np.array_equal(scaled.eta_hat, base.eta_hat * 2.0**k)
+        assert scaled.sse_ratio == base.sse_ratio
 
 
 class TestLeaveOneOut:
