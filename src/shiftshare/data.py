@@ -17,8 +17,12 @@ row objects mirroring the CSV columns; floats are parsed as 64-bit):
   kept as named auxiliary columns (cluster labels, placebo variables)
 
 CSV files use RFC 4180 quoting as ``save_inputs`` writes it: ``#`` is data, blank lines are
-skipped and ragged rows are rejected. A ``(unit_id, shift_id)`` pair may appear only once, and
-a long-format file may hold no data rows (no nonzero pairs).
+skipped, and ragged rows and a header naming a column twice are rejected. Ids are matched
+exactly, spaces kept, and numbers read as Python's ``float`` reads them. A ``(unit_id,
+shift_id)`` pair may appear only once, and a long-format file may hold no data rows (no nonzero
+pairs). A long-format CSV file is parsed in one C pass; a file that pass does not take whole
+is read again entry by entry, which words the error. A JSON row object that gives a key
+twice keeps the last value (``json.load`` collapses it).
 
 Every CSV the package writes (``save_inputs`` and the CLI tables) uses the default
 ``csv.writer`` dialect: QUOTE_MINIMAL quoting and ``\r\n`` line ends, with floats written as
@@ -375,6 +379,10 @@ def _read_columns(
             header = next(csv.reader(fh), None)
             if header is None:
                 raise SchemaError(f"{file}: empty file, expected a header row")
+            repeated = [name for k, name in enumerate(header) if name in header[:k]]
+            if repeated:
+                raise SchemaError(
+                    f"{path}: column {repeated[0]!r} appears more than once in the header")
             with warnings.catch_warnings():
                 # a header-only file is handled below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -485,7 +493,78 @@ def _read_long_matrix(
     """Dense units-by-shifts matrix from a long-format ``unit_id, shift_id,
     <column>`` file; absent pairs are zero, so a file without data rows is an
     all-zero matrix. Every id must be known, every value must parse as a
-    number, and no pair may appear twice."""
+    number, and no pair may appear twice.
+
+    A CSV file is parsed in one C pass; a file that pass does not take whole is
+    read again by ``_scan_long_matrix``, which words the error or accepts what
+    ``float`` accepts."""
+    if fmt == "csv":
+        out = _parse_long_csv(path, column, unit_ids, shift_ids)
+        if out is not None:
+            return out
+    return _scan_long_matrix(path, column, unit_ids, shift_ids, fmt)
+
+
+# numpy's number parser strips these around a number and ``float`` does not, and a
+# ``U`` array drops a trailing NUL of an id; a file holding any of them is scanned
+_C_PARSE_HAZARDS = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _parse_long_csv(path, column, unit_ids, shift_ids) -> np.ndarray | None:
+    """``_read_long_matrix`` of a CSV file from one structured ``np.loadtxt``, or None
+    where the file is anything but a clean, non-empty table of known, unrepeated pairs."""
+    try:
+        if any(byte in Path(path).read_bytes() for byte in _C_PARSE_HAZARDS):
+            return None
+    except OSError:
+        return None
+    known = {"unit_id": list(map(str, unit_ids)), "shift_id": list(map(str, shift_ids))}
+    # an id one character longer than every known id is never cut to a known one
+    kinds = {name: f"U{max(map(len, ids), default=0) + 1}" for name, ids in known.items()}
+    kinds[column] = np.float64
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            header = next(csv.reader(fh), [])
+            if len(set(header)) < len(header) or not set(kinds) <= set(header):
+                return None
+            dtype = [(f"f{k}", kinds.get(name, object)) for k, name in enumerate(header)]
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, dtype=dtype,
+                               ndmin=1)
+        except ValueError:  # a ragged row, a number the C parser rejects, or bad text
+            return None
+    if not len(table):
+        return None
+    fields = dict(zip(header, (table[name] for name in table.dtype.names)))
+    rows, cols = (_id_positions(ids, fields[name]) for name, ids in known.items())
+    if rows is None or cols is None or _first_repeat(rows, cols, len(shift_ids)) is not None:
+        return None
+    out = np.zeros((len(unit_ids), len(shift_ids)))
+    out[rows, cols] = fields[column]
+    return out
+
+
+def _id_positions(ids: list[str], found: np.ndarray) -> np.ndarray | None:
+    """The index in ``ids`` of each entry of ``found``, or None if one is unknown or a ``U``
+    array cannot hold the ``ids`` exactly and apart (a trailing NUL, a repeated id)."""
+    held = np.array(ids, dtype=str)
+    if not ids or held.tolist() != ids or len(set(ids)) < len(ids):
+        return None
+    order = np.argsort(held)
+    at = order[np.searchsorted(held[order], found).clip(max=len(ids) - 1)]
+    return at if np.array_equal(held[at], found) else None
+
+
+def _first_repeat(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> int | None:
+    """The first entry whose ``(row, col)`` an earlier entry already has, if any."""
+    pairs = rows * n_cols + cols
+    order = np.argsort(pairs, kind="stable")
+    repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
+    return int(repeats.min()) if repeats.size else None
+
+
+def _scan_long_matrix(path, column, unit_ids, shift_ids, fmt) -> np.ndarray:
+    """``_read_long_matrix`` entry by entry, with its errors and their precedence."""
     columns = _read_columns(path, fmt, ("unit_id", "shift_id", column), allow_empty=True)
     units, shifts = (list(map(str, columns[c])) for c in ("unit_id", "shift_id"))
     unit_index = {str(u): i for i, u in enumerate(unit_ids)}
@@ -505,11 +584,8 @@ def _read_long_matrix(
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
     # a repeated pair would leave the order of the scatter below undefined
-    pairs = rows * len(shift_ids) + cols
-    order = np.argsort(pairs, kind="stable")
-    repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
-    if repeats.size:
-        k = repeats.min()
+    k = _first_repeat(rows, cols, len(shift_ids))
+    if k is not None:
         raise ValidationError(f"{path}: repeated (unit_id, shift_id) pair {(units[k], shifts[k])}")
     out = np.zeros((len(unit_ids), len(shift_ids)))
     out[rows, cols] = values

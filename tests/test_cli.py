@@ -583,7 +583,7 @@ def _json_inputs_with_a_short_row(inputs, tmp_path):
                                   "missing_config", "non_numeric_config",
                                   "non_integer_lag", "nan_beta0", "csv_short_row",
                                   "csv_long_row", "duplicate_share_pair",
-                                  "zero_dirichlet_concentration"])
+                                  "repeated_header_column", "zero_dirichlet_concentration"])
 def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")]
     config = tmp_path / "dgp.cfg"
@@ -601,6 +601,10 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         inputs["units"].write_text(UNITS.replace(u2, row))
     if case == "duplicate_share_pair":
         inputs["shares"].write_text(SHARES + "u0,s0,0.01\n")
+    if case == "repeated_header_column":
+        lines = SHARES.strip().splitlines()
+        inputs["shares"].write_text("\n".join([lines[0] + ",weight"]
+                                              + [line + ",0.0" for line in lines[1:]]) + "\n")
     argv = {
         "json_row_missing_key": ["estimate", *_json_inputs_with_a_short_row(inputs, tmp_path),
                                  *out],
@@ -613,6 +617,7 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         "csv_short_row": ["estimate", *io_args(inputs, tmp_path / "out")],
         "csv_long_row": ["estimate", *io_args(inputs, tmp_path / "out")],
         "duplicate_share_pair": ["estimate", *io_args(inputs, tmp_path / "out")],
+        "repeated_header_column": ["estimate", *io_args(inputs, tmp_path / "out")],
         "zero_dirichlet_concentration": ["simulate", "--config", str(zero), "--reps", "5",
                                          *out],
     }[case]
@@ -626,6 +631,8 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         assert f"{inputs['units']}: data row 3 " in err[0]
     if case == "duplicate_share_pair":
         assert f"{inputs['shares']}:" in err[0] and "('u0', 's0')" in err[0]
+    if case == "repeated_header_column":
+        assert f"{inputs['shares']}: column 'weight' appears more than once" in err[0]
     if case == "zero_dirichlet_concentration":
         assert "dirichlet_concentration" in err[0]
         assert not (tmp_path / "out" / "coverage.csv").exists()

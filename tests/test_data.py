@@ -6,6 +6,7 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from shiftshare import (
     save_inputs,
     to_long_form,
 )
-from shiftshare.data import _write_columns
+from shiftshare.data import _read_long_matrix, _scan_long_matrix, _write_columns
 
 TOY_SHARES = """unit_id,shift_id,weight
 a,s1,0.5
@@ -113,6 +114,315 @@ class TestLoading:
         paths = write_toy(tmp_path, units=units)
         with pytest.raises(SchemaError, match=rf"units\.csv: data row {row} does not have"):
             load_inputs(paths["shares"], paths["shifts"], paths["units"])
+
+
+# ---------------------------------------------------------------------------
+# the ingestion error table: each case pins the exception class and exact message
+# (or the loaded shares) in every format it applies to
+
+BASE = {
+    "shares": [["unit_id", "shift_id", "weight"],
+               ["a", "s1", "0.5"], ["a", "s2", "0.25"], ["b", "s1", "1.0"], ["c", "s2", "0.4"]],
+    "shifts": [["shift_id", "value", "cluster", "p_1"],
+               ["s1", "1.5", "east", "0.1"], ["s2", "-2.0", "west", "0.2"]],
+    "units": [["unit_id", "y", "x", "w_e", "pi_1"],
+              ["a", "1.0", "0.5", "2.0", "0.1"], ["b", "2.0", "1.0", "1.0", "0.2"],
+              ["c", "0.5", "0.25", "1.0", "0.3"]],
+}
+VALID = [[0.5, 0.25], [1.0, 0.0], [0.0, 0.4]]
+BOTH, CSV, JSON = ("csv", "json"), ("csv",), ("json",)
+
+
+def _cell(table, row, column, value):
+    """``table`` with the cell at data ``row`` (1-based) of ``column`` replaced."""
+    table = [list(r) for r in BASE[table]]
+    table[row][table[0].index(column)] = value
+    return table
+
+
+def _renamed(table, old, new):
+    """``table`` with every cell ``old`` replaced by ``new``."""
+    return [[new if cell == old else cell for cell in row] for row in BASE[table]]
+
+
+def _rows(table, *rows):
+    return [BASE[table][0], *rows]
+
+
+def _csv_text(table, line_end="\n") -> str:
+    """``table`` as CSV with QUOTE_MINIMAL quoting; a ragged row stays ragged."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator=line_end)
+    return "".join(writer.writerow(row) for row in table)
+
+
+def _json_text(table) -> str:
+    return json.dumps([dict(zip(table[0], row)) for row in table[1:]])
+
+
+# (id, formats, {file: table, raw text or None for absent}, expected): expected is a
+# share matrix, or (exception class, message with {shares}, {shifts}, {units} for paths)
+INGESTION_CASES = [
+    ("valid", BOTH, {}, VALID),
+    ("header_only_shares", BOTH, {"shares": _rows("shares")}, [[0.0, 0.0]] * 3),
+    ("permuted_columns", BOTH,
+     {"shares": [[r[1], r[2], r[0]] for r in BASE["shares"]]}, VALID),
+    ("extra_column", BOTH,
+     {"shares": [r + [str(k) if k else "note"] for k, r in enumerate(BASE["shares"])]},
+     VALID),
+    ("underscore_number", BOTH, {"shares": _cell("shares", 2, "weight", "0.2_5")}, VALID),
+    ("space_padded_number", BOTH, {"shares": _cell("shares", 2, "weight", " 0.25 ")}, VALID),
+    ("arabic_indic_digits", BOTH,
+     {"shares": _cell("shares", 1, "weight", "٠.٥")}, VALID),
+    ("crlf", CSV, {name: _csv_text(BASE[name], "\r\n") for name in BASE}, VALID),
+    ("blank_lines", CSV, {"shares": _csv_text(BASE["shares"]).replace("\n", "\n\n")},
+     VALID),
+    ("quoted_labels", CSV,
+     {name: _renamed(name, "a", 'a,"1"\r\nz') for name in ("shares", "units")}, VALID),
+    ("missing_shares", BOTH, {"shares": None}, (SchemaError, "input file not found: {shares}")),
+    ("missing_units", BOTH, {"units": None}, (SchemaError, "input file not found: {units}")),
+    ("empty_units", CSV, {"units": ""},
+     (SchemaError, "{units}: empty file, expected a header row")),
+    ("header_only_units", BOTH, {"units": _rows("units")}, (SchemaError, "{units}: no data rows")),
+    ("missing_column_y", BOTH, {"units": [r[:1] + r[2:] for r in BASE["units"]]},
+     (SchemaError, "{units}: missing required column 'y'")),
+    ("missing_column_value", BOTH, {"shifts": [r[:1] + r[2:] for r in BASE["shifts"]]},
+     (SchemaError, "{shifts}: missing required column 'value'")),
+    ("missing_column_weight", BOTH, {"shares": [r[:2] for r in BASE["shares"]]},
+     (SchemaError, "{shares}: missing required column 'weight'")),
+    ("bad_y", BOTH, {"units": _cell("units", 2, "y", "abc")},
+     (ValidationError, "{units} unit 'b': cannot parse 'abc' as a number")),
+    ("bad_x", BOTH, {"units": _cell("units", 2, "x", "abc")},
+     (ValidationError, "{units} column x: cannot parse 'abc' as a number")),
+    ("bad_w_e", BOTH, {"units": _cell("units", 3, "w_e", "")},
+     (ValidationError, "{units} column w_e: cannot parse '' as a number")),
+    ("bad_pi", BOTH, {"units": _cell("units", 1, "pi_1", "1,5")},
+     (ValidationError, "{units} column pi_1: cannot parse '1,5' as a number")),
+    ("bad_value", BOTH, {"shifts": _cell("shifts", 2, "value", "abc")},
+     (ValidationError, "{shifts} shift 's2': cannot parse 'abc' as a number")),
+    ("bad_covariate", BOTH, {"shifts": _cell("shifts", 1, "p_1", "abc")},
+     (ValidationError, "{shifts} column p_1: cannot parse 'abc' as a number")),
+    ("two_bad_covariates", BOTH,
+     {"shifts": [BASE["shifts"][0] + ["p_2"], BASE["shifts"][1] + ["bad2"],
+                 _cell("shifts", 2, "p_1", "bad1")[2] + ["0.0"]]},
+     (ValidationError, "{shifts} column p_2: cannot parse 'bad2' as a number")),
+    ("nan_value", BOTH, {"shifts": _cell("shifts", 1, "value", "nan")},
+     (ValidationError, "{shifts}: non-finite shift value for shift 's1'")),
+    ("inf_y", BOTH, {"units": _cell("units", 1, "y", "inf")},
+     (ValidationError, "outcome contains non-finite values")),
+    ("duplicate_unit", BOTH, {"units": _cell("units", 2, "unit_id", "a")},
+     (ValidationError, "{units}: duplicate unit_id values")),
+    ("duplicate_shift", BOTH, {"shifts": _cell("shifts", 2, "shift_id", "s1")},
+     (ValidationError, "{shifts}: duplicate shift_id values")),
+    ("unknown_ids", BOTH,
+     {"shares": BASE["shares"] + [["zz", "s1", "0.1"], ["a", "s9", "0.1"], ["yy", "s8", "0.1"]]},
+     (ValidationError, "{shares}: unit ids not in units file: ['yy', 'zz']; "
+                       "shift ids not in shifts file: ['s9']")),
+    ("unknown_id_longer_than_known", BOTH,
+     {"shares": BASE["shares"] + [["c_unit_id_longer_than_any", "s1", "0.1"]]},
+     (ValidationError, "{shares}: unit ids not in units file: ['c_unit_id_longer_than_any']")),
+    ("unknown_id_extending_known", BOTH, {"shares": BASE["shares"] + [["cc", "s1", "0.1"]]},
+     (ValidationError, "{shares}: unit ids not in units file: ['cc']")),
+    ("unknown_id_with_nul", BOTH, {"shares": BASE["shares"] + [["c\x00", "s1", "0.1"]]},
+     (ValidationError, "{shares}: unit ids not in units file: ['c\\x00']")),
+    ("known_id_with_trailing_nul", BOTH, {"shifts": _renamed("shifts", "s2", "s2\x00")},
+     (ValidationError, "{shares}: shift ids not in shifts file: ['s2']")),
+    ("space_padded_id", BOTH, {"shares": _cell("shares", 3, "unit_id", " b")},
+     (ValidationError, "{shares}: unit ids not in units file: [' b']")),
+    ("bad_number_after_unknown_ids", BOTH,
+     {"shares": _rows("shares", ["zz", "s1", "0.1"], *BASE["shares"][1:3], ["b", "s1", "abc"])},
+     (ValidationError, "{shares} weight (b, s1): cannot parse 'abc' as a number")),
+    ("bad_number_in_unknown_row", BOTH,
+     {"shares": BASE["shares"] + [["zz", "s1", "abc"]]},
+     (ValidationError, "{shares}: unit ids not in units file: ['zz']")),
+    ("bad_number_in_known_row", BOTH, {"shares": _cell("shares", 2, "weight", "1_")},
+     (ValidationError, "{shares} weight (a, s2): cannot parse '1_' as a number")),
+    ("file_separator_padded_number", BOTH,
+     {"shares": _cell("shares", 2, "weight", "\x1c0.25")},
+     (ValidationError, "{shares} weight (a, s2): cannot parse '\\x1c0.25' as a number")),
+    ("negative_share", BOTH, {"shares": _cell("shares", 3, "weight", "-0.1")},
+     (ValidationError, "{shares}: negative share -0.1 at unit 'b', shift 's1'")),
+    ("nan_share", BOTH, {"shares": _cell("shares", 3, "weight", "nan")},
+     (ValidationError, "non-finite share at unit 'b', shift 's1'")),
+    ("row_sum_above_one", BOTH, {"shares": _cell("shares", 2, "weight", "0.75")},
+     (ValidationError, "row sum 1.25 for unit 'a' exceeds 1 + 1e-09")),
+    ("repeated_pair", BOTH,
+     {"shares": BASE["shares"] + [["c", "s1", "0.1"], ["a", "s2", "0.1"]]},
+     (ValidationError, "{shares}: repeated (unit_id, shift_id) pair ('a', 's2')")),
+    ("short_row", CSV, {"shares": BASE["shares"][:3] + [["b", "s1"]] + BASE["shares"][4:]},
+     (SchemaError, "{shares}: data row 3 does not have the header's 3 fields")),
+    ("long_row", CSV, {"units": BASE["units"] + [["d", "1.0", "1.0", "1.0", "0.1", "x"]]},
+     (SchemaError, "{units}: data row 4 does not have the header's 5 fields")),
+    ("not_a_list", JSON, {"shifts": '{"shift_id": "s1", "value": "1.5"}'},
+     (SchemaError, "{shifts}: expected a JSON array of row objects")),
+    ("key_mismatch", JSON,
+     {"units": json.dumps([{"unit_id": "a", "y": "1.0"}, {"unit_id": "b", "z": "2.0"}])},
+     (SchemaError, "{units}: row 2 is not an object with the keys of row 1")),
+    ("null_id", JSON,
+     {"shares": json.dumps([{"unit_id": None, "shift_id": "s1", "weight": "0.5"}])},
+     (ValidationError, "{shares}: unit ids not in units file: ['None']")),
+    ("unknown_format", ("xml",), {},
+     (SchemaError, "unknown input format 'xml' (expected csv or json)")),
+    ("integer_ids", JSON,
+     {"units": json.dumps([{"unit_id": k, "y": 1.0} for k in (1, 2, 3)]),
+      "shares": json.dumps([{"unit_id": 2, "shift_id": "s1", "weight": 0.5}])},
+     [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]]),
+]
+
+
+def _case_params():
+    return [pytest.param(files, fmt, expected, id=f"{name}-{fmt}")
+            for name, formats, files, expected in INGESTION_CASES for fmt in formats]
+
+
+def _write_inputs(directory, files, fmt) -> dict[str, Path]:
+    """The three input files of ``BASE`` with ``files`` in place of some, in ``fmt``."""
+    paths = {}
+    for name, table in BASE.items():
+        content = files.get(name, table)
+        paths[name] = directory / f"{name}.{fmt}"
+        if content is not None:
+            if not isinstance(content, str):
+                content = (_json_text if fmt == "json" else _csv_text)(content)
+            paths[name].write_text(content, newline="")
+    return paths
+
+
+class TestIngestionErrors:
+    @pytest.mark.parametrize("files, fmt, expected", _case_params())
+    def test_case(self, tmp_path, files, fmt, expected):
+        paths = _write_inputs(tmp_path, files, fmt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShiftShareWarning)  # all-zero share rows
+            if isinstance(expected, list):
+                shares = load_inputs(paths["shares"], paths["shifts"], paths["units"], fmt)[0]
+                assert shares.weights.tolist() == expected
+                return
+            error, message = expected
+            with pytest.raises(error) as caught:
+                load_inputs(paths["shares"], paths["shifts"], paths["units"], fmt)
+        assert str(caught.value) == message.format(**{k: str(p) for k, p in paths.items()})
+
+    @pytest.mark.parametrize("name, column", [
+        ("units", "y"), ("shifts", "value"), ("shares", "weight"), ("shares", "unit_id"),
+    ])
+    def test_repeated_header_column_rejected(self, tmp_path, name, column):
+        # the last of two columns of one name used to win silently
+        k = BASE[name][0].index(column)
+        paths = _write_inputs(tmp_path, {name: [row + [row[k]] for row in BASE[name]]}, "csv")
+        message = f"{paths[name]}: column {column!r} appears more than once in the header"
+        with pytest.raises(SchemaError) as caught:
+            load_inputs(paths["shares"], paths["shifts"], paths["units"])
+        assert str(caught.value) == message
+        if name == "shares":
+            with pytest.raises(SchemaError) as caught:
+                _scan_long_matrix(paths[name], "weight", ("a", "b", "c"), ("s1", "s2"), "csv")
+            assert str(caught.value) == message
+
+
+# Long-format CSV text for the differential test: ids of mixed length with the
+# characters a CSV writer must quote, numbers that float() and numpy's C parser
+# read alike or apart, ragged rows, repeated pairs and blank lines.
+ID_TEXTS = st.sampled_from(["", " ", "a", "bb", "a,b", '"q"', "x\ny", "x\r\ny", "é", "a\x00",
+                            "a long id", "s1", "s1 "]) | st.text(alphabet=',"\r\nab1 ', max_size=4)
+NUMBER_TEXTS = st.sampled_from([
+    "0.5", "-0.0", "nan", "-nan", "1e400", "-1e400", "inf", "5e-324", "1_0", " 2 ", "",
+    "abc", "0x1", "\x1c1", "2\x1f", "\x1d3\x1e", "1\x00", "١", "+.5", "1e", "\xa01",
+]) | st.floats().map(repr)
+
+
+def _rarely(draw, strategy, common, odds=5):
+    """A draw from ``strategy`` one time in ``odds``, else ``common``."""
+    return draw(strategy) if draw(st.integers(1, odds)) == 1 else common
+
+
+@st.composite
+def long_csv_files(draw):
+    """``(text, unit_ids, shift_ids)`` of a long-format file with column ``value``; each
+    hazard is rare, so that many files are clean."""
+    unit_ids, shift_ids = (
+        tuple(draw(st.lists(ID_TEXTS.filter(lambda t: "\x00" not in t), min_size=1, max_size=6,
+                            unique=True)))
+        for _ in range(2)
+    )
+
+    def unknown(ids):  # any id, or the longest known one with one character more
+        longest = max(ids, key=len)
+        return ID_TEXTS | st.sampled_from([longest + "x", longest + "\x00"])
+    header = draw(st.permutations(["unit_id", "shift_id", "value"]
+                                  + _rarely(draw, st.sampled_from([["note"], ["value"]]), [])))
+    # one row per shift, so that an unknown unit id never makes a repeated pair by chance
+    pairs = draw(st.lists(st.tuples(st.sampled_from(unit_ids), st.sampled_from(shift_ids)),
+                          min_size=1, max_size=8, unique_by=lambda pair: pair[1]))
+    rows = []
+    for unit, shift in pairs:
+        cells = {"unit_id": _rarely(draw, unknown(unit_ids), unit, odds=12),
+                 "shift_id": _rarely(draw, unknown(shift_ids), shift, odds=12),
+                 "value": _rarely(draw, NUMBER_TEXTS, repr(draw(st.floats())), odds=6),
+                 "note": draw(ID_TEXTS)}
+        rows.append([cells[name] for name in header])
+    if rows:
+        rows += _rarely(draw, st.sampled_from(rows).map(lambda row: [row]), [])  # a repeated pair
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = _rarely(draw, st.sampled_from([rows[k][:-1], rows[k] + ["x"]]), rows[k])
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    # "\r\n" as the line end, so that a field holding either character is quoted
+    writer = csv.writer(SimpleNamespace(write=str), quoting=quoting, lineterminator="\r\n")
+    lines = [writer.writerow(row)[:-2] for row in [header, *rows]]
+    lines = [line for line in lines for line in [line] + [""] * draw(st.integers(0, 1))]
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    # a known id with a trailing NUL, which a U array cannot hold, named without it
+    k = draw(st.integers(0, len(shift_ids) - 1))
+    shift_ids = _rarely(draw, st.just((*shift_ids[:k], shift_ids[k] + "\x00",
+                                       *shift_ids[k + 1:])), shift_ids)
+    unit_ids = _rarely(draw, st.just(unit_ids + unit_ids[:1]), unit_ids)  # a repeated known id
+    return line_end.join(lines) + draw(st.sampled_from([line_end, ""])), unit_ids, shift_ids
+
+
+def _outcome(read):
+    try:
+        return read()
+    except Exception as error:  # noqa: BLE001 -- each reader's exception is compared
+        return type(error), str(error)
+
+
+class TestLongFormatReader:
+    @given(case=long_csv_files())
+    @settings(max_examples=300, deadline=None)
+    def test_c_parse_equals_the_entry_by_entry_scan(self, case):
+        text, unit_ids, shift_ids = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "long.csv")
+            path.write_text(text, newline="")
+            fast = _outcome(lambda: _read_long_matrix(path, "value", unit_ids, shift_ids))
+            slow = _outcome(lambda: _scan_long_matrix(path, "value", unit_ids, shift_ids, "csv"))
+        if isinstance(slow, np.ndarray):
+            assert isinstance(fast, np.ndarray) and fast.shape == slow.shape
+            assert np.array_equal(fast, slow, equal_nan=True)
+            assert np.array_equal(np.signbit(fast), np.signbit(slow))
+            assert fast.tobytes() == slow.tobytes()
+        else:
+            assert fast == slow
+
+    def test_a_clean_file_is_never_scanned(self, rng, tmp_path, monkeypatch):
+        def scan(*args):
+            raise AssertionError("the entry-by-entry reader ran on a clean file")
+
+        n, m = 30, 12
+        w = rng.uniform(0.0, 1.0 / m, size=(n, m)) * (rng.random((n, m)) < 0.6)
+        shares = ShareMatrix(w, tuple(f"u{i}" for i in range(n)), tuple(f"s{j}" for j in range(m)))
+        shifts = ShiftTable(rng.normal(size=m), shares.col_ids)
+        dataset = Dataset(outcome=rng.normal(size=n), unit_ids=shares.row_ids)
+        paths = save_inputs(tmp_path, shares, shifts, dataset)
+        monkeypatch.setattr(shiftshare.data, "_scan_long_matrix", scan)
+        loaded = load_inputs(paths["shares"], paths["shifts"], paths["units"])[0]
+        assert loaded.weights.tobytes() == w.tobytes()
+        for files in ({}, {"shares": [[r[1], r[2], r[0], "x"] for r in BASE["shares"]]}):
+            paths = _write_inputs(tmp_path, files, "csv")
+            shares = load_inputs(paths["shares"], paths["shifts"], paths["units"])[0]
+            assert shares.weights.tolist() == VALID
+        # the unit "c" is unknown here, so the scan runs and the stand-in above raises
+        with pytest.raises(AssertionError, match="entry-by-entry"):
+            _read_long_matrix(paths["shares"], "weight", ("a", "b"), ("s1", "s2"))
 
 
 # Labels that a CSV writer must quote or a reader could mangle: separators,
