@@ -375,22 +375,7 @@ def _read_columns(
     if not file.exists():
         raise SchemaError(f"input file not found: {file}")
     if fmt == "csv":
-        with open(file, newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise SchemaError(f"{file}: empty file, expected a header row")
-            repeated = [name for k, name in enumerate(header) if name in header[:k]]
-            if repeated:
-                raise SchemaError(
-                    f"{path}: column {repeated[0]!r} appears more than once in the header")
-            with warnings.catch_warnings():
-                # a header-only file is handled below
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                try:
-                    table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                       dtype=object, ndmin=2)
-                except ValueError:  # the number of fields changed between rows
-                    table = None
+        header, table = _load_csv(path, {})
         names, n_rows = header, -1 if table is None else len(table)
     elif fmt == "json":
         with open(file) as fh:
@@ -412,13 +397,40 @@ def _read_columns(
         return {name: [row[name] for row in rows] for name in names}
     if n_rows == 0:
         return {name: [] for name in header}
-    if table is None or table.shape[1] != len(header):
+    if table is None:
         with open(file, newline="") as fh:
             # csv.reader splits records as loadtxt does; blank lines are skipped
             records = enumerate(filter(None, csv.reader(fh)))
             k = next(k for k, record in records if len(record) != len(header))
         raise SchemaError(f"{path}: data row {k} does not have the header's {len(header)} fields")
-    return {name: table[:, k].tolist() for k, name in enumerate(header)}
+    return {name: table[field].tolist() for name, field in zip(header, table.dtype.names)}
+
+
+def _load_csv(
+    path: str | Path, kinds: Mapping[str, type | str]
+) -> tuple[list[str], np.ndarray | None]:
+    """The header of a CSV input, checked for a repeated column, and its data rows from one
+    structured ``np.loadtxt``: column ``header[k]`` is field ``f{k}`` of type
+    ``kinds.get(header[k], object)``. The rows are None where that call rejects them: a row
+    whose number of fields is not the header's, or a field its type does not parse."""
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise SchemaError(f"{Path(path)}: empty file, expected a header row")
+        repeated = [name for k, name in enumerate(header) if name in header[:k]]
+        if repeated:
+            raise SchemaError(
+                f"{path}: column {repeated[0]!r} appears more than once in the header")
+        dtype = [(f"f{k}", kinds.get(name, object)) for k, name in enumerate(header)]
+        with warnings.catch_warnings():
+            # a header-only file gives no rows; its callers handle that
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, dtype=dtype,
+                                   ndmin=1)
+            except ValueError:
+                table = None
+    return header, table
 
 
 def _floats(values: Sequence, where) -> np.ndarray:
@@ -522,18 +534,9 @@ def _parse_long_csv(path, column, unit_ids, shift_ids) -> np.ndarray | None:
     # an id one character longer than every known id is never cut to a known one
     kinds = {name: f"U{max(map(len, ids), default=0) + 1}" for name, ids in known.items()}
     kinds[column] = np.float64
-    with open(path, newline="") as fh, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            header = next(csv.reader(fh), [])
-            if len(set(header)) < len(header) or not set(kinds) <= set(header):
-                return None
-            dtype = [(f"f{k}", kinds.get(name, object)) for k, name in enumerate(header)]
-            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, dtype=dtype,
-                               ndmin=1)
-        except ValueError:  # a ragged row, a number the C parser rejects, or bad text
-            return None
-    if not len(table):
+    header, table = _load_csv(path, kinds)
+    # None: a ragged row or a number the C parser rejects
+    if table is None or not len(table) or not set(kinds) <= set(header):
         return None
     fields = dict(zip(header, (table[name] for name in table.dtype.names)))
     rows, cols = (_id_positions(ids, fields[name]) for name, ids in known.items())

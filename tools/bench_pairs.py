@@ -6,12 +6,18 @@ Usage (from any directory):
 
 PARENT and CHANGE are checkouts of the repository (a ``git clone`` or ``git archive``
 of each commit). Pair k runs ``perfbench/run.py --trace 0 --seed k`` once in each
-checkout, seeds 1..N, the parent first in odd pairs and the change first in even ones,
-so that a drift of the host does not favour one side. For each end-to-end metric
-named in the change's ``BENCHMARK.json`` the tool prints each side's median and
-quartiles, the change's wins (pairs in which it is strictly better) and whether the
-change counts as a gain: better in at least 9 of 10 pairs, with a median gap larger
-than the parent's interquartile range. ``--out`` also writes every run as JSON.
+checkout, seeds 1..N, for the ``run_seconds`` of the change's ``BENCHMARK.json``, the
+parent first in odd pairs and the change first in even ones, so that a drift of the
+host does not favour one side. Every run is printed as it ends. Then, for each
+end-to-end metric of ``BENCHMARK.json``, the tool prints each side's median and
+quartiles, the change's wins (pairs in which it is strictly better) and a verdict:
+
+- ``gain``: better in at least 9 of 10 pairs, with a median gap larger than the
+  parent's interquartile range, while every run of the change is correct and the
+  change fails no larger share of its operations than the parent;
+- ``regression``: the change's median is worse than the parent's by more than the
+  metric's ``bound``, a fraction of the parent's median;
+- ``-``: neither.
 """
 
 from __future__ import annotations
@@ -42,13 +48,26 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def verdict(metric: dict, parent: list[float], change: list[float]) -> dict:
-    """The change's wins over the parent and whether they make a gain."""
+def failed_share(runs: list[dict]) -> float:
+    return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+
+
+def verdict(metric: dict, parent: list[dict], change: list[dict]) -> dict:
+    """The change's wins over the parent on ``metric`` and what they amount to."""
     sign = 1.0 if metric["better"] == "lower" else -1.0
-    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
-    (p1, pm, p3), (_, cm, _) = quartiles(parent), quartiles(change)
-    gain = wins >= WIN_SHARE * len(parent) and sign * (pm - cm) > p3 - p1
-    return {"wins": wins, "gain": gain, "relative": (cm - pm) / pm if pm else float("nan")}
+    before, after = ([r["metrics"][metric["name"]]["value"] for r in runs]
+                     for runs in (parent, change))
+    wins = sum(sign * (p - c) > 0 for p, c in zip(before, after))
+    (p1, pm, p3), (_, cm, _) = quartiles(before), quartiles(after)
+    sound = all(r["correct"] for r in change) and failed_share(change) <= failed_share(parent)
+    if sign * (cm - pm) > metric["bound"] * abs(pm):
+        found = "regression"
+    elif sound and wins >= WIN_SHARE * len(before) and sign * (pm - cm) > p3 - p1:
+        found = "gain"
+    else:
+        found = "-"
+    return {"quartiles": (quartiles(before), quartiles(after)), "wins": wins, "verdict": found,
+            "relative": (cm - pm) / pm if pm else float("nan")}
 
 
 def main() -> int:
@@ -57,40 +76,31 @@ def main() -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--out", type=Path, help="write every run to this JSON file")
     opts = parser.parse_args()
     if opts.pairs < 2:
         parser.error("--pairs must be at least 2")
     spec = json.loads((opts.change / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if opts.seconds is None else opts.seconds
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for seed in range(1, opts.pairs + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            result = run_once(getattr(opts, side), opts.workload, seed, seconds)
+            result = run_once(getattr(opts, side), opts.workload, seed, spec["run_seconds"])
             runs[side].append(result)
             values = " ".join(f"{name}={m['value']:.4f}" for name, m in result["metrics"].items())
             print(f"# seed {seed} {side:<6} correct={result['correct']} "
                   f"failed={result['failed']}/{result['attempted']} {values}", flush=True)
 
     print(f"{'metric':<16} {'parent q1/median/q3':>30} {'change q1/median/q3':>30} "
-          f"{'move':>8} {'wins':>6}  gain")
+          f"{'move':>8} {'wins':>6}  verdict")
     for metric in spec["end_to_end"]:
-        name = metric["name"]
-        parent = [r["metrics"][name]["value"] for r in runs["parent"]]
-        change = [r["metrics"][name]["value"] for r in runs["change"]]
-        found = verdict(metric, parent, change)
-        shown = ["/".join(f"{v:.4g}" for v in quartiles(side)) for side in (parent, change)]
-        print(f"{name:<16} {shown[0]:>30} {shown[1]:>30} {found['relative']:>+8.1%} "
-              f"{found['wins']:>3}/{opts.pairs:<2}  {'yes' if found['gain'] else 'no'}")
-    clean = all(r["correct"] and r["failed"] == 0 for side in runs.values() for r in side)
-    print(f"every run correct with no failed operation: {'yes' if clean else 'NO'}")
-    if opts.out:
-        opts.out.write_text(json.dumps({"workload": opts.workload, "seconds": seconds,
-                                        "runs": runs}, indent=1))
+        found = verdict(metric, runs["parent"], runs["change"])
+        shown = ["/".join(f"{v:.4g}" for v in side) for side in found["quartiles"]]
+        print(f"{metric['name']:<16} {shown[0]:>30} {shown[1]:>30} {found['relative']:>+8.1%} "
+              f"{found['wins']:>3}/{opts.pairs:<2}  {found['verdict']}")
+    for side, done in runs.items():
+        print(f"{side}: {sum(r['correct'] for r in done)}/{len(done)} runs correct, "
+              f"{failed_share(done):.1%} of operations failed")
     return 0
 
 
