@@ -188,6 +188,15 @@ def build_parser() -> _Parser:
 # subcommand implementations
 
 
+def _unit_shifts(args, dataset, shifts) -> np.ndarray:
+    """The ``--unit-shifts`` file as a dense units-by-shifts array; absent pairs are zero."""
+    rows, cols, values = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
+                                           shifts.shift_ids, args.format)
+    d_ij = np.zeros((dataset.n_units, shifts.n_shifts))
+    d_ij[rows, cols] = values
+    return d_ij
+
+
 def _cmd_construct(args, argv) -> int:
     shares, shifts, dataset = load_inputs(args.shares, args.shifts, args.units, args.format)
     out = args.out
@@ -198,8 +207,7 @@ def _cmd_construct(args, argv) -> int:
         if args.initial_shares is None or args.unit_shifts is None:
             raise ValidationError("--decompose needs --initial-shares and --unit-shifts")
         initial = load_inputs(args.initial_shares, args.shifts, args.units, args.format)[0]
-        d_ij = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
-                                 shifts.shift_ids, args.format)
+        d_ij = _unit_shifts(args, dataset, shifts)
         result = decompose(initial, shares, d_ij)
         _write_columns(out / "decomposition.csv", "csv", {
             "unit_id": dataset.unit_ids, "expected": result.expected, "shock": result.shock,
@@ -242,8 +250,7 @@ def _cmd_construct(args, argv) -> int:
     if args.loo:
         if args.unit_shifts is None:
             raise ValidationError("--loo needs --unit-shifts")
-        d_ij = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
-                                 shifts.shift_ids, args.format)
+        d_ij = _unit_shifts(args, dataset, shifts)
         loo = leave_one_out_shifts(d_ij, shares)
         _write_columns(out / "loo_instrument.csv", "csv",
                        {"unit_id": dataset.unit_ids, "z_loo": loo.z})

@@ -68,30 +68,34 @@ def decompose(
     ``reference_shifts`` defaults to the current-share-weighted mean of the
     unit-level shifts per column.
     """
-    w0 = initial_shares.weights
-    wt = current_shares.weights
     d = np.asarray(unit_shifts, dtype=float)
-    if w0.shape != wt.shape or d.shape != wt.shape:
+    shapes = [(s.n_units, s.n_shifts) for s in (initial_shares, current_shares)]
+    if shapes[0] != shapes[1] or d.shape != shapes[1]:
         raise ValidationError(
-            f"dimension mismatch: initial {w0.shape}, current {wt.shape}, unit shifts {d.shape}"
+            f"dimension mismatch: initial {shapes[0]}, current {shapes[1]}, unit shifts {d.shape}"
         )
     if not np.all(np.isfinite(d)):
         raise ValidationError("unit shifts contain non-finite values")
+    r0, c0, w0 = initial_shares.nonzero()
+    rt, ct, wt = current_shares.nonzero()
+    wd = wt * d[rt, ct]
     if reference_shifts is None:
-        mass = wt.sum(axis=0)
+        mass = current_shares.column_totals(wt)
         with np.errstate(invalid="ignore", divide="ignore"):
-            ref = np.where(mass > 0, (wt * d).sum(axis=0) / np.where(mass > 0, mass, 1.0), 0.0)
+            ref = np.where(mass > 0, current_shares.column_totals(wd)
+                           / np.where(mass > 0, mass, 1.0), 0.0)
     else:
         ref = np.asarray(reference_shifts, dtype=float)
-        if ref.shape != (wt.shape[1],):
+        if ref.shape != (shapes[1][1],):
             raise ValidationError("reference shifts must have one value per shift column")
-    dev = d - ref[None, :]
+    expected = initial_shares.exposure(ref)
+    shock = initial_shares.row_totals(w0 * (d[r0, c0] - ref[c0]))
     return DecompositionResult(
-        expected=w0 @ ref,
-        shock=(w0 * dev).sum(axis=1),
-        share_change=(wt - w0) @ ref,
-        interaction=((wt - w0) * dev).sum(axis=1),
-        observed=(wt * d).sum(axis=1),
+        expected=expected,
+        shock=shock,
+        share_change=current_shares.exposure(ref) - expected,
+        interaction=current_shares.row_totals(wt * (d[rt, ct] - ref[ct])) - shock,
+        observed=current_shares.row_totals(wd),
         reference_shifts=ref,
     )
 
@@ -358,23 +362,19 @@ def leave_one_out_shifts(
     instrument with a warning.
     """
     d = np.asarray(unit_shifts, dtype=float)
-    w = shares.weights
-    if d.shape != w.shape:
-        raise ValidationError(f"unit shifts {d.shape} misaligned with shares {w.shape}")
+    shape = (shares.n_units, shares.n_shifts)
+    if d.shape != shape:
+        raise ValidationError(f"unit shifts {d.shape} misaligned with shares {shape}")
     if not np.all(np.isfinite(d)):
         raise ValidationError("unit shifts contain non-finite values")
-    totals = (w * d).sum(axis=0)
-    mass = w.sum(axis=0)
-    numer = totals[None, :] - w * d
-    undefined = np.zeros_like(w, dtype=bool)
+    rows, cols, w = shares.nonzero()  # every stored share is positive
+    wd = w * d[rows, cols]
+    loo = shares.column_totals(wd)[cols] - wd
+    undefined = np.zeros(w.shape, dtype=bool)
     if normalize:
-        denom = mass[None, :] - w
-        undefined = (w > 0) & (denom <= 0)
-        safe = np.where(denom > 0, denom, 1.0)
-        loo = np.where(denom > 0, numer / safe, 0.0)
-    else:
-        loo = numer
-    contrib = np.where(undefined, 0.0, w * loo)
+        denom = shares.column_totals(w)[cols] - w
+        undefined = denom <= 0
+        loo = np.where(undefined, 0.0, loo / np.where(undefined, 1.0, denom))
     if undefined.any():
         warnings.warn(
             f"{int(undefined.sum())} unit-shift pair(s) have no leave-one-out value "
@@ -382,4 +382,7 @@ def leave_one_out_shifts(
             ShiftShareWarning,
             stacklevel=2,
         )
-    return LeaveOneOutInstrument(z=contrib.sum(axis=1), undefined=undefined, normalized=normalize)
+    flags = np.zeros(shape, dtype=bool)
+    flags[rows[undefined], cols[undefined]] = True
+    return LeaveOneOutInstrument(z=shares.row_totals(w * loo), undefined=flags,
+                                 normalized=normalize)

@@ -16,11 +16,16 @@ row objects mirroring the CSV columns; floats are parsed as 64-bit):
 * units: ``unit_id, y[, x][, w_e][, pi_1..pi_k]`` -- extra columns are
   kept as named auxiliary columns (cluster labels, placebo variables)
 
-CSV files use RFC 4180 quoting as ``save_inputs`` writes it: ``#`` is data, blank lines are
-skipped, and ragged rows and a header naming a column twice are rejected. Ids are matched
+The share matrix is stored as row-sorted triplets (CSR, about 16 bytes per nonzero
+share); no module builds its dense units-by-shifts array.
+
+CSV files use RFC 4180 quoting as ``save_inputs`` writes it: ``#`` is data, blank lines
+(before the header too) and a leading UTF-8 byte-order mark are skipped, and ragged rows
+and a header naming a column twice are rejected. Ids are matched
 exactly, spaces kept, and numbers read as Python's ``float`` reads them. A ``(unit_id,
 shift_id)`` pair may appear only once, and a long-format file may hold no data rows (no nonzero
-pairs). A long-format CSV file is parsed in one C pass; a file that pass does not take whole
+pairs). A long-format CSV file is parsed in one C pass into triplets, sorted so that any row
+order of a file, CSV or JSON, gives the same storage; a file that pass does not take whole
 is read again entry by entry, which words the error. A JSON row object that gives a key
 twice keeps the last value (``json.load`` collapses it).
 
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from itertools import compress, repeat
 from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +52,20 @@ from .errors import SchemaError, ShiftShareWarning, ValidationError
 ROW_SUM_TOL = 1e-9
 COMPLETE_TOL = 1e-8  # a row summing to 1 within this is complete
 WEIGHT_SUM_TOL = 1e-12
+# stored shares per block of a share product, whose temporaries then take about 256 KiB
+PRODUCT_BLOCK = 1 << 15
+
+# row indices, column indices and values of the nonzero entries of a units-by-shifts matrix
+Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The sums of ``values[bounds[i]:bounds[i + 1]]``, zero for an empty segment."""
+    out = np.zeros(len(bounds) - 1)
+    # reduceat gives an empty segment the entry at its start, not zero
+    filled = bounds[1:] > bounds[:-1]
+    out[filled] = np.add.reduceat(values, bounds[:-1][filled])
+    return out
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -89,7 +108,7 @@ def _frozen_labels(values) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShareMatrix:
     """Nonnegative exposure weights of ``n`` units over ``m`` shifts.
 
@@ -97,61 +116,155 @@ class ShareMatrix:
     ``1 + ROW_SUM_TOL``. Rows summing to more than that are rejected
     rather than renormalized, since silent renormalization would corrupt
     the incomplete-share control downstream. All-zero rows are legal but
-    flagged with a warning. Other modules reach the shares only through the
-    products ``exposure`` and ``aggregate`` and the pattern operations.
+    flagged with a warning.
+
+    The shares are stored as row-sorted triplets (CSR): the nonzero values
+    ``data`` in (row, column) order, their column ``indices``, and ``indptr``,
+    where row ``i`` holds entries ``indptr[i]:indptr[i + 1]``. That is about
+    16 bytes per nonzero share, whatever ``n * m`` is. Other modules reach the
+    shares only through the products ``exposure`` and ``aggregate``, the
+    per-row and per-column totals and the pattern operations; ``weights`` is a
+    dense copy for tests and small inputs.
     """
 
-    weights: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     row_ids: tuple[str, ...]
     col_ids: tuple[str, ...]
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights, row_ids, col_ids):
+        """The shares of a dense ``n x m`` array, converted once to triplets."""
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 2:
             raise ValidationError("share matrix must be two-dimensional")
-        object.__setattr__(self, "weights", _frozen_array(w))
-        object.__setattr__(self, "row_ids", tuple(str(r) for r in self.row_ids))
-        object.__setattr__(self, "col_ids", tuple(str(c) for c in self.col_ids))
-        n, m = w.shape
-        if len(self.row_ids) != n or len(self.col_ids) != m:
+        row_ids, col_ids = tuple(map(str, row_ids)), tuple(map(str, col_ids))
+        if (len(row_ids), len(col_ids)) != w.shape:
             raise ValidationError("share matrix ids do not match its shape")
-        if not np.all(np.isfinite(w)):
-            i, j = np.argwhere(~np.isfinite(w))[0]
-            raise ValidationError(
-                f"non-finite share at unit {self.row_ids[i]!r}, shift {self.col_ids[j]!r}"
-            )
-        if np.any(w < 0):
-            i, j = np.argwhere(w < 0)[0]
-            raise ValidationError(
-                f"negative share {float(w[i, j])!r} at unit {self.row_ids[i]!r}, "
-                f"shift {self.col_ids[j]!r}"
-            )
-        sums = w.sum(axis=1)
+        stored = w != 0.0
+        self._set(np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1)))),
+                  np.broadcast_to(np.arange(w.shape[1]), w.shape)[stored], w[stored],
+                  row_ids, col_ids)
+
+    @classmethod
+    def from_triplets(cls, rows, cols, values, row_ids, col_ids) -> "ShareMatrix":
+        """The shares ``values[k]`` at unit ``rows[k]`` and shift ``cols[k]``, given in
+        any order; a pair may appear once, and absent pairs are zero."""
+        row_ids, col_ids = tuple(map(str, row_ids)), tuple(map(str, col_ids))
+        n, m = len(row_ids), len(col_ids)
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        values = np.asarray(values, dtype=float)
+        if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
+            raise ValidationError("share triplets must be one-dimensional and of one length")
+        if rows.size and not (0 <= rows.min() and rows.max() < n and 0 <= cols.min()
+                              and cols.max() < m):
+            raise ValidationError("share triplet index out of the matrix's range")
+        keys = rows * m + cols
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            rows, cols, values, keys = rows[order], cols[order], values[order], keys[order]
+            repeats = np.flatnonzero(keys[1:] == keys[:-1])
+            if repeats.size:
+                k = repeats[0] + 1
+                raise ValidationError(f"repeated share at unit {row_ids[rows[k]]!r}, "
+                                      f"shift {col_ids[cols[k]]!r}")
+        stored = values != 0.0
+        out = cls.__new__(cls)
+        out._set(np.concatenate(([0], np.cumsum(np.bincount(rows[stored], minlength=n)))),
+                 cols[stored], values[stored], row_ids, col_ids)
+        return out
+
+    def _set(self, indptr, indices, data, row_ids, col_ids) -> None:
+        """Store and validate row-sorted triplets that this class built."""
+        for name, value in (("indptr", indptr), ("indices", indices), ("data", data)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "row_ids", row_ids)
+        object.__setattr__(self, "col_ids", col_ids)
+
+        def cell(k: int) -> str:
+            i = int(np.searchsorted(indptr, k, side="right")) - 1
+            return f"unit {row_ids[i]!r}, shift {col_ids[indices[k]]!r}"
+
+        # storage is row-major, so the first offending entry is the first offending cell
+        negative = np.flatnonzero(data < 0)
+        if negative.size:
+            k = negative[0]
+            raise ValidationError(f"negative share {float(data[k])!r} at {cell(k)}")
+        non_finite = np.flatnonzero(~np.isfinite(data))
+        if non_finite.size:
+            raise ValidationError(f"non-finite share at {cell(non_finite[0])}")
+        sums = self.row_sums()
         bad = np.flatnonzero(sums > 1.0 + ROW_SUM_TOL)
         if bad.size:
             i = bad[0]
             raise ValidationError(
-                f"row sum {float(sums[i])!r} for unit {self.row_ids[i]!r} exceeds 1 + {ROW_SUM_TOL}"
+                f"row sum {float(sums[i])!r} for unit {row_ids[i]!r} exceeds 1 + {ROW_SUM_TOL}"
             )
         zero = np.flatnonzero(sums == 0.0)
         if zero.size:
-            names = ", ".join(self.row_ids[i] for i in zero[:5])
+            names = ", ".join(row_ids[i] for i in zero[:5])
             warnings.warn(
                 f"{zero.size} all-zero share row(s) retained (first: {names})",
                 ShiftShareWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
+        # the products run over blocks of rows holding about PRODUCT_BLOCK shares each (a
+        # longer row is a block of its own), so that their temporaries stay small: each
+        # block is its rows r0:r1 and its entries s:e
+        cuts = np.searchsorted(indptr, np.arange(PRODUCT_BLOCK, data.size, PRODUCT_BLOCK))
+        bounds = np.unique(np.concatenate(([0], cuts, [len(row_ids)]))).tolist()
+        object.__setattr__(self, "_blocks", tuple(
+            (r0, r1, int(indptr[r0]), int(indptr[r1])) for r0, r1 in zip(bounds, bounds[1:])
+        ))
+
+    def _with(self, indptr, indices, data, col_ids) -> "ShareMatrix":
+        out = ShareMatrix.__new__(ShareMatrix)
+        out._set(indptr, indices, data, self.row_ids, col_ids)
+        return out
 
     @property
     def n_units(self) -> int:
-        return self.weights.shape[0]
+        return len(self.row_ids)
 
     @property
     def n_shifts(self) -> int:
-        return self.weights.shape[1]
+        return len(self.col_ids)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """A read-only dense ``n x m`` copy, built on each access: for tests and small
+        inputs. No module of the package reads it."""
+        out = np.zeros((self.n_units, self.n_shifts))
+        out[self._rows(), self.indices] = self.data
+        out.setflags(write=False)
+        return out
+
+    def _rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_units), np.diff(self.indptr))
+
+    def _entries(self, entry_values) -> np.ndarray:
+        entry_values = np.asarray(entry_values, dtype=float)
+        if entry_values.shape != self.data.shape:
+            raise ValidationError(f"need one value per stored share ({self.data.size})")
+        return entry_values
+
+    def row_totals(self, entry_values) -> np.ndarray:
+        """Per-unit sums of ``entry_values``, one value per stored share in ``nonzero()``
+        order."""
+        return _segment_sums(self._entries(entry_values), self.indptr)
+
+    def column_totals(self, entry_values) -> np.ndarray:
+        """Per-shift sums of ``entry_values``, one value per stored share in ``nonzero()``
+        order."""
+        entry_values = self._entries(entry_values)
+        out = np.zeros(self.n_shifts)
+        for _, _, s, e in self._blocks:
+            out += np.bincount(self.indices[s:e], entry_values[s:e], self.n_shifts)
+        return out
 
     def row_sums(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
+        return self.row_totals(self.data)
 
     def is_complete(self) -> bool:
         """True when every row sums to 1 within ``COMPLETE_TOL``."""
@@ -162,25 +275,54 @@ class ShareMatrix:
         values = np.asarray(values, dtype=float)
         if values.ndim not in (1, 2) or values.shape[0] != self.n_shifts:
             raise ValidationError(f"exposure needs one row per shift ({self.n_shifts})")
-        return self.weights @ values
+        if values.ndim == 2:  # one vector product per column: the vector is the fast case
+            out = np.empty((self.n_units, values.shape[1]))
+            for k, column in enumerate(values.T):
+                out[:, k] = self.exposure(column)
+            return out
+        out = np.empty(self.n_units)
+        for r0, r1, s, e in self._blocks:
+            products = values[self.indices[s:e]]
+            products *= self.data[s:e]
+            out[r0:r1] = _segment_sums(products, self.indptr[r0:r1 + 1] - s)
+        return out
 
     def aggregate(self, unit_values) -> np.ndarray:
         """``unit_values @ W`` for a vector or a matrix with one column per unit."""
         unit_values = np.asarray(unit_values, dtype=float)
         if unit_values.ndim not in (1, 2) or unit_values.shape[-1] != self.n_units:
             raise ValidationError(f"aggregation needs one column per unit ({self.n_units})")
-        return unit_values @ self.weights
+        if unit_values.ndim == 2:
+            out = np.empty((len(unit_values), self.n_shifts))
+            for k, row in enumerate(unit_values):
+                out[k] = self.aggregate(row)
+            return out
+        out = np.zeros(self.n_shifts)
+        for r0, r1, s, e in self._blocks:
+            products = np.repeat(unit_values[r0:r1], np.diff(self.indptr[r0:r1 + 1]))
+            products *= self.data[s:e]
+            out += np.bincount(self.indices[s:e], products, self.n_shifts)
+        return out
 
-    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def nonzero(self) -> Triplets:
         """Row indices, column indices and values of the nonzero shares, row by row."""
-        rows, cols = np.nonzero(self.weights)
-        return rows, cols, self.weights[rows, cols]
+        return self._rows(), self.indices, self.data
 
     def with_column(self, values, col_id: str) -> "ShareMatrix":
         """The shares with a column of per-unit ``values`` appended as ``col_id``."""
-        column = np.asarray(values, dtype=float)[:, None]
-        return ShareMatrix(np.hstack([self.weights, column]), self.row_ids,
-                           self.col_ids + (col_id,))
+        column = np.asarray(values, dtype=float)
+        if column.shape != (self.n_units,):
+            raise ValidationError("an appended column needs one value per unit "
+                                  f"({self.n_units})")
+        added = column != 0.0
+        # each added entry goes at the end of its row
+        at = self.indptr[1:][added]
+        return self._with(
+            self.indptr + np.concatenate(([0], np.cumsum(added))),
+            np.insert(self.indices, at, self.n_shifts),
+            np.insert(self.data, at, column[added]),
+            self.col_ids + (str(col_id),),
+        )
 
     def zero_columns(self, mask) -> "ShareMatrix":
         """The shares with the columns of the boolean ``mask`` set to zero, without
@@ -188,11 +330,12 @@ class ShareMatrix:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.n_shifts,):
             raise ValidationError("column mask misaligned with share columns")
-        w = self.weights.copy()
-        w[:, mask] = 0.0
+        kept = ~mask[self.indices]
+        before = np.concatenate(([0], np.cumsum(kept)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ShiftShareWarning)
-            return ShareMatrix(w, self.row_ids, self.col_ids)
+            return self._with(before[self.indptr], self.indices[kept], self.data[kept],
+                              self.col_ids)
 
 
 @dataclass(frozen=True)
@@ -398,7 +541,7 @@ def _read_columns(
     if n_rows == 0:
         return {name: [] for name in header}
     if table is None:
-        with open(file, newline="") as fh:
+        with _open_csv(file) as fh:
             # csv.reader splits records as loadtxt does; blank lines are skipped
             records = enumerate(filter(None, csv.reader(fh)))
             k = next(k for k, record in records if len(record) != len(header))
@@ -413,8 +556,8 @@ def _load_csv(
     structured ``np.loadtxt``: column ``header[k]`` is field ``f{k}`` of type
     ``kinds.get(header[k], object)``. The rows are None where that call rejects them: a row
     whose number of fields is not the header's, or a field its type does not parse."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+    with _open_csv(path) as fh:
+        header = next(filter(None, csv.reader(fh)), None)  # blank lines are skipped
         if header is None:
             raise SchemaError(f"{Path(path)}: empty file, expected a header row")
         repeated = [name for k, name in enumerate(header) if name in header[:k]]
@@ -431,6 +574,15 @@ def _load_csv(
             except ValueError:
                 table = None
     return header, table
+
+
+def _open_csv(path: str | Path):
+    """``path`` opened for ``csv.reader``, past the UTF-8 byte-order mark that
+    spreadsheet exports put first."""
+    fh = open(path, newline="")
+    if fh.read(1) != "\ufeff":
+        fh.seek(0)
+    return fh
 
 
 def _floats(values: Sequence, where) -> np.ndarray:
@@ -501,11 +653,11 @@ def _read_long_matrix(
     unit_ids: Sequence[str],
     shift_ids: Sequence[str],
     fmt: str = "csv",
-) -> np.ndarray:
-    """Dense units-by-shifts matrix from a long-format ``unit_id, shift_id,
-    <column>`` file; absent pairs are zero, so a file without data rows is an
-    all-zero matrix. Every id must be known, every value must parse as a
-    number, and no pair may appear twice.
+) -> Triplets:
+    """The ``(rows, cols, values)`` triplets of a long-format ``unit_id, shift_id,
+    <column>`` file, sorted by (row, col) whatever the file's row order; absent pairs
+    are zero, so a file without data rows holds no triplets. Every id must be known,
+    every value must parse as a number, and no pair may appear twice.
 
     A CSV file is parsed in one C pass; a file that pass does not take whole is
     read again by ``_scan_long_matrix``, which words the error or accepts what
@@ -522,7 +674,7 @@ def _read_long_matrix(
 _C_PARSE_HAZARDS = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _parse_long_csv(path, column, unit_ids, shift_ids) -> np.ndarray | None:
+def _parse_long_csv(path, column, unit_ids, shift_ids) -> Triplets | None:
     """``_read_long_matrix`` of a CSV file from one structured ``np.loadtxt``, or None
     where the file is anything but a clean, non-empty table of known, unrepeated pairs."""
     try:
@@ -540,11 +692,12 @@ def _parse_long_csv(path, column, unit_ids, shift_ids) -> np.ndarray | None:
         return None
     fields = dict(zip(header, (table[name] for name in table.dtype.names)))
     rows, cols = (_id_positions(ids, fields[name]) for name, ids in known.items())
-    if rows is None or cols is None or _first_repeat(rows, cols, len(shift_ids)) is not None:
+    if rows is None or cols is None:
         return None
-    out = np.zeros((len(unit_ids), len(shift_ids)))
-    out[rows, cols] = fields[column]
-    return out
+    order, repeat = _canonical_order(rows, cols, len(shift_ids))
+    if repeat is not None:
+        return None
+    return rows[order], cols[order], fields[column][order]
 
 
 def _id_positions(ids: list[str], found: np.ndarray) -> np.ndarray | None:
@@ -558,15 +711,17 @@ def _id_positions(ids: list[str], found: np.ndarray) -> np.ndarray | None:
     return at if np.array_equal(held[at], found) else None
 
 
-def _first_repeat(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> int | None:
-    """The first entry whose ``(row, col)`` an earlier entry already has, if any."""
+def _canonical_order(rows, cols, n_cols: int) -> tuple[np.ndarray, int | None]:
+    """The stable order of the entries by ``(row, col)``, which makes storage the same
+    for any row order of a file, and the first entry whose pair an earlier entry already
+    has, if any."""
     pairs = rows * n_cols + cols
     order = np.argsort(pairs, kind="stable")
     repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
-    return int(repeats.min()) if repeats.size else None
+    return order, int(repeats.min()) if repeats.size else None
 
 
-def _scan_long_matrix(path, column, unit_ids, shift_ids, fmt) -> np.ndarray:
+def _scan_long_matrix(path, column, unit_ids, shift_ids, fmt) -> Triplets:
     """``_read_long_matrix`` entry by entry, with its errors and their precedence."""
     columns = _read_columns(path, fmt, ("unit_id", "shift_id", column), allow_empty=True)
     units, shifts = (list(map(str, columns[c])) for c in ("unit_id", "shift_id"))
@@ -586,13 +741,10 @@ def _scan_long_matrix(path, column, unit_ids, shift_ids, fmt) -> np.ndarray:
     ]
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
-    # a repeated pair would leave the order of the scatter below undefined
-    k = _first_repeat(rows, cols, len(shift_ids))
+    order, k = _canonical_order(rows, cols, len(shift_ids))
     if k is not None:
         raise ValidationError(f"{path}: repeated (unit_id, shift_id) pair {(units[k], shifts[k])}")
-    out = np.zeros((len(unit_ids), len(shift_ids)))
-    out[rows, cols] = values
-    return out
+    return rows[order], cols[order], values[order]
 
 
 def load_shares(
@@ -601,14 +753,13 @@ def load_shares(
     shift_ids: Sequence[str],
     fmt: str = "csv",
 ) -> ShareMatrix:
-    w = _read_long_matrix(path, "weight", unit_ids, shift_ids, fmt)
-    if np.any(w < 0):
-        i, j = np.argwhere(w < 0)[0]
-        raise ValidationError(
-            f"{path}: negative share {float(w[i, j])!r} at unit {str(unit_ids[i])!r}, "
-            f"shift {str(shift_ids[j])!r}"
-        )
-    return ShareMatrix(weights=w, row_ids=tuple(unit_ids), col_ids=tuple(shift_ids))
+    rows, cols, values = _read_long_matrix(path, "weight", unit_ids, shift_ids, fmt)
+    try:
+        return ShareMatrix.from_triplets(rows, cols, values, unit_ids, shift_ids)
+    except ValidationError as error:
+        if np.any(values < 0):  # a negative share is checked first; name its file
+            raise ValidationError(f"{path}: {error}") from None
+        raise
 
 
 def load_inputs(
@@ -628,9 +779,20 @@ def load_inputs(
 # serialization (round-trips bit-identically: floats written with repr)
 
 
+class _Coded(NamedTuple):
+    """A column whose entry ``k`` is ``labels[codes[k]]``."""
+
+    labels: Sequence
+    codes: np.ndarray
+
+
 def _cells(values, quote) -> list[str]:
-    """The cell texts of one column: ``repr`` of each value of a float array, else ``quote``
-    of each value's ``str``, called once per distinct text."""
+    """The cell texts of one column: ``repr`` of each value of a float array, ``quote`` of
+    each label's ``str`` of a ``_Coded`` column, called once per label, else ``quote`` of
+    each value's ``str``, called once per distinct text."""
+    if isinstance(values, _Coded):
+        texts = np.array([quote(str(label)) for label in values.labels], dtype=object)
+        return texts[values.codes].tolist()
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
             return list(map(repr, values.tolist()))
@@ -668,12 +830,12 @@ def _write_columns(path: Path, fmt: str, columns: Mapping[str, Sequence]) -> Non
             json.dump([dict(zip(names, row)) for row in rows], fh, indent=1)
 
 
-def _share_columns(shares: ShareMatrix) -> dict[str, np.ndarray]:
+def _share_columns(shares: ShareMatrix) -> dict[str, Sequence]:
     """``unit_id, shift_id, weight`` of every nonzero share, row by row."""
     rows, cols, values = shares.nonzero()
     return {
-        "unit_id": np.asarray(shares.row_ids, dtype=object)[rows],
-        "shift_id": np.asarray(shares.col_ids, dtype=object)[cols],
+        "unit_id": _Coded(shares.row_ids, rows),
+        "shift_id": _Coded(shares.col_ids, cols),
         "weight": values,
     }
 
@@ -745,10 +907,11 @@ def to_long_form(
         if sh.col_ids != base.col_ids:
             raise ValidationError(f"period {periods[t]!r}: shift ids differ from first period")
 
-    long_w = np.zeros((n * T, m * T))
-    for t, sh in enumerate(shares_by_period):
-        rows, cols, w = sh.nonzero()
-        long_w[rows + t * n, cols + t * m] = w
+    # period t's entries sit t blocks down and right, so the stacked triplets stay in
+    # (row, col) order
+    rows, cols, weights = zip(*(sh.nonzero() for sh in shares_by_period))
+    long_rows = np.concatenate([r + t * n for t, r in enumerate(rows)])
+    long_cols = np.concatenate([c + t * m for t, c in enumerate(cols)])
 
     row_ids = tuple(f"{u}@{periods[t]}" for t in range(T) for u in base.row_ids)
     col_ids = tuple(f"{s}@{periods[t]}" for t in range(T) for s in base.col_ids)
@@ -785,7 +948,8 @@ def to_long_form(
         # long-form rows legitimately contain zero blocks; zero-row warnings
         # would fire for units without exposure in some period only
         warnings.simplefilter("ignore", ShiftShareWarning)
-        long_shares = ShareMatrix(weights=long_w, row_ids=row_ids, col_ids=col_ids)
+        long_shares = ShareMatrix.from_triplets(long_rows, long_cols, np.concatenate(weights),
+                                                 row_ids, col_ids)
     long_shifts = ShiftTable(
         values=values,
         shift_ids=col_ids,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace as dc_replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,37 +121,64 @@ def _stream(seed: int, *path: int) -> np.random.Generator:
     )
 
 
-def _draw_shares(config: DgpConfig, rng: np.random.Generator) -> np.ndarray:
+class _Labels(NamedTuple):
+    """The ids and label arrays of a draw, which depend only on the configuration's
+    shape, so a Monte Carlo builds them once."""
+
+    unit_ids: tuple[str, ...]
+    shift_ids: tuple[str, ...]
+    cluster: np.ndarray | None
+    exchange_group: np.ndarray | None
+
+
+def _labels(config: DgpConfig) -> _Labels:
+    n, m = config.n, config.m
+    cluster = exchange = None
+    if config.shift_model == "clustered":
+        codes = np.arange(m) % min(config.n_shift_clusters, m)
+        cluster = np.array([f"c{c}" for c in codes], dtype=object)
+    elif config.shift_model == "exchangeable-groups":
+        codes = np.arange(m) % min(config.n_exchange_groups, m)
+        exchange = np.array([f"g{c}" for c in codes], dtype=object)
+    return _Labels(tuple(f"u{i}" for i in range(n)), tuple(f"s{j}" for j in range(m)),
+                   cluster, exchange)
+
+
+def _draw_shares(config: DgpConfig, rng: np.random.Generator, labels: _Labels) -> ShareMatrix:
     n, m = config.n, config.m
     if config.share_model == "dirichlet":
-        return rng.dirichlet(np.full(m, config.dirichlet_concentration), size=n)
+        w = rng.dirichlet(np.full(m, config.dirichlet_concentration), size=n)
+        return ShareMatrix(w, labels.unit_ids, labels.shift_ids)
     if config.share_model == "sparse-block":
         blocks = np.array_split(np.arange(m), min(config.n_blocks, m))
         assignment = rng.integers(0, len(blocks), size=n)
-        w = np.zeros((n, m))
-        for b, cols in enumerate(blocks):
+        # each unit's row is its block's columns, so the triplets are written in row order
+        counts = np.array([cols.size for cols in blocks])[assignment]
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        cols, values = np.empty(counts.sum(), dtype=np.intp), np.empty(counts.sum())
+        for b, block in enumerate(blocks):
             rows = np.flatnonzero(assignment == b)
             if rows.size:
-                w[np.ix_(rows, cols)] = rng.dirichlet(
-                    np.full(cols.size, config.dirichlet_concentration), size=rows.size
+                at = starts[rows, None] + np.arange(block.size)
+                cols[at] = block
+                values[at] = rng.dirichlet(
+                    np.full(block.size, config.dirichlet_concentration), size=rows.size
                 )
-        return w
+        rows = np.repeat(np.arange(n), counts)
+        return ShareMatrix.from_triplets(rows, cols, values, labels.unit_ids, labels.shift_ids)
     # network-inverse-degree on a ring: neighbors within `network_neighbors`
     k = max(1, int(config.network_neighbors))
     if 2 * k >= n:
         raise ValidationError("network neighbor span too large for the node count")
-    w = np.zeros((n, n))
-    offsets = [o for s in range(1, k + 1) for o in (s, -s)]
-    idx = np.arange(n)
-    for o in offsets:
-        w[idx, (idx + o) % n] = 1.0
-    return w / w.sum(axis=1, keepdims=True)
+    offsets = np.array([o for s in range(1, k + 1) for o in (s, -s)])
+    rows = np.repeat(np.arange(n), offsets.size)
+    cols = (rows + np.tile(offsets, n)) % n
+    return ShareMatrix.from_triplets(rows, cols, np.full(rows.size, 1.0 / offsets.size),
+                                     labels.unit_ids, labels.shift_ids)
 
 
-def _draw_shifts(config: DgpConfig, rng: np.random.Generator):
+def _draw_shifts(config: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     m = config.m
-    cluster = None
-    exchange = None
     if config.shift_model == "iid-normal":
         d = config.shift_mean + config.shift_sd * rng.standard_normal(m)
     elif config.shift_model == "bernoulli":
@@ -166,43 +193,46 @@ def _draw_shifts(config: DgpConfig, rng: np.random.Generator):
         d = config.shift_mean + config.shift_sd * (
             math.sqrt(rho) * shock[codes] + math.sqrt(1.0 - rho) * noise
         )
-        cluster = np.array([f"c{c}" for c in codes], dtype=object)
     else:  # exchangeable-groups
         g = min(config.n_exchange_groups, m)
         codes = np.arange(m) % g
         centers = config.group_mean_spread * (np.arange(g) - (g - 1) / 2.0)
         d = config.shift_mean + centers[codes] + config.shift_sd * rng.standard_normal(m)
-        exchange = np.array([f"g{c}" for c in codes], dtype=object)
-    return np.asarray(d, dtype=float), cluster, exchange
+    return np.asarray(d, dtype=float)
 
 
 def generate(config: DgpConfig, _path: tuple[int, ...] = ()) -> SimulatedData:
     """Draw one dataset from the configured process; deterministic given the seed."""
-    rng_w = _stream(config.seed, *_path, _ROLE_SHARES)
-    rng_d = _stream(config.seed, *_path, _ROLE_SHIFTS)
-    rng_fs = _stream(config.seed, *_path, _ROLE_FIRST_STAGE)
-    rng_e = _stream(config.seed, *_path, _ROLE_ERRORS)
+    return _generate(config, _labels(config), _path)
 
-    w = _draw_shares(config, rng_w)
-    d, cluster, exchange = _draw_shifts(config, rng_d)
+
+def _generate(config: DgpConfig, labels: _Labels, path: tuple[int, ...]) -> SimulatedData:
+    rng_w = _stream(config.seed, *path, _ROLE_SHARES)
+    rng_d = _stream(config.seed, *path, _ROLE_SHIFTS)
+    rng_fs = _stream(config.seed, *path, _ROLE_FIRST_STAGE)
+    rng_e = _stream(config.seed, *path, _ROLE_ERRORS)
+
+    shares = _draw_shares(config, rng_w, labels)
+    d = _draw_shifts(config, rng_d)
+    rows, cols, w = shares.nonzero()
 
     n, m = config.n, config.m
     u = None
     if config.error_model == "share-correlated":
         u = rng_e.standard_normal(m)
         noise = rng_e.standard_normal(n)
-        mean_sq = float(np.mean(np.sum(w**2, axis=1)))
+        mean_sq = float(np.sum(w**2)) / n
         frac = config.share_error_frac
         scale_u = math.sqrt(frac * config.error_sd**2 / mean_sq) if mean_sq > 0 else 0.0
-        eps = scale_u * (w @ u) + math.sqrt(1.0 - frac) * config.error_sd * noise
+        eps = scale_u * shares.exposure(u) + math.sqrt(1.0 - frac) * config.error_sd * noise
     else:
         eps = config.error_sd * rng_e.standard_normal(n)
 
-    z = w @ d
+    z = shares.exposure(d)
     pi = None
     if config.pi_sd > 0 or config.pi_mean != 1.0:
         pi = config.pi_mean + config.pi_sd * rng_fs.standard_normal((n, m))
-        x_signal = np.sum(w * pi * d[None, :], axis=1)
+        x_signal = shares.row_totals(w * pi[rows, cols] * d[cols])
     else:
         x_signal = z
     if config.first_stage_noise_sd > 0:
@@ -216,11 +246,9 @@ def generate(config: DgpConfig, _path: tuple[int, ...] = ()) -> SimulatedData:
     x = x_signal + v
     y = config.beta_true * x + eps
 
-    unit_ids = tuple(f"u{i}" for i in range(n))
-    shift_ids = tuple(f"s{j}" for j in range(m))
-    shares = ShareMatrix(w, unit_ids, shift_ids)
-    shifts = ShiftTable(d, shift_ids, cluster=cluster, exchange_group=exchange)
-    dataset = Dataset(outcome=y, unit_ids=unit_ids, regressor=x)
+    shifts = ShiftTable(d, labels.shift_ids, cluster=labels.cluster,
+                        exchange_group=labels.exchange_group)
+    dataset = Dataset(outcome=y, unit_ids=labels.unit_ids, regressor=x)
     truth = TruthRecord(
         beta_true=config.beta_true,
         latent_error_shock=u,
@@ -336,10 +364,11 @@ def run_coverage(
     ses = {name: [] for name, _, _ in resolved}
     failed = {name: 0 for name, _, _ in resolved}
     base = dc_replace(config, seed=seed)
+    labels = _labels(base)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ShiftShareWarning)
         for rep in range(replications):
-            data = generate(base, _path=(rep,))
+            data = _generate(base, labels, (rep,))
             reports: dict[Fit, EstimateReport | None] = {}
             for name, fit, se_key in resolved:
                 if fit not in reports:

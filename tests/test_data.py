@@ -4,7 +4,9 @@ import ast
 import csv
 import json
 import tempfile
+import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +27,8 @@ from shiftshare import (
     save_inputs,
     to_long_form,
 )
-from shiftshare.data import _read_long_matrix, _scan_long_matrix, _write_columns
+from shiftshare.construct import complete_shares
+from shiftshare.data import _read_long_matrix, _scan_long_matrix, _share_columns, _write_columns
 
 TOY_SHARES = """unit_id,shift_id,weight
 a,s1,0.5
@@ -109,7 +112,9 @@ class TestLoading:
         # blank lines are not rows, and a quoted line break stays in its field
         ('unit_id,y,x,w_e,pi_1,note\n\na,1.0,0.5,2.0,0.1,"x\ny"\n\n'
          "b,2.0,1.0,1.0,0.2,z\nc,0.5,0.25,1.0,0.3\n", 3),
-    ], ids=["short", "long", "short_header", "blank_lines_and_quoted_break"])
+        ("\ufeff\n\r\n" + TOY_UNITS.replace("b,2.0,1.0,1.0,0.2", "b,2.0,1.0,1.0"), 2),
+    ], ids=["short", "long", "short_header", "blank_lines_and_quoted_break",
+            "byte_order_mark_and_blank_lines_before_header"])
     def test_ragged_csv_row_names_file_and_data_row(self, tmp_path, units, row):
         paths = write_toy(tmp_path, units=units)
         with pytest.raises(SchemaError, match=rf"units\.csv: data row {row} does not have"):
@@ -176,6 +181,12 @@ INGESTION_CASES = [
     ("crlf", CSV, {name: _csv_text(BASE[name], "\r\n") for name in BASE}, VALID),
     ("blank_lines", CSV, {"shares": _csv_text(BASE["shares"]).replace("\n", "\n\n")},
      VALID),
+    # a spreadsheet export may start with a byte-order mark, and blank lines are skipped
+    # before the header too
+    *[(f"{kind}_{name}", CSV, {name: prefix + _csv_text(BASE[name])}, VALID)
+      for kind, prefix in (("byte_order_mark", "\ufeff"), ("blank_lines_before_header", "\n\r\n"),
+                           ("byte_order_mark_and_blank_line", "\ufeff\n"))
+      for name in BASE],
     ("quoted_labels", CSV,
      {name: _renamed(name, "a", 'a,"1"\r\nz') for name in ("shares", "units")}, VALID),
     ("missing_shares", BOTH, {"shares": None}, (SchemaError, "input file not found: {shares}")),
@@ -395,11 +406,11 @@ class TestLongFormatReader:
             path.write_text(text, newline="")
             fast = _outcome(lambda: _read_long_matrix(path, "value", unit_ids, shift_ids))
             slow = _outcome(lambda: _scan_long_matrix(path, "value", unit_ids, shift_ids, "csv"))
-        if isinstance(slow, np.ndarray):
-            assert isinstance(fast, np.ndarray) and fast.shape == slow.shape
-            assert np.array_equal(fast, slow, equal_nan=True)
-            assert np.array_equal(np.signbit(fast), np.signbit(slow))
-            assert fast.tobytes() == slow.tobytes()
+        if isinstance(slow[0], np.ndarray):  # the (rows, cols, values) triplets
+            assert isinstance(fast[0], np.ndarray)
+            for got, want in zip(fast, slow):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
         else:
             assert fast == slow
 
@@ -416,7 +427,8 @@ class TestLongFormatReader:
         monkeypatch.setattr(shiftshare.data, "_scan_long_matrix", scan)
         loaded = load_inputs(paths["shares"], paths["shifts"], paths["units"])[0]
         assert loaded.weights.tobytes() == w.tobytes()
-        for files in ({}, {"shares": [[r[1], r[2], r[0], "x"] for r in BASE["shares"]]}):
+        for files in ({}, {"shares": [[r[1], r[2], r[0], "x"] for r in BASE["shares"]]},
+                      {"shares": "\ufeff\n" + _csv_text(BASE["shares"])}):
             paths = _write_inputs(tmp_path, files, "csv")
             shares = load_inputs(paths["shares"], paths["shifts"], paths["units"])[0]
             assert shares.weights.tolist() == VALID
@@ -692,22 +704,37 @@ def share_patterns(draw):
 
 class TestShareOperator:
     """The contract of ``ShareMatrix``'s products and pattern operations against
-    the dense array. Dense storage gives the products bit for bit (``RTOL`` 0); a
-    different storage states its relative tolerance here."""
+    the dense array. The triplets sum each row (or column) in their own order, so a
+    product is within the inner-product bound ``k u / (1 - k u) * (|W| @ |a|)`` of
+    the exact result, with ``u`` = 2**-53 and ``k`` the row's (or column's) nonzero
+    count. A relative tolerance would fail where the sum cancels. The exact result is
+    taken in rational arithmetic: BLAS's own result carries the same bound, so the
+    two can differ by twice it."""
 
-    RTOL = 0.0
+    @staticmethod
+    def assert_within_summation_bound(got, w, a):
+        """``got`` is ``w @ a`` for a vector ``a``, row by row."""
+        u = Fraction(1, 2**53)
+        for value, row in zip(got, w):
+            terms = [Fraction(x) * Fraction(y) for x, y in zip(row, a)]
+            k = np.count_nonzero(row)
+            bound = k * u / (1 - k * u) * sum(map(abs, terms))
+            assert abs(Fraction(value) - sum(terms)) <= bound
 
     @given(case=share_patterns(), k=st.integers(1, 3))
     @settings(max_examples=80, deadline=None)
     def test_products_match_the_dense_array(self, case, k):
         shares, gen = case
         n, m = shares.n_units, shares.n_shifts
-        for a in (gen.normal(size=m), gen.normal(size=(m, k))):
-            np.testing.assert_allclose(shares.exposure(a), shares.weights @ a,
-                                       rtol=self.RTOL, atol=0)
-        for b in (gen.normal(size=n), gen.normal(size=(k, n))):
-            np.testing.assert_allclose(shares.aggregate(b), b @ shares.weights,
-                                       rtol=self.RTOL, atol=0)
+        w = shares.weights
+        a, b = gen.normal(size=(m, k)), gen.normal(size=(k, n))
+        self.assert_within_summation_bound(shares.exposure(a[:, 0]), w, a[:, 0])
+        self.assert_within_summation_bound(shares.aggregate(b[0]), w.T, b[0])
+        wide, tall = shares.exposure(a), shares.aggregate(b)
+        assert wide.shape == (n, k) and tall.shape == (k, m)
+        for j in range(k):
+            self.assert_within_summation_bound(wide[:, j], w, a[:, j])
+            self.assert_within_summation_bound(tall[j], w.T, b[j])
 
     @given(case=share_patterns())
     @settings(max_examples=80, deadline=None)
@@ -745,26 +772,47 @@ class TestShareOperator:
             shares.zero_columns([True])
 
 
-# reads of the share array outside data.py: elementwise uses against a
-# caller's dense units-by-shifts matrix
-SHARE_ARRAY_READERS = {("construct.py", "decompose"), ("construct.py", "leave_one_out_shifts")}
+def test_a_large_sparse_share_matrix_is_never_made_dense():
+    """200,000 units over 5,000 shifts, one share each, given in no order: the dense
+    array would take 8 GB. Building, completing, both products, the triplets and the
+    shares table take less than 64 MB."""
+    n, m = 200_000, 5_000
+    gen = np.random.default_rng(0)
+    row_ids, col_ids = tuple(f"u{i}" for i in range(n)), tuple(f"s{j}" for j in range(m))
+    rows, cols, values = gen.permutation(n), gen.integers(0, m, size=n), gen.uniform(size=n)
+    a, b = gen.normal(size=m + 1), gen.normal(size=n)
+    tracemalloc.start()
+    try:
+        shares = ShareMatrix.from_triplets(rows, cols, values, row_ids, col_ids)
+        completed = complete_shares(shares).shares
+        exposure, aggregate = completed.exposure(a), completed.aggregate(b)
+        triplets, table = completed.nonzero(), _share_columns(completed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    by_unit = np.argsort(rows)
+    share, col, rest = values[by_unit], cols[by_unit], 1.0 - values[by_unit]
+    assert np.array_equal(triplets[0], np.repeat(np.arange(n), 2))
+    assert np.array_equal(triplets[1], np.stack([col, np.full(n, m)], axis=1).ravel())
+    assert len(table["weight"]) == 2 * n
+    assert np.array_equal(exposure, share * a[col] + rest * a[m])
+    assert aggregate[m] == pytest.approx(np.sum(b * rest), rel=1e-12)
 
 
 def test_only_data_reads_the_share_array():
-    """Every other module reaches the shares through ``ShareMatrix``'s methods, so
-    the storage can change inside one class."""
-    found = set()
+    """No module builds the dense copy ``ShareMatrix.weights``: every other module, and
+    ``data`` outside the class, reaches the shares through its methods."""
+    found = []
     for path in sorted(Path(shiftshare.__file__).parent.glob("*.py")):
-        if path.name == "data.py":
-            continue
         for top in ast.parse(path.read_text()).body:
             where = getattr(top, "name", None)
+            if (path.name, where) == ("data.py", "ShareMatrix"):
+                continue
             for node in ast.walk(top):
                 if isinstance(node, ast.Attribute) and node.attr == "weights":
-                    found.add((path.name, where, node.lineno))
-    leaks = sorted(f for f in found if f[:2] not in SHARE_ARRAY_READERS)
-    assert not leaks, f"share array read outside data.py: {leaks}"
-    assert {f[:2] for f in found} == SHARE_ARRAY_READERS
+                    found.append((path.name, where, node.lineno))
+    assert not found, f"dense share array read in the package: {found}"
 
 
 class TestLongForm:

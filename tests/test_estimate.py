@@ -934,13 +934,13 @@ class TestEstimateShiftFramework:
         completed = complete_shares(shares, shifts)
         shares_c, shifts_c = completed.shares, completed.shifts
         controls = np.column_stack([dataset.controls, completed.sum_of_shares,
-                                    shares_c.weights @ shifts_c.covariates[:, 0]])
+                                    shares_c.exposure(shifts_c.covariates[:, 0])])
         augmented = Dataset(outcome=dataset.outcome, unit_ids=dataset.unit_ids,
                             regressor=dataset.regressor, controls=controls,
                             unit_weights=dataset.unit_weights)
         res = residualize_shifts(shifts_c, ("p_real", "p_1"),
                                  shift_weights_from(augmented, shares_c))
-        report = shiftshare_2sls(augmented, shares_c.weights @ res.eta_hat)
+        report = shiftshare_2sls(augmented, shares_c.exposure(res.eta_hat))
         assert result.residuals.spec == ("p_real", "p_1")
         assert result.estimate.beta_hat == report.beta_hat
         assert result.estimate.se_variants["conventional_hc"] == (
