@@ -31,7 +31,7 @@ from .construct import (
     residualize_shifts,
     shift_weights_from,
 )
-from .data import _read_long_matrix, _share_columns, _write_columns, load_inputs
+from .data import _read_long_matrix, _share_columns, _write_columns, load_inputs, load_shares
 from .diagnose import balance_test_unit, concentration, icc, shift_summary
 from .errors import (
     EstimationError,
@@ -66,20 +66,25 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, argv, inputs: list[Path], seed, extra=None) -> None:
-    manifest = {
+def _input_digests(args) -> dict[str, str]:
+    """The SHA-256 of every file that a path option names, ``--out`` aside."""
+    return {str(path): _sha256(path) for name, path in vars(args).items()
+            if isinstance(path, Path) and name != "out"}
+
+
+def _write_manifest(args, argv, digests: dict[str, str], config: dict | None) -> None:
+    """``manifest.json`` of a run: its command line, the ``digests`` of its input files, the
+    digest of the DGP ``config``, the seed, the package version and a timestamp."""
+    _write_json(args.out / "manifest.json", {
         "command_line": list(argv),
-        "input_digests": {str(p): _sha256(p) for p in inputs if p is not None},
+        "input_digests": digests,
         "config_digest": hashlib.sha256(
-            json.dumps(extra or {}, sort_keys=True).encode()
+            json.dumps(config or {}, sort_keys=True).encode()
         ).hexdigest(),
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -197,16 +202,15 @@ def _unit_shifts(args, dataset, shifts) -> np.ndarray:
     return d_ij
 
 
-def _cmd_construct(args, argv) -> int:
-    shares, shifts, dataset = load_inputs(args.shares, args.shifts, args.units, args.format)
+def _cmd_construct(args, shares, shifts, dataset) -> None:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     w_j = shift_weights_from(dataset, shares)
 
     if args.decompose:
         if args.initial_shares is None or args.unit_shifts is None:
             raise ValidationError("--decompose needs --initial-shares and --unit-shifts")
-        initial = load_inputs(args.initial_shares, args.shifts, args.units, args.format)[0]
+        initial = load_shares(args.initial_shares, dataset.unit_ids, shifts.shift_ids,
+                              args.format)
         d_ij = _unit_shifts(args, dataset, shifts)
         result = decompose(initial, shares, d_ij)
         _write_columns(out / "decomposition.csv", "csv", {
@@ -257,8 +261,6 @@ def _cmd_construct(args, argv) -> int:
 
     _write_columns(out / "exposure.csv", "csv",
                    {"unit_id": dataset.unit_ids, "exposure": build_exposure(shares, shifts)})
-    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=None)
-    return EXIT_OK
 
 
 def _estimate_share_framework(args, shares, shifts, dataset):
@@ -273,10 +275,8 @@ def _estimate_share_framework(args, shares, shifts, dataset):
     return payload
 
 
-def _cmd_estimate(args, argv) -> int:
-    shares, shifts, dataset = load_inputs(args.shares, args.shifts, args.units, args.format)
+def _cmd_estimate(args, shares, shifts, dataset) -> None:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     if args.framework == "share":
         payload = _estimate_share_framework(args, shares, shifts, dataset)
     else:
@@ -302,40 +302,22 @@ def _cmd_estimate(args, argv) -> int:
             print(f"  se[{name}] = {se:.6g}")
         for name, f in sorted(est.get("first_stage_f", {}).items()):
             print(f"  first_stage_f[{name}] = {f:.6g}")
-    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=None)
-    return EXIT_OK
 
 
-def _cmd_ri(args, argv) -> int:
-    shares, shifts, dataset = load_inputs(args.shares, args.shifts, args.units, args.format)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_ri(args, shares, shifts, dataset) -> None:
     if args.beta0 is not None:
-        test = ri_test(dataset, shares, shifts, beta0=args.beta0,
-                       draws=args.draws, seed=args.seed, groups=args.groups)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "beta0": test.beta0,
-            "p_value": test.p_value,
-            "stat_observed": test.stat_observed,
-            "stat_mean": test.stat_mean,
-            "method": test.method,
-            "draws": test.draws,
-            "seed": test.seed,
-        }
+        payload = dataclasses.asdict(ri_test(dataset, shares, shifts, beta0=args.beta0,
+                                             draws=args.draws, seed=args.seed,
+                                             groups=args.groups))
+        del payload["stat_distribution"]
     else:
-        result = ri_estimate(dataset, shares, shifts, draws=args.draws,
-                             level=args.level, seed=args.seed, groups=args.groups)
-        payload = {"schema_version": SCHEMA_VERSION, **result.to_dict()}
-    _write_json(out / "ri.json", payload)
-    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=args.seed)
-    return EXIT_OK
+        payload = ri_estimate(dataset, shares, shifts, draws=args.draws,
+                              level=args.level, seed=args.seed, groups=args.groups).to_dict()
+    _write_json(args.out / "ri.json", {"schema_version": SCHEMA_VERSION, **payload})
 
 
-def _cmd_diagnose(args, argv) -> int:
-    shares, shifts, dataset = load_inputs(args.shares, args.shifts, args.units, args.format)
+def _cmd_diagnose(args, shares, shifts, dataset) -> None:
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     w_j = shift_weights_from(dataset, shares)
     payload: dict = {"schema_version": SCHEMA_VERSION}
 
@@ -346,7 +328,7 @@ def _cmd_diagnose(args, argv) -> int:
 
     if args.concentration:
         labels = shifts.label_column(args.cluster) if args.cluster else None
-        payload["concentration"] = concentration(w_j, clusters=labels).to_dict()
+        payload["concentration"] = dataclasses.asdict(concentration(w_j, clusters=labels))
 
     if args.autocorr:
         try:
@@ -380,25 +362,19 @@ def _cmd_diagnose(args, argv) -> int:
                 unit_weights=dataset.unit_weights, shares=shares, eta_hat=eta,
                 cluster=cluster_labels, se_mode="exposure",
             )
-            balance[col] = result.to_dict()
+            balance[col] = dataclasses.asdict(result)
         payload["balance_unit"] = balance
 
     _write_json(out / "diagnose.json", payload)
     if args.tables:
         _write_csv_mirror(out / "diagnose.csv", payload)
-    _write_manifest(out, argv, [args.shares, args.shifts, args.units], seed=args.seed)
-    return EXIT_OK
 
 
 def _parse_dgp_config(path: Path, seed: int) -> DgpConfig:
     kinds = {"int": int, "float": float, "str": str}
     fields = {f.name: kinds[f.type] for f in dataclasses.fields(DgpConfig)}
     values: dict = {"seed": seed}
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read config file ({exc.strerror})") from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -417,48 +393,68 @@ def _parse_dgp_config(path: Path, seed: int) -> DgpConfig:
     return DgpConfig(**values)
 
 
-def _cmd_simulate(args, argv) -> int:
-    config = _parse_dgp_config(args.config, args.seed)
-    estimators = [e for e in args.estimators.split(",") if e]
-    unknown = [e for e in estimators if e not in ESTIMATORS]
-    if unknown:
-        raise ValidationError(f"unknown estimators: {unknown}; available: {sorted(ESTIMATORS)}")
+def _cmd_simulate(args, config, estimators) -> None:
     results = run_coverage(config, estimators, replications=args.reps, seed=args.seed)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    _write_columns(out / "coverage.csv", "csv", {
+    _write_columns(args.out / "coverage.csv", "csv", {
         f.name: [getattr(r, f.name) for r in results] for f in dataclasses.fields(CoverageResult)
     })
     if not args.quiet:
         for r in results:
             print(f"{r.estimator}: coverage95 = {r.coverage95:.3f} "
                   f"(mean SE {r.mean_se:.4g}, sd {r.sd_beta:.4g}, failed {r.n_failed})")
-    _write_manifest(out, argv, [args.config], seed=args.seed,
-                    extra=dataclasses.asdict(config))
-    return EXIT_OK
+
+
+COMMANDS = {
+    "construct": _cmd_construct,
+    "estimate": _cmd_estimate,
+    "ri": _cmd_ri,
+    "diagnose": _cmd_diagnose,
+    "simulate": _cmd_simulate,
+}
+
+
+def _read_inputs(args) -> tuple:
+    """What the command reads, checked before ``--out`` is created: the three input files,
+    or for ``simulate`` the DGP config and the estimator names."""
+    if args.command != "simulate":
+        return load_inputs(args.shares, args.shifts, args.units, args.format)
+    config = _parse_dgp_config(args.config, args.seed)
+    estimators = [e for e in args.estimators.split(",") if e]
+    unknown = [e for e in estimators if e not in ESTIMATORS]
+    if unknown:
+        raise ValidationError(f"unknown estimators: {unknown}; available: {sorted(ESTIMATORS)}")
+    return config, estimators
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "construct": _cmd_construct,
-        "estimate": _cmd_estimate,
-        "ri": _cmd_ri,
-        "diagnose": _cmd_diagnose,
-        "simulate": _cmd_simulate,
-    }
+    """Run the command that ``argv`` names: read its inputs, create ``--out``, run it and
+    write the manifest. A failure ends in its exit code and one line on standard error,
+    and leaves no ``--out`` that the run created and left empty."""
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, argv)
-    except (ValidationError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        inputs = _read_inputs(args)
+        digests = _input_digests(args)  # before a report written over an input changes it
+        created = not args.out.exists()
+        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            COMMANDS[args.command](args, *inputs)
+        except Exception:
+            if created and not any(args.out.iterdir()):
+                args.out.rmdir()
+            raise
+        config = dataclasses.asdict(inputs[0]) if args.command == "simulate" else None
+        _write_manifest(args, argv, digests, config)
     except (EstimationError, NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ShiftShareError as exc:
+    except ShiftShareError as exc:  # a schema or validation error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:  # an unreadable input, or an --out that cannot be a directory
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -108,6 +108,16 @@ def _frozen_labels(values) -> np.ndarray:
     return out
 
 
+def _frozen_extras(extras: Mapping, rows: int, kind: str) -> MappingProxyType:
+    """Extra label columns as frozen string arrays, each with one value per ``kind``."""
+    out = {}
+    for name, col in dict(extras).items():
+        if len(col) != rows:
+            raise ValidationError(f"extra column {name!r} must have one value per {kind}")
+        out[name] = _frozen_labels(col)
+    return MappingProxyType(out)
+
+
 @dataclass(frozen=True, init=False)
 class ShareMatrix:
     """Nonnegative exposure weights of ``n`` units over ``m`` shifts.
@@ -340,7 +350,10 @@ class ShareMatrix:
 
 @dataclass(frozen=True)
 class ShiftTable:
-    """Shift values with optional cluster/period/exchange-group labels and covariates."""
+    """Shift values with optional cluster/period/exchange-group labels and covariates.
+
+    ``extras`` holds further label columns by name, each with one value per shift.
+    """
 
     values: np.ndarray
     shift_ids: tuple[str, ...]
@@ -382,8 +395,8 @@ class ShiftTable:
                 )
             elif len(self.covariate_names) != cov.shape[1]:
                 raise ValidationError("covariate names do not match covariate columns")
-        extras = {k: _frozen_labels(col) for k, col in dict(self.extras).items()}
-        object.__setattr__(self, "extras", MappingProxyType(extras))
+        extras = _frozen_extras(self.extras, m, "shift")
+        object.__setattr__(self, "extras", extras)
         _check_names("shift", ("shift_id", "value", "cluster", "period", "exchange_group"),
                      (*self.covariate_names, *extras))
 
@@ -467,12 +480,8 @@ class Dataset:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:  # so that saved weights reload bit for bit
             e = e / total
         object.__setattr__(self, "unit_weights", _frozen_array(e))
-        extras = {}
-        for k, col in dict(self.extras).items():
-            if len(col) != n:
-                raise ValidationError(f"extra column {k!r} must have one value per unit")
-            extras[k] = _frozen_labels(col)
-        object.__setattr__(self, "extras", MappingProxyType(extras))
+        extras = _frozen_extras(self.extras, n, "unit")
+        object.__setattr__(self, "extras", extras)
         _check_names("unit", ("unit_id", "y", "x", "w_e"), (*self.control_names, *extras))
 
     @property
@@ -887,7 +896,9 @@ def to_long_form(
     columns, block-diagonal by period: shifts outside an observation's own
     period get weight exactly zero, so each row's exposure (and row sum) is
     preserved. Period labels on the long shift table are set from
-    ``periods`` (defaults to ``t0, t1, ...``).
+    ``periods`` (defaults to ``t0, t1, ...``). The cluster and exchange-group
+    labels, the covariates and each extra label column are stacked period by
+    period; each must be present in every period or in none.
     """
     if len(shares_by_period) != len(shifts_by_period) or not shares_by_period:
         raise ValidationError("need one share matrix and one shift table per period")
@@ -921,8 +932,7 @@ def to_long_form(
     values = np.concatenate([st.values for st in shifts_by_period])
     period_labels = np.repeat(periods, m)
 
-    def _stack_labels(name: str):
-        cols = [getattr(st, name) for st in shifts_by_period]
+    def _stack_labels(name: str, cols: list):
         present = [c is not None for c in cols]
         if not any(present):
             return None
@@ -930,8 +940,10 @@ def to_long_form(
             raise ValidationError(f"{name} labels must be present in all periods or none")
         return np.concatenate(cols)
 
-    cluster = _stack_labels("cluster")
-    exchange = _stack_labels("exchange_group")
+    cluster = _stack_labels("cluster", [st.cluster for st in shifts_by_period])
+    exchange = _stack_labels("exchange_group", [st.exchange_group for st in shifts_by_period])
+    extras = {name: _stack_labels(name, [st.extras.get(name) for st in shifts_by_period])
+              for name in dict.fromkeys(k for st in shifts_by_period for k in st.extras)}
     covs = [st.covariates for st in shifts_by_period]
     covariates = None
     cov_names: tuple[str, ...] = ()
@@ -958,5 +970,6 @@ def to_long_form(
         exchange_group=exchange,
         covariates=covariates,
         covariate_names=cov_names,
+        extras=extras,
     )
     return long_shares, long_shifts, PanelIndex(unit_map, shift_map)

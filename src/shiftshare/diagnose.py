@@ -21,7 +21,7 @@ import numpy as np
 
 from .construct import ShiftResiduals
 from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
-from .errors import ShiftShareWarning, ValidationError
+from .errors import EstimationError, ShiftShareWarning, ValidationError
 from .estimate import (
     _partialled_iv,
     _robust_se,
@@ -43,15 +43,15 @@ class BalanceResult:
     se_mode: str
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "coefficient": self.coefficient,
-            "se": self.se,
-            "n": self.n,
-            "p_value": self.p_value,
-            "se_mode": self.se_mode,
-            "degenerate": self.degenerate,
-        }
+
+def _shift_cluster_codes(cluster, m: int) -> np.ndarray:
+    """Each shift's index into its sorted cluster labels; a clustered SE needs two clusters."""
+    if np.shape(cluster) != (m,):
+        raise ValidationError("cluster labels must cover all shifts")
+    codes = _label_codes(cluster)[1]
+    if codes.max() < 1:
+        raise EstimationError("clustered standard errors need at least 2 shift clusters")
+    return codes
 
 
 def _normal_p(coefficient: float, se: float) -> float:
@@ -80,7 +80,8 @@ def balance_test_unit(
     ``se_mode="exposure"`` (default) the standard error is the
     residualized-shift exposure-robust estimator, which needs ``shares`` and
     ``eta_hat`` (clustered over shifts when ``cluster`` labels for shifts
-    are supplied). ``se_mode="conventional"`` uses the unit-level robust or
+    are supplied; fewer than two clusters raise ``EstimationError``).
+    ``se_mode="conventional"`` uses the unit-level robust or
     cluster-robust sandwich instead, with ``cluster`` then interpreted as
     unit labels. ``normalize`` rescales the variable to unit weighted
     variance first, matching reporting conventions for placebo tables.
@@ -111,6 +112,8 @@ def balance_test_unit(
     if se_mode == "exposure":
         if shares is None or eta_hat is None:
             raise ValidationError("exposure-robust balance test needs shares and eta_hat")
+        if cluster is not None:
+            _shift_cluster_codes(cluster, shares.n_shifts)
         se = residualized_se(e, shares, eta_hat, rep.residuals, rep.x_perp, clusters=cluster)
     elif se_mode == "conventional":
         key = "conventional_cluster" if unit_cluster is not None else "conventional_hc"
@@ -144,7 +147,8 @@ def balance_test_shift(
     """Weighted regression of residualized shifts on a shift-level placebo.
 
     The regression is weighted by aggregate shares; the standard error is
-    the shift-level sandwich, clustered by the given labels when present.
+    the shift-level sandwich, clustered by the given labels when present;
+    fewer than two clusters raise ``EstimationError``.
     """
     t = np.asarray(placebo, dtype=float)
     eta = np.asarray(eta_hat, dtype=float)
@@ -156,12 +160,7 @@ def balance_test_shift(
         return BalanceResult(0.0, 0.0, m, 1.0, "exposure", degenerate=True)
     # the placebo instruments itself, with an intercept as the only control
     beta, _, resid, t_perp, _, denom = _partialled_iv(np.ones((m, 1)), ("intercept",), t, t, eta, w)
-    if cluster is not None:
-        if np.shape(cluster) != (m,):
-            raise ValidationError("cluster labels must cover all shifts")
-        codes = _label_codes(cluster)[1]
-    else:
-        codes = np.arange(m)
+    codes = np.arange(m) if cluster is None else _shift_cluster_codes(cluster, m)
     se = _robust_se(w * t_perp * resid, codes, denom)
     return BalanceResult(beta, se, m, _normal_p(beta, se), "exposure")
 
@@ -337,15 +336,6 @@ class ConcentrationReport:
     inverse_hhi: float
     cluster_level: bool
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "max_share_ratio": self.max_share_ratio,
-            "max_share_sq_ratio": self.max_share_sq_ratio,
-            "inverse_hhi": self.inverse_hhi,
-            "cluster_level": self.cluster_level,
-            "n": self.n,
-        }
 
 
 def concentration(shift_weights: np.ndarray, clusters=None) -> ConcentrationReport:

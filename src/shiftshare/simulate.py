@@ -308,18 +308,6 @@ class CoverageResult:
     coverage95: float
     rejection_rate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "replications": self.replications,
-            "n_failed": self.n_failed,
-            "mean_bias": self.mean_bias,
-            "sd_beta": self.sd_beta,
-            "mean_se": self.mean_se,
-            "coverage95": self.coverage95,
-            "rejection_rate": self.rejection_rate,
-        }
-
 
 def run_coverage(
     config: DgpConfig,

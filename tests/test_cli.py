@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, exit codes, reproducibility."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -218,6 +219,17 @@ class TestDiagnoseCommand:
         assert payload["concentration"]["n"] == 2
         assert "placebo" in payload["balance_unit"]
         assert (out / "diagnose.csv").exists()
+
+    def test_balance_over_one_cluster_exits_two(self, inputs, tmp_path, capsys):
+        lines = SHIFTS.strip().splitlines()
+        inputs["shifts"].write_text("\n".join([lines[0] + ",one"]
+                                              + [line + ",k" for line in lines[1:]]) + "\n")
+        code = main(["--quiet", "diagnose", "--balance", "placebo", "--cluster", "one",
+                     *io_args(inputs, tmp_path / "d")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numerical failure: clustered standard errors need at least 2 "
+                       "shift clusters"]
 
     def test_unknown_balance_column_exits_one(self, inputs, tmp_path):
         code = main(["--quiet", "diagnose", "--balance", "nope",
@@ -539,6 +551,28 @@ class TestConstructTables:
         replaced = value_cells(out / "shifts_replaced.csv", skip=("shift_id", "value"))
         assert set(replaced) <= {"0", "1"}
 
+    def test_manifest_digests_every_input_file(self, inputs, tmp_path):
+        unit_shifts = tmp_path / "ds.csv"
+        unit_shifts.write_text("unit_id,shift_id,value\nu0,s0,1.5\n")
+        initial = tmp_path / "initial.csv"
+        initial.write_text(SHARES.replace("u0,s0,0.0629", "u0,s0,0.05"))
+        out = tmp_path / "m"
+        assert main(["--quiet", "construct", "--decompose", "--loo",
+                     "--initial-shares", str(initial), "--unit-shifts", str(unit_shifts),
+                     *io_args(inputs, out)]) == 0
+        digests = json.loads((out / "manifest.json").read_text())["input_digests"]
+        files = [*inputs.values(), initial, unit_shifts]
+        assert digests == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+    def test_manifest_digests_the_input_a_report_overwrites(self, inputs, tmp_path):
+        # a shares file named like construct's exposure table, in the output directory
+        shares = inputs["shares"].rename(tmp_path / "exposure.csv")
+        digest = hashlib.sha256(shares.read_bytes()).hexdigest()
+        assert main(["--quiet", "construct", *io_args({**inputs, "shares": shares},
+                                                      tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["input_digests"][str(shares)] == digest
+
     def test_completed_shares_skip_zeros(self, inputs, tmp_path):
         inputs["shares"].write_text(SHARES.replace("u1,s0,0.1020", "u1,s0,0.0"))
         out = tmp_path / "zeros"
@@ -583,7 +617,8 @@ def _json_inputs_with_a_short_row(inputs, tmp_path):
                                   "missing_config", "non_numeric_config",
                                   "non_integer_lag", "nan_beta0", "csv_short_row",
                                   "csv_long_row", "duplicate_share_pair",
-                                  "repeated_header_column", "zero_dirichlet_concentration"])
+                                  "repeated_header_column", "zero_dirichlet_concentration",
+                                  "out_is_a_file", "input_is_a_directory"])
 def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")]
     config = tmp_path / "dgp.cfg"
@@ -620,6 +655,9 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         "repeated_header_column": ["estimate", *io_args(inputs, tmp_path / "out")],
         "zero_dirichlet_concentration": ["simulate", "--config", str(zero), "--reps", "5",
                                          *out],
+        "out_is_a_file": ["estimate", *io_args(inputs, inputs["units"])],
+        "input_is_a_directory": ["estimate", *io_args({**inputs, "shares": tmp_path},
+                                                      tmp_path / "out")],
     }[case]
     assert main(["--quiet", *argv]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -636,6 +674,24 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
     if case == "zero_dirichlet_concentration":
         assert "dirichlet_concentration" in err[0]
         assert not (tmp_path / "out" / "coverage.csv").exists()
+    if case == "out_is_a_file":
+        assert err[0] == f"error: {inputs['units']}: File exists"
+    if case == "input_is_a_directory":
+        assert err[0] == f"error: {tmp_path}: Is a directory"
+
+
+def test_one_run_path():
+    """``dispatch`` alone reads the three input files and writes the manifest: no command
+    loads its own inputs, creates ``--out`` or writes ``manifest.json``."""
+    calls = {}
+    for top in ast.parse(Path(cli.__file__).read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(getattr(top, "name", None))
+    assert calls["load_inputs"] == ["_read_inputs"]
+    assert calls["_write_manifest"] == ["dispatch"]
+    assert calls["mkdir"] == ["dispatch"]
 
 
 def test_cli_import_does_not_load_scipy_stats():

@@ -655,6 +655,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="cluster"):
             ShiftTable(np.array([1.0, 2.0]), ("s1", "s2"), cluster=["only-one"])
 
+    def test_extra_column_coverage(self):
+        # a short extra column used to pass and then fail in numpy, in residualize_shifts
+        with pytest.raises(ValidationError, match="'g' must have one value per shift"):
+            ShiftTable(values=[1.0, 2.0, 3.0], shift_ids=("a", "b", "c"), extras={"g": ["x"]})
+
     def test_controls_and_covariates_are_never_transposed(self):
         # a (k, n) array is rejected rather than transposed: with k == n a
         # transpose guess could not tell the two layouts apart
@@ -888,4 +893,19 @@ class TestLongForm:
         sh2 = ShareMatrix(np.array([[0.5, 0.2, 0.1]]), ("a",), ("s1", "s2", "s3"))
         st2 = ShiftTable(np.array([1.0, 2.0, 3.0]), ("s1", "s2", "s3"))
         with pytest.raises(ValidationError, match="inconsistent"):
+            to_long_form([sh1, sh2], [st1, st2])
+
+    def test_extra_label_columns_are_stacked(self):
+        periods = [self.make_period([1.0, 2.0], [[0.5, 0.5]], ("a",), ("s1", "s2"),
+                                    extras={"region": ["r0", "r1"], "note": [k, k]})
+                   for k in ("x", "y")]
+        _, long_shifts, _ = to_long_form(*zip(*periods))
+        assert {k: v.tolist() for k, v in long_shifts.extras.items()} == {
+            "region": ["r0", "r1", "r0", "r1"], "note": ["x", "x", "y", "y"]}
+
+    def test_extra_label_column_in_some_periods_rejected(self):
+        sh1, st1 = self.make_period([1.0, 2.0], [[0.5, 0.5]], ("a",), ("s1", "s2"),
+                                    extras={"region": ["r0", "r1"]})
+        sh2, st2 = self.make_period([3.0, 4.0], [[0.5, 0.5]], ("a",), ("s1", "s2"))
+        with pytest.raises(ValidationError, match="region labels must be present in all"):
             to_long_form([sh1, sh2], [st1, st2])

@@ -5,6 +5,7 @@ import pytest
 
 from shiftshare import (
     Dataset,
+    EstimationError,
     ShareMatrix,
     ShiftTable,
     ValidationError,
@@ -244,6 +245,21 @@ class TestBalanceShift:
         clustered = balance_test_shift(rng.normal(size=30), res.eta_hat, w_j,
                                        cluster=labels)
         assert clustered.se > 0
+
+
+def test_balance_tests_over_one_cluster_fail(rng):
+    # one cluster's score sum is zero by construction, which gave se ~1e-17 and p = 0
+    n, m = 60, 12
+    shares = ShareMatrix(rng.dirichlet(np.ones(m), size=n), unit_ids(n), shift_ids(m))
+    w_j = shares.aggregate(np.full(n, 1.0 / n))
+    eta = rng.normal(size=m)
+    eta -= np.sum(w_j * eta) / w_j.sum()
+    one = ["c0"] * m
+    with pytest.raises(EstimationError, match="at least 2 shift clusters"):
+        balance_test_unit(rng.normal(size=n), shares.exposure(eta), shares=shares,
+                          eta_hat=eta, cluster=one)
+    with pytest.raises(EstimationError, match="at least 2 shift clusters"):
+        balance_test_shift(rng.normal(size=m), eta, w_j, cluster=one)
 
 
 class TestAggregatePlacebo:

@@ -1,0 +1,132 @@
+"""Check that two checkouts write byte-identical reports from the same inputs.
+
+Usage (from any directory):
+
+    python3 tools/same_reports.py PARENT CHANGE --seeds 1 2 3
+
+PARENT and CHANGE are checkouts of the repository (a ``git clone`` or ``git archive`` of
+each commit). For every seed and every workload of PARENT's ``perfbench/workloads.py``,
+the inputs are built once, by that file's ``build_inputs`` on PARENT's ``src/``. Each
+command then runs in a fresh interpreter once against each checkout's own ``src/``:
+
+- every workload command;
+- on the ``cli-paper`` inputs, the report paths that no workload takes: ``construct
+  --decompose --loo`` with ``--initial-shares`` and ``--unit-shifts``, ``ri --beta0``,
+  ``estimate --report csv``, ``estimate --report text`` and ``diagnose --tables``.
+
+Commands run without ``--quiet``, so what they print is compared too. For each command
+the exit code, standard output, standard error and every output file but
+``manifest.json`` (which holds a timestamp) must be the same bytes. A warning is
+compared by its category and message; where it was raised is code, not report. The
+tool stops at the first difference, names it and exits 1; it exits 0 when every output
+is the same.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# single-threaded BLAS, as in the benchmark, so that both sides sum in one order
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# the console script's entry point, with each warning printed as "Category: message"
+LAUNCH = """
+import sys, warnings
+warnings.formatwarning = lambda message, category, *_, **__: f"{category.__name__}: {message}\\n"
+from shiftshare.cli import main
+sys.exit(main())
+"""
+
+
+def extra_commands(directory: Path, io: list[str], seed: int) -> list[tuple[str, list[str]]]:
+    """The report paths that no workload takes, on the CSV inputs that the flags ``io``
+    name. ``construct --decompose --loo`` also reads initial shares and unit-by-shift
+    values: they are written under ``directory``, derived from the shares file, so that
+    both sides read the same bytes."""
+    rows = [row.split(",") for row in Path(io[1]).read_text().splitlines()[1:]]
+    initial, unit_shifts = directory / "initial_shares.csv", directory / "unit_shifts.csv"
+    initial.write_text("unit_id,shift_id,weight\n" + "".join(
+        f"{u},{s},{float(w) * (0.5 + k % 2 / 2)!r}\n" for k, (u, s, w) in enumerate(rows)))
+    unit_shifts.write_text("unit_id,shift_id,value\n" + "".join(
+        f"{u},{s},{(k % 7 - 3) / 4!r}\n" for k, (u, s, _) in enumerate(rows)))
+    return [
+        ("construct --decompose --loo", ["construct", *io, "--decompose", "--loo",
+                                         "--initial-shares", str(initial),
+                                         "--unit-shifts", str(unit_shifts)]),
+        ("ri --beta0", ["ri", *io, "--beta0", "1.0", "--draws", "500", "--groups",
+                        "exchange_group", "--seed", str(seed)]),
+        ("estimate --report csv", ["estimate", *io, "--framework", "shift", "--residualize",
+                                   "p_1", "--cluster-shift", "cluster", "--report", "csv"]),
+        ("estimate --report text", ["estimate", *io, "--rotemberg", "--report", "text"]),
+        ("diagnose --tables", ["diagnose", *io, "--concentration", "--cluster", "cluster",
+                               "--balance", "placebo", "--icc", "cluster", "--residualize",
+                               "p_1", "--tables"]),
+    ]
+
+
+def run(checkout: Path, args: list[str], out: Path) -> dict[str, bytes]:
+    """One command against ``checkout``'s ``src/``: its exit code, standard output and
+    error, and the bytes of each file it wrote but the manifest."""
+    env = {**os.environ, **THREADS, "PYTHONPATH": str(checkout / "src")}
+    done = subprocess.run([sys.executable, "-c", LAUNCH, *args, "--out", str(out)],
+                          env=env, capture_output=True)
+    found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout,
+             "stderr": done.stderr}
+    if out.is_dir():
+        found.update((p.name, p.read_bytes()) for p in sorted(out.iterdir())
+                     if p.name != "manifest.json")
+    return found
+
+
+def first_difference(parent: dict[str, bytes], change: dict[str, bytes]) -> str | None:
+    for name in [*parent, *(n for n in change if n not in parent)]:
+        if parent.get(name) != change.get(name):
+            return name
+    return None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    opts = parser.parse_args()
+    parent, change = opts.parent.resolve(), opts.change.resolve()
+    # the inputs are built by the parent's benchmark code on the parent's package
+    sys.path[:0] = [str(parent / "src"), str(parent / "perfbench")]
+    from workloads import WORKLOADS, build_inputs, expand, input_flags
+
+    compared = 0
+    with tempfile.TemporaryDirectory(prefix="same_reports-") as tmp:
+        work = Path(tmp)
+        for seed in opts.seeds:
+            for workload in WORKLOADS.values():
+                directory = work / workload.name / "inputs"
+                build_inputs(workload, seed, directory)
+                commands = [(" ".join(c.args), expand(c, directory, seed))
+                            for c in workload.commands]
+                if workload.name == "cli-paper":
+                    commands += extra_commands(directory, input_flags(directory, "csv"), seed)
+                for index, (label, args) in enumerate(commands):
+                    outputs = [run(side, args, work / workload.name / name / str(index))
+                               for side, name in ((parent, "parent"), (change, "change"))]
+                    differs = first_difference(*outputs)
+                    if differs is not None:
+                        print(f"seed {seed} {workload.name} command {index} ({label}): "
+                              f"{differs} differs")
+                        return 1
+                    compared += 1
+                    print(f"# seed {seed} {workload.name} {index}: same ({label}; exit "
+                          f"{outputs[0]['exit code'].decode()})", flush=True)
+                shutil.rmtree(work / workload.name)
+    print(f"{compared} commands at seeds {opts.seeds}: every output is the same")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
