@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import errno
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +33,14 @@ from .construct import (
     residualize_shifts,
     shift_weights_from,
 )
-from .data import _read_long_matrix, _share_columns, _write_columns, load_inputs, load_shares
+from .data import (
+    _read_long_matrix,
+    _share_columns,
+    _undecodable,
+    _write_columns,
+    load_inputs,
+    load_shares,
+)
 from .diagnose import balance_test_unit, concentration, icc, shift_summary
 from .errors import (
     EstimationError,
@@ -66,10 +75,22 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _input_digests(args) -> dict[str, str]:
-    """The SHA-256 of every file that a path option names, ``--out`` aside."""
-    return {str(path): _sha256(path) for name, path in vars(args).items()
-            if isinstance(path, Path) and name != "out"}
+def _input_paths(args) -> list[Path]:
+    """The files that the path options name, ``--out`` aside."""
+    return [path for name, path in vars(args).items()
+            if isinstance(path, Path) and name != "out"]
+
+
+def _refuse_overwrites(args, names) -> None:
+    """Refuse a run that would write a report (``names``, or the manifest) over one of its
+    input files."""
+    for name in [*names, "manifest.json"]:
+        report = args.out / name
+        if report.exists():
+            for path in _input_paths(args):
+                if report.samefile(path):
+                    raise ValidationError(f"{path}: --out {args.out} would write the report "
+                                          f"{name} over this input")
 
 
 def _write_manifest(args, argv, digests: dict[str, str], config: dict | None) -> None:
@@ -105,10 +126,14 @@ def _flatten(payload, prefix=""):
     return rows
 
 
+def _write_csv(path: Path, columns: dict) -> None:
+    _write_columns(path, "csv", columns)
+
+
 def _write_csv_mirror(path: Path, payload: dict) -> None:
     # lossy flat mirror of the JSON report; null is an empty cell
     rows = _flatten(payload)
-    _write_columns(path, "csv", {"metric": [k for k, _ in rows], "value": [v for _, v in rows]})
+    _write_csv(path, {"metric": [k for k, _ in rows], "value": [v for _, v in rows]})
 
 
 def _terms(text: str | None) -> tuple[str, ...]:
@@ -190,7 +215,8 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each returns its reports as ``{file name: (writer,
+# content)}``, which the runner writes into ``--out``
 
 
 def _unit_shifts(args, dataset, shifts) -> np.ndarray:
@@ -202,8 +228,8 @@ def _unit_shifts(args, dataset, shifts) -> np.ndarray:
     return d_ij
 
 
-def _cmd_construct(args, shares, shifts, dataset) -> None:
-    out = args.out
+def _cmd_construct(args, shares, shifts, dataset) -> dict:
+    reports = {}
     w_j = shift_weights_from(dataset, shares)
 
     if args.decompose:
@@ -213,18 +239,18 @@ def _cmd_construct(args, shares, shifts, dataset) -> None:
                               args.format)
         d_ij = _unit_shifts(args, dataset, shifts)
         result = decompose(initial, shares, d_ij)
-        _write_columns(out / "decomposition.csv", "csv", {
+        reports["decomposition.csv"] = _write_csv, {
             "unit_id": dataset.unit_ids, "expected": result.expected, "shock": result.shock,
             "share_change": result.share_change, "interaction": result.interaction,
             "observed": result.observed,
-        })
+        }
 
     if args.complete_shares:
         completed = complete_shares(shares, shifts)
-        _write_columns(out / "completed_shares.csv", "csv", _share_columns(completed.shares))
-        _write_columns(out / "sum_of_shares.csv", "csv", {
+        reports["completed_shares.csv"] = _write_csv, _share_columns(completed.shares)
+        reports["sum_of_shares.csv"] = _write_csv, {
             "unit_id": dataset.unit_ids, "sum_of_shares": completed.sum_of_shares,
-        })
+        }
         shares, shifts = completed.shares, completed.shifts
         w_j = shift_weights_from(dataset, shares)
 
@@ -233,10 +259,10 @@ def _cmd_construct(args, shares, shifts, dataset) -> None:
         shifts = replacement.shifts
         if args.replace_shares:
             shares = shares.zero_columns(replacement.replaced)
-        _write_columns(out / "shifts_replaced.csv", "csv", {
+        reports["shifts_replaced.csv"] = _write_csv, {
             "shift_id": shifts.shift_ids, "value": shifts.values,
             "replaced": replacement.replaced.astype(int),
-        })
+        }
         if not args.quiet:
             print(f"replaced {replacement.n_replaced} of {shifts.n_shifts} shifts "
                   f"({replacement.replaced_fraction:.1%})")
@@ -244,10 +270,10 @@ def _cmd_construct(args, shares, shifts, dataset) -> None:
     if args.residualize is not None:
         spec = _terms(args.residualize)
         res = residualize_shifts(shifts, spec, w_j)
-        _write_columns(out / "shift_residuals.csv", "csv", {
+        reports["shift_residuals.csv"] = _write_csv, {
             "shift_id": shifts.shift_ids, "eta_hat": res.eta_hat, "fitted": res.fitted,
             "weight": w_j,
-        })
+        }
         if not args.quiet:
             print(f"residualized on {spec}; sse_ratio = {res.sse_ratio:.4f}")
 
@@ -256,11 +282,12 @@ def _cmd_construct(args, shares, shifts, dataset) -> None:
             raise ValidationError("--loo needs --unit-shifts")
         d_ij = _unit_shifts(args, dataset, shifts)
         loo = leave_one_out_shifts(d_ij, shares)
-        _write_columns(out / "loo_instrument.csv", "csv",
-                       {"unit_id": dataset.unit_ids, "z_loo": loo.z})
+        reports["loo_instrument.csv"] = _write_csv, {"unit_id": dataset.unit_ids,
+                                                     "z_loo": loo.z}
 
-    _write_columns(out / "exposure.csv", "csv",
-                   {"unit_id": dataset.unit_ids, "exposure": build_exposure(shares, shifts)})
+    reports["exposure.csv"] = _write_csv, {"unit_id": dataset.unit_ids,
+                                           "exposure": build_exposure(shares, shifts)}
+    return reports
 
 
 def _estimate_share_framework(args, shares, shifts, dataset):
@@ -275,8 +302,7 @@ def _estimate_share_framework(args, shares, shifts, dataset):
     return payload
 
 
-def _cmd_estimate(args, shares, shifts, dataset) -> None:
-    out = args.out
+def _cmd_estimate(args, shares, shifts, dataset) -> dict:
     if args.framework == "share":
         payload = _estimate_share_framework(args, shares, shifts, dataset)
     else:
@@ -290,9 +316,9 @@ def _cmd_estimate(args, shares, shifts, dataset) -> None:
         ).to_dict()
     payload["schema_version"] = SCHEMA_VERSION
     payload["framework"] = args.framework
-    _write_json(out / "estimate.json", payload)
+    reports = {"estimate.json": (_write_json, payload)}
     if args.report == "csv":
-        _write_csv_mirror(out / "estimate.csv", payload)
+        reports["estimate.csv"] = _write_csv_mirror, payload
         if not args.quiet:
             print("note: the CSV mirror is lossy; estimate.json is canonical")
     elif args.report == "text" and not args.quiet:
@@ -302,9 +328,10 @@ def _cmd_estimate(args, shares, shifts, dataset) -> None:
             print(f"  se[{name}] = {se:.6g}")
         for name, f in sorted(est.get("first_stage_f", {}).items()):
             print(f"  first_stage_f[{name}] = {f:.6g}")
+    return reports
 
 
-def _cmd_ri(args, shares, shifts, dataset) -> None:
+def _cmd_ri(args, shares, shifts, dataset) -> dict:
     if args.beta0 is not None:
         payload = dataclasses.asdict(ri_test(dataset, shares, shifts, beta0=args.beta0,
                                              draws=args.draws, seed=args.seed,
@@ -313,11 +340,10 @@ def _cmd_ri(args, shares, shifts, dataset) -> None:
     else:
         payload = ri_estimate(dataset, shares, shifts, draws=args.draws,
                               level=args.level, seed=args.seed, groups=args.groups).to_dict()
-    _write_json(args.out / "ri.json", {"schema_version": SCHEMA_VERSION, **payload})
+    return {"ri.json": (_write_json, {"schema_version": SCHEMA_VERSION, **payload})}
 
 
-def _cmd_diagnose(args, shares, shifts, dataset) -> None:
-    out = args.out
+def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
     w_j = shift_weights_from(dataset, shares)
     payload: dict = {"schema_version": SCHEMA_VERSION}
 
@@ -365,16 +391,21 @@ def _cmd_diagnose(args, shares, shifts, dataset) -> None:
             balance[col] = dataclasses.asdict(result)
         payload["balance_unit"] = balance
 
-    _write_json(out / "diagnose.json", payload)
+    reports = {"diagnose.json": (_write_json, payload)}
     if args.tables:
-        _write_csv_mirror(out / "diagnose.csv", payload)
+        reports["diagnose.csv"] = _write_csv_mirror, payload
+    return reports
 
 
 def _parse_dgp_config(path: Path, seed: int) -> DgpConfig:
     kinds = {"int": int, "float": float, "str": str}
     fields = {f.name: kinds[f.type] for f in dataclasses.fields(DgpConfig)}
     values: dict = {"seed": seed}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as error:
+        raise _undecodable(path, error) from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -393,15 +424,15 @@ def _parse_dgp_config(path: Path, seed: int) -> DgpConfig:
     return DgpConfig(**values)
 
 
-def _cmd_simulate(args, config, estimators) -> None:
+def _cmd_simulate(args, config, estimators) -> dict:
     results = run_coverage(config, estimators, replications=args.reps, seed=args.seed)
-    _write_columns(args.out / "coverage.csv", "csv", {
-        f.name: [getattr(r, f.name) for r in results] for f in dataclasses.fields(CoverageResult)
-    })
     if not args.quiet:
         for r in results:
             print(f"{r.estimator}: coverage95 = {r.coverage95:.3f} "
                   f"(mean SE {r.mean_se:.4g}, sd {r.sd_beta:.4g}, failed {r.n_failed})")
+    return {"coverage.csv": (_write_csv, {
+        f.name: [getattr(r, f.name) for r in results] for f in dataclasses.fields(CoverageResult)
+    })}
 
 
 COMMANDS = {
@@ -427,21 +458,20 @@ def _read_inputs(args) -> tuple:
 
 
 def dispatch(argv) -> int:
-    """Run the command that ``argv`` names: read its inputs, create ``--out``, run it and
-    write the manifest. A failure ends in its exit code and one line on standard error,
-    and leaves no ``--out`` that the run created and left empty."""
+    """Run the command that ``argv`` names: read its inputs, run it, then create ``--out``
+    and write its reports and the manifest there, unless one would be written over an
+    input. A failure ends in its exit code and one line on standard error."""
     args = build_parser().parse_args(argv)
     try:
         inputs = _read_inputs(args)
-        digests = _input_digests(args)  # before a report written over an input changes it
-        created = not args.out.exists()
+        if args.out.exists() and not args.out.is_dir():  # found before the command runs
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(args.out))
+        digests = {str(path): _sha256(path) for path in _input_paths(args)}
+        reports = COMMANDS[args.command](args, *inputs)
+        _refuse_overwrites(args, reports)
         args.out.mkdir(parents=True, exist_ok=True)
-        try:
-            COMMANDS[args.command](args, *inputs)
-        except Exception:
-            if created and not any(args.out.iterdir()):
-                args.out.rmdir()
-            raise
+        for name, (write, content) in reports.items():
+            write(args.out / name, content)
         config = dataclasses.asdict(inputs[0]) if args.command == "simulate" else None
         _write_manifest(args, argv, digests, config)
     except (EstimationError, NumericalError, np.linalg.LinAlgError) as exc:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
 from itertools import compress, repeat
 from pathlib import Path
@@ -531,7 +532,10 @@ def _read_columns(
         names, n_rows = header, -1 if table is None else len(table)
     elif fmt == "json":
         with open(file) as fh:
-            rows = json.load(fh)
+            try:
+                rows = json.load(fh)
+            except ValueError as error:  # not JSON, or bytes that do not decode
+                raise SchemaError(f"{file}: not a JSON file ({error})") from None
         if not isinstance(rows, list):
             raise SchemaError(f"{file}: expected a JSON array of row objects")
         for k, row in enumerate(rows):
@@ -585,13 +589,24 @@ def _load_csv(
     return header, table
 
 
+@contextmanager
 def _open_csv(path: str | Path):
     """``path`` opened for ``csv.reader``, past the UTF-8 byte-order mark that
-    spreadsheet exports put first."""
-    fh = open(path, newline="")
-    if fh.read(1) != "\ufeff":
-        fh.seek(0)
-    return fh
+    spreadsheet exports put first. Bytes that do not decode, wherever the body
+    reads them, raise a ``SchemaError`` naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
+            yield fh
+    except UnicodeDecodeError as error:
+        raise _undecodable(path, error) from None
+
+
+def _undecodable(path: str | Path, error: UnicodeDecodeError) -> SchemaError:
+    """The error for a text file ``path`` that holds bytes its encoding does not decode."""
+    return SchemaError(f"{Path(path)}: not {error.encoding} text "
+                       f"(byte 0x{error.object[error.start]:02x}: {error.reason})")
 
 
 def _floats(values: Sequence, where) -> np.ndarray:

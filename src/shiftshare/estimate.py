@@ -116,10 +116,10 @@ def _robust_se(scores: np.ndarray, codes: np.ndarray, denom: float,
 
 
 def _cancels(denom: float, terms: np.ndarray) -> bool:
-    """Whether ``denom`` is below ``WEAK_FIRST_STAGE_TOL`` times the absolute sum
+    """Whether ``denom`` is at most ``WEAK_FIRST_STAGE_TOL`` times the absolute sum
     of ``terms``, a sum like it without cancellation, so the first-stage test
-    holds at any scale."""
-    return abs(denom) < WEAK_FIRST_STAGE_TOL * float(np.sum(np.abs(terms)))
+    holds at any scale; all-zero ``terms``, as of an all-zero instrument, cancel."""
+    return abs(denom) <= WEAK_FIRST_STAGE_TOL * float(np.sum(np.abs(terms)))
 
 
 def _partialled_iv(controls: np.ndarray, names: tuple[str, ...], z: np.ndarray,

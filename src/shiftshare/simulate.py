@@ -20,6 +20,8 @@ estimators share one shift-level regression.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, NamedTuple, Sequence
@@ -309,6 +311,81 @@ class CoverageResult:
     rejection_rate: float
 
 
+# one worker per 50 replications or part of 50; a worker costs a fork, a few ms
+_REPLICATIONS_PER_WORKER = 50
+
+Outcome = dict[str, tuple[float, float] | None]
+
+
+def _replicate(base: DgpConfig, labels: _Labels, resolved: Sequence[tuple[str, Fit, str]],
+               rep: int) -> Outcome:
+    """Replication ``rep``: each estimator's ``(beta_hat, se)``, or None where its fit failed."""
+    data = _generate(base, labels, (rep,))
+    reports: dict[Fit, EstimateReport | None] = {}
+    outcome: Outcome = {}
+    for name, fit, se_key in resolved:
+        if fit not in reports:
+            try:
+                reports[fit] = fit(data)
+            except (EstimationError, NumericalError, ValidationError, np.linalg.LinAlgError):
+                reports[fit] = None
+        report = reports[fit]
+        if report is None:
+            outcome[name] = None
+            continue
+        if se_key not in report.se_variants:
+            raise ValidationError(
+                f"estimator {name!r} reads SE {se_key!r}, which its fit does not "
+                f"report; it reports {sorted(report.se_variants)}"
+            )
+        outcome[name] = (report.beta_hat, report.se_variants[se_key])
+    return outcome
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_work: tuple | None = None  # a forked worker's (base, labels, resolved)
+
+
+def _serve(work: tuple) -> None:
+    global _work
+    _work = work
+
+
+def _replicate_range(start: int, stop: int) -> list[Outcome]:
+    return [_replicate(*_work, rep) for rep in range(start, stop)]
+
+
+def _outcomes(base: DgpConfig, labels: _Labels, resolved: Sequence[tuple[str, Fit, str]],
+              replications: int, forkable: bool) -> list[Outcome]:
+    """Every replication's outcome, in replication order. Where more than one worker has
+    work and the fits are ``forkable``, forked workers each run one contiguous range of
+    replications; they inherit the fits and the caller's warning filters, and send back
+    only floats. A process that runs other threads is not forked, since a lock one of
+    them holds would stay held in the child."""
+    workers = min(_usable_cpus(), math.ceil(replications / _REPLICATIONS_PER_WORKER))
+    if workers > 1 and forkable and threading.active_count() == 1:
+        import multiprocessing  # here, so that the CLI's other commands never import it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            bounds = [replications * k // workers for k in range(workers + 1)]
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_serve,
+                                     initargs=((base, labels, resolved),)) as pool:
+                chunks = [pool.submit(_replicate_range, start, stop)
+                          for start, stop in zip(bounds, bounds[1:])]
+                return [outcome for chunk in chunks for outcome in chunk.result()]
+    return [_replicate(base, labels, resolved, rep) for rep in range(replications)]
+
+
 def run_coverage(
     config: DgpConfig,
     estimators: Sequence[str | tuple[str, Fit, str]],
@@ -322,6 +399,13 @@ def run_coverage(
     distinct fit runs once on it; replication streams are keyed by ``(seed,
     replication)``. A failed fit is caught, counted against every estimator
     that reads it, and excluded from the summary.
+
+    Replications run on every CPU this process may use, one forked worker per
+    50 replications or part of 50, each over one contiguous range. They are
+    summarized in replication order, so the results are bit-identical for any
+    number of CPUs. A run with a custom ``(name, fit, se_key)`` estimator
+    stays in the calling process, since its fit may keep state there, and so
+    does a run called from a process that runs other threads.
     """
     if replications < 1:
         raise ValidationError(f"need at least 1 replication, got {replications}")
@@ -348,42 +432,21 @@ def run_coverage(
     if not resolved:
         raise ValidationError(f"no estimators given; available: {sorted(ESTIMATORS)}")
 
-    betas = {name: [] for name, _, _ in resolved}
-    ses = {name: [] for name, _, _ in resolved}
-    failed = {name: 0 for name, _, _ in resolved}
     base = dc_replace(config, seed=seed)
-    labels = _labels(base)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ShiftShareWarning)
-        for rep in range(replications):
-            data = _generate(base, labels, (rep,))
-            reports: dict[Fit, EstimateReport | None] = {}
-            for name, fit, se_key in resolved:
-                if fit not in reports:
-                    try:
-                        reports[fit] = fit(data)
-                    except (EstimationError, NumericalError, ValidationError,
-                            np.linalg.LinAlgError):
-                        reports[fit] = None
-                report = reports[fit]
-                if report is None:
-                    failed[name] += 1
-                    continue
-                if se_key not in report.se_variants:
-                    raise ValidationError(
-                        f"estimator {name!r} reads SE {se_key!r}, which its fit does not "
-                        f"report; it reports {sorted(report.se_variants)}"
-                    )
-                betas[name].append(report.beta_hat)
-                ses[name].append(report.se_variants[se_key])
+        outcomes = _outcomes(base, _labels(base), resolved, replications,
+                             forkable=all(isinstance(item, str) for item in estimators))
 
     results = []
     for name, _, _ in resolved:
-        b = np.asarray(betas[name])
-        s = np.asarray(ses[name])
+        fitted = [outcome[name] for outcome in outcomes if outcome[name] is not None]
+        failed = replications - len(fitted)
+        b = np.array([beta for beta, _ in fitted])
+        s = np.array([se for _, se in fitted])
         if b.size == 0:
             results.append(
-                CoverageResult(name, replications, failed[name],
+                CoverageResult(name, replications, failed,
                                float("nan"), float("nan"), float("nan"),
                                float("nan"), float("nan"))
             )
@@ -394,7 +457,7 @@ def run_coverage(
             CoverageResult(
                 estimator=name,
                 replications=replications,
-                n_failed=failed[name],
+                n_failed=failed,
                 mean_bias=float(err.mean()),
                 sd_beta=float(b.std(ddof=1)) if b.size > 1 else 0.0,
                 mean_se=float(s.mean()),

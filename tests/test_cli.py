@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import shiftshare
-from shiftshare import cli
+from shiftshare import cli, simulate
 from shiftshare.cli import main
 
 SHARES = """unit_id,shift_id,weight
@@ -254,6 +254,29 @@ class TestSimulateCommand:
         assert rows[1].startswith("conventional-hc,120,")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5
+
+    def test_coverage_table_is_identical_for_any_cpu_count(self, tmp_path, monkeypatch):
+        config = tmp_path / "dgp.txt"
+        config.write_text("n = 40\nm = 16\nshare_model = sparse-block\nn_blocks = 4\n"
+                          "shift_model = clustered\nn_shift_clusters = 4\n"
+                          "error_model = share-correlated\n")
+        tables = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["--quiet", "simulate", "--config", str(config), "--reps", "151",
+                         "--seed", "2", "--estimators", ",".join(simulate.ESTIMATORS),
+                         "--out", str(out)]) == 0
+            tables.append((out / "coverage.csv").read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+
+    def test_out_that_names_a_file_exits_before_the_run(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "dgp.txt"
+        config.write_text("n = 20\nm = 8\n")
+        monkeypatch.setattr(cli, "run_coverage", None)  # a call would raise TypeError
+        assert main(["--quiet", "simulate", "--config", str(config), "--reps", "100000",
+                     "--out", str(config)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {config}: File exists"]
 
     def test_bad_config_key_exits_one(self, tmp_path):
         config = tmp_path / "bad.txt"
@@ -564,14 +587,34 @@ class TestConstructTables:
         files = [*inputs.values(), initial, unit_shifts]
         assert digests == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
-    def test_manifest_digests_the_input_a_report_overwrites(self, inputs, tmp_path):
-        # a shares file named like construct's exposure table, in the output directory
-        shares = inputs["shares"].rename(tmp_path / "exposure.csv")
-        digest = hashlib.sha256(shares.read_bytes()).hexdigest()
-        assert main(["--quiet", "construct", *io_args({**inputs, "shares": shares},
-                                                      tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["input_digests"][str(shares)] == digest
+    def test_a_report_over_an_input_is_refused(self, inputs, tmp_path, monkeypatch, capsys):
+        # construct --shares exposure.csv ... --out . would replace the shares file
+        monkeypatch.chdir(tmp_path)
+        inputs["shares"].rename("exposure.csv")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert main(["--quiet", "construct", *io_args({**inputs, "shares": "exposure.csv"},
+                                                      ".")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: exposure.csv: --out . would write the report exposure.csv "
+                       "over this input"]
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        # an input in --out that no report of the run is named after is read as usual
+        assert main(["--quiet", "estimate", *io_args({**inputs, "shares": "exposure.csv"},
+                                                     ".")]) == 0
+
+    def test_the_manifest_over_a_linked_input_is_refused(self, inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        units = inputs["units"].rename(out / "manifest.json")
+        link = tmp_path / "units_link.csv"
+        link.symlink_to(units)
+        before = units.read_bytes()
+        assert main(["--quiet", "estimate", *io_args({**inputs, "units": link}, out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {link}: --out {out} would write "
+                                                   "the report manifest.json"), err
+        assert units.read_bytes() == before
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
 
     def test_completed_shares_skip_zeros(self, inputs, tmp_path):
         inputs["shares"].write_text(SHARES.replace("u1,s0,0.1020", "u1,s0,0.0"))
@@ -618,7 +661,9 @@ def _json_inputs_with_a_short_row(inputs, tmp_path):
                                   "non_integer_lag", "nan_beta0", "csv_short_row",
                                   "csv_long_row", "duplicate_share_pair",
                                   "repeated_header_column", "zero_dirichlet_concentration",
-                                  "out_is_a_file", "input_is_a_directory"])
+                                  "out_is_a_file", "input_is_a_directory",
+                                  "csv_not_utf8", "csv_not_utf8_after_blank_lines",
+                                  "json_not_json", "config_not_utf8"])
 def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")]
     config = tmp_path / "dgp.cfg"
@@ -658,7 +703,23 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         "out_is_a_file": ["estimate", *io_args(inputs, inputs["units"])],
         "input_is_a_directory": ["estimate", *io_args({**inputs, "shares": tmp_path},
                                                       tmp_path / "out")],
+        "csv_not_utf8": ["estimate", *io_args(inputs, tmp_path / "out")],
+        "csv_not_utf8_after_blank_lines": ["estimate", *io_args(inputs, tmp_path / "out")],
+        "json_not_json": ["estimate", "--format", "json",
+                          *io_args({**inputs, "shifts": tmp_path / "broken.json"},
+                                   tmp_path / "out")],
+        "config_not_utf8": ["simulate", "--config", str(config), *out],
     }[case]
+    # written once the argv above, which reads the inputs, is built
+    if case == "csv_not_utf8":
+        inputs["shares"].write_bytes(SHARES.encode() + b"u0,s0,\xff\xfe\n")
+    if case == "csv_not_utf8_after_blank_lines":
+        # past the first block that the header is decoded from
+        inputs["shares"].write_bytes(SHARES.encode() + b"\n" * 20000 + b"u0,s0,\xff\xfe\n")
+    if case == "json_not_json":
+        (tmp_path / "broken.json").write_text("[{")
+    if case == "config_not_utf8":
+        config.write_bytes(b"n = 20\nm = 8\xff\n")
     assert main(["--quiet", *argv]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
@@ -678,6 +739,12 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         assert err[0] == f"error: {inputs['units']}: File exists"
     if case == "input_is_a_directory":
         assert err[0] == f"error: {tmp_path}: Is a directory"
+    if case in ("csv_not_utf8", "csv_not_utf8_after_blank_lines"):
+        assert err[0].startswith(f"error: {inputs['shares']}: not utf-8 text (byte 0xff")
+    if case == "json_not_json":
+        assert err[0].startswith(f"error: {tmp_path / 'broken.json'}: not a JSON file")
+    if case == "config_not_utf8":
+        assert err[0].startswith(f"error: {config}: not utf-8 text (byte 0xff")
 
 
 def test_one_run_path():

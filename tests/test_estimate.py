@@ -317,6 +317,13 @@ class TestTwoStage:
         with pytest.raises(EstimationError, match="first stage"):
             shiftshare_2sls(ds, z)
 
+    def test_all_zero_instrument_error(self, rng):
+        # every term of the first-stage sum is zero; this used to divide by zero
+        n = 40
+        ds = simple_dataset(rng, n, y=rng.normal(size=n), x=rng.normal(size=n))
+        with pytest.raises(EstimationError, match="first stage"):
+            shiftshare_2sls(ds, np.zeros(n))
+
     def test_scaling_invariance(self, rng):
         # scaling every shift by k rescales the exposure data, divides the
         # coefficient by k, and leaves exposure-robust t statistics alone

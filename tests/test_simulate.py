@@ -1,6 +1,10 @@
 """Data-generating processes and the coverage experiment runner."""
 
-from dataclasses import replace
+import multiprocessing
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -244,17 +248,19 @@ class TestOneFitPerDesign:
     }
 
     def test_exposure_estimators_share_one_fit(self, monkeypatch):
-        calls = []
+        # shared memory, so that the calls of forked workers are counted too
+        calls = multiprocessing.get_context("fork").Value("i", 0)
         fit = simulate.estimate_inverted
 
         def counted(*args, **kwargs):
-            calls.append(1)
+            with calls.get_lock():
+                calls.value += 1
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(simulate, "estimate_inverted", counted)
         results = run_coverage(self.CONFIGS["clustered-shifts"],
                                ["exposure-robust", "exposure-cluster"], replications=100, seed=0)
-        assert len(calls) == 100
+        assert calls.value == 100
         assert [r.n_failed for r in results] == [0, 0]
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -287,3 +293,115 @@ class TestOneFitPerDesign:
                                match=r"'hc_exposure_robust'.*\['conventional_hc'\]"):
                 run_coverage(DgpConfig(n=20, m=8), [("x", unit_fit, "hc_exposure_robust")],
                              replications=5)
+
+
+def _bits(results):
+    """The fields of each result, floats as their shortest round-trip text: equal lists
+    are bit-identical, NaN included."""
+    return [repr(astuple(r)) for r in results]
+
+
+class TestWorkers:
+    """``run_coverage`` over forked workers, one per usable CPU, against one process."""
+
+    CONFIGS = {
+        "dirichlet": DgpConfig(n=30, m=12),
+        "sparse-block-share-correlated": DgpConfig(n=40, m=16, share_model="sparse-block",
+                                                   n_blocks=4, error_model="share-correlated"),
+        # no seeded shift in some draws, so every fit fails on those
+        "network-seeding": DgpConfig(n=12, m=12, share_model="network-inverse-degree",
+                                     shift_model="bernoulli", seeding_prob=0.2),
+        # one shift cluster: every exposure fit fails, so their summaries are NaN
+        "one-shift-cluster": DgpConfig(n=30, m=12, shift_model="clustered",
+                                       n_shift_clusters=1),
+        **TestOneFitPerDesign.CONFIGS,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_results_are_identical_for_any_cpu_count(self, name, monkeypatch):
+        replications = 101  # two workers take 50 and 51 replications, three 33, 34 and 34
+        # a registry fit that fails on some draws runs in the workers too
+        monkeypatch.setitem(ESTIMATORS, "failing-exposure",
+                            (_fails_on_positive_first_shift, "hc_exposure_robust"))
+        elsewhere = multiprocessing.get_context("fork").Value("i", 0)
+        caller, generate = os.getpid(), simulate._generate
+
+        def counted(*args):
+            if os.getpid() != caller:
+                with elsewhere.get_lock():
+                    elsewhere.value += 1
+            return generate(*args)
+
+        monkeypatch.setattr(simulate, "_generate", counted)
+        runs = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+            elsewhere.value = 0
+            runs[cpus] = run_coverage(self.CONFIGS[name], list(ESTIMATORS), replications,
+                                      seed=4)
+            assert elsewhere.value == (0 if cpus == 1 else replications)
+        assert _bits(runs[1]) == _bits(runs[2]) == _bits(runs[3])
+        if name == "clustered-shifts":
+            assert 0 < runs[1][-1].n_failed < replications
+        assert multiprocessing.active_children() == []
+
+    def test_custom_estimators_run_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        callers = set()
+
+        def fit(data):
+            callers.add(os.getpid())
+            return shiftshare_2sls(data.dataset, data.instrument)
+
+        run_coverage(DgpConfig(n=30, m=12), ["exposure-robust", ("unit", fit, "conventional_hc")],
+                     replications=150, seed=0)
+        assert callers == {os.getpid()}
+
+    def test_a_process_with_threads_is_not_forked(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        callers, generate = [], simulate._generate
+
+        def recorded(*args):
+            callers.append(os.getpid())
+            return generate(*args)
+
+        monkeypatch.setattr(simulate, "_generate", recorded)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait, args=(60,))
+        waiter.start()
+        try:
+            run_coverage(DgpConfig(n=30, m=12), ["exposure-robust"], replications=150, seed=0)
+        finally:
+            done.set()
+            waiter.join(60)
+        assert not waiter.is_alive()
+        assert callers == [os.getpid()] * 150
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_uncaught_error_reaches_the_caller(self, cpus, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+        generate = simulate._generate
+
+        def fails_at_70(config, labels, path):
+            if path == (70,):
+                raise RuntimeError("replication 70 failed")
+            return generate(config, labels, path)
+
+        monkeypatch.setattr(simulate, "_generate", fails_at_70)
+        with pytest.raises(RuntimeError, match="replication 70 failed"):
+            run_coverage(DgpConfig(n=20, m=8), ["conventional-hc"], replications=100, seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_breaks_the_run(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        generate = simulate._generate
+
+        def dies_at_70(config, labels, path):
+            if path == (70,):
+                os._exit(3)
+            return generate(config, labels, path)
+
+        monkeypatch.setattr(simulate, "_generate", dies_at_70)
+        with pytest.raises(BrokenProcessPool):
+            run_coverage(DgpConfig(n=20, m=8), ["conventional-hc"], replications=100, seed=0)
+        assert multiprocessing.active_children() == []
