@@ -219,26 +219,33 @@ def build_parser() -> _Parser:
 # content)}``, which the runner writes into ``--out``
 
 
-def _unit_shifts(args, dataset, shifts) -> np.ndarray:
-    """The ``--unit-shifts`` file as a dense units-by-shifts array; absent pairs are zero."""
-    rows, cols, values = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
-                                           shifts.shift_ids, args.format)
-    d_ij = np.zeros((dataset.n_units, shifts.n_shifts))
-    d_ij[rows, cols] = values
-    return d_ij
+def _dense(triplets, n: int, m: int) -> np.ndarray:
+    """The ``n x m`` array of the ``(rows, cols, values)`` triplets; absent pairs are zero."""
+    rows, cols, values = triplets
+    out = np.zeros((n, m))
+    out[rows, cols] = values
+    return out
 
 
 def _cmd_construct(args, shares, shifts, dataset) -> dict:
     reports = {}
     w_j = shift_weights_from(dataset, shares)
-
+    if args.decompose and (args.initial_shares is None or args.unit_shifts is None):
+        raise ValidationError("--decompose needs --initial-shares and --unit-shifts")
+    if args.loo and args.unit_shifts is None:
+        raise ValidationError("--loo needs --unit-shifts")
     if args.decompose:
-        if args.initial_shares is None or args.unit_shifts is None:
-            raise ValidationError("--decompose needs --initial-shares and --unit-shifts")
         initial = load_shares(args.initial_shares, dataset.unit_ids, shifts.shift_ids,
                               args.format)
-        d_ij = _unit_shifts(args, dataset, shifts)
-        result = decompose(initial, shares, d_ij)
+    # read once for both uses; the complement column that --complete-shares appends is not
+    # in the file, so its unit-by-shift values are zero
+    if args.decompose or args.loo:
+        unit_shifts = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
+                                        shifts.shift_ids, args.format)
+
+    if args.decompose:
+        result = decompose(initial, shares, _dense(unit_shifts, dataset.n_units,
+                                                   shifts.n_shifts))
         reports["decomposition.csv"] = _write_csv, {
             "unit_id": dataset.unit_ids, "expected": result.expected, "shock": result.shock,
             "share_change": result.share_change, "interaction": result.interaction,
@@ -278,10 +285,8 @@ def _cmd_construct(args, shares, shifts, dataset) -> dict:
             print(f"residualized on {spec}; sse_ratio = {res.sse_ratio:.4f}")
 
     if args.loo:
-        if args.unit_shifts is None:
-            raise ValidationError("--loo needs --unit-shifts")
-        d_ij = _unit_shifts(args, dataset, shifts)
-        loo = leave_one_out_shifts(d_ij, shares)
+        loo = leave_one_out_shifts(_dense(unit_shifts, dataset.n_units, shifts.n_shifts),
+                                   shares)
         reports["loo_instrument.csv"] = _write_csv, {"unit_id": dataset.unit_ids,
                                                      "z_loo": loo.z}
 

@@ -24,10 +24,15 @@ CSV files use RFC 4180 quoting as ``save_inputs`` writes it: ``#`` is data, blan
 and a header naming a column twice are rejected. Ids are matched
 exactly, spaces kept, and numbers read as Python's ``float`` reads them. A ``(unit_id,
 shift_id)`` pair may appear only once, and a long-format file may hold no data rows (no nonzero
-pairs). A long-format CSV file is parsed in one C pass into triplets, sorted so that any row
-order of a file, CSV or JSON, gives the same storage; a file that pass does not take whole
-is read again entry by entry, which words the error. A JSON row object that gives a key
-twice keeps the last value (``json.load`` collapses it).
+pairs). A long-format file is parsed in one pass into triplets, sorted so that any row
+order of a file, CSV or JSON, gives the same storage: a CSV file by one C parse, a JSON file
+by one ``json.load`` that turns each row object into three appends as it is parsed, so that
+no dict per row is kept. A file that pass does not take whole is read again entry by entry,
+which words the error or accepts what ``float`` and ``str`` accept: for JSON, an empty
+array, a numeric id, a row with keys besides the three, and any malformed file. A JSON row
+object that gives a key twice keeps the last value (``json.load`` collapses it), and a JSON
+string holding a lone surrogate (an unpaired ``\\ud800`` escape) is rejected, since no file
+could be written with it.
 
 Every CSV the package writes (``save_inputs`` and the CLI tables) uses the default
 ``csv.writer`` dialect: QUOTE_MINIMAL quoting and ``\r\n`` line ends, with floats written as
@@ -39,9 +44,11 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
 from typing import Mapping, NamedTuple, Sequence
@@ -536,12 +543,15 @@ def _read_columns(
                 rows = json.load(fh)
             except ValueError as error:  # not JSON, or bytes that do not decode
                 raise SchemaError(f"{file}: not a JSON file ({error})") from None
+            except RecursionError:
+                raise SchemaError(f"{file}: JSON nested too deeply to read") from None
         if not isinstance(rows, list):
             raise SchemaError(f"{file}: expected a JSON array of row objects")
         for k, row in enumerate(rows):
             if not isinstance(row, dict) or row.keys() != rows[0].keys():
                 raise SchemaError(f"{file}: row {k + 1} is not an object with the keys of row 1")
         names, n_rows = list(rows[0]) if rows else list(required), len(rows)
+        _check_unicode(file, chain(names, chain.from_iterable(map(dict.values, rows))))
     else:
         raise SchemaError(f"unknown input format {fmt!r} (expected csv or json)")
     if n_rows == 0 and not allow_empty:
@@ -603,6 +613,17 @@ def _open_csv(path: str | Path):
         raise _undecodable(path, error) from None
 
 
+def _check_unicode(path: Path, texts) -> None:
+    """Reject a string of ``texts`` that holds a lone surrogate, which a JSON ``\\ud800``
+    escape can give and no file can be written with."""
+    for text in texts:
+        if isinstance(text, str) and not text.isascii():
+            try:
+                text.encode()
+            except UnicodeEncodeError:
+                raise SchemaError(f"{path}: {text!r} is not valid Unicode") from None
+
+
 def _undecodable(path: str | Path, error: UnicodeDecodeError) -> SchemaError:
     """The error for a text file ``path`` that holds bytes its encoding does not decode."""
     return SchemaError(f"{Path(path)}: not {error.encoding} text "
@@ -613,11 +634,11 @@ def _floats(values: Sequence, where) -> np.ndarray:
     """``values`` as 64-bit floats; ``where(k)`` names entry ``k`` if it does not parse."""
     try:
         return np.fromiter(map(float, values), dtype=float, count=len(values))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # overflow: a JSON integer past 1e308
         for k, raw in enumerate(values):
             try:
                 float(raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValidationError(f"{where(k)}: cannot parse {raw!r} as a number") from None
         raise
 
@@ -683,13 +704,13 @@ def _read_long_matrix(
     are zero, so a file without data rows holds no triplets. Every id must be known,
     every value must parse as a number, and no pair may appear twice.
 
-    A CSV file is parsed in one C pass; a file that pass does not take whole is
-    read again by ``_scan_long_matrix``, which words the error or accepts what
-    ``float`` accepts."""
-    if fmt == "csv":
-        out = _parse_long_csv(path, column, unit_ids, shift_ids)
-        if out is not None:
-            return out
+    The file is parsed in one pass, CSV by ``_parse_long_csv`` and JSON by
+    ``_parse_long_json``; a file that pass does not take whole is read again by
+    ``_scan_long_matrix``, which words the error or accepts what ``float`` accepts."""
+    parse = _LONG_PARSERS.get(fmt)
+    out = None if parse is None else parse(path, column, unit_ids, shift_ids)
+    if out is not None:
+        return out
     return _scan_long_matrix(path, column, unit_ids, shift_ids, fmt)
 
 
@@ -724,15 +745,63 @@ def _parse_long_csv(path, column, unit_ids, shift_ids) -> Triplets | None:
     return rows[order], cols[order], fields[column][order]
 
 
+def _parse_long_json(path, column, unit_ids, shift_ids) -> Triplets | None:
+    """``_read_long_matrix`` of a JSON file from one ``json.load`` whose hook turns each
+    row object into three appends, so that no row's dict outlives its parse; or None where
+    the file is anything but a non-empty array of objects with exactly the keys
+    ``unit_id``, ``shift_id`` and ``column``, known string ids, values that ``float``
+    takes and no repeated pair."""
+    unit_index = {str(u): i for i, u in enumerate(unit_ids)}
+    shift_index = {str(s): j for j, s in enumerate(shift_ids)}
+    keys, fields = {"unit_id", "shift_id", column}, itemgetter("unit_id", "shift_id", column)
+    rows, cols, values = array(np.dtype(np.intp).char), array(np.dtype(np.intp).char), array("d")
+    add_row, add_col, add_value = rows.append, cols.append, values.append
+
+    def parse(row: dict) -> None:
+        # the hook sees every object, nested ones too; one it does not take stops the load
+        if row.keys() != keys:
+            raise ValueError("not a row of the three keys")
+        unit, shift, value = fields(row)
+        add_row(unit_index[unit])  # a key of a known id is a str: a numeric id is unknown
+        add_col(shift_index[shift])
+        add_value(float(value))
+
+    try:
+        # opened as _read_columns opens it, so that both decode the same text
+        with open(path) as fh:
+            top = json.load(fh, object_hook=parse)
+    except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError):
+        return None
+    # every entry of the array is a row that the hook took, and nothing else is
+    if type(top) is not list or not top or len(top) != len(values) or top.count(None) != len(top):
+        return None
+    rows, cols = np.frombuffer(rows, dtype=np.intp), np.frombuffer(cols, dtype=np.intp)
+    order, repeat = _canonical_order(rows, cols, len(shift_ids))
+    if repeat is not None:
+        return None
+    return rows[order], cols[order], np.frombuffer(values)[order]
+
+
+_LONG_PARSERS = {"csv": _parse_long_csv, "json": _parse_long_json}
+
+
 def _id_positions(ids: list[str], found: np.ndarray) -> np.ndarray | None:
     """The index in ``ids`` of each entry of ``found``, or None if one is unknown or a ``U``
     array cannot hold the ``ids`` exactly and apart (a trailing NUL, a repeated id)."""
     held = np.array(ids, dtype=str)
     if not ids or held.tolist() != ids or len(set(ids)) < len(ids):
         return None
+    # a saved file lists each unit's shares together, so unit ids come in runs: where runs
+    # at least halve the entries, each is matched once; else copying their heads costs more
+    head = np.ones(len(found), dtype=bool)
+    head[1:] = found[1:] != found[:-1]
+    runs = 2 * np.count_nonzero(head) <= len(found)
+    first = found[head] if runs else found
     order = np.argsort(held)
-    at = order[np.searchsorted(held[order], found).clip(max=len(ids) - 1)]
-    return at if np.array_equal(held[at], found) else None
+    at = order[np.searchsorted(held[order], first).clip(max=len(ids) - 1)]
+    if not np.array_equal(held[at], first):
+        return None
+    return np.repeat(at, np.diff(np.flatnonzero(head), append=len(found))) if runs else at
 
 
 def _canonical_order(rows, cols, n_cols: int) -> tuple[np.ndarray, int | None]:

@@ -574,6 +574,25 @@ class TestConstructTables:
         replaced = value_cells(out / "shifts_replaced.csv", skip=("shift_id", "value"))
         assert set(replaced) <= {"0", "1"}
 
+    def test_unit_shifts_are_read_once(self, inputs, tmp_path, monkeypatch):
+        unit_shifts = tmp_path / "ds.csv"
+        unit_shifts.write_text("unit_id,shift_id,value\n" + "".join(
+            f"u{i},s{j},{(i + j) % 3 * 0.5}\n" for i in range(8) for j in range(4)))
+        reads = []
+
+        def counted(path, *args):
+            reads.append(path)
+            return read(path, *args)
+        read = shiftshare.data._read_long_matrix
+        monkeypatch.setattr(shiftshare.data, "_read_long_matrix", counted)
+        monkeypatch.setattr(cli, "_read_long_matrix", counted)
+        out = tmp_path / "once"
+        assert main(["--quiet", "construct", "--decompose", "--loo", "--complete-shares",
+                     "--initial-shares", str(inputs["shares"]),
+                     "--unit-shifts", str(unit_shifts), *io_args(inputs, out)]) == 0
+        assert reads.count(unit_shifts) == 1
+        assert {"decomposition.csv", "loo_instrument.csv"} <= {p.name for p in out.iterdir()}
+
     def test_manifest_digests_every_input_file(self, inputs, tmp_path):
         unit_shifts = tmp_path / "ds.csv"
         unit_shifts.write_text("unit_id,shift_id,value\nu0,s0,1.5\n")
@@ -644,16 +663,42 @@ class TestConstructTables:
         assert len(err) == 1 and err[0].startswith("error:") and "'abc'" in err[0]
 
 
-def _json_inputs_with_a_short_row(inputs, tmp_path):
+def _json_inputs(inputs, directory, edit=lambda name, rows: None) -> dict[str, Path]:
+    """The CSV ``inputs`` written as JSON files under ``directory``, each after
+    ``edit(name, rows)``."""
+    paths = {}
+    directory.mkdir(exist_ok=True)
     for name in ("shares", "shifts", "units"):
         lines = inputs[name].read_text().strip().splitlines()
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        edit(name, rows)
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps(rows))
+    return paths
+
+
+def _json_inputs_with_a_short_row(inputs, tmp_path):
+    def edit(name, rows):
         if name == "units":
             del rows[2]["x"]
-        (tmp_path / f"{name}.json").write_text(json.dumps(rows))
-    return ["--format", "json", "--shares", str(tmp_path / "shares.json"),
-            "--shifts", str(tmp_path / "shifts.json"), "--units", str(tmp_path / "units.json")]
+    paths = _json_inputs(inputs, tmp_path, edit)
+    return ["--format", "json", "--shares", str(paths["shares"]),
+            "--shifts", str(paths["shifts"]), "--units", str(paths["units"])]
+
+
+def test_a_lone_surrogate_exits_one_before_out_is_created(inputs, tmp_path, capsys):
+    # "\ud800" was read as an id, and writing the reports then failed with a traceback
+    def edit(name, rows):
+        for row in rows:
+            if row.get("unit_id") == "u0":
+                row["unit_id"] = "\ud800"
+    paths = _json_inputs(inputs, tmp_path / "json", edit)
+    out = tmp_path / "out"
+    assert main(["--quiet", "construct", "--format", "json", *io_args(paths, out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {paths['units']}: '\\ud800' is not valid Unicode"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["json_row_missing_key", "negative_draws", "zero_draws",
@@ -663,7 +708,10 @@ def _json_inputs_with_a_short_row(inputs, tmp_path):
                                   "repeated_header_column", "zero_dirichlet_concentration",
                                   "out_is_a_file", "input_is_a_directory",
                                   "csv_not_utf8", "csv_not_utf8_after_blank_lines",
-                                  "json_not_json", "config_not_utf8"])
+                                  "json_not_json", "config_not_utf8",
+                                  "json_nested_too_deeply_shares",
+                                  "json_nested_too_deeply_shifts",
+                                  "json_nested_too_deeply_units"])
 def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")]
     config = tmp_path / "dgp.cfg"
@@ -709,6 +757,10 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
                           *io_args({**inputs, "shifts": tmp_path / "broken.json"},
                                    tmp_path / "out")],
         "config_not_utf8": ["simulate", "--config", str(config), *out],
+        **{f"json_nested_too_deeply_{name}": [
+            "estimate", "--format", "json",
+            *io_args({**_json_inputs(inputs, tmp_path / "json"), name: tmp_path / "deep.json"},
+                     tmp_path / "out")] for name in ("shares", "shifts", "units")},
     }[case]
     # written once the argv above, which reads the inputs, is built
     if case == "csv_not_utf8":
@@ -720,6 +772,8 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         (tmp_path / "broken.json").write_text("[{")
     if case == "config_not_utf8":
         config.write_bytes(b"n = 20\nm = 8\xff\n")
+    if case.startswith("json_nested_too_deeply"):
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     assert main(["--quiet", *argv]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
@@ -745,6 +799,8 @@ def test_malformed_input_exits_one_with_one_line(case, inputs, tmp_path, capsys)
         assert err[0].startswith(f"error: {tmp_path / 'broken.json'}: not a JSON file")
     if case == "config_not_utf8":
         assert err[0].startswith(f"error: {config}: not utf-8 text (byte 0xff")
+    if case.startswith("json_nested_too_deeply"):
+        assert err[0] == f"error: {tmp_path / 'deep.json'}: JSON nested too deeply to read"
 
 
 def test_one_run_path():

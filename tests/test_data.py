@@ -28,7 +28,13 @@ from shiftshare import (
     to_long_form,
 )
 from shiftshare.construct import complete_shares
-from shiftshare.data import _read_long_matrix, _scan_long_matrix, _share_columns, _write_columns
+from shiftshare.data import (
+    _id_positions,
+    _read_long_matrix,
+    _scan_long_matrix,
+    _share_columns,
+    _write_columns,
+)
 
 TOY_SHARES = """unit_id,shift_id,weight
 a,s1,0.5
@@ -277,6 +283,29 @@ INGESTION_CASES = [
      {"units": json.dumps([{"unit_id": k, "y": 1.0} for k in (1, 2, 3)]),
       "shares": json.dumps([{"unit_id": 2, "shift_id": "s1", "weight": 0.5}])},
      [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]]),
+    # json.load gave up on these with a RecursionError traceback
+    *[(f"nested_too_deeply_{name}", JSON, {name: "[" * 100_000 + "]" * 100_000},
+       (SchemaError, f"{{{name}}}: JSON nested too deeply to read")) for name in BASE],
+    # a lone surrogate was read, and then no report could be written with it
+    ("lone_surrogate_id", JSON,
+     {name: _renamed(name, "a", "\ud800") for name in ("shares", "units")},
+     (SchemaError, "{units}: '\\ud800' is not valid Unicode")),
+    ("lone_surrogate_label", JSON, {"shifts": _cell("shifts", 2, "cluster", "w\udfff")},
+     (SchemaError, "{shifts}: 'w\\udfff' is not valid Unicode")),
+    ("lone_surrogate_unknown_share_id", JSON,
+     {"shares": BASE["shares"] + [["\udc80", "s1", "0.1"]]},
+     (SchemaError, "{shares}: '\\udc80' is not valid Unicode")),
+    # json.load of the bytes would take both, where the text that _read_columns reads does not
+    ("byte_order_mark_shares", JSON, {"shares": "\ufeff" + _json_text(BASE["shares"])},
+     (SchemaError, "{shares}: not a JSON file (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                   "line 1 column 1 (char 0))")),
+    ("utf16_shares", JSON, {"shares": _json_text(BASE["shares"]).encode("utf-16")},
+     (SchemaError, "{shares}: not a JSON file ('utf-8' codec can't decode byte 0xff in "
+                   "position 0: invalid start byte)")),
+    # float() raised OverflowError on an integer past the float range
+    ("integer_past_float_range", JSON,
+     {"shares": json.dumps([{"unit_id": "a", "shift_id": "s1", "weight": 10**400}])},
+     (ValidationError, f"{{shares}} weight (a, s1): cannot parse {10**400} as a number")),
 ]
 
 
@@ -291,7 +320,9 @@ def _write_inputs(directory, files, fmt) -> dict[str, Path]:
     for name, table in BASE.items():
         content = files.get(name, table)
         paths[name] = directory / f"{name}.{fmt}"
-        if content is not None:
+        if isinstance(content, bytes):
+            paths[name].write_bytes(content)
+        elif content is not None:
             if not isinstance(content, str):
                 content = (_json_text if fmt == "json" else _csv_text)(content)
             paths[name].write_text(content, newline="")
@@ -389,6 +420,67 @@ def long_csv_files(draw):
     return line_end.join(lines) + draw(st.sampled_from([line_end, ""])), unit_ids, shift_ids
 
 
+# Known ids for the JSON differential test: those of the CSV test, and the str() of JSON
+# values that are not strings, which the entry-by-entry reader matches
+JSON_KNOWN_IDS = ID_TEXTS | st.sampled_from(["5", "1.5", "-0.0", "True", "None", "[]", "{}",
+                                             "[1]", "{'a': 1}"])
+# JSON values that are not strings: numbers (one past the float range), literals, and nested
+# arrays and objects
+JSON_OTHERS = st.sampled_from([5, 1.5, -0.0, 10**400, True, False, None, [], [1], {},
+                               {"a": 1}]) | st.floats()
+JSON_UNKNOWN_IDS = ID_TEXTS | st.sampled_from(["\ud800", "a\udfff"])  # lone surrogates
+
+
+def _seldom(draw, strategy, common, odds):
+    """A draw from ``strategy`` one time in ``odds``, else ``common``, as ``_rarely`` is
+    meant to be: hypothesis draws the least value of ``integers(1, odds)`` far more often
+    than that (about 30% of the time at 12), and an index of ``sampled_from`` about evenly,
+    the first one, its simplest, a little more often."""
+    return draw(strategy) if draw(st.sampled_from(range(odds))) == odds - 1 else common
+
+
+@st.composite
+def long_json_files(draw):
+    """``(text, unit_ids, shift_ids)`` of a long-format JSON file with column ``value``; each
+    hazard is rare, so that many files are clean."""
+    unit_ids, shift_ids = (
+        tuple(draw(st.lists(JSON_KNOWN_IDS, min_size=1, max_size=6, unique=True)))
+        for _ in range(2)
+    )
+    pairs = draw(st.lists(st.tuples(st.sampled_from(unit_ids), st.sampled_from(shift_ids)),
+                          min_size=1, max_size=8, unique_by=lambda pair: pair[1]))
+    clean_values = st.floats().map(repr) | st.floats()
+    rows = []
+    for unit, shift in pairs:
+        cells = {"unit_id": _seldom(draw, JSON_UNKNOWN_IDS | JSON_OTHERS, unit, odds=20),
+                 "shift_id": _seldom(draw, JSON_UNKNOWN_IDS | JSON_OTHERS, shift, odds=20),
+                 "value": _seldom(draw, NUMBER_TEXTS | JSON_OTHERS, draw(clean_values), odds=10)}
+        rows.append(dict(draw(st.permutations(list(cells.items())))))
+    # a repeated pair
+    rows += _seldom(draw, st.sampled_from(rows).map(lambda row: [dict(row)]), [], odds=5)
+    k = draw(st.integers(0, len(rows) - 1))
+    row = rows[k]
+    mutations = {
+        "none": lambda: None,
+        "extra key in every row": lambda: [r.update(note="x") for r in rows],
+        "extra key in one row": lambda: row.update(note="x"),
+        "missing key in every row": lambda: [r.pop("value") for r in rows],
+        "missing key in one row": lambda: row.pop("unit_id"),
+        "null row": lambda: rows.__setitem__(k, None),
+        "row in an array": lambda: rows.__setitem__(k, [row]),
+        "row nested in a value": lambda: row.update(value=dict(row)),
+        "row nested in an array value": lambda: row.update(value=[dict(row)]),
+    }
+    mutations[_seldom(draw, st.sampled_from(sorted(mutations)), "none", odds=3)]()
+    text = json.dumps(rows)
+    # another top level; a key given twice, of which json.load keeps the last; a byte-order
+    # mark; nesting deeper than json.load follows
+    files = [text.replace("{", '{"value": "x", ', 1), text.replace("{", '{"value": [[]], ', 1),
+             "\ufeff" + text, "[" * 5000 + "]" * 5000,
+             *map(json.dumps, [[], [rows], rows[0], {"rows": rows}, "rows", 5, None])]
+    return _seldom(draw, st.sampled_from(files), text, odds=4), unit_ids, shift_ids
+
+
 def _outcome(read):
     try:
         return read()
@@ -414,6 +506,23 @@ class TestLongFormatReader:
         else:
             assert fast == slow
 
+    @given(case=long_json_files())
+    @settings(max_examples=300, deadline=None)
+    def test_json_parse_equals_the_entry_by_entry_scan(self, case):
+        text, unit_ids, shift_ids = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "long.json")
+            path.write_text(text)
+            fast = _outcome(lambda: _read_long_matrix(path, "value", unit_ids, shift_ids,
+                                                      "json"))
+            slow = _outcome(lambda: _scan_long_matrix(path, "value", unit_ids, shift_ids,
+                                                      "json"))
+        if isinstance(slow[0], np.ndarray):  # the same triplet bytes
+            assert [a.dtype for a in fast] == [a.dtype for a in slow]
+            assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+        else:  # the same exception type and message
+            assert fast == slow
+
     def test_a_clean_file_is_never_scanned(self, rng, tmp_path, monkeypatch):
         def scan(*args):
             raise AssertionError("the entry-by-entry reader ran on a clean file")
@@ -435,6 +544,65 @@ class TestLongFormatReader:
         # the unit "c" is unknown here, so the scan runs and the stand-in above raises
         with pytest.raises(AssertionError, match="entry-by-entry"):
             _read_long_matrix(paths["shares"], "weight", ("a", "b"), ("s1", "s2"))
+
+    def test_a_clean_json_file_is_never_scanned(self, rng, tmp_path, monkeypatch):
+        def scan(*args):
+            raise AssertionError("the entry-by-entry reader ran on a clean file")
+
+        n, m = 30, 12
+        w = rng.uniform(0.0, 1.0 / m, size=(n, m)) * (rng.random((n, m)) < 0.6)
+        shares = ShareMatrix(w, tuple(f"u{i}" for i in range(n)), tuple(f"s{j}" for j in range(m)))
+        shifts = ShiftTable(rng.normal(size=m), shares.col_ids)
+        dataset = Dataset(outcome=rng.normal(size=n), unit_ids=shares.row_ids)
+        paths = save_inputs(tmp_path, shares, shifts, dataset, fmt="json")
+        monkeypatch.setattr(shiftshare.data, "_scan_long_matrix", scan)
+        loaded = load_inputs(paths["shares"], paths["shifts"], paths["units"], "json")[0]
+        assert loaded.weights.tobytes() == w.tobytes()
+        # rows in any order and with their keys in any order, numbers as JSON numbers
+        rows = [dict(reversed(list(zip(BASE["shares"][0], row)))) for row in BASE["shares"][1:]]
+        rows = [{**row, "weight": float(row["weight"])} for row in reversed(rows)]
+        paths = _write_inputs(tmp_path, {"shares": json.dumps(rows)}, "json")
+        assert load_inputs(paths["shares"], paths["shifts"], paths["units"], "json")[0] \
+            .weights.tolist() == VALID
+        # the unit "c" is unknown here, so the scan runs and the stand-in above raises
+        with pytest.raises(AssertionError, match="entry-by-entry"):
+            _read_long_matrix(paths["shares"], "weight", ("a", "b"), ("s1", "s2"), "json")
+
+    def test_a_json_file_is_read_without_a_dict_per_row(self, tmp_path):
+        """Reading a JSON share file holds its text, not one dict of three strings per row:
+        it peaks under the file's size plus 128 bytes per row (json.load alone keeps about
+        370 bytes per row)."""
+        n, m, per_unit = 4_000, 500, 10
+        gen = np.random.default_rng(0)
+        cols = np.sort(np.argsort(gen.random((n, m)), axis=1)[:, :per_unit], axis=1)
+        rows = np.repeat(np.arange(n), per_unit)
+        row_ids, col_ids = tuple(f"u{i}" for i in range(n)), tuple(f"s{j}" for j in range(m))
+        shares = ShareMatrix.from_triplets(rows, cols.ravel(), gen.uniform(0, 0.1, rows.size),
+                                           row_ids, col_ids)
+        path = tmp_path / "shares.json"
+        _write_columns(path, "json", _share_columns(shares))
+        tracemalloc.start()
+        try:
+            loaded = _read_long_matrix(path, "weight", row_ids, col_ids, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size + 128 * rows.size
+        assert [a.tobytes() for a in loaded] == [a.tobytes() for a in shares.nonzero()]
+
+    @pytest.mark.parametrize("found", [
+        # runs that more than halve the entries, each matched once, an id in two runs
+        ["u0", "u0", "u0", "u2", "u2", "u1", "u1", "u1", "u0", "u0", "u3", "u3", "u3"],
+        # interleaved and unsorted ids with a few short runs, each entry matched
+        ["u0", "u0", "u2", "u1", "u2", "u3", "u3", "u3", "u1", "u0"],
+        [],
+    ])
+    def test_ids_are_matched_in_any_order(self, found):
+        ids = ["u3", "u1", "u0", "u2"]
+        assert _id_positions(ids, np.array(found, dtype=str)).tolist() == list(map(ids.index,
+                                                                                   found))
+        for k in range(len(found) + 1):  # an unknown id anywhere, in a run or alone
+            assert _id_positions(ids, np.array(found[:k] + ["u4"] + found[k:])) is None
 
 
 # Labels that a CSV writer must quote or a reader could mangle: separators,

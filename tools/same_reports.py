@@ -11,8 +11,10 @@ command then runs in a fresh interpreter once against each checkout's own ``src/
 
 - every workload command;
 - on the ``cli-paper`` inputs, the report paths that no workload takes: ``construct
-  --decompose --loo`` with ``--initial-shares`` and ``--unit-shifts``, ``ri --beta0``,
-  ``estimate --report csv``, ``estimate --report text`` and ``diagnose --tables``.
+  --decompose --loo`` with ``--initial-shares`` and ``--unit-shifts``, on the CSV inputs
+  and on the JSON ones, so that every long-format reader runs in both formats; ``ri
+  --beta0``, ``estimate --report csv``, ``estimate --report text`` and ``diagnose
+  --tables``.
 
 Commands run without ``--quiet``, so what they print is compared too. For each command
 the exit code, standard output, standard error and every output file but
@@ -25,6 +27,7 @@ is the same.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -43,27 +46,43 @@ sys.exit(main())
 """
 
 
-def extra_commands(directory: Path, io: list[str], seed: int) -> list[tuple[str, list[str]]]:
-    """The report paths that no workload takes, on the CSV inputs that the flags ``io``
-    name. ``construct --decompose --loo`` also reads initial shares and unit-by-shift
-    values: they are written under ``directory``, derived from the shares file, so that
-    both sides read the same bytes."""
-    rows = [row.split(",") for row in Path(io[1]).read_text().splitlines()[1:]]
-    initial, unit_shifts = directory / "initial_shares.csv", directory / "unit_shifts.csv"
-    initial.write_text("unit_id,shift_id,weight\n" + "".join(
-        f"{u},{s},{float(w) * (0.5 + k % 2 / 2)!r}\n" for k, (u, s, w) in enumerate(rows)))
-    unit_shifts.write_text("unit_id,shift_id,value\n" + "".join(
-        f"{u},{s},{(k % 7 - 3) / 4!r}\n" for k, (u, s, _) in enumerate(rows)))
+def extra_commands(directory: Path, io: dict[str, list[str]],
+                   seed: int) -> list[tuple[str, list[str]]]:
+    """The report paths that no workload takes, on the inputs that the flags ``io[fmt]``
+    name, CSV unless stated. ``construct --decompose --loo`` also reads initial shares and
+    unit-by-shift values: they are written under ``directory`` in each format, derived
+    from the CSV shares file, so that both sides read the same bytes."""
+    rows = [row.split(",") for row in Path(io["csv"][1]).read_text().splitlines()[1:]]
+    tables = {
+        "initial_shares": ("weight", [(u, s, repr(float(w) * (0.5 + k % 2 / 2)))
+                                      for k, (u, s, w) in enumerate(rows)]),
+        "unit_shifts": ("value", [(u, s, repr((k % 7 - 3) / 4))
+                                  for k, (u, s, _) in enumerate(rows)]),
+    }
+    decompose = []
+    for fmt in ("csv", "json"):
+        paths = {name: directory / f"{name}.{fmt}" for name in tables}
+        for name, (column, cells) in tables.items():
+            if fmt == "csv":
+                text = f"unit_id,shift_id,{column}\n" + "".join(f"{u},{s},{v}\n"
+                                                               for u, s, v in cells)
+            else:
+                text = json.dumps([{"unit_id": u, "shift_id": s, column: v}
+                                   for u, s, v in cells], indent=1)
+            paths[name].write_text(text)
+        label = "construct --decompose --loo" + (" (json)" if fmt == "json" else "")
+        decompose.append((label, ["construct", *io[fmt], "--decompose", "--loo",
+                                  "--initial-shares", str(paths["initial_shares"]),
+                                  "--unit-shifts", str(paths["unit_shifts"])]))
+    csv = io["csv"]
     return [
-        ("construct --decompose --loo", ["construct", *io, "--decompose", "--loo",
-                                         "--initial-shares", str(initial),
-                                         "--unit-shifts", str(unit_shifts)]),
-        ("ri --beta0", ["ri", *io, "--beta0", "1.0", "--draws", "500", "--groups",
+        *decompose,
+        ("ri --beta0", ["ri", *csv, "--beta0", "1.0", "--draws", "500", "--groups",
                         "exchange_group", "--seed", str(seed)]),
-        ("estimate --report csv", ["estimate", *io, "--framework", "shift", "--residualize",
+        ("estimate --report csv", ["estimate", *csv, "--framework", "shift", "--residualize",
                                    "p_1", "--cluster-shift", "cluster", "--report", "csv"]),
-        ("estimate --report text", ["estimate", *io, "--rotemberg", "--report", "text"]),
-        ("diagnose --tables", ["diagnose", *io, "--concentration", "--cluster", "cluster",
+        ("estimate --report text", ["estimate", *csv, "--rotemberg", "--report", "text"]),
+        ("diagnose --tables", ["diagnose", *csv, "--concentration", "--cluster", "cluster",
                                "--balance", "placebo", "--icc", "cluster", "--residualize",
                                "p_1", "--tables"]),
     ]
@@ -111,7 +130,8 @@ def main() -> int:
                 commands = [(" ".join(c.args), expand(c, directory, seed))
                             for c in workload.commands]
                 if workload.name == "cli-paper":
-                    commands += extra_commands(directory, input_flags(directory, "csv"), seed)
+                    commands += extra_commands(directory, {fmt: input_flags(directory, fmt)
+                                                           for fmt in ("csv", "json")}, seed)
                 for index, (label, args) in enumerate(commands):
                     outputs = [run(side, args, work / workload.name / name / str(index))
                                for side, name in ((parent, "parent"), (change, "change"))]
