@@ -219,14 +219,6 @@ def build_parser() -> _Parser:
 # content)}``, which the runner writes into ``--out``
 
 
-def _dense(triplets, n: int, m: int) -> np.ndarray:
-    """The ``n x m`` array of the ``(rows, cols, values)`` triplets; absent pairs are zero."""
-    rows, cols, values = triplets
-    out = np.zeros((n, m))
-    out[rows, cols] = values
-    return out
-
-
 def _cmd_construct(args, shares, shifts, dataset) -> dict:
     reports = {}
     w_j = shift_weights_from(dataset, shares)
@@ -244,8 +236,7 @@ def _cmd_construct(args, shares, shifts, dataset) -> dict:
                                         shifts.shift_ids, args.format)
 
     if args.decompose:
-        result = decompose(initial, shares, _dense(unit_shifts, dataset.n_units,
-                                                   shifts.n_shifts))
+        result = decompose(initial, shares, unit_shifts)
         reports["decomposition.csv"] = _write_csv, {
             "unit_id": dataset.unit_ids, "expected": result.expected, "shock": result.shock,
             "share_change": result.share_change, "interaction": result.interaction,
@@ -285,8 +276,7 @@ def _cmd_construct(args, shares, shifts, dataset) -> dict:
             print(f"residualized on {spec}; sse_ratio = {res.sse_ratio:.4f}")
 
     if args.loo:
-        loo = leave_one_out_shifts(_dense(unit_shifts, dataset.n_units, shifts.n_shifts),
-                                   shares)
+        loo = leave_one_out_shifts(unit_shifts, shares)
         reports["loo_instrument.csv"] = _write_csv, {"unit_id": dataset.unit_ids,
                                                      "z_loo": loo.z}
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._wls import wls_coefficients
-from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
+from .data import Dataset, ShareMatrix, ShiftTable, Triplets, _label_codes
 from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
 
 COMPLEMENT_ID = "__complement__"
@@ -60,25 +60,21 @@ class DecompositionResult:
 def decompose(
     initial_shares: ShareMatrix,
     current_shares: ShareMatrix,
-    unit_shifts: np.ndarray,
+    unit_shifts: Triplets,
     reference_shifts: np.ndarray | None = None,
 ) -> DecompositionResult:
     """Decompose the observed aggregate ``sum_j w_ijt D_ijt`` per unit.
 
-    ``reference_shifts`` defaults to the current-share-weighted mean of the
-    unit-level shifts per column.
+    ``unit_shifts`` are the ``(rows, cols, values)`` triplets of ``D_ijt``, absent pairs
+    zero. ``reference_shifts`` defaults to their current-share-weighted mean per column.
     """
-    d = np.asarray(unit_shifts, dtype=float)
     shapes = [(s.n_units, s.n_shifts) for s in (initial_shares, current_shares)]
-    if shapes[0] != shapes[1] or d.shape != shapes[1]:
-        raise ValidationError(
-            f"dimension mismatch: initial {shapes[0]}, current {shapes[1]}, unit shifts {d.shape}"
-        )
-    if not np.all(np.isfinite(d)):
-        raise ValidationError("unit shifts contain non-finite values")
-    r0, c0, w0 = initial_shares.nonzero()
-    rt, ct, wt = current_shares.nonzero()
-    wd = wt * d[rt, ct]
+    if shapes[0] != shapes[1]:
+        raise ValidationError(f"dimension mismatch: initial {shapes[0]}, current {shapes[1]}")
+    _, c0, w0 = initial_shares.nonzero()
+    _, ct, wt = current_shares.nonzero()
+    d0, dt = initial_shares.at_shares(unit_shifts), current_shares.at_shares(unit_shifts)
+    wd = wt * dt
     if reference_shifts is None:
         mass = current_shares.column_totals(wt)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -89,12 +85,12 @@ def decompose(
         if ref.shape != (shapes[1][1],):
             raise ValidationError("reference shifts must have one value per shift column")
     expected = initial_shares.exposure(ref)
-    shock = initial_shares.row_totals(w0 * (d[r0, c0] - ref[c0]))
+    shock = initial_shares.row_totals(w0 * (d0 - ref[c0]))
     return DecompositionResult(
         expected=expected,
         shock=shock,
         share_change=current_shares.exposure(ref) - expected,
-        interaction=current_shares.row_totals(wt * (d[rt, ct] - ref[ct])) - shock,
+        interaction=current_shares.row_totals(wt * (dt - ref[ct])) - shock,
         observed=current_shares.row_totals(wd),
         reference_shifts=ref,
     )
@@ -336,7 +332,7 @@ def shift_weights_from(dataset: Dataset, shares: ShareMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LeaveOneOutInstrument:
-    """Per-unit instrument built from leave-one-out aggregated shifts."""
+    """Per-unit leave-one-out instrument; ``undefined`` flags shares in ``nonzero()`` order."""
 
     z: np.ndarray
     undefined: np.ndarray
@@ -348,27 +344,21 @@ class LeaveOneOutInstrument:
 
 
 def leave_one_out_shifts(
-    unit_shifts: np.ndarray,
+    unit_shifts: Triplets,
     shares: ShareMatrix,
     normalize: bool = True,
 ) -> LeaveOneOutInstrument:
     """Instrument each unit with shifts re-aggregated over all *other* units.
 
-    For unit ``k`` and shift ``j`` the leave-one-out shift excludes row
-    ``k``'s contribution, weighting by shares; with ``normalize=True``
-    (default) the sum is divided by the remaining share mass so it stays a
-    weighted average. A shift whose entire weight comes from one unit has no
-    leave-one-out value for that unit: the pair is flagged, excluded from the
-    instrument with a warning.
+    ``unit_shifts`` are the ``(rows, cols, values)`` triplets of the unit-level shifts,
+    absent pairs zero. For unit ``k`` and shift ``j`` the leave-one-out shift excludes row
+    ``k``'s contribution, weighting by shares; with ``normalize=True`` (default) the sum is
+    divided by the remaining share mass so it stays a weighted average. A shift whose entire
+    weight comes from one unit has no leave-one-out value for that unit: the pair is
+    flagged in ``undefined``, excluded from the instrument with a warning.
     """
-    d = np.asarray(unit_shifts, dtype=float)
-    shape = (shares.n_units, shares.n_shifts)
-    if d.shape != shape:
-        raise ValidationError(f"unit shifts {d.shape} misaligned with shares {shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValidationError("unit shifts contain non-finite values")
-    rows, cols, w = shares.nonzero()  # every stored share is positive
-    wd = w * d[rows, cols]
+    _, cols, w = shares.nonzero()  # every stored share is positive
+    wd = w * shares.at_shares(unit_shifts)
     loo = shares.column_totals(wd)[cols] - wd
     undefined = np.zeros(w.shape, dtype=bool)
     if normalize:
@@ -382,7 +372,5 @@ def leave_one_out_shifts(
             ShiftShareWarning,
             stacklevel=2,
         )
-    flags = np.zeros(shape, dtype=bool)
-    flags[rows[undefined], cols[undefined]] = True
-    return LeaveOneOutInstrument(z=shares.row_totals(w * loo), undefined=flags,
+    return LeaveOneOutInstrument(z=shares.row_totals(w * loo), undefined=undefined,
                                  normalized=normalize)

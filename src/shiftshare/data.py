@@ -16,8 +16,9 @@ row objects mirroring the CSV columns; floats are parsed as 64-bit):
 * units: ``unit_id, y[, x][, w_e][, pi_1..pi_k]`` -- extra columns are
   kept as named auxiliary columns (cluster labels, placebo variables)
 
-The share matrix is stored as row-sorted triplets (CSR, about 16 bytes per nonzero
-share); no module builds its dense units-by-shifts array.
+The share matrix is stored as row-sorted triplets (CSR, about 16 bytes per nonzero share),
+and unit-by-shift values (``--unit-shifts``) stay ``(rows, cols, values)`` triplets, read at
+the stored shares by ``ShareMatrix.at_shares``: no module builds a dense units-by-shifts array.
 
 CSV files use RFC 4180 quoting as ``save_inputs`` writes it: ``#`` is data, blank lines
 (before the header too) and a leading UTF-8 byte-order mark are skipped, and ragged rows
@@ -74,6 +75,31 @@ def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     filled = bounds[1:] > bounds[:-1]
     out[filled] = np.add.reduceat(values, bounds[:-1][filled])
     return out
+
+
+def _sorted_triplets(rows, cols, values, row_ids, col_ids, what: str):
+    """The ``what`` triplets of the ``row_ids`` by ``col_ids`` matrix, given in any order, as
+    integer indices in its range with no pair twice: sorted, with each key ``row * m + col``."""
+    rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values, dtype=float)
+    if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
+        raise ValidationError(f"{what} triplets must be one-dimensional and of one length")
+    # a cast would truncate a float index, and read a dense array as triplets
+    if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+        raise ValidationError(f"{what} triplet indices must be integers")
+    rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+    n, m = len(row_ids), len(col_ids)
+    if rows.size and not (0 <= rows.min() <= rows.max() < n and 0 <= cols.min() <= cols.max() < m):
+        raise ValidationError(f"{what} triplet index out of the matrix's range")
+    keys = rows * m + cols
+    if np.any(keys[1:] <= keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        rows, cols, values, keys = rows[order], cols[order], values[order], keys[order]
+        repeats = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeats.size:
+            k = repeats[0] + 1
+            raise ValidationError(f"repeated {what} at unit {row_ids[rows[k]]!r}, "
+                                  f"shift {col_ids[cols[k]]!r}")
+    return rows, cols, values, keys
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -169,26 +195,10 @@ class ShareMatrix:
         """The shares ``values[k]`` at unit ``rows[k]`` and shift ``cols[k]``, given in
         any order; a pair may appear once, and absent pairs are zero."""
         row_ids, col_ids = tuple(map(str, row_ids)), tuple(map(str, col_ids))
-        n, m = len(row_ids), len(col_ids)
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        values = np.asarray(values, dtype=float)
-        if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
-            raise ValidationError("share triplets must be one-dimensional and of one length")
-        if rows.size and not (0 <= rows.min() and rows.max() < n and 0 <= cols.min()
-                              and cols.max() < m):
-            raise ValidationError("share triplet index out of the matrix's range")
-        keys = rows * m + cols
-        if np.any(keys[1:] <= keys[:-1]):
-            order = np.argsort(keys, kind="stable")
-            rows, cols, values, keys = rows[order], cols[order], values[order], keys[order]
-            repeats = np.flatnonzero(keys[1:] == keys[:-1])
-            if repeats.size:
-                k = repeats[0] + 1
-                raise ValidationError(f"repeated share at unit {row_ids[rows[k]]!r}, "
-                                      f"shift {col_ids[cols[k]]!r}")
+        rows, cols, values, _ = _sorted_triplets(rows, cols, values, row_ids, col_ids, "share")
         stored = values != 0.0
         out = cls.__new__(cls)
-        out._set(np.concatenate(([0], np.cumsum(np.bincount(rows[stored], minlength=n)))),
+        out._set(np.searchsorted(rows[stored], np.arange(len(row_ids) + 1)),
                  cols[stored], values[stored], row_ids, col_ids)
         return out
 
@@ -325,6 +335,18 @@ class ShareMatrix:
     def nonzero(self) -> Triplets:
         """Row indices, column indices and values of the nonzero shares, row by row."""
         return self._rows(), self.indices, self.data
+
+    def at_shares(self, triplets: Triplets) -> np.ndarray:
+        """One value per stored share, in ``nonzero()`` order, of finite unit-by-shift ``(rows,
+        cols, values)`` triplets checked as ``from_triplets`` checks shares; absent pairs are 0."""
+        if isinstance(triplets, np.ndarray) or len(triplets) != 3:
+            raise ValidationError("unit shifts must be (rows, cols, values) triplets")
+        _, _, values, keys = _sorted_triplets(*triplets, self.row_ids, self.col_ids, "unit shift")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("unit shifts contain non-finite values")
+        wanted = self._rows() * self.n_shifts + self.indices
+        at = np.searchsorted(keys, wanted)  # an absent pair finds another key, or the last -1
+        return np.where(np.append(keys, -1)[at] == wanted, np.append(values, 0.0)[at], 0.0)
 
     def with_column(self, values, col_id: str) -> "ShareMatrix":
         """The shares with a column of per-unit ``values`` appended as ``col_id``."""

@@ -20,6 +20,13 @@ def shift_ids(m):
     return tuple(f"s{j}" for j in range(m))
 
 
+def every_cell(array):
+    """The ``(rows, cols, values)`` triplets of every cell of a 2-D array, zeros included."""
+    array = np.asarray(array, dtype=float)
+    rows, cols = np.indices(array.shape).reshape(2, -1)
+    return rows, cols, array.ravel()
+
+
 def random_share_matrix(rng, n, m, complete=False, min_scale=0.3):
     raw = rng.gamma(1.0, 1.0, size=(n, m))
     w = raw / raw.sum(axis=1, keepdims=True)

@@ -36,7 +36,7 @@ from shiftshare import (
 from shiftshare.rinfer import _moment_vectors
 from shiftshare.simulate import DgpConfig, run_coverage
 
-from conftest import matched_instance, random_share_matrix, shift_ids, unit_ids
+from conftest import every_cell, matched_instance, random_share_matrix, shift_ids, unit_ids
 
 pytestmark = pytest.mark.filterwarnings("ignore::shiftshare.errors.ShiftShareWarning")
 
@@ -152,7 +152,7 @@ def test_criterion_06_decomposition_identity():
         initial = random_share_matrix(rng, n, m)
         current = random_share_matrix(rng, n, m)
         d = rng.normal(0.0, float(rng.uniform(0.5, 20.0)), size=(n, m))
-        result = decompose(initial, current, d)
+        result = decompose(initial, current, every_cell(d))
         scale = np.maximum(np.abs(result.observed), 1.0)
         worst = max(worst, float(np.max(np.abs(result.total() - result.observed) / scale)))
     check(6, "decomposition components sum to the observed aggregate", worst, 1e-12)

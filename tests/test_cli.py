@@ -662,6 +662,17 @@ class TestConstructTables:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "'abc'" in err[0]
 
+    def test_non_finite_unit_shift_exits_one(self, inputs, tmp_path, capsys):
+        unit_shifts = tmp_path / "ds.csv"
+        unit_shifts.write_text("unit_id,shift_id,value\nu0,s0,1.0\nu0,s1,nan\n")
+        out = tmp_path / "bad"
+        code = main(["--quiet", "construct", "--loo", "--unit-shifts", str(unit_shifts),
+                     *io_args(inputs, out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: unit shifts contain non-finite values"]
+        assert not out.exists()
+
 
 def _json_inputs(inputs, directory, edit=lambda name, rows: None) -> dict[str, Path]:
     """The CSV ``inputs`` written as JSON files under ``directory``, each after

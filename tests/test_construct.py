@@ -1,6 +1,9 @@
 """Exposure construction, decomposition, completion, replacement,
 residualization, and leave-one-out instruments."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from shiftshare import (
 )
 from shiftshare._wls import wls_coefficients
 
-from conftest import random_share_matrix, shift_ids, unit_ids
+from conftest import every_cell, random_share_matrix, shift_ids, unit_ids
 
 
 def table(values, **kw):
@@ -60,7 +63,7 @@ class TestDecompose:
     def test_constant_shares_kill_share_change(self, rng):
         initial = random_share_matrix(rng, 4, 3)
         d = rng.normal(size=(4, 3))
-        result = decompose(initial, initial, d)
+        result = decompose(initial, initial, every_cell(d))
         assert np.allclose(result.share_change, 0.0, atol=1e-15)
         assert np.allclose(result.interaction, 0.0, atol=1e-15)
         assert np.allclose(result.total(), result.observed, rtol=1e-12)
@@ -69,7 +72,7 @@ class TestDecompose:
         initial, current, _ = self.random_pair(rng, 4, 3)
         ref = rng.normal(size=3)
         d = np.tile(ref, (4, 1))
-        result = decompose(initial, current, d, reference_shifts=ref)
+        result = decompose(initial, current, every_cell(d), reference_shifts=ref)
         assert np.allclose(result.shock, 0.0, atol=1e-12)
         assert np.allclose(result.interaction, 0.0, atol=1e-12)
         assert np.allclose(result.total(), result.observed, rtol=1e-12)
@@ -78,7 +81,7 @@ class TestDecompose:
         # direct evaluation oracle on random instances
         for _ in range(25):
             initial, current, d = self.random_pair(rng)
-            result = decompose(initial, current, d)
+            result = decompose(initial, current, every_cell(d))
             observed = (current.weights * d).sum(axis=1)
             assert np.allclose(result.observed, observed, rtol=0, atol=1e-15)
             scale = np.maximum(np.abs(observed), 1e-12)
@@ -86,7 +89,7 @@ class TestDecompose:
 
     def test_default_reference_is_share_weighted_mean(self, rng):
         initial, current, d = self.random_pair(rng, 5, 3)
-        result = decompose(initial, current, d)
+        result = decompose(initial, current, every_cell(d))
         mass = current.weights.sum(axis=0)
         expected_ref = (current.weights * d).sum(axis=0) / mass
         assert np.allclose(result.reference_shifts, expected_ref, rtol=1e-14)
@@ -95,13 +98,24 @@ class TestDecompose:
         initial, current, d = self.random_pair(rng)
         d[0, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
-            decompose(initial, current, d)
+            decompose(initial, current, every_cell(d))
 
     def test_dimension_mismatch(self, rng):
         initial = random_share_matrix(rng, 3, 2)
         current = random_share_matrix(rng, 3, 3)
         with pytest.raises(ValidationError, match="mismatch"):
-            decompose(initial, current, np.zeros((3, 3)))
+            decompose(initial, current, every_cell(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("dtype", [float, int])
+    def test_dense_unit_shifts_rejected(self, rng, n, dtype):
+        """A dense array is not read as triplets, even one with three integer rows."""
+        shares = random_share_matrix(rng, n, 3)
+        dense = np.eye(n, 3, dtype=dtype)
+        with pytest.raises(ValidationError, match="triplet"):
+            decompose(shares, shares, dense)
+        with pytest.raises(ValidationError, match="triplet"):
+            leave_one_out_shifts(dense, shares)
 
 
 class TestCompleteShares:
@@ -334,7 +348,7 @@ class TestLeaveOneOut:
         w = np.array([[0.6, 0.4], [0.5, 0.5]])
         shares = ShareMatrix(w, unit_ids(2), shift_ids(2))
         d = np.array([[1.0, 2.0], [3.0, 4.0]])
-        loo = leave_one_out_shifts(d, shares)
+        loo = leave_one_out_shifts(every_cell(d), shares)
         # each unit's estimated shift is exactly the other unit's value
         assert np.allclose(loo.z[0], w[0] @ d[1], rtol=1e-14)
         assert np.allclose(loo.z[1], w[1] @ d[0], rtol=1e-14)
@@ -344,7 +358,7 @@ class TestLeaveOneOut:
         shares = random_share_matrix(rng, n, m)
         d_common = rng.normal(size=m)
         d = np.tile(d_common, (n, 1))
-        loo = leave_one_out_shifts(d, shares)
+        loo = leave_one_out_shifts(every_cell(d), shares)
         full = shares.weights @ d_common
         assert np.allclose(loo.z, full, rtol=1e-12)
 
@@ -352,7 +366,7 @@ class TestLeaveOneOut:
         n, m = 5, 3
         shares = random_share_matrix(rng, n, m)
         d = rng.normal(size=(n, m))
-        loo = leave_one_out_shifts(d, shares)
+        loo = leave_one_out_shifts(every_cell(d), shares)
         w = shares.weights
         for k in range(n):
             z_k = 0.0
@@ -367,7 +381,7 @@ class TestLeaveOneOut:
         n, m = 5, 3
         shares = random_share_matrix(rng, n, m)
         d = rng.normal(size=(n, m))
-        loo = leave_one_out_shifts(d, shares, normalize=False)
+        loo = leave_one_out_shifts(every_cell(d), shares, normalize=False)
         w = shares.weights
         for k in range(n):
             z_k = sum(
@@ -381,8 +395,46 @@ class TestLeaveOneOut:
         shares = ShareMatrix(w, unit_ids(2), shift_ids(2))
         d = np.array([[1.0, 2.0], [3.0, 0.0]])
         with pytest.warns(ShiftShareWarning, match="leave-one-out"):
-            loo = leave_one_out_shifts(d, shares)
-        assert loo.undefined[0, 1]
+            loo = leave_one_out_shifts(every_cell(d), shares)
+        assert loo.undefined.tolist() == [False, True, False]  # the shares (0, 0), (0, 1), (1, 0)
         assert loo.n_undefined == 1
         # flagged pair excluded; remaining shift still contributes
         assert loo.z[0] == pytest.approx(0.5 * 3.0, rel=1e-14)
+
+
+def test_unit_shifts_of_a_large_sparse_share_matrix_are_never_made_dense():
+    """200,000 units over 5,000 shifts, one share each, with unit shifts at every share
+    and at as many pairs without one, given in no order: a dense array of the unit shifts
+    would take 8 GB. ``decompose`` and ``leave_one_out_shifts`` take less than 64 MB."""
+    n, m = 200_000, 5_000
+    gen = np.random.default_rng(0)
+    row_ids, col_ids = tuple(f"u{i}" for i in range(n)), tuple(f"s{j}" for j in range(m))
+    col = gen.integers(0, m, size=n)
+    w = gen.uniform(size=n)
+    shares = ShareMatrix.from_triplets(np.arange(n), col, w, row_ids, col_ids)
+    d = gen.normal(size=n)
+    order = gen.permutation(2 * n)
+    unit_shifts = (np.tile(np.arange(n), 2)[order],
+                   np.concatenate([col, (col + 1) % m])[order],
+                   np.concatenate([d, gen.normal(size=n)])[order])
+    tracemalloc.start()
+    try:
+        result = decompose(shares, shares, unit_shifts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShiftShareWarning)  # a shift held by one unit
+            loo = leave_one_out_shifts(unit_shifts, shares)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.array_equal(result.observed, w * d)
+    # each unit's leave-one-out shift, summed in another order: within 1e-12 of its shift's
+    # absolute mass, since the sum less the unit's own term can cancel
+    wd = w * d
+    others = np.bincount(col, w, m)[col] - w
+    undefined = others <= 0
+    mass = np.where(undefined, 1.0, others)
+    expected = np.where(undefined, 0.0, (np.bincount(col, wd, m)[col] - wd) / mass)
+    assert loo.undefined.shape == (n,) and np.array_equal(loo.undefined, undefined)
+    bound = 1e-12 * w * np.bincount(col, abs(wd), m)[col] / mass
+    assert np.all(np.abs(loo.z - w * expected) <= bound)

@@ -372,9 +372,12 @@ NUMBER_TEXTS = st.sampled_from([
 ]) | st.floats().map(repr)
 
 
-def _rarely(draw, strategy, common, odds=5):
-    """A draw from ``strategy`` one time in ``odds``, else ``common``."""
-    return draw(strategy) if draw(st.integers(1, odds)) == 1 else common
+def _seldom(draw, strategy, common, odds):
+    """A draw from ``strategy`` one time in ``odds``, else ``common``. Hypothesis draws the
+    least value of ``integers(1, odds)`` far more often than that (about 30% of the time at
+    12), and an index of ``sampled_from`` about evenly, the first one, its simplest, a
+    little more often: so the hazard is the last index."""
+    return draw(strategy) if draw(st.sampled_from(range(odds))) == odds - 1 else common
 
 
 @st.composite
@@ -390,22 +393,23 @@ def long_csv_files(draw):
     def unknown(ids):  # any id, or the longest known one with one character more
         longest = max(ids, key=len)
         return ID_TEXTS | st.sampled_from([longest + "x", longest + "\x00"])
-    header = draw(st.permutations(["unit_id", "shift_id", "value"]
-                                  + _rarely(draw, st.sampled_from([["note"], ["value"]]), [])))
+    extra = _seldom(draw, st.sampled_from([["note"], ["value"]]), [], odds=5)
+    header = draw(st.permutations(["unit_id", "shift_id", "value"] + extra))
     # one row per shift, so that an unknown unit id never makes a repeated pair by chance
     pairs = draw(st.lists(st.tuples(st.sampled_from(unit_ids), st.sampled_from(shift_ids)),
                           min_size=1, max_size=8, unique_by=lambda pair: pair[1]))
     rows = []
     for unit, shift in pairs:
-        cells = {"unit_id": _rarely(draw, unknown(unit_ids), unit, odds=12),
-                 "shift_id": _rarely(draw, unknown(shift_ids), shift, odds=12),
-                 "value": _rarely(draw, NUMBER_TEXTS, repr(draw(st.floats())), odds=6),
+        cells = {"unit_id": _seldom(draw, unknown(unit_ids), unit, odds=12),
+                 "shift_id": _seldom(draw, unknown(shift_ids), shift, odds=12),
+                 "value": _seldom(draw, NUMBER_TEXTS, repr(draw(st.floats())), odds=6),
                  "note": draw(ID_TEXTS)}
         rows.append([cells[name] for name in header])
     if rows:
-        rows += _rarely(draw, st.sampled_from(rows).map(lambda row: [row]), [])  # a repeated pair
+        # a repeated pair
+        rows += _seldom(draw, st.sampled_from(rows).map(lambda row: [row]), [], odds=5)
         k = draw(st.integers(0, len(rows) - 1))
-        rows[k] = _rarely(draw, st.sampled_from([rows[k][:-1], rows[k] + ["x"]]), rows[k])
+        rows[k] = _seldom(draw, st.sampled_from([rows[k][:-1], rows[k] + ["x"]]), rows[k], odds=5)
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     # "\r\n" as the line end, so that a field holding either character is quoted
     writer = csv.writer(SimpleNamespace(write=str), quoting=quoting, lineterminator="\r\n")
@@ -414,9 +418,10 @@ def long_csv_files(draw):
     line_end = draw(st.sampled_from(["\n", "\r\n"]))
     # a known id with a trailing NUL, which a U array cannot hold, named without it
     k = draw(st.integers(0, len(shift_ids) - 1))
-    shift_ids = _rarely(draw, st.just((*shift_ids[:k], shift_ids[k] + "\x00",
-                                       *shift_ids[k + 1:])), shift_ids)
-    unit_ids = _rarely(draw, st.just(unit_ids + unit_ids[:1]), unit_ids)  # a repeated known id
+    shift_ids = _seldom(draw, st.just((*shift_ids[:k], shift_ids[k] + "\x00",
+                                       *shift_ids[k + 1:])), shift_ids, odds=5)
+    # a repeated known id
+    unit_ids = _seldom(draw, st.just(unit_ids + unit_ids[:1]), unit_ids, odds=5)
     return line_end.join(lines) + draw(st.sampled_from([line_end, ""])), unit_ids, shift_ids
 
 
@@ -429,14 +434,6 @@ JSON_KNOWN_IDS = ID_TEXTS | st.sampled_from(["5", "1.5", "-0.0", "True", "None",
 JSON_OTHERS = st.sampled_from([5, 1.5, -0.0, 10**400, True, False, None, [], [1], {},
                                {"a": 1}]) | st.floats()
 JSON_UNKNOWN_IDS = ID_TEXTS | st.sampled_from(["\ud800", "a\udfff"])  # lone surrogates
-
-
-def _seldom(draw, strategy, common, odds):
-    """A draw from ``strategy`` one time in ``odds``, else ``common``, as ``_rarely`` is
-    meant to be: hypothesis draws the least value of ``integers(1, odds)`` far more often
-    than that (about 30% of the time at 12), and an index of ``sampled_from`` about evenly,
-    the first one, its simplest, a little more often."""
-    return draw(strategy) if draw(st.sampled_from(range(odds))) == odds - 1 else common
 
 
 @st.composite
@@ -943,6 +940,45 @@ class TestShareOperator:
             shares.aggregate(np.ones((2, 2)))
         with pytest.raises(ValidationError, match="misaligned"):
             shares.zero_columns([True])
+
+    @given(case=share_patterns(), density=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           hazard=st.sampled_from([None, "repeated", "range", "non-finite"]))
+    @settings(max_examples=80, deadline=None)
+    def test_values_at_shares_match_the_dense_array(self, case, density, hazard):
+        """``at_shares`` reads unit-by-shift triplets in any order as the dense array of
+        them reads at ``nonzero()``, a pair that no triplet gives as zero; a repeated pair,
+        an index out of range and a non-finite value are each rejected."""
+        shares, gen = case
+        n, m = shares.n_units, shares.n_shifts
+        given_cells = gen.random((n, m)) < density
+        dense = np.where(given_cells, gen.normal(size=(n, m)), 0.0)
+        rows, cols = np.nonzero(given_cells)
+        order = gen.permutation(rows.size)
+        triplets = [rows[order], cols[order], dense[rows, cols][order]]
+        if hazard is None or not rows.size:
+            assert np.array_equal(shares.at_shares(tuple(triplets)), dense[shares.nonzero()[:2]])
+            return
+        k = gen.integers(rows.size)
+        if hazard == "repeated":
+            triplets = [np.append(a, a[k]) for a in triplets]
+        elif hazard == "range":
+            axis = gen.integers(2)
+            triplets[axis][k] = gen.choice([-1, (n, m)[axis]])
+        else:
+            triplets[2][k] = gen.choice([np.nan, np.inf, -np.inf])
+        message = {"repeated": "repeated unit shift", "range": "out of the matrix's range",
+                   "non-finite": "non-finite"}[hazard]
+        with pytest.raises(ValidationError, match=message):
+            shares.at_shares(tuple(triplets))
+
+    def test_triplet_indices_must_be_integers(self):
+        """A float or boolean index is not cast: the cast would truncate it."""
+        for rows, cols in (([0.7, 1.9], [1.9, 0.2]), ([True, False], [False, True])):
+            with pytest.raises(ValidationError, match="indices must be integers"):
+                ShareMatrix.from_triplets(rows, cols, [0.5, 0.25], ("a", "b"), ("s", "t"))
+        with pytest.warns(ShiftShareWarning):  # no triplets: empty rows, whatever the dtype
+            empty = ShareMatrix.from_triplets([], [], [], ("a",), ("s",))
+        assert empty.weights.tolist() == [[0.0]]
 
 
 def test_a_large_sparse_share_matrix_is_never_made_dense():

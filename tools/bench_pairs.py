@@ -17,7 +17,10 @@ quartiles, the change's wins (pairs in which it is strictly better) and a verdic
   change fails no larger share of its operations than the parent;
 - ``regression``: the change's median is worse than the parent's by more than the
   metric's ``bound``, a fraction of the parent's median;
-- ``-``: neither.
+- ``unresolved``: neither, while the parent's interquartile range is wider than the
+  ``bound`` times its median, so that runs this spread cannot show a move within the
+  bound either way; unless every run of the change is better than every run of the parent;
+- ``-``: none of these.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ def verdict(metric: dict, parent: list[dict], change: list[dict]) -> dict:
         found = "regression"
     elif sound and wins >= WIN_SHARE * len(before) and sign * (pm - cm) > p3 - p1:
         found = "gain"
+    elif p3 - p1 > metric["bound"] * abs(pm) and not all(
+            sign * (p - c) > 0 for p in before for c in after):
+        found = "unresolved"
     else:
         found = "-"
     return {"quartiles": (quartiles(before), quartiles(after)), "wins": wins, "verdict": found,
