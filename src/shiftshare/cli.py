@@ -7,11 +7,17 @@ package version, so any output can be reproduced from the manifest and the
 input files. Reports are canonical JSON; CSV mirrors flatten nested fields
 and are lossy. Exit codes: 0 success, 1 validation error, 2 numerical
 failure, 64 usage error.
+
+Each long-format file (``--shares``, ``--initial-shares``, ``--unit-shifts``) is
+parsed once: its triplets are kept in ``$XDG_CACHE_HOME/shiftshare`` (default
+``~/.cache/shiftshare``) under a key of the file's digest and the ids it is read
+against, so that a later run on the same files loads them instead of parsing.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import errno
@@ -34,12 +40,13 @@ from .construct import (
     shift_weights_from,
 )
 from .data import (
+    Triplets,
     _read_long_matrix,
     _share_columns,
+    _shares_of,
     _undecodable,
     _write_columns,
     load_inputs,
-    load_shares,
 )
 from .diagnose import balance_test_unit, concentration, icc, shift_summary
 from .errors import (
@@ -73,6 +80,125 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+# the layout of a cache entry and what it holds; a change to either, or to what the
+# parsers return, takes a new number, so that no older entry is read
+CACHE_FORMAT = 1
+# total bytes of the cache's entries, past which the least recently used are removed
+CACHE_BYTES = 1 << 30
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/shiftshare``, or ``~/.cache/shiftshare`` where that is unset or
+    not absolute; None where there is no home directory."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):
+            return None
+    return Path(base) / "shiftshare"
+
+
+def _cache_load(entry: Path, n: int, m: int) -> Triplets | None:
+    """The triplets an entry holds, as ``_read_long_matrix`` returns them for an ``n`` by
+    ``m`` matrix (integer indices in range, sorted, no pair twice), or None; an entry that
+    does not hold them is removed."""
+    try:
+        with open(entry, "rb") as fh:
+            rows, cols, values = (np.load(fh, allow_pickle=False) for _ in range(3))
+            whole = not fh.read(1)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, EOFError):
+        whole = False
+    if whole and rows.dtype == cols.dtype == np.intp and values.dtype == np.float64 and (
+            rows.ndim == 1 and rows.shape == cols.shape == values.shape):
+        keys = rows * m + cols
+        if not rows.size or (0 <= rows.min() <= rows.max() < n and 0 <= cols.min()
+                             <= cols.max() < m and np.all(keys[1:] > keys[:-1])):
+            with contextlib.suppress(OSError):
+                os.utime(entry)  # the cap removes the least recently used entries first
+            return rows, cols, values
+    _cache_remove(entry)
+    return None
+
+
+def _cache_remove(entry: Path) -> None:
+    with contextlib.suppress(OSError):
+        entry.unlink(missing_ok=True)
+
+
+def _cache_store(entry: Path, triplets: Triplets) -> None:
+    """Write ``triplets`` to ``entry`` in one move, then remove the oldest entries past
+    ``CACHE_BYTES``; a run whose entry cannot be written stays uncached."""
+    try:
+        os.makedirs(entry.parent, mode=0o700, exist_ok=True)
+        temp = entry.with_name(f".{entry.name}.{os.getpid()}")  # no other run writes it
+        try:
+            with open(temp, "wb") as fh:
+                for array in triplets:
+                    np.save(fh, array, allow_pickle=False)
+            os.replace(temp, entry)
+        except BaseException:
+            _cache_remove(temp)
+            raise
+        entries = []  # the temporary file a killed run left counts too, and so goes in time
+        for path in entry.parent.iterdir():
+            with contextlib.suppress(OSError):  # another run may have removed it
+                stat = path.stat()
+                entries.append((stat.st_mtime_ns, stat.st_size, path))
+        total = sum(size for _, size, _ in entries)
+        for _, size, path in sorted(entries):
+            if total <= CACHE_BYTES:
+                break
+            _cache_remove(path)
+            total -= size
+    except OSError:
+        pass
+
+
+class _Reader:
+    """How one run reads its files: each file's SHA-256 is taken once, for the manifest and
+    the cache key, and each long-format file is read through the triplet cache."""
+
+    def __init__(self):
+        self.digests: dict[Path, str] = {}
+
+    def digest(self, path: Path) -> str:
+        if path not in self.digests:
+            self.digests[path] = _sha256(path)
+        return self.digests[path]
+
+    def triplets(self, path: Path, column: str, unit_ids, shift_ids, fmt: str,
+                 accept=lambda triplets: triplets):
+        """``accept(_read_long_matrix(path, column, unit_ids, shift_ids, fmt))``, from the
+        cache where it holds the file's triplets. An entry that ``accept`` rejects is
+        removed and the file parsed; an entry is written only for triplets that it takes,
+        of a file that did not change while it was parsed."""
+        digest = self.digest(path)
+        directory = _cache_dir()
+        entry = None
+        if directory is not None:
+            key = json.dumps([CACHE_FORMAT, __version__, fmt, column, digest,
+                              list(unit_ids), list(shift_ids)])
+            entry = directory / f"{hashlib.sha256(key.encode()).hexdigest()}.triplets"
+            cached = _cache_load(entry, len(unit_ids), len(shift_ids))
+            if cached is not None:
+                try:
+                    return accept(cached)
+                except ValidationError:
+                    _cache_remove(entry)
+        triplets = _read_long_matrix(path, column, unit_ids, shift_ids, fmt)
+        out = accept(triplets)
+        if entry is not None and _sha256(path) == digest:
+            _cache_store(entry, triplets)
+        return out
+
+    def shares(self, path: Path, unit_ids, shift_ids, fmt: str):
+        """``load_shares`` through the cache."""
+        return self.triplets(path, "weight", unit_ids, shift_ids, fmt,
+                             lambda triplets: _shares_of(path, triplets, unit_ids, shift_ids))
 
 
 def _input_paths(args) -> list[Path]:
@@ -219,7 +345,7 @@ def build_parser() -> _Parser:
 # content)}``, which the runner writes into ``--out``
 
 
-def _cmd_construct(args, shares, shifts, dataset) -> dict:
+def _cmd_construct(args, shares, shifts, dataset, reader) -> dict:
     reports = {}
     w_j = shift_weights_from(dataset, shares)
     if args.decompose and (args.initial_shares is None or args.unit_shifts is None):
@@ -227,13 +353,13 @@ def _cmd_construct(args, shares, shifts, dataset) -> dict:
     if args.loo and args.unit_shifts is None:
         raise ValidationError("--loo needs --unit-shifts")
     if args.decompose:
-        initial = load_shares(args.initial_shares, dataset.unit_ids, shifts.shift_ids,
-                              args.format)
+        initial = reader.shares(args.initial_shares, dataset.unit_ids, shifts.shift_ids,
+                                args.format)
     # read once for both uses; the complement column that --complete-shares appends is not
     # in the file, so its unit-by-shift values are zero
     if args.decompose or args.loo:
-        unit_shifts = _read_long_matrix(args.unit_shifts, "value", dataset.unit_ids,
-                                        shifts.shift_ids, args.format)
+        unit_shifts = reader.triplets(args.unit_shifts, "value", dataset.unit_ids,
+                                      shifts.shift_ids, args.format)
 
     if args.decompose:
         result = decompose(initial, shares, unit_shifts)
@@ -439,11 +565,14 @@ COMMANDS = {
 }
 
 
-def _read_inputs(args) -> tuple:
-    """What the command reads, checked before ``--out`` is created: the three input files,
-    or for ``simulate`` the DGP config and the estimator names."""
+def _read_inputs(args, reader: _Reader) -> tuple:
+    """What the command reads, checked before ``--out`` is created: the three input files
+    (and for ``construct`` the ``reader`` of its other files), or for ``simulate`` the DGP
+    config and the estimator names."""
     if args.command != "simulate":
-        return load_inputs(args.shares, args.shifts, args.units, args.format)
+        inputs = load_inputs(args.shares, args.shifts, args.units, args.format,
+                             read_shares=reader.shares)
+        return (*inputs, reader) if args.command == "construct" else inputs
     config = _parse_dgp_config(args.config, args.seed)
     estimators = [e for e in args.estimators.split(",") if e]
     unknown = [e for e in estimators if e not in ESTIMATORS]
@@ -457,11 +586,12 @@ def dispatch(argv) -> int:
     and write its reports and the manifest there, unless one would be written over an
     input. A failure ends in its exit code and one line on standard error."""
     args = build_parser().parse_args(argv)
+    reader = _Reader()
     try:
-        inputs = _read_inputs(args)
+        inputs = _read_inputs(args, reader)
         if args.out.exists() and not args.out.is_dir():  # found before the command runs
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(args.out))
-        digests = {str(path): _sha256(path) for path in _input_paths(args)}
+        digests = {str(path): reader.digest(path) for path in _input_paths(args)}
         reports = COMMANDS[args.command](args, *inputs)
         _refuse_overwrites(args, reports)
         args.out.mkdir(parents=True, exist_ok=True)

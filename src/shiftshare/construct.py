@@ -68,9 +68,11 @@ def decompose(
     ``unit_shifts`` are the ``(rows, cols, values)`` triplets of ``D_ijt``, absent pairs
     zero. ``reference_shifts`` defaults to their current-share-weighted mean per column.
     """
-    shapes = [(s.n_units, s.n_shifts) for s in (initial_shares, current_shares)]
-    if shapes[0] != shapes[1]:
-        raise ValidationError(f"dimension mismatch: initial {shapes[0]}, current {shapes[1]}")
+    # the two are matched by position, so they must list the same ids in the same order
+    if (initial_shares.row_ids, initial_shares.col_ids) != (current_shares.row_ids,
+                                                            current_shares.col_ids):
+        raise ValidationError("id mismatch: the initial and current shares must list the "
+                              "same units and shifts in the same order")
     _, c0, w0 = initial_shares.nonzero()
     _, ct, wt = current_shares.nonzero()
     d0, dt = initial_shares.at_shares(unit_shifts), current_shares.at_shares(unit_shifts)
@@ -82,7 +84,7 @@ def decompose(
                            / np.where(mass > 0, mass, 1.0), 0.0)
     else:
         ref = np.asarray(reference_shifts, dtype=float)
-        if ref.shape != (shapes[1][1],):
+        if ref.shape != (current_shares.n_shifts,):
             raise ValidationError("reference shifts must have one value per shift column")
     expected = initial_shares.exposure(ref)
     shock = initial_shares.row_totals(w0 * (d0 - ref[c0]))

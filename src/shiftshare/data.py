@@ -52,7 +52,7 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -729,7 +729,7 @@ def _read_long_matrix(
     The file is parsed in one pass, CSV by ``_parse_long_csv`` and JSON by
     ``_parse_long_json``; a file that pass does not take whole is read again by
     ``_scan_long_matrix``, which words the error or accepts what ``float`` accepts."""
-    parse = _LONG_PARSERS.get(fmt)
+    parse = {"csv": _parse_long_csv, "json": _parse_long_json}.get(fmt)
     out = None if parse is None else parse(path, column, unit_ids, shift_ids)
     if out is not None:
         return out
@@ -804,9 +804,6 @@ def _parse_long_json(path, column, unit_ids, shift_ids) -> Triplets | None:
     return rows[order], cols[order], np.frombuffer(values)[order]
 
 
-_LONG_PARSERS = {"csv": _parse_long_csv, "json": _parse_long_json}
-
-
 def _id_positions(ids: list[str], found: np.ndarray) -> np.ndarray | None:
     """The index in ``ids`` of each entry of ``found``, or None if one is unknown or a ``U``
     array cannot hold the ``ids`` exactly and apart (a trailing NUL, a repeated id)."""
@@ -868,7 +865,13 @@ def load_shares(
     shift_ids: Sequence[str],
     fmt: str = "csv",
 ) -> ShareMatrix:
-    rows, cols, values = _read_long_matrix(path, "weight", unit_ids, shift_ids, fmt)
+    return _shares_of(path, _read_long_matrix(path, "weight", unit_ids, shift_ids, fmt),
+                      unit_ids, shift_ids)
+
+
+def _shares_of(path, triplets: Triplets, unit_ids, shift_ids) -> ShareMatrix:
+    """The shares of the long-format file ``path`` from the triplets read from it."""
+    rows, cols, values = triplets
     try:
         return ShareMatrix.from_triplets(rows, cols, values, unit_ids, shift_ids)
     except ValidationError as error:
@@ -882,11 +885,14 @@ def load_inputs(
     shifts_path: str | Path,
     units_path: str | Path,
     fmt: str = "csv",
+    read_shares: Callable[..., ShareMatrix] | None = None,
 ) -> tuple[ShareMatrix, ShiftTable, Dataset]:
-    """Load and cross-validate the three input files."""
+    """Load and cross-validate the three input files: the shifts, the units, then the
+    shares, which ``read_shares`` (default ``load_shares``, of the same arguments) reads
+    against their ids."""
     shifts = load_shifts(shifts_path, fmt)
     dataset = load_units(units_path, fmt)
-    shares = load_shares(shares_path, dataset.unit_ids, shifts.shift_ids, fmt)
+    shares = (read_shares or load_shares)(shares_path, dataset.unit_ids, shifts.shift_ids, fmt)
     return shares, shifts, dataset
 
 

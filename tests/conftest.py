@@ -81,6 +81,12 @@ def matched_instance(rng, n, m, n_covariates=2, beta=1.7, extra_unit_control=Tru
     }
 
 
+@pytest.fixture(autouse=True)
+def _own_cache_dir(tmp_path_factory, monkeypatch):
+    """Each test gets an empty input cache of its own, never the user's."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240815)

@@ -1,16 +1,22 @@
 """End-to-end command-line behavior: artifacts, exit codes, reproducibility."""
 
 import ast
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import shiftshare
 from shiftshare import cli, simulate
@@ -888,3 +894,255 @@ def test_threads_flag_removed(inputs, tmp_path):
     assert main(["--quiet", "estimate", *io_args(inputs, tmp_path / "m")]) == 0
     manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
     assert "threads" not in manifest
+
+
+# ---------------------------------------------------------------------------
+# the input cache: a later run on the same files loads their parsed triplets
+
+
+def _cache_entries() -> list[Path]:
+    return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "shiftshare").glob("*.triplets"))
+
+
+def _run(argv, out: Path) -> dict:
+    """``main(argv)`` writing into ``out``: its exit code, standard output and error, the
+    warnings it raised and the bytes of each file it wrote but the manifest."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
+    found = {"exit code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+             "warnings": [(w.category, str(w.message), w.filename, w.lineno) for w in caught]}
+    if out.is_dir():
+        found.update((p.name, p.read_bytes()) for p in sorted(out.iterdir())
+                     if p.name != "manifest.json")
+    return found
+
+
+def _every_long_format_file(inputs, directory: Path, fmt: str) -> list[str]:
+    """Arguments of a ``construct`` that reads all three long-format files, in ``fmt``; u7
+    holds no share, so that the all-zero-row warning is raised."""
+    inputs = {**inputs}
+    inputs["shares"].write_text("".join(line + "\n" for line in SHARES.splitlines()
+                                        if not line.startswith("u7")))
+    unit_shifts = directory / "ds.csv"
+    unit_shifts.write_text("unit_id,shift_id,value\n" + "".join(
+        f"u{i},s{j},{(i + j) % 3 * 0.5}\n" for i in range(8) for j in range(4)))
+    inputs["unit_shifts"] = unit_shifts
+    if fmt == "json":
+        paths = _json_inputs(inputs, directory / "json")
+        lines = unit_shifts.read_text().strip().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        paths["unit_shifts"] = directory / "json" / "ds.json"
+        paths["unit_shifts"].write_text(json.dumps(rows))
+        inputs = paths
+    return ["construct", "--format", fmt, "--decompose", "--loo", "--complete-shares",
+            "--residualize", "cluster", "--initial-shares", str(inputs["shares"]),
+            "--unit-shifts", str(inputs["unit_shifts"]),
+            *io_args(inputs, directory)[:-2]]
+
+
+def _count_parses(monkeypatch) -> list:
+    reads = []
+    read = shiftshare.data._read_long_matrix
+
+    def counted(path, *args):
+        reads.append(Path(path))
+        return read(path, *args)
+    monkeypatch.setattr(cli, "_read_long_matrix", counted)
+    return reads
+
+
+class TestInputCache:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_hit_runs_no_parser(self, fmt, inputs, tmp_path, monkeypatch):
+        argv = _every_long_format_file(inputs, tmp_path, fmt)
+        first = _run(argv, tmp_path / "first")
+        assert first["exit code"] == 0
+        assert [w[1] for w in first["warnings"]][:1] == [
+            "1 all-zero share row(s) retained (first: u7)"]
+        # one entry for the shares, read as --shares and as --initial-shares, and one for
+        # the unit shifts
+        assert len(_cache_entries()) == 2
+
+        def no_parse(*args):
+            raise AssertionError("a cached file was parsed")
+        for name in ("_parse_long_csv", "_parse_long_json", "_scan_long_matrix"):
+            monkeypatch.setattr(shiftshare.data, name, no_parse)
+        assert _run(argv, tmp_path / "second") == first
+
+    def test_the_first_run_parses_each_file_once(self, inputs, tmp_path, monkeypatch):
+        reads = _count_parses(monkeypatch)
+        argv = _every_long_format_file(inputs, tmp_path, "csv")
+        assert _run(argv, tmp_path / "first")["exit code"] == 0
+        assert sorted(p.name for p in reads) == ["ds.csv", "shares.csv"]
+        reads.clear()
+        assert _run(argv, tmp_path / "second")["exit code"] == 0
+        assert reads == []
+
+    @pytest.mark.parametrize("change", ["one byte", "reordered units", "other format"])
+    def test_a_changed_input_is_a_miss(self, change, inputs, tmp_path, monkeypatch):
+        argv = ["estimate", *io_args(inputs, tmp_path)[:-2]]
+        first = _run(argv, tmp_path / "first")
+        reads = _count_parses(monkeypatch)
+        if change == "one byte":
+            inputs["shares"].write_text(SHARES.replace("u7,s3,0.5241", "u7,s3,0.5242"))
+        elif change == "reordered units":
+            header, *rows = UNITS.strip().splitlines()
+            inputs["units"].write_text("\n".join([header, *reversed(rows)]) + "\n")
+        else:
+            argv = ["estimate", "--format", "json",
+                    *io_args(_json_inputs(inputs, tmp_path / "json"), tmp_path)[:-2]]
+        second = _run(argv, tmp_path / "second")
+        assert reads == [Path(argv[argv.index("--shares") + 1])]
+        assert len(_cache_entries()) == 2
+        if change == "other format":
+            assert second == first
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "trailing bytes",
+                                        "negative share", "unsorted", "float indices"])
+    def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, damage, inputs, tmp_path,
+                                                        monkeypatch):
+        argv = ["estimate", *io_args(inputs, tmp_path)[:-2]]
+        first = _run(argv, tmp_path / "first")
+        [entry] = _cache_entries()
+        written = entry.read_bytes()
+        with open(entry, "rb") as fh:
+            rows, cols, values = (np.load(fh) for _ in range(3))
+        if damage in ("truncated", "empty", "trailing bytes"):
+            entry.write_bytes({"truncated": written[:len(written) // 2], "empty": b"",
+                               "trailing bytes": written + b"\0"}[damage])
+        else:
+            if damage == "negative share":
+                values = -values
+            elif damage == "unsorted":
+                rows, cols, values = rows[::-1], cols[::-1], values[::-1]
+            else:
+                rows = rows.astype(float)
+            with open(entry, "wb") as fh:
+                for array in (rows, cols, values):
+                    np.save(fh, array)
+        reads = _count_parses(monkeypatch)
+        assert _run(argv, tmp_path / "second") == first
+        assert reads == [inputs["shares"]]
+        assert _cache_entries() == [entry] and entry.read_bytes() == written
+
+    def test_an_unwritable_cache_leaves_the_run_uncached(self, inputs, tmp_path,
+                                                         monkeypatch):
+        argv = _every_long_format_file(inputs, tmp_path, "csv")
+        first = _run(argv, tmp_path / "first")
+        blocked = tmp_path / "not-a-directory"
+        blocked.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+        for name in ("second", "third"):
+            assert _run(argv, tmp_path / name) == first
+        assert blocked.read_text() == ""
+
+    @pytest.mark.parametrize("bad", ["u0,s0,abc", "u0,s9,0.1", "u0,s0,-0.1", "u0,s0,0.99"])
+    def test_a_rejected_shares_file_writes_no_entry(self, bad, inputs, tmp_path):
+        inputs["shares"].write_text(SHARES.replace("u0,s0,0.0629", bad))
+        argv = ["estimate", *io_args(inputs, tmp_path)[:-2]]
+        first = _run(argv, tmp_path / "first")
+        assert first["exit code"] == 1
+        assert first["stderr"].startswith("error: ") and first["stderr"].count("\n") == 1
+        assert _cache_entries() == []
+        assert _run(argv, tmp_path / "second") == first
+
+    def test_the_oldest_entries_go_past_the_cap(self, inputs, tmp_path, monkeypatch):
+        argv = ["estimate", *io_args(inputs, tmp_path)[:-2]]
+        names = []
+        for k in range(3):
+            inputs["shares"].write_text(SHARES.replace("u7,s3,0.5241", f"u7,s3,0.524{k}"))
+            _run(argv, tmp_path / f"run{k}")
+            names += [p for p in _cache_entries() if p not in names]
+            if k == 1:  # a hit makes the first entry the newest again
+                monkeypatch.setattr(cli, "CACHE_BYTES", 2 * names[0].stat().st_size)
+                os.utime(names[0], ns=(0, 0))
+                inputs["shares"].write_text(SHARES.replace("u7,s3,0.5241", "u7,s3,0.5240"))
+                _run(argv, tmp_path / "hit")
+        assert _cache_entries() == sorted([names[0], names[2]])
+
+    def test_the_cache_directory_is_private(self, inputs, tmp_path):
+        _run(["estimate", *io_args(inputs, tmp_path)[:-2]], tmp_path / "out")
+        directory = Path(os.environ["XDG_CACHE_HOME"]) / "shiftshare"
+        assert directory.stat().st_mode & 0o777 == 0o700
+        assert [p.name for p in directory.iterdir()] == [p.name for p in _cache_entries()]
+
+    def test_the_library_reads_without_the_cache(self, inputs):
+        shiftshare.load_inputs(inputs["shares"], inputs["shifts"], inputs["units"])
+        shiftshare.data.load_shares(inputs["shares"], [f"u{i}" for i in range(8)],
+                                    [f"s{j}" for j in range(4)])
+        assert not (Path(os.environ["XDG_CACHE_HOME"]) / "shiftshare").exists()
+
+
+# ---------------------------------------------------------------------------
+# every malformed input ends in one line, and a second run through the cache ends alike
+
+MUTATIONS = ("dropped field", "bad number", "repeated pair", "non-finite value",
+             "dropped column", "non-utf-8 byte", "truncated", "byte-order mark",
+             "out holds a report's name")
+COMMANDS_UNDER_FUZZ = (["estimate", "--report", "text"],
+                       ["construct", "--complete-shares", "--replace-threshold", "0.2"])
+
+
+def _mutated(text: str, fmt: str, mutation: str, k: int, f: int, where: float) -> bytes:
+    """The input table ``text`` in ``fmt`` after ``mutation`` at data row ``k``, field
+    ``f`` or the byte at fraction ``where`` of the file (each taken modulo its range)."""
+    header, *rows = (line.split(",") for line in text.strip().splitlines())
+    k, f = k % len(rows), f % len(header)
+    if mutation == "dropped field":
+        del rows[k][f]
+    elif mutation in ("bad number", "non-finite value"):
+        rows[k][f] = "1.2.3" if mutation == "bad number" else ("nan", "inf", "-inf")[k % 3]
+    elif mutation == "repeated pair":
+        rows.append(rows[k])
+    elif mutation == "dropped column":
+        for row in (header, *rows):
+            del row[f]
+    if fmt == "csv":
+        data = "".join(",".join(row) + "\n" for row in (header, *rows)).encode()
+    else:
+        data = json.dumps([dict(zip(header, row)) for row in rows], indent=1).encode()
+    at = int(where * len(data))
+    if mutation == "non-utf-8 byte":
+        data = data[:at] + b"\xff" + data[at:]
+    elif mutation == "truncated":
+        data = data[:at]
+    elif mutation == "byte-order mark":
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fmt=st.sampled_from(["csv", "json"]), target=st.sampled_from(["shares", "shifts", "units"]),
+       mutation=st.sampled_from(MUTATIONS), command=st.sampled_from(COMMANDS_UNDER_FUZZ),
+       k=st.integers(0, 40), f=st.integers(0, 10), where=st.floats(0.0, 1.0))
+def test_a_mutated_input_ends_in_one_line_and_a_rerun_alike(fmt, target, mutation, command,
+                                                           k, f, where, tmp_path_factory):
+    """Each run exits 0, or 1 or 2 with its one error line; the second, which reads what
+    the first left in the cache, gives the same exit code, output, warnings and reports."""
+    work = tmp_path_factory.mktemp("fuzz")
+    out = work / "out"
+    out.mkdir()
+    paths = {}
+    for name, text in (("shares", SHARES), ("shifts", SHIFTS), ("units", UNITS)):
+        paths[name] = work / f"{name}.{fmt}"
+        paths[name].write_bytes(_mutated(text, fmt, mutation if name == target else "",
+                                         k, f, where))
+    if mutation == "out holds a report's name":
+        report = "estimate.json" if command[0] == "estimate" else "exposure.csv"
+        paths[target] = paths[target].rename(out / report)
+    argv = [*command, "--format", fmt, *io_args(paths, out)[:-2]]
+    with mock.patch.dict(os.environ, {"XDG_CACHE_HOME": str(work / "cache")}):
+        first = _run(argv, out)
+        second = _run(argv, out)
+    assert second == first
+    lines = first["stderr"].splitlines()
+    if first["exit code"] == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    elif first["exit code"] == 2:
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
+    else:
+        assert first["exit code"] == 0 and lines == []

@@ -106,6 +106,17 @@ class TestDecompose:
         with pytest.raises(ValidationError, match="mismatch"):
             decompose(initial, current, every_cell(np.zeros((3, 3))))
 
+    def test_shares_listing_their_ids_in_another_order_are_rejected(self):
+        """Both matrices are read by position, so the same shares under reordered ids
+        would be matched to the wrong units and shifts."""
+        initial = ShareMatrix([[0.5, 0.0], [0.25, 0.5]], ("a", "b"), ("s", "t"))
+        current = ShareMatrix([[0.5, 0.25], [0.0, 0.5]], ("b", "a"), ("t", "s"))
+        unit_shifts = every_cell([[1.0, 2.0], [3.0, 4.0]])
+        for other in (current, ShareMatrix(current.weights, ("b", "a"), ("s", "t")),
+                      ShareMatrix(current.weights, ("a", "b"), ("t", "s"))):
+            with pytest.raises(ValidationError, match="id mismatch"):
+                decompose(initial, other, unit_shifts)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("dtype", [float, int])
     def test_dense_unit_shifts_rejected(self, rng, n, dtype):

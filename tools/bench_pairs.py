@@ -8,9 +8,11 @@ PARENT and CHANGE are checkouts of the repository (a ``git clone`` or ``git arch
 of each commit). Pair k runs ``perfbench/run.py --trace 0 --seed k`` once in each
 checkout, seeds 1..N, for the ``run_seconds`` of the change's ``BENCHMARK.json``, the
 parent first in odd pairs and the change first in even ones, so that a drift of the
-host does not favour one side. Every run is printed as it ends. Then, for each
-end-to-end metric of ``BENCHMARK.json``, the tool prints each side's median and
-quartiles, the change's wins (pairs in which it is strictly better) and a verdict:
+host does not favour one side. Every run starts from an empty input cache of its own (a
+fresh ``XDG_CACHE_HOME``, removed after it), so that no run reads the parsed inputs that
+another left. Every run is printed as it ends. Then, for each end-to-end metric of
+``BENCHMARK.json``, the tool prints each side's median and quartiles, the change's wins
+(pairs in which it is strictly better) and a verdict:
 
 - ``gain``: better in at least 9 of 10 pairs, with a median gap larger than the
   parent's interquartile range, while every run of the change is correct and the
@@ -27,19 +29,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WIN_SHARE = 0.9  # the change must be better in at least this share of the pairs
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run of ``checkout``'s benchmark: its final JSON line."""
+    """One ``--trace 0`` run of ``checkout``'s benchmark, from an empty input cache: its
+    final JSON line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-cache-") as cache:
+        done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                              env={**os.environ, "XDG_CACHE_HOME": cache})
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{checkout}: seed {seed} exited {done.returncode}:\n{done.stderr}")

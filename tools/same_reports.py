@@ -7,7 +7,10 @@ Usage (from any directory):
 PARENT and CHANGE are checkouts of the repository (a ``git clone`` or ``git archive`` of
 each commit). For every seed and every workload of PARENT's ``perfbench/workloads.py``,
 the inputs are built once, by that file's ``build_inputs`` on PARENT's ``src/``. Each
-command then runs in a fresh interpreter once against each checkout's own ``src/``:
+command then runs in a fresh interpreter against each checkout's own ``src/``, once on
+PARENT and twice on CHANGE: first from an empty input cache, then from the cache that
+the first run filled. Each side has an input cache of its own (``XDG_CACHE_HOME`` in the
+tool's temporary directory), emptied before each command:
 
 - every workload command;
 - on the ``cli-paper`` inputs, the report paths that no workload takes: ``construct
@@ -18,10 +21,10 @@ command then runs in a fresh interpreter once against each checkout's own ``src/
 
 Commands run without ``--quiet``, so what they print is compared too. For each command
 the exit code, standard output, standard error and every output file but
-``manifest.json`` (which holds a timestamp) must be the same bytes. A warning is
-compared by its category and message; where it was raised is code, not report. The
-tool stops at the first difference, names it and exits 1; it exits 0 when every output
-is the same.
+``manifest.json`` (which holds a timestamp) of both CHANGE runs must be PARENT's bytes.
+A warning is compared by its category and message; where it was raised is code, not
+report. The tool stops at the first difference, names it and exits 1; it exits 0 when
+every output is the same.
 """
 
 from __future__ import annotations
@@ -88,10 +91,11 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
     ]
 
 
-def run(checkout: Path, args: list[str], out: Path) -> dict[str, bytes]:
-    """One command against ``checkout``'s ``src/``: its exit code, standard output and
-    error, and the bytes of each file it wrote but the manifest."""
-    env = {**os.environ, **THREADS, "PYTHONPATH": str(checkout / "src")}
+def run(checkout: Path, args: list[str], out: Path, cache: Path) -> dict[str, bytes]:
+    """One command against ``checkout``'s ``src/`` with the input cache ``cache``: its exit
+    code, standard output and error, and the bytes of each file it wrote but the manifest."""
+    env = {**os.environ, **THREADS, "PYTHONPATH": str(checkout / "src"),
+           "XDG_CACHE_HOME": str(cache)}
     done = subprocess.run([sys.executable, "-c", LAUNCH, *args, "--out", str(out)],
                           env=env, capture_output=True)
     found = {"exit code": str(done.returncode).encode(), "stdout": done.stdout,
@@ -123,6 +127,7 @@ def main() -> int:
     compared = 0
     with tempfile.TemporaryDirectory(prefix="same_reports-") as tmp:
         work = Path(tmp)
+        caches = [work / "cache" / "parent", work / "cache" / "change"]
         for seed in opts.seeds:
             for workload in WORKLOADS.values():
                 directory = work / workload.name / "inputs"
@@ -133,16 +138,20 @@ def main() -> int:
                     commands += extra_commands(directory, {fmt: input_flags(directory, fmt)
                                                            for fmt in ("csv", "json")}, seed)
                 for index, (label, args) in enumerate(commands):
-                    outputs = [run(side, args, work / workload.name / name / str(index))
-                               for side, name in ((parent, "parent"), (change, "change"))]
-                    differs = first_difference(*outputs)
-                    if differs is not None:
-                        print(f"seed {seed} {workload.name} command {index} ({label}): "
-                              f"{differs} differs")
-                        return 1
+                    for cache in caches:
+                        shutil.rmtree(cache, ignore_errors=True)
+                    out = work / workload.name / str(index)
+                    expected = run(parent, args, out / "parent", caches[0])
+                    for state in ("empty", "filled"):
+                        found = run(change, args, out / state, caches[1])
+                        differs = first_difference(expected, found)
+                        if differs is not None:
+                            print(f"seed {seed} {workload.name} command {index} ({label}, "
+                                  f"{state} cache): {differs} differs")
+                            return 1
                     compared += 1
                     print(f"# seed {seed} {workload.name} {index}: same ({label}; exit "
-                          f"{outputs[0]['exit code'].decode()})", flush=True)
+                          f"{expected['exit code'].decode()})", flush=True)
                 shutil.rmtree(work / workload.name)
     print(f"{compared} commands at seeds {opts.seeds}: every output is the same")
     return 0
