@@ -11,7 +11,8 @@ failure, 64 usage error.
 Each long-format file (``--shares``, ``--initial-shares``, ``--unit-shifts``) is
 parsed once: its triplets are kept in ``$XDG_CACHE_HOME/shiftshare`` (default
 ``~/.cache/shiftshare``) under a key of the file's digest and the ids it is read
-against, so that a later run on the same files loads them instead of parsing.
+against, so that a later run on the same files loads them instead of parsing. A cache
+directory that another user owns or may read or write is not used.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .data import (
     _shares_of,
     _undecodable,
     _write_columns,
-    load_inputs,
+    load_shifts,
+    load_units,
 )
 from .diagnose import balance_test_unit, concentration, icc, shift_summary
 from .errors import (
@@ -84,7 +86,7 @@ def _sha256(path: Path) -> str:
 
 # the layout of a cache entry and what it holds; a change to either, or to what the
 # parsers return, takes a new number, so that no older entry is read
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 # total bytes of the cache's entries, past which the least recently used are removed
 CACHE_BYTES = 1 << 30
 
@@ -100,20 +102,42 @@ def _cache_dir() -> Path | None:
     return Path(base) / "shiftshare"
 
 
+def _private(directory: Path) -> bool:
+    """Whether ``directory`` is this user's and no one else may read or write it. Entry
+    names follow from the inputs, so the cache is used only where no one else can plant
+    one."""
+    try:
+        stat = os.stat(directory)
+    except OSError:
+        return False
+    return (hasattr(os, "getuid") and stat.st_uid == os.getuid()
+            and not stat.st_mode & 0o077)
+
+
+def _digest_of(triplets: Triplets) -> bytes:
+    """The SHA-256 of the bytes of the three arrays, which an entry holds ahead of them."""
+    digest = hashlib.sha256()
+    for array in triplets:
+        digest.update(np.ascontiguousarray(array))
+    return digest.digest()
+
+
 def _cache_load(entry: Path, n: int, m: int) -> Triplets | None:
     """The triplets an entry holds, as ``_read_long_matrix`` returns them for an ``n`` by
-    ``m`` matrix (integer indices in range, sorted, no pair twice), or None; an entry that
-    does not hold them is removed."""
+    ``m`` matrix (integer indices in range, sorted, no pair twice) and as they were
+    written (their digest), or None; an entry that does not hold them is removed."""
     try:
         with open(entry, "rb") as fh:
+            digest = fh.read(32)
             rows, cols, values = (np.load(fh, allow_pickle=False) for _ in range(3))
             whole = not fh.read(1)
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, EOFError):
+    except Exception:  # a damaged header may claim any dtype or shape, even a huge one
         whole = False
     if whole and rows.dtype == cols.dtype == np.intp and values.dtype == np.float64 and (
-            rows.ndim == 1 and rows.shape == cols.shape == values.shape):
+            rows.ndim == 1 and rows.shape == cols.shape == values.shape) and (
+            _digest_of((rows, cols, values)) == digest):
         keys = rows * m + cols
         if not rows.size or (0 <= rows.min() <= rows.max() < n and 0 <= cols.min()
                              <= cols.max() < m and np.all(keys[1:] > keys[:-1])):
@@ -130,13 +154,17 @@ def _cache_remove(entry: Path) -> None:
 
 
 def _cache_store(entry: Path, triplets: Triplets) -> None:
-    """Write ``triplets`` to ``entry`` in one move, then remove the oldest entries past
-    ``CACHE_BYTES``; a run whose entry cannot be written stays uncached."""
+    """Write the digest of ``triplets`` and then the triplets to ``entry`` in one move, then
+    remove the oldest entries past ``CACHE_BYTES``; a run whose entry cannot be written,
+    or whose cache directory is not private, stays uncached."""
     try:
         os.makedirs(entry.parent, mode=0o700, exist_ok=True)
+        if not _private(entry.parent):  # made by another user, or opened up
+            return
         temp = entry.with_name(f".{entry.name}.{os.getpid()}")  # no other run writes it
         try:
             with open(temp, "wb") as fh:
+                fh.write(_digest_of(triplets))
                 for array in triplets:
                     np.save(fh, array, allow_pickle=False)
             os.replace(temp, entry)
@@ -183,7 +211,8 @@ class _Reader:
             key = json.dumps([CACHE_FORMAT, __version__, fmt, column, digest,
                               list(unit_ids), list(shift_ids)])
             entry = directory / f"{hashlib.sha256(key.encode()).hexdigest()}.triplets"
-            cached = _cache_load(entry, len(unit_ids), len(shift_ids))
+            cached = (_cache_load(entry, len(unit_ids), len(shift_ids))
+                      if _private(directory) else None)
             if cached is not None:
                 try:
                     return accept(cached)
@@ -345,7 +374,7 @@ def build_parser() -> _Parser:
 # content)}``, which the runner writes into ``--out``
 
 
-def _cmd_construct(args, shares, shifts, dataset, reader) -> dict:
+def _cmd_construct(args, shares, shifts, dataset) -> dict:
     reports = {}
     w_j = shift_weights_from(dataset, shares)
     if args.decompose and (args.initial_shares is None or args.unit_shifts is None):
@@ -353,13 +382,13 @@ def _cmd_construct(args, shares, shifts, dataset, reader) -> dict:
     if args.loo and args.unit_shifts is None:
         raise ValidationError("--loo needs --unit-shifts")
     if args.decompose:
-        initial = reader.shares(args.initial_shares, dataset.unit_ids, shifts.shift_ids,
-                                args.format)
+        initial = args.reader.shares(args.initial_shares, dataset.unit_ids,
+                                     shifts.shift_ids, args.format)
     # read once for both uses; the complement column that --complete-shares appends is not
     # in the file, so its unit-by-shift values are zero
     if args.decompose or args.loo:
-        unit_shifts = reader.triplets(args.unit_shifts, "value", dataset.unit_ids,
-                                      shifts.shift_ids, args.format)
+        unit_shifts = args.reader.triplets(args.unit_shifts, "value", dataset.unit_ids,
+                                           shifts.shift_ids, args.format)
 
     if args.decompose:
         result = decompose(initial, shares, unit_shifts)
@@ -565,14 +594,16 @@ COMMANDS = {
 }
 
 
-def _read_inputs(args, reader: _Reader) -> tuple:
-    """What the command reads, checked before ``--out`` is created: the three input files
-    (and for ``construct`` the ``reader`` of its other files), or for ``simulate`` the DGP
-    config and the estimator names."""
+def _read_inputs(args) -> tuple:
+    """What the command reads, checked before ``--out`` is created: the three input files,
+    the shifts and units first and then the shares against their ids, or for ``simulate``
+    the DGP config and the estimator names."""
     if args.command != "simulate":
-        inputs = load_inputs(args.shares, args.shifts, args.units, args.format,
-                             read_shares=reader.shares)
-        return (*inputs, reader) if args.command == "construct" else inputs
+        shifts = load_shifts(args.shifts, args.format)
+        dataset = load_units(args.units, args.format)
+        shares = args.reader.shares(args.shares, dataset.unit_ids, shifts.shift_ids,
+                                    args.format)
+        return shares, shifts, dataset
     config = _parse_dgp_config(args.config, args.seed)
     estimators = [e for e in args.estimators.split(",") if e]
     unknown = [e for e in estimators if e not in ESTIMATORS]
@@ -586,12 +617,12 @@ def dispatch(argv) -> int:
     and write its reports and the manifest there, unless one would be written over an
     input. A failure ends in its exit code and one line on standard error."""
     args = build_parser().parse_args(argv)
-    reader = _Reader()
+    args.reader = _Reader()  # one per run: each input's digest, and the cache
     try:
-        inputs = _read_inputs(args, reader)
+        inputs = _read_inputs(args)
         if args.out.exists() and not args.out.is_dir():  # found before the command runs
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(args.out))
-        digests = {str(path): reader.digest(path) for path in _input_paths(args)}
+        digests = {str(path): args.reader.digest(path) for path in _input_paths(args)}
         reports = COMMANDS[args.command](args, *inputs)
         _refuse_overwrites(args, reports)
         args.out.mkdir(parents=True, exist_ok=True)

@@ -52,7 +52,7 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -729,7 +729,7 @@ def _read_long_matrix(
     The file is parsed in one pass, CSV by ``_parse_long_csv`` and JSON by
     ``_parse_long_json``; a file that pass does not take whole is read again by
     ``_scan_long_matrix``, which words the error or accepts what ``float`` accepts."""
-    parse = {"csv": _parse_long_csv, "json": _parse_long_json}.get(fmt)
+    parse = _LONG_PARSERS.get(fmt)
     out = None if parse is None else parse(path, column, unit_ids, shift_ids)
     if out is not None:
         return out
@@ -802,6 +802,9 @@ def _parse_long_json(path, column, unit_ids, shift_ids) -> Triplets | None:
     if repeat is not None:
         return None
     return rows[order], cols[order], np.frombuffer(values)[order]
+
+
+_LONG_PARSERS = {"csv": _parse_long_csv, "json": _parse_long_json}
 
 
 def _id_positions(ids: list[str], found: np.ndarray) -> np.ndarray | None:
@@ -885,14 +888,11 @@ def load_inputs(
     shifts_path: str | Path,
     units_path: str | Path,
     fmt: str = "csv",
-    read_shares: Callable[..., ShareMatrix] | None = None,
 ) -> tuple[ShareMatrix, ShiftTable, Dataset]:
-    """Load and cross-validate the three input files: the shifts, the units, then the
-    shares, which ``read_shares`` (default ``load_shares``, of the same arguments) reads
-    against their ids."""
+    """Load and cross-validate the three input files."""
     shifts = load_shifts(shifts_path, fmt)
     dataset = load_units(units_path, fmt)
-    shares = (read_shares or load_shares)(shares_path, dataset.unit_ids, shifts.shift_ids, fmt)
+    shares = load_shares(shares_path, dataset.unit_ids, shifts.shift_ids, fmt)
     return shares, shifts, dataset
 
 

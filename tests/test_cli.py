@@ -829,7 +829,7 @@ def test_one_run_path():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(getattr(top, "name", None))
-    assert calls["load_inputs"] == ["_read_inputs"]
+    assert calls["load_shifts"] == calls["load_units"] == ["_read_inputs"]
     assert calls["_write_manifest"] == ["dispatch"]
     assert calls["mkdir"] == ["dispatch"]
 
@@ -943,6 +943,13 @@ def _every_long_format_file(inputs, directory: Path, fmt: str) -> list[str]:
             *io_args(inputs, directory)[:-2]]
 
 
+def _entry_arrays(entry: Path) -> tuple:
+    """The three arrays that follow an entry's 32-byte digest."""
+    with open(entry, "rb") as fh:
+        fh.seek(32)
+        return tuple(np.load(fh) for _ in range(3))
+
+
 def _count_parses(monkeypatch) -> list:
     reads = []
     read = shiftshare.data._read_long_matrix
@@ -968,8 +975,9 @@ class TestInputCache:
 
         def no_parse(*args):
             raise AssertionError("a cached file was parsed")
-        for name in ("_parse_long_csv", "_parse_long_json", "_scan_long_matrix"):
-            monkeypatch.setattr(shiftshare.data, name, no_parse)
+        for fmt_parsed in ("csv", "json"):
+            monkeypatch.setitem(shiftshare.data._LONG_PARSERS, fmt_parsed, no_parse)
+        monkeypatch.setattr(shiftshare.data, "_scan_long_matrix", no_parse)
         assert _run(argv, tmp_path / "second") == first
 
     def test_the_first_run_parses_each_file_once(self, inputs, tmp_path, monkeypatch):
@@ -1001,18 +1009,29 @@ class TestInputCache:
             assert second == first
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "trailing bytes",
-                                        "negative share", "unsorted", "float indices"])
+                                        "one bit of a value", "huge shape", "negative share",
+                                        "unsorted", "float indices"])
     def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, damage, inputs, tmp_path,
                                                         monkeypatch):
+        """Damage that the digest catches, and entries that match their digest but not
+        what the parsers return."""
         argv = ["estimate", *io_args(inputs, tmp_path)[:-2]]
         first = _run(argv, tmp_path / "first")
         [entry] = _cache_entries()
         written = entry.read_bytes()
-        with open(entry, "rb") as fh:
-            rows, cols, values = (np.load(fh) for _ in range(3))
-        if damage in ("truncated", "empty", "trailing bytes"):
-            entry.write_bytes({"truncated": written[:len(written) // 2], "empty": b"",
-                               "trailing bytes": written + b"\0"}[damage])
+        rows, cols, values = _entry_arrays(entry)
+        if damage in ("truncated", "empty", "trailing bytes", "one bit of a value"):
+            at = len(written) - values.nbytes  # the low byte of the first value's mantissa
+            entry.write_bytes({
+                "truncated": written[:len(written) // 2], "empty": b"",
+                "trailing bytes": written + b"\0",
+                "one bit of a value": written[:at] + bytes([written[at] ^ 1])
+                + written[at + 1:]}[damage])
+        elif damage == "huge shape":  # np.load raises MemoryError
+            with open(entry, "r+b") as fh:
+                fh.seek(32)
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": "<i8", "fortran_order": False, "shape": (2 ** 50,)})
         else:
             if damage == "negative share":
                 values = -values
@@ -1021,6 +1040,7 @@ class TestInputCache:
             else:
                 rows = rows.astype(float)
             with open(entry, "wb") as fh:
+                fh.write(cli._digest_of((rows, cols, values)))
                 for array in (rows, cols, values):
                     np.save(fh, array)
         reads = _count_parses(monkeypatch)
@@ -1068,6 +1088,32 @@ class TestInputCache:
         directory = Path(os.environ["XDG_CACHE_HOME"]) / "shiftshare"
         assert directory.stat().st_mode & 0o777 == 0o700
         assert [p.name for p in directory.iterdir()] == [p.name for p in _cache_entries()]
+
+    @pytest.mark.parametrize("opening", ["group-writable", "world-readable",
+                                         "another user's"])
+    def test_a_directory_others_may_use_is_left_alone(self, opening, inputs, tmp_path,
+                                                      monkeypatch):
+        """A cache directory that another user owns or may read or write is neither read
+        nor written, not even an entry in it that matches its digest."""
+        argv = ["estimate", *io_args(inputs, tmp_path)[:-2]]
+        first = _run(argv, tmp_path / "first")
+        [entry] = _cache_entries()
+        rows, cols, values = _entry_arrays(entry)
+        values = values * 0.5  # planted: still valid shares, so only the owner check fails
+        with open(entry, "wb") as fh:
+            fh.write(cli._digest_of((rows, cols, values)))
+            for array in (rows, cols, values):
+                np.save(fh, array)
+        planted = entry.read_bytes()
+        if opening == "another user's":
+            monkeypatch.setattr(os, "getuid", lambda: os.stat(entry.parent).st_uid + 1)
+        else:
+            entry.parent.chmod(0o770 if opening == "group-writable" else 0o704)
+        reads = _count_parses(monkeypatch)
+        for name in ("second", "third"):
+            assert _run(argv, tmp_path / name) == first
+        assert reads == [inputs["shares"]] * 2
+        assert _cache_entries() == [entry] and entry.read_bytes() == planted
 
     def test_the_library_reads_without_the_cache(self, inputs):
         shiftshare.load_inputs(inputs["shares"], inputs["shifts"], inputs["units"])
