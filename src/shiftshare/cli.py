@@ -42,9 +42,11 @@ from .construct import (
 )
 from .data import (
     Triplets,
+    _checked_unit_shifts,
     _read_long_matrix,
     _share_columns,
     _shares_of,
+    _triplet_order,
     _undecodable,
     _write_columns,
     load_shifts,
@@ -122,10 +124,10 @@ def _digest_of(triplets: Triplets) -> bytes:
     return digest.digest()
 
 
-def _cache_load(entry: Path, n: int, m: int) -> Triplets | None:
-    """The triplets an entry holds, as ``_read_long_matrix`` returns them for an ``n`` by
-    ``m`` matrix (integer indices in range, sorted, no pair twice) and as they were
-    written (their digest), or None; an entry that does not hold them is removed."""
+def _cache_load(entry: Path) -> Triplets | None:
+    """The triplets an entry holds, with the dtypes and shapes that ``_read_long_matrix``
+    returns and the digest they were written with, or None, removing an entry that does not
+    hold them; ``_Reader.triplets`` checks their range and order."""
     try:
         with open(entry, "rb") as fh:
             digest = fh.read(32)
@@ -138,12 +140,9 @@ def _cache_load(entry: Path, n: int, m: int) -> Triplets | None:
     if whole and rows.dtype == cols.dtype == np.intp and values.dtype == np.float64 and (
             rows.ndim == 1 and rows.shape == cols.shape == values.shape) and (
             _digest_of((rows, cols, values)) == digest):
-        keys = rows * m + cols
-        if not rows.size or (0 <= rows.min() <= rows.max() < n and 0 <= cols.min()
-                             <= cols.max() < m and np.all(keys[1:] > keys[:-1])):
-            with contextlib.suppress(OSError):
-                os.utime(entry)  # the cap removes the least recently used entries first
-            return rows, cols, values
+        with contextlib.suppress(OSError):
+            os.utime(entry)  # the cap removes the least recently used entries first
+        return rows, cols, values
     _cache_remove(entry)
     return None
 
@@ -198,12 +197,11 @@ class _Reader:
             self.digests[path] = _sha256(path)
         return self.digests[path]
 
-    def triplets(self, path: Path, column: str, unit_ids, shift_ids, fmt: str,
-                 accept=lambda triplets: triplets):
-        """``accept(_read_long_matrix(path, column, unit_ids, shift_ids, fmt))``, from the
-        cache where it holds the file's triplets. An entry that ``accept`` rejects is
-        removed and the file parsed; an entry is written only for triplets that it takes,
-        of a file that did not change while it was parsed."""
+    def triplets(self, path: Path, column: str, unit_ids, shift_ids, fmt: str, accept):
+        """``accept(_read_long_matrix(path, column, unit_ids, shift_ids, fmt))``, ``accept``
+        being the check the triplets' consumer runs, from an entry that ``_triplet_order``
+        finds in range and in order and that ``accept`` takes; another is removed and the
+        file parsed. Only triplets that ``accept`` takes, of an unchanged file, are cached."""
         digest = self.digest(path)
         directory = _cache_dir()
         entry = None
@@ -211,13 +209,12 @@ class _Reader:
             key = json.dumps([CACHE_FORMAT, __version__, fmt, column, digest,
                               list(unit_ids), list(shift_ids)])
             entry = directory / f"{hashlib.sha256(key.encode()).hexdigest()}.triplets"
-            cached = (_cache_load(entry, len(unit_ids), len(shift_ids))
-                      if _private(directory) else None)
+            cached = _cache_load(entry) if _private(directory) else None
             if cached is not None:
-                try:
-                    return accept(cached)
-                except ValidationError:
-                    _cache_remove(entry)
+                with contextlib.suppress(ValidationError):
+                    if _triplet_order(*cached, unit_ids, shift_ids, column)[1] is None:
+                        return accept(cached)
+                _cache_remove(entry)
         triplets = _read_long_matrix(path, column, unit_ids, shift_ids, fmt)
         out = accept(triplets)
         if entry is not None and _sha256(path) == digest:
@@ -384,11 +381,12 @@ def _cmd_construct(args, shares, shifts, dataset) -> dict:
     if args.decompose:
         initial = args.reader.shares(args.initial_shares, dataset.unit_ids,
                                      shifts.shift_ids, args.format)
-    # read once for both uses; the complement column that --complete-shares appends is not
-    # in the file, so its unit-by-shift values are zero
+    # read once for both uses, and checked as at_shares checks them; the complement column
+    # that --complete-shares appends is not in the file, so its unit-by-shift values are zero
     if args.decompose or args.loo:
-        unit_shifts = args.reader.triplets(args.unit_shifts, "value", dataset.unit_ids,
-                                           shifts.shift_ids, args.format)
+        ids = dataset.unit_ids, shifts.shift_ids
+        unit_shifts = args.reader.triplets(args.unit_shifts, "value", *ids, args.format,
+                                           lambda found: _checked_unit_shifts(found, *ids)[:3])
 
     if args.decompose:
         result = decompose(initial, shares, unit_shifts)

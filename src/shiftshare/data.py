@@ -20,15 +20,16 @@ The share matrix is stored as row-sorted triplets (CSR, about 16 bytes per nonze
 and unit-by-shift values (``--unit-shifts``) stay ``(rows, cols, values)`` triplets, read at
 the stored shares by ``ShareMatrix.at_shares``: no module builds a dense units-by-shifts array.
 
-CSV files use RFC 4180 quoting as ``save_inputs`` writes it: ``#`` is data, blank lines
-(before the header too) and a leading UTF-8 byte-order mark are skipped, and ragged rows
-and a header naming a column twice are rejected. Ids are matched
-exactly, spaces kept, and numbers read as Python's ``float`` reads them. A ``(unit_id,
-shift_id)`` pair may appear only once, and a long-format file may hold no data rows (no nonzero
-pairs). A long-format file is parsed in one pass into triplets, sorted so that any row
-order of a file, CSV or JSON, gives the same storage: a CSV file by one C parse, a JSON file
-by one ``json.load`` that turns each row object into three appends as it is parsed, so that
-no dict per row is kept. A file that pass does not take whole is read again entry by entry,
+A leading UTF-8 byte-order mark is skipped, in CSV and JSON. CSV files use RFC 4180 quoting
+as ``save_inputs`` writes it: ``#`` is data, blank lines (before the header too) are skipped,
+and ragged rows and a header naming a column twice are rejected. Ids are matched exactly,
+spaces kept, and numbers read as Python's ``float`` reads them. A ``(unit_id, shift_id)`` pair
+may appear only once, and a long-format file may hold no data rows (no nonzero pairs). A
+long-format file is parsed in one pass into triplets: CSV by one C parse, JSON by one
+``json.load`` that turns each row object into three appends, so that no dict per row is kept.
+``_triplet_order`` alone checks triplets, parsed or given, and sorts them by ``(row, col)``,
+so that any row order gives the same storage; it skips the sort for sorted triplets, as
+``save_inputs`` writes them. A file that pass does not take whole is read again entry by entry,
 which words the error or accepts what ``float`` and ``str`` accept: for JSON, an empty
 array, a numeric id, a row with keys besides the three, and any malformed file. A JSON row
 object that gives a key twice keeps the last value (``json.load`` collapses it), and a JSON
@@ -46,7 +47,7 @@ import csv
 import json
 import warnings
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace as dc_replace
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -77,9 +78,11 @@ def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sorted_triplets(rows, cols, values, row_ids, col_ids, what: str):
-    """The ``what`` triplets of the ``row_ids`` by ``col_ids`` matrix, given in any order, as
-    integer indices in its range with no pair twice: sorted, with each key ``row * m + col``."""
+def _triplet_order(rows, cols, values, row_ids, col_ids, what: str):
+    """The one check of triplets: the ``what`` triplets of the ``row_ids`` by ``col_ids``
+    matrix, as index and float arrays in its range with each key ``row * m + col``; the stable
+    order that sorts the keys, None where they strictly increase; and the first entry, in
+    input order, whose pair an earlier entry has, None where there is none."""
     rows, cols, values = np.asarray(rows), np.asarray(cols), np.asarray(values, dtype=float)
     if rows.ndim != 1 or not rows.shape == cols.shape == values.shape:
         raise ValidationError(f"{what} triplets must be one-dimensional and of one length")
@@ -91,15 +94,33 @@ def _sorted_triplets(rows, cols, values, row_ids, col_ids, what: str):
     if rows.size and not (0 <= rows.min() <= rows.max() < n and 0 <= cols.min() <= cols.max() < m):
         raise ValidationError(f"{what} triplet index out of the matrix's range")
     keys = rows * m + cols
-    if np.any(keys[1:] <= keys[:-1]):
-        order = np.argsort(keys, kind="stable")
-        rows, cols, values, keys = rows[order], cols[order], values[order], keys[order]
-        repeats = np.flatnonzero(keys[1:] == keys[:-1])
-        if repeats.size:
-            k = repeats[0] + 1
-            raise ValidationError(f"repeated {what} at unit {row_ids[rows[k]]!r}, "
-                                  f"shift {col_ids[cols[k]]!r}")
-    return rows, cols, values, keys
+    if not np.any(keys[1:] <= keys[:-1]):
+        return (rows, cols, values, keys), None, None
+    order = np.argsort(keys, kind="stable")
+    # a stable sort keeps each pair's entries in input order: all but the first repeat it
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return (rows, cols, values, keys), order, int(repeats.min()) if repeats.size else None
+
+
+def _sorted_triplets(rows, cols, values, row_ids, col_ids, what: str):
+    """The ``what`` triplets of the ``row_ids`` by ``col_ids`` matrix, given in any order, as
+    integer indices in its range with no pair twice: sorted, with each key ``row * m + col``."""
+    triplets, order, k = _triplet_order(rows, cols, values, row_ids, col_ids, what)
+    if k is not None:
+        raise ValidationError(f"repeated {what} at unit {row_ids[triplets[0][k]]!r}, "
+                              f"shift {col_ids[triplets[1][k]]!r}")
+    return triplets if order is None else tuple(a[order] for a in triplets)
+
+
+def _checked_unit_shifts(triplets: Triplets, row_ids, col_ids):
+    """``_sorted_triplets`` of finite unit-by-shift ``(rows, cols, values)`` triplets, checked
+    as ``ShareMatrix.from_triplets`` checks shares."""
+    if isinstance(triplets, np.ndarray) or len(triplets) != 3:
+        raise ValidationError("unit shifts must be (rows, cols, values) triplets")
+    out = _sorted_triplets(*triplets, row_ids, col_ids, "unit shift")
+    if not np.all(np.isfinite(out[2])):
+        raise ValidationError("unit shifts contain non-finite values")
+    return out
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -339,11 +360,7 @@ class ShareMatrix:
     def at_shares(self, triplets: Triplets) -> np.ndarray:
         """One value per stored share, in ``nonzero()`` order, of finite unit-by-shift ``(rows,
         cols, values)`` triplets checked as ``from_triplets`` checks shares; absent pairs are 0."""
-        if isinstance(triplets, np.ndarray) or len(triplets) != 3:
-            raise ValidationError("unit shifts must be (rows, cols, values) triplets")
-        _, _, values, keys = _sorted_triplets(*triplets, self.row_ids, self.col_ids, "unit shift")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("unit shifts contain non-finite values")
+        _, _, values, keys = _checked_unit_shifts(triplets, self.row_ids, self.col_ids)
         wanted = self._rows() * self.n_shifts + self.indices
         at = np.searchsorted(keys, wanted)  # an absent pair finds another key, or the last -1
         return np.where(np.append(keys, -1)[at] == wanted, np.append(values, 0.0)[at], 0.0)
@@ -560,7 +577,7 @@ def _read_columns(
         header, table = _load_csv(path, {})
         names, n_rows = header, -1 if table is None else len(table)
     elif fmt == "json":
-        with open(file) as fh:
+        with open(file, encoding="utf-8-sig") as fh:  # past a leading byte-order mark
             try:
                 rows = json.load(fh)
             except ValueError as error:  # not JSON, or bytes that do not decode
@@ -726,13 +743,14 @@ def _read_long_matrix(
     are zero, so a file without data rows holds no triplets. Every id must be known,
     every value must parse as a number, and no pair may appear twice.
 
-    The file is parsed in one pass, CSV by ``_parse_long_csv`` and JSON by
-    ``_parse_long_json``; a file that pass does not take whole is read again by
+    The file is parsed in one pass, CSV by ``_parse_long_csv`` and JSON by ``_parse_long_json``;
+    a file that pass does not take whole or that repeats a pair is read again by
     ``_scan_long_matrix``, which words the error or accepts what ``float`` accepts."""
     parse = _LONG_PARSERS.get(fmt)
-    out = None if parse is None else parse(path, column, unit_ids, shift_ids)
-    if out is not None:
-        return out
+    parsed = None if parse is None else parse(path, column, unit_ids, shift_ids)
+    if parsed is not None:
+        with suppress(ValidationError):  # a repeated pair, which the scan names
+            return _sorted_triplets(*parsed, unit_ids, shift_ids, column)[:3]
     return _scan_long_matrix(path, column, unit_ids, shift_ids, fmt)
 
 
@@ -742,8 +760,8 @@ _C_PARSE_HAZARDS = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _parse_long_csv(path, column, unit_ids, shift_ids) -> Triplets | None:
-    """``_read_long_matrix`` of a CSV file from one structured ``np.loadtxt``, or None
-    where the file is anything but a clean, non-empty table of known, unrepeated pairs."""
+    """The triplets of a CSV file, in file order, from one structured ``np.loadtxt``, or None
+    where the file is anything but a clean, non-empty table of known ids."""
     try:
         if any(byte in Path(path).read_bytes() for byte in _C_PARSE_HAZARDS):
             return None
@@ -761,18 +779,15 @@ def _parse_long_csv(path, column, unit_ids, shift_ids) -> Triplets | None:
     rows, cols = (_id_positions(ids, fields[name]) for name, ids in known.items())
     if rows is None or cols is None:
         return None
-    order, repeat = _canonical_order(rows, cols, len(shift_ids))
-    if repeat is not None:
-        return None
-    return rows[order], cols[order], fields[column][order]
+    return rows, cols, fields[column].copy()  # a view would keep the whole table alive
 
 
 def _parse_long_json(path, column, unit_ids, shift_ids) -> Triplets | None:
-    """``_read_long_matrix`` of a JSON file from one ``json.load`` whose hook turns each
-    row object into three appends, so that no row's dict outlives its parse; or None where
-    the file is anything but a non-empty array of objects with exactly the keys
-    ``unit_id``, ``shift_id`` and ``column``, known string ids, values that ``float``
-    takes and no repeated pair."""
+    """The triplets of a JSON file, in file order, from one ``json.load`` whose hook turns
+    each row object into three appends, so that no row's dict outlives its parse; or None
+    where the file is anything but a non-empty array of objects with exactly the keys
+    ``unit_id``, ``shift_id`` and ``column``, known string ids and values that ``float``
+    takes."""
     unit_index = {str(u): i for i, u in enumerate(unit_ids)}
     shift_index = {str(s): j for j, s in enumerate(shift_ids)}
     keys, fields = {"unit_id", "shift_id", column}, itemgetter("unit_id", "shift_id", column)
@@ -790,18 +805,14 @@ def _parse_long_json(path, column, unit_ids, shift_ids) -> Triplets | None:
 
     try:
         # opened as _read_columns opens it, so that both decode the same text
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             top = json.load(fh, object_hook=parse)
     except (OSError, ValueError, TypeError, KeyError, OverflowError, RecursionError):
         return None
     # every entry of the array is a row that the hook took, and nothing else is
     if type(top) is not list or not top or len(top) != len(values) or top.count(None) != len(top):
         return None
-    rows, cols = np.frombuffer(rows, dtype=np.intp), np.frombuffer(cols, dtype=np.intp)
-    order, repeat = _canonical_order(rows, cols, len(shift_ids))
-    if repeat is not None:
-        return None
-    return rows[order], cols[order], np.frombuffer(values)[order]
+    return np.array(rows), np.array(cols), np.array(values)
 
 
 _LONG_PARSERS = {"csv": _parse_long_csv, "json": _parse_long_json}
@@ -826,16 +837,6 @@ def _id_positions(ids: list[str], found: np.ndarray) -> np.ndarray | None:
     return np.repeat(at, np.diff(np.flatnonzero(head), append=len(found))) if runs else at
 
 
-def _canonical_order(rows, cols, n_cols: int) -> tuple[np.ndarray, int | None]:
-    """The stable order of the entries by ``(row, col)``, which makes storage the same
-    for any row order of a file, and the first entry whose pair an earlier entry already
-    has, if any."""
-    pairs = rows * n_cols + cols
-    order = np.argsort(pairs, kind="stable")
-    repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
-    return order, int(repeats.min()) if repeats.size else None
-
-
 def _scan_long_matrix(path, column, unit_ids, shift_ids, fmt) -> Triplets:
     """``_read_long_matrix`` entry by entry, with its errors and their precedence."""
     columns = _read_columns(path, fmt, ("unit_id", "shift_id", column), allow_empty=True)
@@ -856,10 +857,10 @@ def _scan_long_matrix(path, column, unit_ids, shift_ids, fmt) -> Triplets:
     ]
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
-    order, k = _canonical_order(rows, cols, len(shift_ids))
+    _, order, k = _triplet_order(rows, cols, values, unit_ids, shift_ids, column)
     if k is not None:
         raise ValidationError(f"{path}: repeated (unit_id, shift_id) pair {(units[k], shifts[k])}")
-    return rows[order], cols[order], values[order]
+    return (rows, cols, values) if order is None else (rows[order], cols[order], values[order])
 
 
 def load_shares(

@@ -1010,14 +1010,20 @@ class TestInputCache:
 
     @pytest.mark.parametrize("damage", ["truncated", "empty", "trailing bytes",
                                         "one bit of a value", "huge shape", "negative share",
-                                        "unsorted", "float indices"])
+                                        "unsorted", "float indices", "unit shift non-finite",
+                                        "unit shift out of range", "unit shift unsorted"])
     def test_a_damaged_entry_is_a_miss_and_is_rewritten(self, damage, inputs, tmp_path,
                                                         monkeypatch):
         """Damage that the digest catches, and entries that match their digest but not
-        what the parsers return."""
-        argv = ["estimate", *io_args(inputs, tmp_path)[:-2]]
+        what the parsers return or the command checks: the shares' entry of an ``estimate``,
+        or the unit shifts' entry of a ``construct`` that reads every long-format file."""
+        unit_shift = damage.startswith("unit shift")
+        argv = (_every_long_format_file(inputs, tmp_path, "csv") if unit_shift
+                else ["estimate", *io_args(inputs, tmp_path)[:-2]])
         first = _run(argv, tmp_path / "first")
-        [entry] = _cache_entries()
+        entries = _cache_entries()
+        # the construct's shares leave out u7; its unit shifts give all 32 pairs
+        [entry] = [e for e in entries if len(entries) == 1 or len(_entry_arrays(e)[0]) == 32]
         written = entry.read_bytes()
         rows, cols, values = _entry_arrays(entry)
         if damage in ("truncated", "empty", "trailing bytes", "one bit of a value"):
@@ -1035,8 +1041,12 @@ class TestInputCache:
         else:
             if damage == "negative share":
                 values = -values
-            elif damage == "unsorted":
+            elif damage in ("unsorted", "unit shift unsorted"):
                 rows, cols, values = rows[::-1], cols[::-1], values[::-1]
+            elif damage == "unit shift non-finite":
+                values[1] = np.nan
+            elif damage == "unit shift out of range":
+                rows[-1] = 8  # one past the last unit, with the keys still increasing
             else:
                 rows = rows.astype(float)
             with open(entry, "wb") as fh:
@@ -1045,8 +1055,9 @@ class TestInputCache:
                     np.save(fh, array)
         reads = _count_parses(monkeypatch)
         assert _run(argv, tmp_path / "second") == first
-        assert reads == [inputs["shares"]]
-        assert _cache_entries() == [entry] and entry.read_bytes() == written
+        assert reads == [Path(argv[argv.index("--unit-shifts" if unit_shift else "--shares")
+                                   + 1])]
+        assert _cache_entries() == entries and entry.read_bytes() == written
 
     def test_an_unwritable_cache_leaves_the_run_uncached(self, inputs, tmp_path,
                                                          monkeypatch):
@@ -1059,14 +1070,24 @@ class TestInputCache:
             assert _run(argv, tmp_path / name) == first
         assert blocked.read_text() == ""
 
-    @pytest.mark.parametrize("bad", ["u0,s0,abc", "u0,s9,0.1", "u0,s0,-0.1", "u0,s0,0.99"])
+    @pytest.mark.parametrize("bad", ["u0,s0,abc", "u0,s9,0.1", "u0,s0,-0.1", "u0,s0,0.99",
+                                     "unit shift nan"])
     def test_a_rejected_shares_file_writes_no_entry(self, bad, inputs, tmp_path):
-        inputs["shares"].write_text(SHARES.replace("u0,s0,0.0629", bad))
-        argv = ["estimate", *io_args(inputs, tmp_path)[:-2]]
+        """A shares file that an ``estimate`` rejects, or a unit-shifts file that a
+        ``construct`` rejects after it has cached its shares, leaves no entry of its own."""
+        if bad == "unit shift nan":
+            argv = _every_long_format_file(inputs, tmp_path, "csv")
+            unit_shifts = Path(argv[argv.index("--unit-shifts") + 1])
+            unit_shifts.write_text(unit_shifts.read_text().replace("u0,s0,0.0\n", "u0,s0,nan\n"))
+        else:
+            inputs["shares"].write_text(SHARES.replace("u0,s0,0.0629", bad))
+            argv = ["estimate", *io_args(inputs, tmp_path)[:-2]]
         first = _run(argv, tmp_path / "first")
         assert first["exit code"] == 1
         assert first["stderr"].startswith("error: ") and first["stderr"].count("\n") == 1
-        assert _cache_entries() == []
+        # the construct's one entry is its shares', which leave out u7
+        assert [len(_entry_arrays(e)[0]) for e in _cache_entries()] == (
+            [28] if bad == "unit shift nan" else [])
         assert _run(argv, tmp_path / "second") == first
 
     def test_the_oldest_entries_go_past_the_cap(self, inputs, tmp_path, monkeypatch):

@@ -33,6 +33,7 @@ from shiftshare.data import (
     _read_long_matrix,
     _scan_long_matrix,
     _share_columns,
+    _triplet_order,
     _write_columns,
 )
 
@@ -295,10 +296,10 @@ INGESTION_CASES = [
     ("lone_surrogate_unknown_share_id", JSON,
      {"shares": BASE["shares"] + [["\udc80", "s1", "0.1"]]},
      (SchemaError, "{shares}: '\\udc80' is not valid Unicode")),
-    # json.load of the bytes would take both, where the text that _read_columns reads does not
-    ("byte_order_mark_shares", JSON, {"shares": "\ufeff" + _json_text(BASE["shares"])},
-     (SchemaError, "{shares}: not a JSON file (Unexpected UTF-8 BOM (decode using utf-8-sig): "
-                   "line 1 column 1 (char 0))")),
+    # a byte-order mark is skipped in JSON as in CSV
+    *[(f"byte_order_mark_{name}", JSON, {name: "\ufeff" + _json_text(BASE[name])}, VALID)
+      for name in BASE],
+    # json.load of the bytes would take it, where the text that _read_columns reads does not
     ("utf16_shares", JSON, {"shares": _json_text(BASE["shares"]).encode("utf-16")},
      (SchemaError, "{shares}: not a JSON file ('utf-8' codec can't decode byte 0xff in "
                    "position 0: invalid start byte)")),
@@ -500,6 +501,11 @@ class TestLongFormatReader:
             for got, want in zip(fast, slow):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+            # in the order the contract takes as it is, so that a cached entry is a hit, and
+            # arrays of their own, not views that keep a parsed table alive
+            for triplets in (fast, slow):
+                assert _triplet_order(*triplets, unit_ids, shift_ids, "value")[1] is None
+                assert all(a.flags.owndata for a in triplets)
         else:
             assert fast == slow
 
@@ -517,6 +523,9 @@ class TestLongFormatReader:
         if isinstance(slow[0], np.ndarray):  # the same triplet bytes
             assert [a.dtype for a in fast] == [a.dtype for a in slow]
             assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+            for triplets in (fast, slow):  # in order, so that a cached entry is a hit
+                assert _triplet_order(*triplets, unit_ids, shift_ids, "value")[1] is None
+                assert all(a.flags.owndata for a in triplets)
         else:  # the same exception type and message
             assert fast == slow
 
@@ -980,6 +989,12 @@ class TestShareOperator:
             empty = ShareMatrix.from_triplets([], [], [], ("a",), ("s",))
         assert empty.weights.tolist() == [[0.0]]
 
+    def test_the_first_repeat_in_input_order_is_named(self):
+        """Where two pairs repeat, the error names the pair of the first entry, in input
+        order, that repeats an earlier one, as the file readers do."""
+        with pytest.raises(ValidationError, match="repeated share at unit 'b', shift 's'$"):
+            ShareMatrix.from_triplets([1, 0, 1, 0], [0, 0, 0, 0], [0.1] * 4, ("a", "b"), ("s",))
+
 
 def test_a_large_sparse_share_matrix_is_never_made_dense():
     """200,000 units over 5,000 shifts, one share each, given in no order: the dense
@@ -1022,6 +1037,22 @@ def test_only_data_reads_the_share_array():
                 if isinstance(node, ast.Attribute) and node.attr == "weights":
                     found.append((path.name, where, node.lineno))
     assert not found, f"dense share array read in the package: {found}"
+
+
+def test_only_the_triplet_contract_sorts_stably():
+    """``_triplet_order`` is the one place that sorts triplets and finds a repeated pair: no
+    other code of the package calls ``argsort(..., kind="stable")``."""
+    found = []
+    for path in sorted(Path(shiftshare.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "argsort" and any(
+                            keyword.arg == "kind" and isinstance(keyword.value, ast.Constant)
+                            and keyword.value.value in ("stable", "mergesort")
+                            for keyword in node.keywords)):
+                    found.append((path.name, getattr(top, "name", None)))
+    assert found == [("data.py", "_triplet_order")]
 
 
 class TestLongForm:
