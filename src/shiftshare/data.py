@@ -144,6 +144,25 @@ def _columns(values, rows: int, message: str) -> np.ndarray:
     return out
 
 
+def _unit_weights(values, n: int) -> np.ndarray:
+    """``values`` as ``n`` finite, nonnegative unit weights that sum to one, uniform when
+    None. Weights whose sum is within ``WEIGHT_SUM_TOL`` of one are kept as they are."""
+    e = np.asarray(np.full(n, 1.0 / n) if values is None else values, dtype=float)
+    if e.shape != (n,):
+        raise ValidationError("unit weights must have one value per unit")
+    if np.any(~np.isfinite(e)) or np.any(e < 0):
+        raise ValidationError("unit weights must be finite and nonnegative")
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        total = e.sum()
+    if total <= 0:
+        raise ValidationError("unit weights must not all be zero")
+    if not np.isfinite(total):  # dividing by inf would zero every weight
+        raise ValidationError("unit weights must have a finite sum")
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:  # so that saved weights reload bit for bit
+        e = e / total
+    return e
+
+
 def _check_names(table: str, reserved: tuple[str, ...], names: Sequence[str]) -> None:
     """Reject an auxiliary column name that repeats or that names one of the table's own
     columns: ``save_inputs`` writes one column per name, so the later would replace the
@@ -512,21 +531,7 @@ class Dataset:
                 )
             elif len(self.control_names) != pi.shape[1]:
                 raise ValidationError("control names do not match control columns")
-        e = np.full(n, 1.0 / n) if self.unit_weights is None else self.unit_weights
-        e = np.asarray(e, dtype=float)
-        if e.shape != (n,):
-            raise ValidationError("unit weights must have one value per unit")
-        if np.any(~np.isfinite(e)) or np.any(e < 0):
-            raise ValidationError("unit weights must be finite and nonnegative")
-        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
-            total = e.sum()
-        if total <= 0:
-            raise ValidationError("unit weights must not all be zero")
-        if not np.isfinite(total):  # dividing by inf would zero every weight
-            raise ValidationError("unit weights must have a finite sum")
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:  # so that saved weights reload bit for bit
-            e = e / total
-        object.__setattr__(self, "unit_weights", _frozen_array(e))
+        object.__setattr__(self, "unit_weights", _frozen_array(_unit_weights(self.unit_weights, n)))
         extras = _frozen_extras(self.extras, n, "unit")
         object.__setattr__(self, "extras", extras)
         _check_names("unit", ("unit_id", "y", "x", "w_e"), (*self.control_names, *extras))
@@ -763,10 +768,12 @@ def _parse_long_csv(path, column, unit_ids, shift_ids) -> Triplets | None:
     """The triplets of a CSV file, in file order, from one structured ``np.loadtxt``, or None
     where the file is anything but a clean, non-empty table of known ids."""
     try:
-        if any(byte in Path(path).read_bytes() for byte in _C_PARSE_HAZARDS):
-            return None
+        raw = Path(path).read_bytes()
     except OSError:
         return None
+    if any(byte in raw for byte in _C_PARSE_HAZARDS):
+        return None
+    del raw  # the parser reads the file again; its bytes need not stay in memory meanwhile
     known = {"unit_id": list(map(str, unit_ids)), "shift_id": list(map(str, shift_ids))}
     # an id one character longer than every known id is never cut to a known one
     kinds = {name: f"U{max(map(len, ids), default=0) + 1}" for name, ids in known.items()}

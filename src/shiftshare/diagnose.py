@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construct import ShiftResiduals
-from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
-from .errors import EstimationError, ShiftShareWarning, ValidationError
+from .data import Dataset, ShareMatrix, ShiftTable, _label_codes, _unit_weights
+from .errors import ShiftShareWarning, ValidationError
 from .estimate import (
+    _cluster_codes,
     _partialled_iv,
     _robust_se,
     residualized_se,
@@ -42,16 +43,6 @@ class BalanceResult:
     p_value: float
     se_mode: str
     degenerate: bool = False
-
-
-def _shift_cluster_codes(cluster, m: int) -> np.ndarray:
-    """Each shift's index into its sorted cluster labels; a clustered SE needs two clusters."""
-    if np.shape(cluster) != (m,):
-        raise ValidationError("cluster labels must cover all shifts")
-    codes = _label_codes(cluster)[1]
-    if codes.max() < 1:
-        raise EstimationError("clustered standard errors need at least 2 shift clusters")
-    return codes
 
 
 def _normal_p(coefficient: float, se: float) -> float:
@@ -112,8 +103,6 @@ def balance_test_unit(
     if se_mode == "exposure":
         if shares is None or eta_hat is None:
             raise ValidationError("exposure-robust balance test needs shares and eta_hat")
-        if cluster is not None:
-            _shift_cluster_codes(cluster, shares.n_shifts)
         se = residualized_se(e, shares, eta_hat, rep.residuals, rep.x_perp, clusters=cluster)
     elif se_mode == "conventional":
         key = "conventional_cluster" if unit_cluster is not None else "conventional_hc"
@@ -131,8 +120,7 @@ def aggregate_placebo(
     n = shares.n_units
     if t.shape != (n,):
         raise ValidationError("placebo must have one value per unit")
-    e = np.full(n, 1.0 / n) if unit_weights is None else np.asarray(unit_weights, dtype=float)
-    e = e / e.sum()
+    e = _unit_weights(unit_weights, n)
     w_j = shares.aggregate(e)
     safe = np.where(w_j > 0, w_j, 1.0)
     return np.where(w_j > 0, shares.aggregate(e * t) / safe, 0.0)
@@ -160,7 +148,7 @@ def balance_test_shift(
         return BalanceResult(0.0, 0.0, m, 1.0, "exposure", degenerate=True)
     # the placebo instruments itself, with an intercept as the only control
     beta, _, resid, t_perp, _, denom = _partialled_iv(np.ones((m, 1)), ("intercept",), t, t, eta, w)
-    codes = np.arange(m) if cluster is None else _shift_cluster_codes(cluster, m)
+    codes = np.arange(m) if cluster is None else _cluster_codes(cluster, m, "shift")
     se = _robust_se(w * t_perp * resid, codes, denom)
     return BalanceResult(beta, se, m, _normal_p(beta, se), "exposure")
 

@@ -100,6 +100,20 @@ def _resolve_labels(dataset: Dataset | None, labels) -> np.ndarray | None:
     return np.asarray(labels, dtype=object).astype(str)
 
 
+def _cluster_codes(labels, size: int, what: str) -> np.ndarray:
+    """Each observation's index into its sorted cluster labels: the only codes a clustered
+    ``_robust_se`` takes. ``labels`` need one entry per ``what`` ("unit" or "shift") and
+    at least two clusters: one cluster's score sum is the estimating equation itself, zero
+    up to round-off."""
+    if np.shape(labels) != (size,):
+        raise ValidationError(f"cluster labels must have one entry per {what}")
+    codes = _label_codes(labels)[1]
+    if codes.max(initial=0) < 1:
+        clusters = "clusters" if what == "unit" else f"{what} clusters"
+        raise EstimationError(f"clustered standard errors need at least 2 {clusters}")
+    return codes
+
+
 def _robust_se(scores: np.ndarray, codes: np.ndarray, denom: float,
                correction: float = 1.0) -> float:
     """Cluster-robust SE ``sqrt(correction * sum_g (sum_{i in g} s_i)^2) / |denom|``.
@@ -195,16 +209,7 @@ def shiftshare_2sls(
     )
 
     labels = _resolve_labels(dataset, cluster)
-    if labels is not None:
-        codes = _label_codes(labels)[1]
-        n_clusters = int(codes.max()) + 1
-        if n_clusters < 2:
-            raise EstimationError("clustered standard errors need at least 2 clusters")
-        key = "conventional_cluster"
-    else:
-        codes = np.arange(n)
-        n_clusters = None
-        key = "conventional_hc"
+    codes = np.arange(n) if labels is None else _cluster_codes(labels, n, "unit")
     g = int(codes.max()) + 1
     k = 1 + controls.shape[1]
     correction = (g / (g - 1)) * ((n - 1) / (n - k)) if g > 1 and n > k else 1.0
@@ -215,12 +220,12 @@ def shiftshare_2sls(
         beta_hat=beta,
         gamma_hat=gamma,
         gamma_names=control_names,
-        se_variants={key: se},
+        se_variants={"conventional_hc" if labels is None else "conventional_cluster": se},
         first_stage_f={"conventional": fs_f},
         residuals=resid,
         x_perp=x_perp,
         n_units=n,
-        n_clusters=n_clusters,
+        n_clusters=None if labels is None else g,
     )
 
 
@@ -348,13 +353,10 @@ def gmm_share_instruments(dataset: Dataset, shares: ShareMatrix, shifts: ShiftTa
 
     Fixing the moment weights at the shift values collapses the ``m`` share
     moments into the single shift-share moment, so this recovers the
-    shift-share estimate (generally with suboptimal efficiency).
+    shift-share estimate (generally with suboptimal efficiency): the ratio
+    ``rotemberg`` reports as ``beta_hat``.
     """
-    a, c = _moment_vectors(dataset, shares, shifts)
-    denom = float(np.dot(shifts.values, c))
-    if _cancels(denom, shifts.values * c):
-        raise EstimationError("shift-weighted share moments do not identify the coefficient")
-    return float(np.dot(shifts.values, a) / denom)
+    return rotemberg(dataset, shares, shifts).beta_hat
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +512,8 @@ def estimate_inverted(
         labels = labels[inverted.kept]
     n_clusters = None
     if labels is not None:
-        codes = _label_codes(labels)[1]
+        codes = _cluster_codes(labels, m, "shift")
         n_clusters = int(codes.max()) + 1
-        if n_clusters < 2:
-            raise EstimationError("clustered standard errors need at least 2 shift clusters")
         se_variants["cluster_exposure_robust"] = _robust_se(scores, codes, denom)
 
     conventional_f = _conventional_f(inst_perp, x_perp, w, np.arange(m), 1.0)
@@ -552,7 +552,9 @@ def residualized_se(
 
     Evaluates ``sqrt(sum_g (sum_{j in g} t_j eta_j)^2)``, ``t_j = sum_i e_i w_ij
     eps_i``, over ``|sum_i e_i x_perp_i z_i|`` with ``z = W eta``; the groups are
-    the shift ``clusters`` (one label per shift), by default the single shifts.
+    the shift ``clusters``, by default the single shifts. ``clusters`` need one
+    label per shift (``ValidationError``) and at least two distinct labels
+    (``EstimationError``), as one cluster's score sum is zero up to round-off.
     With ``eta`` from the aggregate-share-weighted regression of shifts on
     shift-level controls, the unclustered form is the heteroskedasticity-robust
     sandwich of the inverted regression, which singleton clusters reproduce exactly.
@@ -565,12 +567,8 @@ def residualized_se(
         raise ValidationError("eta misaligned with share columns")
     if eps.shape != (shares.n_units,) or xp.shape != (shares.n_units,):
         raise ValidationError("residuals and x_perp must have one value per unit")
-    if clusters is None:
-        codes = np.arange(shares.n_shifts)
-    elif np.shape(clusters) != (shares.n_shifts,):
-        raise ValidationError("cluster labels must cover all shifts")
-    else:
-        codes = _label_codes(clusters)[1]
+    m = shares.n_shifts
+    codes = np.arange(m) if clusters is None else _cluster_codes(clusters, m, "shift")
     denom = abs(float(np.sum(e * xp * shares.exposure(eta))))
     if denom == 0.0:
         raise EstimationError("degenerate first stage: sum e * x_perp * z is zero")

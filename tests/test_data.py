@@ -551,6 +551,15 @@ class TestLongFormatReader:
         with pytest.raises(AssertionError, match="entry-by-entry"):
             _read_long_matrix(paths["shares"], "weight", ("a", "b"), ("s1", "s2"))
 
+    def test_a_clean_file_is_read_once_for_the_hazard_check(self, tmp_path, monkeypatch):
+        paths = _write_inputs(tmp_path, {}, "csv")
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        triplets = _read_long_matrix(paths["shares"], "weight", ("a", "b", "c"), ("s1", "s2"))
+        assert isinstance(triplets[0], np.ndarray)
+        assert reads == [Path(paths["shares"])]
+
     def test_a_clean_json_file_is_never_scanned(self, rng, tmp_path, monkeypatch):
         def scan(*args):
             raise AssertionError("the entry-by-entry reader ran on a clean file")
@@ -1053,6 +1062,21 @@ def test_only_the_triplet_contract_sorts_stably():
                             for keyword in node.keywords)):
                     found.append((path.name, getattr(top, "name", None)))
     assert found == [("data.py", "_triplet_order")]
+
+
+def test_only_the_cluster_rule_refuses_a_clustered_se():
+    """``estimate._cluster_codes`` is the one place that turns cluster labels into the codes
+    of a clustered standard error: no other ``raise`` in the package names one."""
+    found = []
+    for path in sorted(Path(shiftshare.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and any(
+                        isinstance(part, ast.Constant) and isinstance(part.value, str)
+                        and "clustered standard errors" in part.value
+                        for part in ast.walk(node)):
+                    found.append((path.name, getattr(top, "name", None)))
+    assert found == [("estimate.py", "_cluster_codes")]
 
 
 class TestLongForm:

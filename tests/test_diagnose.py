@@ -184,6 +184,12 @@ class TestBalanceUnit:
                                    cluster=[f"c{i % 5}" for i in range(n)])
         assert result.se > 0
 
+    def test_wrong_length_conventional_cluster_labels_rejected(self, rng):
+        n = 40
+        with pytest.raises(ValidationError, match="one entry per unit"):
+            balance_test_unit(rng.normal(size=n), rng.normal(size=n), se_mode="conventional",
+                              cluster=[f"c{i % 5}" for i in range(n + 1)])
+
     def test_exposure_size_monte_carlo(self):
         # placebo independent of the instrument by construction; the
         # exposure-robust test is asymptotic in the number of shifts, so the
@@ -263,6 +269,13 @@ def test_balance_tests_over_one_cluster_fail(rng):
 
 
 class TestAggregatePlacebo:
+    @pytest.mark.parametrize("weights", [[1.0, -1.0, 1.0], [np.nan, 1.0, 1.0], [0.0, 0.0, 0.0],
+                                         [1.0, 1.0]])
+    def test_bad_unit_weights_rejected(self, rng, weights):
+        shares = random_share_matrix(rng, 3, 2, complete=True)
+        with pytest.raises(ValidationError, match="unit weights"):
+            aggregate_placebo(rng.normal(size=3), shares, np.array(weights))
+
     def test_matches_manual_sum(self, rng):
         n, m = 12, 5
         shares = random_share_matrix(rng, n, m, complete=True)

@@ -124,6 +124,16 @@ class TestOls:
         with pytest.raises(EstimationError, match="2 clusters"):
             shiftshare_ols(ds, x, cluster=["all"] * n)
 
+    def test_wrong_length_cluster_labels_rejected(self, rng):
+        n = 30
+        x = rng.normal(size=n)
+        ds = simple_dataset(rng, n, y=x + rng.normal(size=n), x=x)
+        labels = [f"c{i % 5}" for i in range(n - 1)]
+        with pytest.raises(ValidationError, match="one entry per unit"):
+            shiftshare_2sls(ds, x + rng.normal(size=n), cluster=labels)
+        with pytest.raises(ValidationError, match="one entry per unit"):
+            shiftshare_ols(ds, x, cluster=labels)
+
     def test_hc1_matches_textbook(self, rng):
         n = 60
         x = rng.normal(size=n)
@@ -686,17 +696,13 @@ class TestResidualizedSe:
             *args, clusters=clusters
         )
 
-    def test_single_cluster_collapse(self, rng):
+    def test_single_cluster_is_refused(self, rng):
+        # its one score sum is the moment condition, so the SE would be round-off
         inst, res, rep = self.build(rng)
         ds, shares = inst["dataset"], inst["shares"]
-        z = shares.weights @ res.eta_hat
-        se_one = residualized_se(
-            ds.unit_weights, shares, res.eta_hat, rep.residuals, rep.x_perp,
-            clusters=["c"] * shares.n_shifts,
-        )
-        e = ds.unit_weights
-        oracle = abs(np.sum(e * z * rep.residuals)) / abs(np.sum(e * rep.x_perp * z))
-        assert se_one == pytest.approx(oracle, rel=1e-12)
+        with pytest.raises(EstimationError, match="at least 2 shift clusters"):
+            residualized_se(ds.unit_weights, shares, res.eta_hat, rep.residuals, rep.x_perp,
+                            clusters=["c"] * shares.n_shifts)
 
     def test_three_cluster_summation_oracle(self, rng):
         n, m = 12, 6
