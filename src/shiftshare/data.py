@@ -38,7 +38,8 @@ could be written with it.
 
 Every CSV the package writes (``save_inputs`` and the CLI tables) uses the default
 ``csv.writer`` dialect: QUOTE_MINIMAL quoting and ``\r\n`` line ends, with floats written as
-their ``repr`` so that they read back bit for bit.
+their ``repr`` so that they read back bit for bit. Every table, CSV or JSON, is written in
+blocks of ``_BLOCK_ROWS`` rows, so that writing holds memory for one block, not for the table.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ COMPLETE_TOL = 1e-8  # a row summing to 1 within this is complete
 WEIGHT_SUM_TOL = 1e-12
 # stored shares per block of a share product, whose temporaries then take about 256 KiB
 PRODUCT_BLOCK = 1 << 15
+# rows per block of a written table, whose texts then take a few MB
+_BLOCK_ROWS = 1 << 14
 
 # row indices, column indices and values of the nonzero entries of a units-by-shifts matrix
 Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -915,30 +918,36 @@ class _Coded(NamedTuple):
     codes: np.ndarray
 
 
-def _cells(values, quote) -> list[str]:
-    """The cell texts of one column: ``repr`` of each value of a float array, ``quote`` of
-    each label's ``str`` of a ``_Coded`` column, called once per label, else ``quote`` of
-    each value's ``str``, called once per distinct text."""
+def _cells(values, a: int, b: int, quote) -> list[str]:
+    """The cell texts of rows ``a`` to ``b`` of one column: ``repr`` of each value of a float
+    array, ``labels[codes]`` of a ``_Coded`` column whose labels are its texts, else ``quote``
+    of each value's ``str``, called once per distinct text."""
     if isinstance(values, _Coded):
-        texts = np.array([quote(str(label)) for label in values.labels], dtype=object)
-        return texts[values.codes].tolist()
+        return values.labels[values.codes[a:b]].tolist()
+    block = values[a:b]
     if isinstance(values, np.ndarray):
         if values.dtype.kind == "f":
-            return list(map(repr, values.tolist()))
-        values = values.tolist()
-    texts = list(map(str, values))
+            return list(map(repr, block.tolist()))
+        block = block.tolist()
+    texts = list(map(str, block))
     quoted = {text: quote(text) for text in set(texts)}
     return list(map(quoted.__getitem__, texts))
 
 
 def _write_columns(path: Path, fmt: str, columns: Mapping[str, Sequence]) -> None:
-    """Write the table ``{name: values}`` with a header taken from the names.
+    """Write the table ``{name: values}`` with a header taken from the names, ``_BLOCK_ROWS``
+    rows at a time, so that only one block's texts are held.
 
     A float array is written with ``repr`` of each value, so it reads back bit for bit; any
     other column with ``str`` of each value (a Python float's ``str`` is its ``repr``). CSV
     is the default ``csv.writer`` dialect: QUOTE_MINIMAL and ``\\r\\n`` line ends. JSON is
-    a list of row objects whose values are those strings.
+    a list of row objects whose values are those strings, byte for byte as
+    ``json.dump(rows, fh, indent=1)`` writes it.
     """
+    lengths = {len(v.codes if isinstance(v, _Coded) else v) for v in columns.values()}
+    if len(lengths) > 1:
+        raise ValidationError(f"table columns differ in length: {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 0
     names = list(columns)
     if fmt == "csv":
         writerow = csv.writer(SimpleNamespace(write=str)).writerow  # returns the line written
@@ -948,15 +957,36 @@ def _write_columns(path: Path, fmt: str, columns: Mapping[str, Sequence]) -> Non
         def quote(text: str) -> str:
             return writerow((text,))[:-2] if text or single else ""
     elif fmt == "json":
-        quote = str
+        quote = json.encoder.encode_basestring_ascii
     else:
         raise SchemaError(f"unknown output format {fmt!r}")
-    rows = zip(*(_cells(values, quote) for values in columns.values()))
+    # a _Coded column's labels are quoted once, not once per row
+    prepared = [_Coded(np.array([quote(str(label)) for label in v.labels], dtype=object), v.codes)
+                if isinstance(v, _Coded) else v for v in columns.values()]
+    if fmt == "json":
+        # the texts around a row object's cells, as json.dump(indent=1) writes them; a float
+        # cell, a bare repr, gets its quotes here
+        gaps = ["\n {"]
+        for k, (name, values) in enumerate(zip(names, prepared)):
+            mark = '"' if isinstance(values, np.ndarray) and values.dtype.kind == "f" else ""
+            gaps[-1] += f"{',' if k else ''}\n  {quote(name)}: {mark}"
+            gaps.append(mark)
+        gaps[-1] += "\n }"
     with open(path, "w", newline="") as fh:
-        if fmt == "csv":
-            fh.write("\r\n".join([",".join(map(quote, names)), *map(",".join, rows)]) + "\r\n")
-        else:  # json.dump streams; json.dumps would hold every piece of the text at once
-            json.dump([dict(zip(names, row)) for row in rows], fh, indent=1)
+        fh.write(",".join(map(quote, names)) + "\r\n" if fmt == "csv" else "[")
+        for a in range(0, rows, _BLOCK_ROWS):
+            cells = [_cells(v, a, a + _BLOCK_ROWS, quote) for v in prepared]
+            if fmt == "csv":
+                fh.write("\r\n".join(map(",".join, zip(*cells))))
+                fh.write("\r\n")
+            else:
+                pieces = [repeat(gaps[0])]
+                for column, gap in zip(cells, gaps[1:]):
+                    pieces += [column, repeat(gap)]
+                fh.write("," if a else "")
+                fh.write(",".join(map("".join, zip(*pieces))))
+        if fmt == "json":
+            fh.write("\n]" if rows else "]")
 
 
 def _share_columns(shares: ShareMatrix) -> dict[str, Sequence]:

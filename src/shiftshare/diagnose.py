@@ -82,6 +82,7 @@ def balance_test_unit(
     n = t.shape[0]
     if v.shape != (n,):
         raise ValidationError("placebo and variable must be aligned")
+    _unit_weights(unit_weights, n)  # the check alone: reports keep the division below
     e = np.full(n, 1.0 / n) if unit_weights is None else np.asarray(unit_weights, dtype=float)
     e = e / e.sum()
     if np.ptp(t) == 0.0:

@@ -29,6 +29,7 @@ from shiftshare import (
 )
 from shiftshare.construct import complete_shares
 from shiftshare.data import (
+    _Coded,
     _id_positions,
     _read_long_matrix,
     _scan_long_matrix,
@@ -754,6 +755,8 @@ def _fmt(value) -> str:
 
 def write_rows(path, fmt, columns):
     """Reference for ``_write_columns``: one row at a time, floats through ``_fmt``."""
+    columns = {name: [col.labels[k] for k in col.codes] if isinstance(col, _Coded) else col
+               for name, col in columns.items()}
     cells = [[_fmt(v) if isinstance(v, float) else v for v in col] for col in columns.values()]
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
@@ -766,27 +769,90 @@ def write_rows(path, fmt, columns):
                       indent=1)
 
 
+# besides LABELS: non-ASCII text that JSON escapes, and quotes, backslashes and braces
+WRITER_LABELS = LABELS | st.sampled_from(
+    ["東京", "naïve\t", "\u2028", "\x7f", 'say "hi"', "a\\b", "{}", "{0}", "%s"]
+)
+
+
+@st.composite
+def coded_columns(draw, rows):
+    labels = tuple(draw(st.lists(WRITER_LABELS, min_size=1, max_size=4)))
+    codes = draw(st.lists(st.integers(0, len(labels) - 1), min_size=rows, max_size=rows))
+    return _Coded(labels, np.array(codes, dtype=np.intp))
+
+
 @st.composite
 def tables(draw):
-    rows = draw(st.integers(0, 5))
-    names = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 8))
+    names = draw(st.lists(WRITER_LABELS, min_size=1, max_size=4, unique=True))
     kinds = {
-        "label": st.lists(LABELS, min_size=rows, max_size=rows),
+        "label": st.lists(WRITER_LABELS, min_size=rows, max_size=rows),
         "float": st.lists(FLOATS, min_size=rows, max_size=rows).map(np.array),
         "int": st.lists(st.integers(-10**20, 10**20), min_size=rows, max_size=rows),
+        "coded": coded_columns(rows),
     }
     return {name: draw(st.one_of(*kinds.values())) for name in names}
 
 
+def share_table(rows: int, seed: int = 0) -> dict:
+    """The columns of ``rows`` share rows over 500 unit and 50 shift labels."""
+    gen = np.random.default_rng(seed)
+    return {
+        "unit_id": _Coded(tuple(f"u{i}" for i in range(500)), np.sort(gen.integers(0, 500, rows))),
+        "shift_id": _Coded(tuple(f"s{j}" for j in range(50)), gen.integers(0, 50, rows)),
+        "weight": gen.random(rows),
+    }
+
+
 class TestColumnWriter:
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @given(columns=tables())
-    @settings(max_examples=150, deadline=None)
-    def test_bytes_equal_a_row_by_row_writer(self, fmt, columns):
+    @staticmethod
+    def assert_bytes_equal(fmt, columns):
         with tempfile.TemporaryDirectory() as tmp:
             _write_columns(Path(tmp, "columns"), fmt, columns)
             write_rows(Path(tmp, "rows"), fmt, columns)
             assert Path(tmp, "columns").read_bytes() == Path(tmp, "rows").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(columns=tables(), block=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_a_row_by_row_writer(self, fmt, columns, block):
+        # blocks of 1 to 3 rows, so that the tables end before, at and after block boundaries
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shiftshare.data, "_BLOCK_ROWS", block)
+            self.assert_bytes_equal(fmt, columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_bytes_equal_a_row_by_row_writer_around_one_block(self, fmt, extra):
+        rows = shiftshare.data._BLOCK_ROWS + extra
+        columns = share_table(rows)
+        gen = np.random.default_rng(1)
+        columns["label"] = gen.choice(["a,b", '"q"', "é ü", "x\ny", "東京", ""], rows).tolist()
+        columns["count"] = gen.integers(-5, 5, rows)
+        self.assert_bytes_equal(fmt, columns)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_the_table(self, fmt, tmp_path):
+        """Writing 8 blocks of share rows peaks under twice what writing 1 block does: only
+        one block's texts are held at a time."""
+        peaks = []
+        for blocks in (1, 8):
+            columns = share_table(blocks * shiftshare.data._BLOCK_ROWS)
+            tracemalloc.start()
+            try:
+                _write_columns(tmp_path / f"shares.{fmt}", fmt, columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_columns_of_unequal_length_rejected(self, fmt, tmp_path):
+        columns = {"a": ["x", "y"], "b": np.array([1.0]), "c": _Coded(("l",), np.zeros(2, int))}
+        with pytest.raises(ValidationError, match="differ in length"):
+            _write_columns(tmp_path / "table", fmt, columns)
+        assert not (tmp_path / "table").exists()
 
 
 class TestValidation:

@@ -190,6 +190,13 @@ class TestBalanceUnit:
             balance_test_unit(rng.normal(size=n), rng.normal(size=n), se_mode="conventional",
                               cluster=[f"c{i % 5}" for i in range(n + 1)])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_all_zero_unit_weights_rejected(self, rng):
+        # checked before the division by their sum, which would warn and give nan
+        with pytest.raises(ValidationError, match="must not all be zero"):
+            balance_test_unit(rng.normal(size=5), rng.normal(size=5), se_mode="conventional",
+                              unit_weights=np.zeros(5))
+
     def test_exposure_size_monte_carlo(self):
         # placebo independent of the instrument by construction; the
         # exposure-robust test is asymptotic in the number of shifts, so the
