@@ -16,7 +16,6 @@ from .construct import (
 )
 from .data import (
     Dataset,
-    PanelIndex,
     ShareMatrix,
     ShiftTable,
     load_inputs,

@@ -220,8 +220,8 @@ def _weighted_group_demean(
     dimension, and each earlier dimension has since moved by at most the later
     dimensions' group means. So the loop stops after the first sweep in which
     no group mean past the first dimension exceeds ``DEMEAN_TOL`` times its
-    column's largest entry; one dimension stops after one sweep, and none
-    returns a copy. Groups with zero total weight get mean zero.
+    column's largest entry; one dimension stops after one sweep. Groups with
+    zero total weight get mean zero.
     """
     out = columns.copy()
     tol = DEMEAN_TOL * np.max(np.abs(out), axis=0, initial=0.0)
@@ -249,20 +249,19 @@ def residualize_shifts(
     shifts: ShiftTable,
     spec: Sequence[str],
     shift_weights: np.ndarray,
-    intercept: bool = True,
 ) -> ShiftResiduals:
     """Residualize shift values on fixed effects and covariates by weighted least squares.
 
     ``spec`` lists terms by name: label columns of the shift table
     (``cluster``, ``period``, ``exchange_group``, or any extra column) enter
-    as fixed effects, covariate names enter linearly. ``intercept`` adds the
-    fixed effect with one level when the spec has no label term. The fixed
-    effects are absorbed from the shifts and covariates by alternating
+    as fixed effects, covariate names enter linearly. The intercept is the
+    fixed effect with one level, added when the spec has no label term. The
+    fixed effects are absorbed from the shifts and covariates by alternating
     weighted demeaning; the demeaned covariates are then partialled out
     (Frisch-Waugh-Lovell). A covariate the demeaning absorbs is named in the
     error. Every tolerance is relative to the data, so scaling the shifts and
-    covariates by a power of two scales ``eta_hat`` exactly. An empty spec
-    with ``intercept=False`` returns the raw values.
+    covariates by a power of two scales ``eta_hat`` exactly. The residuals
+    have weighted mean zero.
 
     The universe of shifts residualized here may be larger than the set that
     later enters a regression; pass the wider table with its own weights.
@@ -289,7 +288,7 @@ def residualize_shifts(
             raise ValidationError(f"unknown residualization term {term!r}")
 
     d = shifts.values.astype(float)
-    if intercept and not fe_codes:
+    if not fe_codes:
         fe_codes.append(np.zeros(d.shape[0], dtype=np.intp))
     stacked = np.column_stack([d] + cov_cols)
     demeaned = _weighted_group_demean(stacked, w, fe_codes)
@@ -308,14 +307,14 @@ def residualize_shifts(
 
     fitted = d - eta
     wsum = w.sum()
-    # any fixed effect absorbs the constant: eta is then weighted-centred, and
-    # the variation it is compared with is centred too
-    centre = float((w * d).sum() / wsum) if fe_codes else 0.0
+    # the fixed effects absorb the constant: eta is weighted-centred, and the
+    # variation it is compared with is centred too
+    centre = float((w * d).sum() / wsum)
     denom = float((w * (d - centre) ** 2).sum())
     num = float((w * eta**2).sum())
     sse_ratio = 1.0 if denom == 0.0 else min(max(num / denom, 0.0), 1.0)
     mean_eta = abs(float((w * eta).sum() / wsum))
-    if fe_codes and mean_eta > 1e-8 * float(np.max(np.abs(d))):
+    if mean_eta > 1e-8 * float(np.max(np.abs(d))):
         raise NumericalError(f"residualized shifts have weighted mean {mean_eta!r}, not 0")
     return ShiftResiduals(
         eta_hat=eta,

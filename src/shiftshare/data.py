@@ -342,15 +342,11 @@ class ShareMatrix:
         return bool(np.all(np.abs(self.row_sums() - 1.0) <= COMPLETE_TOL))
 
     def exposure(self, values) -> np.ndarray:
-        """``W @ values`` for a vector or a matrix with one row per shift."""
+        """``W @ values`` for a vector with one value per shift."""
         values = np.asarray(values, dtype=float)
-        if values.ndim not in (1, 2) or values.shape[0] != self.n_shifts:
-            raise ValidationError(f"exposure needs one row per shift ({self.n_shifts})")
-        if values.ndim == 2:  # one vector product per column: the vector is the fast case
-            out = np.empty((self.n_units, values.shape[1]))
-            for k, column in enumerate(values.T):
-                out[:, k] = self.exposure(column)
-            return out
+        if values.shape != (self.n_shifts,):
+            raise ValidationError("exposure needs a vector of one value per shift "
+                                  f"({self.n_shifts})")
         out = np.empty(self.n_units)
         for r0, r1, s, e in self._blocks:
             products = values[self.indices[s:e]]
@@ -359,15 +355,11 @@ class ShareMatrix:
         return out
 
     def aggregate(self, unit_values) -> np.ndarray:
-        """``unit_values @ W`` for a vector or a matrix with one column per unit."""
+        """``unit_values @ W`` for a vector with one value per unit."""
         unit_values = np.asarray(unit_values, dtype=float)
-        if unit_values.ndim not in (1, 2) or unit_values.shape[-1] != self.n_units:
-            raise ValidationError(f"aggregation needs one column per unit ({self.n_units})")
-        if unit_values.ndim == 2:
-            out = np.empty((len(unit_values), self.n_shifts))
-            for k, row in enumerate(unit_values):
-                out[k] = self.aggregate(row)
-            return out
+        if unit_values.shape != (self.n_units,):
+            raise ValidationError("aggregation needs a vector of one value per unit "
+                                  f"({self.n_units})")
         out = np.zeros(self.n_shifts)
         for r0, r1, s, e in self._blocks:
             products = np.repeat(unit_values[r0:r1], np.diff(self.indptr[r0:r1 + 1]))
@@ -547,24 +539,6 @@ class Dataset:
         if name not in self.extras:
             raise SchemaError(f"units table has no column named {name!r}")
         return self.extras[name]
-
-
-@dataclass(frozen=True)
-class PanelIndex:
-    """Maps long-form rows to (unit, period) and columns to (shift, period)."""
-
-    unit_period_map: tuple[tuple[str, str], ...]
-    shift_period_map: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "unit_period_map", tuple((str(u), str(t)) for u, t in self.unit_period_map)
-        )
-        object.__setattr__(
-            self, "shift_period_map", tuple((str(s), str(t)) for s, t in self.shift_period_map)
-        )
-        if len(set(self.unit_period_map)) != len(self.unit_period_map):
-            raise ValidationError("duplicate (unit, period) observation rows")
 
 
 # ---------------------------------------------------------------------------
@@ -1039,13 +1013,15 @@ def to_long_form(
     shares_by_period: Sequence[ShareMatrix],
     shifts_by_period: Sequence[ShiftTable],
     periods: Sequence[str] | None = None,
-) -> tuple[ShareMatrix, ShiftTable, PanelIndex]:
+) -> tuple[ShareMatrix, ShiftTable]:
     """Stack per-period shares/shifts into one long-form design.
 
     The output share matrix has ``n*T`` observation rows and ``m*T`` shift
     columns, block-diagonal by period: shifts outside an observation's own
     period get weight exactly zero, so each row's exposure (and row sum) is
-    preserved. Period labels on the long shift table are set from
+    preserved. Row ``r`` is unit ``r % n`` of period ``r // n`` and column
+    ``c`` is shift ``c % m`` of period ``c // m``; their ids are
+    ``"{id}@{period}"``. Period labels on the long shift table are set from
     ``periods`` (defaults to ``t0, t1, ...``). The cluster and exchange-group
     labels, the covariates and each extra label column are stacked period by
     period; each must be present in every period or in none.
@@ -1076,8 +1052,6 @@ def to_long_form(
 
     row_ids = tuple(f"{u}@{periods[t]}" for t in range(T) for u in base.row_ids)
     col_ids = tuple(f"{s}@{periods[t]}" for t in range(T) for s in base.col_ids)
-    unit_map = tuple((u, periods[t]) for t in range(T) for u in base.row_ids)
-    shift_map = tuple((s, periods[t]) for t in range(T) for s in base.col_ids)
 
     values = np.concatenate([st.values for st in shifts_by_period])
     period_labels = np.repeat(periods, m)
@@ -1122,4 +1096,4 @@ def to_long_form(
         covariate_names=cov_names,
         extras=extras,
     )
-    return long_shares, long_shifts, PanelIndex(unit_map, shift_map)
+    return long_shares, long_shifts

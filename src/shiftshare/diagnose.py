@@ -61,7 +61,6 @@ def balance_test_unit(
     eta_hat: np.ndarray | None = None,
     instrument: np.ndarray | None = None,
     se_mode: str = "exposure",
-    normalize: bool = False,
 ) -> BalanceResult:
     """Regress a predetermined unit variable on the shift-share variable.
 
@@ -74,8 +73,7 @@ def balance_test_unit(
     are supplied; fewer than two clusters raise ``EstimationError``).
     ``se_mode="conventional"`` uses the unit-level robust or
     cluster-robust sandwich instead, with ``cluster`` then interpreted as
-    unit labels. ``normalize`` rescales the variable to unit weighted
-    variance first, matching reporting conventions for placebo tables.
+    unit labels.
     """
     t = np.asarray(placebo, dtype=float)
     v = np.asarray(variable, dtype=float)
@@ -87,12 +85,6 @@ def balance_test_unit(
     e = e / e.sum()
     if np.ptp(t) == 0.0:
         return BalanceResult(0.0, 0.0, n, 1.0, se_mode, degenerate=True)
-    if normalize:
-        mean_v = float(np.sum(e * v))
-        sd_v = float(np.sqrt(np.sum(e * (v - mean_v) ** 2)))
-        if sd_v == 0.0:
-            raise ValidationError("variable has no variation; cannot normalize")
-        v = v / sd_v
 
     ds = Dataset(outcome=t, unit_ids=tuple(str(i) for i in range(n)),
                  regressor=v, controls=controls, unit_weights=e)

@@ -281,23 +281,20 @@ def _moment_vectors(
     dataset: Dataset,
     shares: ShareMatrix,
     shifts: ShiftTable,
-    partial: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shift-level aggregates ``(e * y) @ W`` and ``(e * x) @ W``.
+    """Shift-level aggregates ``(e * y) @ W`` and ``(e * x) @ W``, with ``y`` and ``x``
+    first residualized on the unit controls (with intercept).
 
-    ``x`` is the dataset's regressor, or the exposure when it has none. With
-    ``partial`` set, ``y`` and ``x`` are first residualized on the unit
-    controls (with intercept).
+    ``x`` is the dataset's regressor, or the exposure when it has none.
     """
     if shares.n_units != dataset.n_units or shares.n_shifts != shifts.n_shifts:
         raise ValidationError("dataset, shares and shifts are misaligned")
     e = dataset.unit_weights
     y = dataset.outcome
     x = _endogenous(dataset, shares, shifts)
-    if partial:
-        controls, control_names = _unit_design(dataset)
-        y = wls_residualize(controls, y, e, control_names)
-        x = wls_residualize(controls, x, e, control_names)
+    controls, control_names = _unit_design(dataset)
+    y = wls_residualize(controls, y, e, control_names)
+    x = wls_residualize(controls, x, e, control_names)
     return shares.aggregate(e * y), shares.aggregate(e * x)
 
 
@@ -391,7 +388,6 @@ def invert(
     shares: ShareMatrix,
     shifts: ShiftTable,
     residuals: ShiftResiduals | None = None,
-    partial_controls: bool = True,
     incomplete_ok: bool = False,
 ) -> InvertedDataset:
     """Aggregate the regression to shift level ("turn shifts into observations").
@@ -400,9 +396,10 @@ def invert(
     ``residuals`` is given. Shares should be completed first (or the
     sum-of-shares control included in the dataset controls and
     ``incomplete_ok`` set). Shifts with zero aggregate weight are dropped
-    with a warning. ``partial_controls`` residualizes the outcome and regressor
-    on the unit controls first, so the shift-level point estimate reproduces the
-    unit-level one.
+    with a warning. The outcome and regressor are residualized on the unit
+    controls (with intercept) first, so the shift-level point estimate
+    reproduces the unit-level one; ``diagnose.aggregate_placebo`` aggregates a
+    unit variable as it is.
     """
     if shares.n_units != dataset.n_units:
         raise ValidationError("share matrix and dataset have different unit counts")
@@ -428,7 +425,7 @@ def invert(
     # aggregate every column and keep the shifts after: a column subset of
     # the shares would be a dense n x m copy
     w = w_j[kept]
-    y_sum, x_sum = _moment_vectors(dataset, shares, shifts, partial=partial_controls)
+    y_sum, x_sum = _moment_vectors(dataset, shares, shifts)
     ybar = y_sum[kept] / w
     xbar = x_sum[kept] / w
     cluster = shifts.cluster[kept] if shifts.cluster is not None else None

@@ -93,6 +93,10 @@ class DgpConfig:
         for name in ("shift_sd", "error_sd", "pi_sd", "first_stage_noise_sd"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
+        for name in ("n_blocks", "n_shift_clusters", "n_exchange_groups", "network_neighbors"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValidationError(f"{name} must be an integer of at least 1")
         if not self.dirichlet_concentration > 0:  # zero would draw all-zero share rows
             raise ValidationError("dirichlet_concentration must be positive")
 
@@ -169,7 +173,7 @@ def _draw_shares(config: DgpConfig, rng: np.random.Generator, labels: _Labels) -
         rows = np.repeat(np.arange(n), counts)
         return ShareMatrix.from_triplets(rows, cols, values, labels.unit_ids, labels.shift_ids)
     # network-inverse-degree on a ring: neighbors within `network_neighbors`
-    k = max(1, int(config.network_neighbors))
+    k = config.network_neighbors
     if 2 * k >= n:
         raise ValidationError("network neighbor span too large for the node count")
     offsets = np.array([o for s in range(1, k + 1) for o in (s, -s)])
@@ -281,7 +285,7 @@ def _unit_cluster_fit(data: SimulatedData) -> EstimateReport:
 
 def _shift_fit(data: SimulatedData) -> EstimateReport:
     w_j = shift_weights_from(data.dataset, data.shares)
-    res = residualize_shifts(data.shifts, (), w_j, intercept=True)
+    res = residualize_shifts(data.shifts, (), w_j)
     rep = estimate_inverted(invert(data.dataset, data.shares, data.shifts, residuals=res))
     # without shift cluster labels every shift is its own cluster, which is
     # exactly the heteroskedasticity-robust variant

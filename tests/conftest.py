@@ -57,7 +57,7 @@ def matched_instance(rng, n, m, n_covariates=2, beta=1.7, extra_unit_control=Tru
     e = rng.uniform(0.5, 2.0, size=n)
     z = build_exposure(shares, shifts)
     x = z + endog_noise * rng.normal(size=n)
-    aggregated = shares.exposure(shifts.covariates)
+    aggregated = np.column_stack([shares.exposure(p) for p in shifts.covariates.T])
     blocks = [aggregated]
     if extra_unit_control:
         blocks.insert(0, rng.normal(size=(n, 1)))

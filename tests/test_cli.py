@@ -291,6 +291,16 @@ class TestSimulateCommand:
                      "--reps", "100", "--out", str(tmp_path / "s")])
         assert code == 1
 
+    def test_count_below_one_exits_one(self, tmp_path, capsys):
+        config = tmp_path / "dgp.txt"
+        config.write_text("n = 20\nm = 20\nn_blocks = 0\n")
+        code = main(["--quiet", "simulate", "--config", str(config),
+                     "--reps", "10", "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: n_blocks must be an integer of at least 1"]
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("args, message", [
         (["--reps", "-5"], "at least 1 replication"),
         (["--reps", "0"], "at least 1 replication"),

@@ -309,14 +309,6 @@ class TestResidualizeShifts:
         with pytest.raises(EstimationError, match="p_1"):
             residualize_shifts(shifts, ("cluster", "p_1"), np.ones(4))
 
-    def test_empty_spec_no_intercept_returns_raw(self, rng):
-        values = rng.normal(size=6)
-        values = values - values.mean()
-        shifts = table(values)
-        res = residualize_shifts(shifts, (), np.ones(6), intercept=False)
-        assert np.array_equal(res.eta_hat, values)
-        assert res.sse_ratio == 1.0
-
     def test_fitted_plus_residual(self, rng):
         m = 10
         shifts = table(rng.normal(size=m), cluster=[f"g{j % 2}" for j in range(m)])

@@ -982,13 +982,9 @@ class TestShareOperator:
         n, m = shares.n_units, shares.n_shifts
         w = shares.weights
         a, b = gen.normal(size=(m, k)), gen.normal(size=(k, n))
-        self.assert_within_summation_bound(shares.exposure(a[:, 0]), w, a[:, 0])
-        self.assert_within_summation_bound(shares.aggregate(b[0]), w.T, b[0])
-        wide, tall = shares.exposure(a), shares.aggregate(b)
-        assert wide.shape == (n, k) and tall.shape == (k, m)
         for j in range(k):
-            self.assert_within_summation_bound(wide[:, j], w, a[:, j])
-            self.assert_within_summation_bound(tall[j], w.T, b[j])
+            self.assert_within_summation_bound(shares.exposure(a[:, j]), w, a[:, j])
+            self.assert_within_summation_bound(shares.aggregate(b[j]), w.T, b[j])
 
     @given(case=share_patterns())
     @settings(max_examples=80, deadline=None)
@@ -1018,10 +1014,13 @@ class TestShareOperator:
 
     def test_misaligned_arguments_rejected(self):
         shares = ShareMatrix(np.array([[0.5, 0.25]]), ("a",), ("s1", "s2"))
-        with pytest.raises(ValidationError, match="one row per shift"):
-            shares.exposure(np.ones(3))
-        with pytest.raises(ValidationError, match="one column per unit"):
-            shares.aggregate(np.ones((2, 2)))
+        m, n = shares.n_shifts, shares.n_units
+        for values in (np.ones(3), np.ones((m, 2)), np.ones((m, 1)), 1.0):
+            with pytest.raises(ValidationError, match="one value per shift"):
+                shares.exposure(values)
+        for values in (np.ones((2, 2)), np.ones((2, n)), np.ones((n, 1)), 1.0):
+            with pytest.raises(ValidationError, match="one value per unit"):
+                shares.aggregate(values)
         with pytest.raises(ValidationError, match="misaligned"):
             shares.zero_columns([True])
 
@@ -1154,17 +1153,19 @@ class TestLongForm:
     def test_two_period_block_structure(self):
         sh1, st1 = self.make_period([1.0, 2.0], [[0.5, 0.5]], ("a",), ("s1", "s2"))
         sh2, st2 = self.make_period([3.0, 4.0], [[0.5, 0.5]], ("a",), ("s1", "s2"))
-        long_shares, long_shifts, index = to_long_form([sh1, sh2], [st1, st2])
+        long_shares, long_shifts = to_long_form([sh1, sh2], [st1, st2])
         assert long_shares.weights.shape == (2, 4)
         expected = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
         assert np.array_equal(long_shares.weights, expected)
         assert long_shifts.values.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert long_shifts.period.tolist() == ["t0", "t0", "t1", "t1"]
-        assert index.unit_period_map == (("a", "t0"), ("a", "t1"))
+        assert long_shares.row_ids == ("a@t0", "a@t1")
+        assert long_shares.col_ids == long_shifts.shift_ids == ("s1@t0", "s2@t0", "s1@t1",
+                                                                 "s2@t1")
 
     def test_single_period_identity(self):
         sh, st = self.make_period([1.0, 2.0], [[0.3, 0.4], [0.2, 0.2]], ("a", "b"), ("s1", "s2"))
-        long_shares, long_shifts, _ = to_long_form([sh], [st], periods=["2001"])
+        long_shares, long_shifts = to_long_form([sh], [st], periods=["2001"])
         assert np.array_equal(long_shares.weights, sh.weights)
         assert np.array_equal(long_shifts.values, st.values)
 
@@ -1178,12 +1179,12 @@ class TestLongForm:
             sh = ShareMatrix(w, ("a", "b"), ("s1", "s2"))
             shares.append(sh)
             shifts.append(ShiftTable(rng.normal(size=m), ("s1", "s2")))
-        long_shares, _, index = to_long_form(shares, shifts, periods=periods)
-        for row, (unit, row_period) in enumerate(index.unit_period_map):
-            for col, (_, col_period) in enumerate(index.shift_period_map):
-                value = long_shares.weights[row, col]
-                if col_period != row_period:
-                    assert value == 0.0
+        long_shares, long_shifts = to_long_form(shares, shifts, periods=periods)
+        for row in range(long_shares.n_units):
+            row_period = periods[row // n]
+            for col in range(long_shares.n_shifts):
+                if long_shifts.period[col] != row_period:
+                    assert long_shares.weights[row, col] == 0.0
 
     def test_exposure_and_row_sums_preserved(self, rng):
         n, m, T = 3, 4, 2
@@ -1192,10 +1193,10 @@ class TestLongForm:
             w = rng.dirichlet(np.ones(m), size=n) * rng.uniform(0.4, 1.0, size=(n, 1))
             shares.append(ShareMatrix(w, ("a", "b", "c"), tuple(f"s{j}" for j in range(m))))
             shifts.append(ShiftTable(rng.normal(size=m), tuple(f"s{j}" for j in range(m))))
-        long_shares, long_shifts, index = to_long_form(shares, shifts)
-        for row, (unit, period) in enumerate(index.unit_period_map):
-            t = int(period[1:])
-            i = shares[t].row_ids.index(unit)
+        long_shares, long_shifts = to_long_form(shares, shifts)
+        for row in range(long_shares.n_units):
+            t, i = divmod(row, n)
+            assert long_shares.row_ids[row] == f"{shares[t].row_ids[i]}@t{t}"
             block = long_shares.weights[row, t * m : (t + 1) * m]
             assert np.array_equal(block, shares[t].weights[i])
             # entries are bit-identical, so equal-order sums agree exactly;
@@ -1206,9 +1207,8 @@ class TestLongForm:
             )
         # long-form exposure equals per-period exposure
         exposure = long_shares.weights @ long_shifts.values
-        for row, (unit, period) in enumerate(index.unit_period_map):
-            t = int(period[1:])
-            i = shares[t].row_ids.index(unit)
+        for row in range(long_shares.n_units):
+            t, i = divmod(row, n)
             assert np.isclose(
                 exposure[row], shares[t].weights[i] @ shifts[t].values, rtol=0, atol=1e-15
             )
@@ -1224,7 +1224,7 @@ class TestLongForm:
         periods = [self.make_period([1.0, 2.0], [[0.5, 0.5]], ("a",), ("s1", "s2"),
                                     extras={"region": ["r0", "r1"], "note": [k, k]})
                    for k in ("x", "y")]
-        _, long_shifts, _ = to_long_form(*zip(*periods))
+        _, long_shifts = to_long_form(*zip(*periods))
         assert {k: v.tolist() for k, v in long_shifts.extras.items()} == {
             "region": ["r0", "r1", "r0", "r1"], "note": ["x", "x", "y", "y"]}
 

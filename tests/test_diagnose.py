@@ -284,17 +284,20 @@ class TestAggregatePlacebo:
             aggregate_placebo(rng.normal(size=3), shares, np.array(weights))
 
     def test_matches_manual_sum(self, rng):
+        # a unit variable is aggregated as it is, not partialled as ``invert`` does
         n, m = 12, 5
-        shares = random_share_matrix(rng, n, m, complete=True)
-        t = rng.normal(size=n)
-        e = rng.uniform(0.5, 1.5, size=n)
-        e = e / e.sum()
-        out = aggregate_placebo(t, shares, e)
-        for j in range(m):
-            w_j = np.sum(e * shares.weights[:, j])
-            assert out[j] == pytest.approx(
-                np.sum(e * shares.weights[:, j] * t) / w_j, rel=1e-12
-            )
+        for shares in (random_share_matrix(rng, n, m, complete=True),
+                       ShareMatrix(np.full((n, m), 1.0 / m), unit_ids(n), shift_ids(m)),
+                       ShareMatrix(np.array([[0.5, 0.5]]), unit_ids(1), shift_ids(2))):
+            t = rng.normal(size=shares.n_units)
+            e = rng.uniform(0.5, 1.5, size=shares.n_units)
+            e = e / e.sum()
+            out = aggregate_placebo(t, shares, e)
+            for j in range(shares.n_shifts):
+                w_j = np.sum(e * shares.weights[:, j])
+                assert out[j] == pytest.approx(
+                    np.sum(e * shares.weights[:, j] * t) / w_j, rel=1e-12
+                )
 
 
 class TestShiftSummary:
@@ -310,7 +313,7 @@ class TestShiftSummary:
         return to_long_form(shares, shifts, periods=periods)
 
     def test_residualized_mean_zero(self, rng):
-        long_shares, long_shifts, _ = self.build_panel(rng)
+        long_shares, long_shifts = self.build_panel(rng)
         ds = Dataset(outcome=rng.normal(size=long_shares.n_units),
                      unit_ids=long_shares.row_ids)
         w_j = shift_weights_from(ds, long_shares)
@@ -325,13 +328,13 @@ class TestShiftSummary:
         values = values - values.mean()
         shifts = ShiftTable(values, shift_ids(m))
         w = np.ones(m)
-        res = residualize_shifts(shifts, (), w, intercept=False)
+        res = residualize_shifts(shifts, (), w)  # the intercept fits no variation
         summary = shift_summary(shifts, w, residuals=res, lags=())
         assert summary.sse_ratio == 1.0
         assert summary.weighted_mean == pytest.approx(0.0, abs=1e-12)
 
     def test_composite_matches_component_oracles(self, rng):
-        long_shares, long_shifts, _ = self.build_panel(rng)
+        long_shares, long_shifts = self.build_panel(rng)
         w_j = np.full(long_shifts.n_shifts, 1.0)
         groups = long_shifts.cluster
         summary = shift_summary(long_shifts, w_j, lags=(1, 2),

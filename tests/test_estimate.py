@@ -432,13 +432,15 @@ class TestRotemberg:
 
 class TestInvert:
     def test_single_unit_aggregation(self, rng):
+        # the intercept absorbs the one unit's outcome and regressor
         shares = ShareMatrix(np.array([[0.5, 0.5]]), unit_ids(1), shift_ids(2))
         shifts = ShiftTable(np.array([1.0, -1.0]), shift_ids(2))
         ds = Dataset(outcome=np.array([3.0]), unit_ids=unit_ids(1),
                      regressor=np.array([2.0]))
-        inv = invert(ds, shares, shifts, partial_controls=False)
-        assert np.allclose(inv.ybar, [3.0, 3.0], rtol=1e-14)
-        assert np.allclose(inv.xbar, [2.0, 2.0], rtol=1e-14)
+        inv = invert(ds, shares, shifts)
+        assert np.array_equal(inv.weight, [0.5, 0.5])
+        assert np.array_equal(inv.ybar, [0.0, 0.0])
+        assert np.array_equal(inv.xbar, [0.0, 0.0])
 
     def test_uniform_shares_give_weighted_mean(self, rng):
         n, m = 12, 4
@@ -448,9 +450,11 @@ class TestInvert:
         y = rng.normal(size=n)
         ds = Dataset(outcome=y, unit_ids=unit_ids(n), regressor=rng.normal(size=n),
                      unit_weights=e)
-        inv = invert(ds, shares, shifts, partial_controls=False)
-        wmean = np.sum(ds.unit_weights * y)
-        assert np.allclose(inv.ybar, wmean, rtol=1e-12)
+        inv = invert(ds, shares, shifts)
+        # every shift aggregates the units alike, so each sees the partialled
+        # outcome's weighted mean, zero
+        assert np.allclose(inv.ybar, 0.0, rtol=0, atol=1e-12)
+        assert np.allclose(inv.xbar, 0.0, rtol=0, atol=1e-12)
 
     def test_matches_summation_oracle(self, rng):
         n, m = 20, 6
@@ -460,8 +464,9 @@ class TestInvert:
         y = rng.normal(size=n)
         x = rng.normal(size=n)
         ds = Dataset(outcome=y, unit_ids=unit_ids(n), regressor=x, unit_weights=e)
-        inv = invert(ds, shares, shifts, partial_controls=False)
+        inv = invert(ds, shares, shifts)
         ew = ds.unit_weights
+        y, x = y - np.sum(ew * y), x - np.sum(ew * x)  # partialled on the intercept
         for j in range(m):
             w_j = np.sum(ew * shares.weights[:, j])
             assert inv.weight[j] == pytest.approx(w_j, abs=1e-15)
@@ -781,15 +786,15 @@ class TestDemeanViaControls:
 
     def test_unit_covariate_gives_share_sum(self, rng):
         shares = random_share_matrix(rng, 10, 4)
-        control = shares.exposure(np.ones((4, 1)))
-        assert np.allclose(control[:, 0], shares.row_sums(), rtol=1e-14)
+        control = shares.exposure(np.ones(4))
+        assert np.allclose(control, shares.row_sums(), rtol=1e-14)
 
     def test_one_hot_gives_group_sums(self, rng):
         shares = random_share_matrix(rng, 8, 4)
-        p = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        control = shares.exposure(p)
-        assert np.allclose(control[:, 0], shares.weights[:, :2].sum(axis=1), rtol=1e-14)
-        assert np.allclose(control[:, 1], shares.weights[:, 2:].sum(axis=1), rtol=1e-14)
+        first = np.array([1.0, 1.0, 0.0, 0.0])
+        control = [shares.exposure(first), shares.exposure(1.0 - first)]
+        assert np.allclose(control[0], shares.weights[:, :2].sum(axis=1), rtol=1e-14)
+        assert np.allclose(control[1], shares.weights[:, 2:].sum(axis=1), rtol=1e-14)
 
     def test_fwl_equivalence(self, rng):
         # raw shifts + aggregated controls vs residualized shifts, both routes

@@ -116,6 +116,10 @@ class TestGenerate:
         for alpha in (0.0, -1.0, float("nan")):
             with pytest.raises(ValidationError, match="dirichlet_concentration"):
                 DgpConfig(n=20, m=8, dirichlet_concentration=alpha)
+        for name in ("n_blocks", "n_shift_clusters", "n_exchange_groups", "network_neighbors"):
+            for count in (0, -3, 1.5):
+                with pytest.raises(ValidationError, match=f"{name} must be an integer of at"):
+                    DgpConfig(n=20, m=20, **{name: count})
 
 
 class TestRunCoverage:
