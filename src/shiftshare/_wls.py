@@ -23,7 +23,7 @@ RANK_TOL = 1e-10
 def _pivoted_solve(
     matrix: np.ndarray,
     rhs: np.ndarray,
-    names: tuple[str, ...] | None,
+    names: tuple[str, ...],
 ) -> np.ndarray:
     """Least-squares solve of ``matrix @ coef = rhs`` by pivoted QR, rank-checked.
 
@@ -67,12 +67,7 @@ def _pivoted_solve(
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > RANK_TOL * diag[0]))
     if rank < k:
-        dropped = piv[rank:]
-        labels = (
-            ", ".join(names[j] for j in dropped)
-            if names is not None
-            else ", ".join(f"column {j}" for j in dropped)
-        )
+        labels = ", ".join(names[j] for j in piv[rank:])
         raise EstimationError(f"rank-deficient design; collinear terms: {labels}")
     coef = np.empty((k, r.shape[1] - k))
     coef[piv] = np.linalg.solve(r[:, :k], r[:, k:])
@@ -83,12 +78,13 @@ def wls_coefficients(
     design: np.ndarray,
     response: np.ndarray,
     weights: np.ndarray,
-    names: tuple[str, ...] | None = None,
+    names: tuple[str, ...],
 ) -> np.ndarray:
     """Coefficients of the ``weights``-weighted regression of ``response`` on ``design``.
 
     ``response`` may be a vector or a matrix of columns. Raises
-    :class:`EstimationError` naming the collinear columns on rank deficiency.
+    :class:`EstimationError` naming the collinear columns by their ``names`` on
+    rank deficiency.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -102,7 +98,7 @@ def wls_residualize(
     design: np.ndarray,
     response: np.ndarray,
     weights: np.ndarray,
-    names: tuple[str, ...] | None = None,
+    names: tuple[str, ...],
 ) -> np.ndarray:
     """Residuals of ``response`` columns after weighted projection on ``design``."""
     coef = wls_coefficients(design, response, weights, names)

@@ -511,7 +511,7 @@ def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
             raise ValidationError(f"--autocorr lags must be integers, got {args.autocorr!r}") from None
         if shifts.period is None:
             raise ValidationError("--autocorr needs a period column in the shifts file")
-        summary = shift_summary(shifts, w_j, residuals=res, lags=lags, seed=args.seed)
+        summary = shift_summary(shifts, w_j, residuals=res, lags=lags)
         payload["shift_summary"] = summary.to_dict()
 
     if args.icc:

@@ -100,58 +100,55 @@ def decompose(
 
 @dataclass(frozen=True)
 class CompletedShares:
-    """Shares with the complementary column appended and, when shifts were
-    supplied, the zero-valued fictitious shift with its indicator covariate."""
+    """Shares with the complementary column appended, and shifts with the zero-valued
+    fictitious shift and its indicator covariate."""
 
     shares: ShareMatrix
-    shifts: ShiftTable | None
+    shifts: ShiftTable
     sum_of_shares: np.ndarray
 
 
-def complete_shares(shares: ShareMatrix, shifts: ShiftTable | None = None) -> CompletedShares:
+def complete_shares(shares: ShareMatrix, shifts: ShiftTable) -> CompletedShares:
     """Append the complementary share column so every row sums to one.
 
-    The appended shift value is fixed at zero; when a shift table is given,
-    it gains a ``p_real`` indicator covariate (1 for real shifts, 0 for the
-    complement) so the complement can be distinguished in shift-level
-    regressions. Existing covariate columns are zero-filled for the
-    complement. The returned ``sum_of_shares`` control is the original row
-    sum per unit.
+    The appended shift value is fixed at zero, and the shift table gains a
+    ``p_real`` indicator covariate (1 for real shifts, 0 for the complement)
+    so the complement can be distinguished in shift-level regressions.
+    Existing covariate columns are zero-filled for the complement. The
+    returned ``sum_of_shares`` control is the original row sum per unit.
     """
     sums = shares.row_sums()
     new_shares = shares.with_column(np.clip(1.0 - sums, 0.0, None), COMPLEMENT_ID)
-    new_shifts = None
-    if shifts is not None:
-        if shifts.n_shifts != shares.n_shifts:
-            raise ValidationError("shift table does not match the share matrix")
-        if REAL_SHIFT_COVARIATE in shifts.covariate_names:
-            raise ValidationError(f"shift covariate name {REAL_SHIFT_COVARIATE!r} is reserved "
-                                  "for the indicator that share completion adds")
-        m = shifts.n_shifts
-        indicator = np.concatenate([np.ones(m), [0.0]])
-        if shifts.covariates is not None:
-            cov = np.vstack([shifts.covariates, np.zeros((1, shifts.covariates.shape[1]))])
-            cov = np.hstack([cov, indicator[:, None]])
-            names = shifts.covariate_names + (REAL_SHIFT_COVARIATE,)
-        else:
-            cov = indicator[:, None]
-            names = (REAL_SHIFT_COVARIATE,)
+    if shifts.n_shifts != shares.n_shifts:
+        raise ValidationError("shift table does not match the share matrix")
+    if REAL_SHIFT_COVARIATE in shifts.covariate_names:
+        raise ValidationError(f"shift covariate name {REAL_SHIFT_COVARIATE!r} is reserved "
+                              "for the indicator that share completion adds")
+    m = shifts.n_shifts
+    indicator = np.concatenate([np.ones(m), [0.0]])
+    if shifts.covariates is not None:
+        cov = np.vstack([shifts.covariates, np.zeros((1, shifts.covariates.shape[1]))])
+        cov = np.hstack([cov, indicator[:, None]])
+        names = shifts.covariate_names + (REAL_SHIFT_COVARIATE,)
+    else:
+        cov = indicator[:, None]
+        names = (REAL_SHIFT_COVARIATE,)
 
-        def _extend(labels):
-            if labels is None:
-                return None
-            return np.concatenate([labels, [COMPLEMENT_ID]])
+    def _extend(labels):
+        if labels is None:
+            return None
+        return np.concatenate([labels, [COMPLEMENT_ID]])
 
-        new_shifts = ShiftTable(
-            values=np.concatenate([shifts.values, [0.0]]),
-            shift_ids=shifts.shift_ids + (COMPLEMENT_ID,),
-            cluster=_extend(shifts.cluster),
-            period=_extend(shifts.period),
-            exchange_group=_extend(shifts.exchange_group),
-            covariates=cov,
-            covariate_names=names,
-            extras={k: _extend(v) for k, v in shifts.extras.items()},
-        )
+    new_shifts = ShiftTable(
+        values=np.concatenate([shifts.values, [0.0]]),
+        shift_ids=shifts.shift_ids + (COMPLEMENT_ID,),
+        cluster=_extend(shifts.cluster),
+        period=_extend(shifts.period),
+        exchange_group=_extend(shifts.exchange_group),
+        covariates=cov,
+        covariate_names=names,
+        extras={k: _extend(v) for k, v in shifts.extras.items()},
+    )
     return CompletedShares(shares=new_shares, shifts=new_shifts, sum_of_shares=sums)
 
 
@@ -198,10 +195,6 @@ class ShiftResiduals:
     fitted: np.ndarray
     spec: tuple[str, ...]
     sse_ratio: float
-
-    @property
-    def n_shifts(self) -> int:
-        return self.eta_hat.shape[0]
 
 
 def _label_terms(shifts: ShiftTable) -> set[str]:

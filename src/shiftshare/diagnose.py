@@ -59,14 +59,12 @@ def balance_test_unit(
     cluster=None,
     shares: ShareMatrix | None = None,
     eta_hat: np.ndarray | None = None,
-    instrument: np.ndarray | None = None,
     se_mode: str = "exposure",
 ) -> BalanceResult:
     """Regress a predetermined unit variable on the shift-share variable.
 
     Whether the placebo genuinely predates the shocks is the caller's
-    responsibility. With ``instrument`` supplied the variable is instrumented by it
-    (just-identified IV); otherwise a plain weighted regression. With
+    responsibility. The regression is a plain weighted one. With
     ``se_mode="exposure"`` (default) the standard error is the
     residualized-shift exposure-robust estimator, which needs ``shares`` and
     ``eta_hat`` (clustered over shifts when ``cluster`` labels for shifts
@@ -89,8 +87,7 @@ def balance_test_unit(
     ds = Dataset(outcome=t, unit_ids=tuple(str(i) for i in range(n)),
                  regressor=v, controls=controls, unit_weights=e)
     unit_cluster = cluster if se_mode == "conventional" else None
-    rep = shiftshare_2sls(ds, v if instrument is None else np.asarray(instrument, float),
-                          cluster=unit_cluster)
+    rep = shiftshare_2sls(ds, v, cluster=unit_cluster)
     coefficient = rep.beta_hat
 
     if se_mode == "exposure":
@@ -180,22 +177,30 @@ def autocorrelation(
     """Pooled correlation between shifts ``lag`` periods apart within each series.
 
     Pairs ``(D_{j,t}, D_{j,t-lag})`` are pooled over series ``j``; the
-    p-value is the two-sided t test of the Pearson correlation.
+    p-value is the two-sided t test of the Pearson correlation. Each period
+    label is read as a number, or by its trailing number (``t3``, ``2019q3``);
+    two shifts of one series at one numeric period raise ``ValidationError``.
     """
     if lag < 1:
         raise ValidationError("lag must be a positive integer")
     values = np.asarray(values, dtype=float)
     series = np.asarray(series, dtype=object).astype(str)
-    numeric = np.array([_numeric_period(p) for p in np.asarray(periods, dtype=object)])
+    labels = np.asarray(periods, dtype=object)
+    numeric = np.array([_numeric_period(p) for p in labels])
     if not (values.shape == series.shape == numeric.shape):
         raise ValidationError("values, series, and periods must be aligned")
-    lookup = {(s, t): v for s, t, v in zip(series, numeric, values)}
+    lookup: dict[tuple, tuple[float, object]] = {}
+    for key, label, v in zip(zip(series, numeric), labels, values):
+        if key in lookup:  # a later shift would silently replace the earlier one
+            raise ValidationError(f"series {str(key[0])!r} has two shifts at one period: "
+                                  f"{str(lookup[key][1])!r} and {str(label)!r}")
+        lookup[key] = v, label
     current, lagged = [], []
-    for (s, t), v in lookup.items():
+    for (s, t), (v, _) in lookup.items():
         prior = lookup.get((s, t - lag))
         if prior is not None:
             current.append(v)
-            lagged.append(prior)
+            lagged.append(prior[0])
     n_pairs = len(current)
     if n_pairs < 3:
         raise ValidationError(f"only {n_pairs} overlapping pairs at lag {lag}; need at least 3")
@@ -362,9 +367,9 @@ class ShiftSummary:
     weighted_sd: float
     sse_ratio: float
     autocorrelations: dict[int, AutocorrelationResult] = field(default_factory=dict)
-    icc: dict[str, IccResult] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        # "icc" stays in schema v1, always empty: ``diagnose --icc`` reports its own block
         return {
             "weighted_mean": self.weighted_mean,
             "weighted_sd": self.weighted_sd,
@@ -373,10 +378,7 @@ class ShiftSummary:
                 str(lag): {"correlation": a.correlation, "p_value": a.p_value, "n_pairs": a.n_pairs}
                 for lag, a in self.autocorrelations.items()
             },
-            "icc": {
-                name: {"icc": r.icc, "se": r.se, "n_groups": r.n_groups}
-                for name, r in self.icc.items()
-            },
+            "icc": {},
         }
 
 
@@ -390,9 +392,6 @@ def shift_summary(
     shift_weights: np.ndarray,
     residuals: ShiftResiduals | None = None,
     lags: tuple[int, ...] = (1, 2),
-    icc_groupings: dict[str, np.ndarray] | None = None,
-    bootstrap_draws: int = DEFAULT_BOOTSTRAP_DRAWS,
-    seed: int = 0,
 ) -> ShiftSummary:
     """Summary statistics of (optionally residualized) shifts.
 
@@ -417,13 +416,9 @@ def shift_summary(
         series = _series_labels(shifts)
         for lag in lags:
             autocorr[lag] = autocorrelation(values, series, shifts.period, lag)
-    iccs: dict[str, IccResult] = {}
-    for name, labels in (icc_groupings or {}).items():
-        iccs[name] = icc(values, labels, bootstrap_draws=bootstrap_draws, seed=seed)
     return ShiftSummary(
         weighted_mean=mean,
         weighted_sd=sd,
         sse_ratio=residuals.sse_ratio if residuals is not None else 1.0,
         autocorrelations=autocorr,
-        icc=iccs,
     )

@@ -88,18 +88,6 @@ class EstimateReport:
         }
 
 
-def _resolve_labels(dataset: Dataset | None, labels) -> np.ndarray | None:
-    if labels is None:
-        return None
-    if isinstance(labels, str):
-        if dataset is None:
-            raise ValidationError(
-                f"cluster column name {labels!r} cannot be resolved here; pass a label array"
-            )
-        return dataset.extra_column(labels)
-    return np.asarray(labels, dtype=object).astype(str)
-
-
 def _cluster_codes(labels, size: int, what: str) -> np.ndarray:
     """Each observation's index into its sorted cluster labels: the only codes a clustered
     ``_robust_se`` takes. ``labels`` need one entry per ``what`` ("unit" or "shift") and
@@ -208,7 +196,7 @@ def shiftshare_2sls(
         controls, control_names, z, x, dataset.outcome, e
     )
 
-    labels = _resolve_labels(dataset, cluster)
+    labels = dataset.extra_column(cluster) if isinstance(cluster, str) else cluster
     codes = np.arange(n) if labels is None else _cluster_codes(labels, n, "unit")
     g = int(codes.max()) + 1
     k = 1 + controls.shape[1]
@@ -503,7 +491,7 @@ def estimate_inverted(
     se_variants = {"hc_exposure_robust": _robust_se(scores, np.arange(m), denom)}
     labels = inverted.cluster
     if cluster is not None:
-        labels = _resolve_labels(None, cluster)
+        labels = np.asarray(cluster, dtype=object)
         if labels.shape != inverted.kept.shape:
             raise ValidationError("cluster labels must have one entry per shift of the shift table")
         labels = labels[inverted.kept]

@@ -37,6 +37,8 @@ SHARE_MODELS = ("dirichlet", "sparse-block", "network-inverse-degree")
 SHIFT_MODELS = ("iid-normal", "clustered", "exchangeable-groups", "bernoulli")
 ERROR_MODELS = ("iid", "share-correlated")
 
+CRITICAL_95 = 1.959963984540054  # two-sided 95% normal quantile of the coverage interval
+
 _ROLE_SHARES = 0
 _ROLE_SHIFTS = 1
 _ROLE_FIRST_STAGE = 2
@@ -72,8 +74,11 @@ class DgpConfig:
     first_stage_endog: float = 0.0
 
     def __post_init__(self):
-        if self.n < 2 or self.m < 2:
-            raise ValidationError("need at least 2 units and 2 shifts")
+        for name, least in (("n", 2), ("m", 2), ("n_blocks", 1), ("n_shift_clusters", 1),
+                            ("n_exchange_groups", 1), ("network_neighbors", 1)):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < least:
+                raise ValidationError(f"{name} must be an integer of at least {least}")
         if self.share_model not in SHARE_MODELS:
             raise ValidationError(f"unknown share model {self.share_model!r}")
         if self.shift_model not in SHIFT_MODELS:
@@ -93,10 +98,6 @@ class DgpConfig:
         for name in ("shift_sd", "error_sd", "pi_sd", "first_stage_noise_sd"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
-        for name in ("n_blocks", "n_shift_clusters", "n_exchange_groups", "network_neighbors"):
-            count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)) or count < 1:
-                raise ValidationError(f"{name} must be an integer of at least 1")
         if not self.dirichlet_concentration > 0:  # zero would draw all-zero share rows
             raise ValidationError("dirichlet_concentration must be positive")
 
@@ -395,7 +396,6 @@ def run_coverage(
     estimators: Sequence[str | tuple[str, Fit, str]],
     replications: int,
     seed: int = 0,
-    critical: float = 1.959963984540054,
 ) -> list[CoverageResult]:
     """Coverage and size of nominal 95% intervals across replications.
 
@@ -456,7 +456,7 @@ def run_coverage(
             )
             continue
         err = b - config.beta_true
-        covered = np.abs(err) <= critical * s
+        covered = np.abs(err) <= CRITICAL_95 * s
         results.append(
             CoverageResult(
                 estimator=name,

@@ -243,6 +243,45 @@ class TestDiagnoseCommand:
         assert code == 1
 
 
+class TestDiagnoseAutocorrelation:
+    """``diagnose --autocorr`` on three series of shifts, ids ``s<j>@<period>``."""
+
+    @staticmethod
+    def write_panel(directory, periods):
+        ids = [f"s{j}@{period}" for j in range(3) for period in periods]
+        paths = {name: directory / f"{name}.csv" for name in ("shares", "shifts", "units")}
+        paths["units"].write_text(UNITS)
+        paths["shifts"].write_text("shift_id,value,period\n" + "".join(
+            f"{sid},{(k * 7 % 11 - 5) / 4},{sid.split('@')[1]}\n" for k, sid in enumerate(ids)))
+        paths["shares"].write_text("unit_id,shift_id,weight\n" + "".join(
+            f"u{i},{sid},{(1 + (i + k) % 5) / 100}\n" for i in range(8)
+            for k, sid in enumerate(ids)))
+        return paths
+
+    def test_periods_are_read_by_their_trailing_number(self, tmp_path):
+        summaries = []
+        for labels in (["t0", "t1", "t2", "t3"], ["0", "1", "2", "3"]):
+            directory = tmp_path / labels[0]
+            directory.mkdir()
+            out = directory / "d"
+            code = main(["--quiet", "diagnose", "--autocorr", "1,2",
+                         *io_args(self.write_panel(directory, labels), out)])
+            assert code == 0
+            summaries.append(json.loads((out / "diagnose.json").read_text())["shift_summary"])
+        lags = summaries[0]["autocorrelations"]
+        assert {lag: a["n_pairs"] for lag, a in lags.items()} == {"1": 9, "2": 6}
+        assert summaries[0]["icc"] == {}
+        assert summaries[0] == summaries[1]
+
+    def test_two_shifts_of_one_series_at_one_period_exit_one(self, tmp_path, capsys):
+        paths = self.write_panel(tmp_path, ["2019q1", "2019q2", "2020q1"])
+        out = tmp_path / "d"
+        assert main(["--quiet", "diagnose", "--autocorr", "1", *io_args(paths, out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: series 's0' has two shifts at one period: '2019q1' and '2020q1'"]
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_coverage_run(self, tmp_path):
         config = tmp_path / "dgp.txt"

@@ -132,19 +132,19 @@ class TestDecompose:
 class TestCompleteShares:
     def test_already_complete(self, rng):
         shares = random_share_matrix(rng, 4, 3, complete=True)
-        completed = complete_shares(shares)
+        completed = complete_shares(shares, table(np.zeros(3)))
         assert np.allclose(completed.shares.weights[:, -1], 0.0, atol=1e-12)
         assert np.allclose(completed.sum_of_shares, 1.0, atol=1e-12)
 
     def test_arithmetic_complement(self):
         shares = ShareMatrix(np.array([[0.4, 0.3]]), unit_ids(1), shift_ids(2))
-        completed = complete_shares(shares)
+        completed = complete_shares(shares, table(np.zeros(2)))
         assert completed.shares.weights[0, 2] == pytest.approx(0.3, abs=1e-15)
         assert completed.sum_of_shares[0] == pytest.approx(0.7, abs=1e-15)
 
     def test_row_sum_scan(self, rng):
         shares = random_share_matrix(rng, 40, 7)
-        completed = complete_shares(shares)
+        completed = complete_shares(shares, table(np.zeros(7)))
         assert np.max(np.abs(completed.shares.row_sums() - 1.0)) < 1e-12
 
     def test_appended_shift_and_indicator(self, rng):

@@ -1079,10 +1079,11 @@ def test_a_large_sparse_share_matrix_is_never_made_dense():
     row_ids, col_ids = tuple(f"u{i}" for i in range(n)), tuple(f"s{j}" for j in range(m))
     rows, cols, values = gen.permutation(n), gen.integers(0, m, size=n), gen.uniform(size=n)
     a, b = gen.normal(size=m + 1), gen.normal(size=n)
+    shifts = ShiftTable(np.zeros(m), col_ids)
     tracemalloc.start()
     try:
         shares = ShareMatrix.from_triplets(rows, cols, values, row_ids, col_ids)
-        completed = complete_shares(shares).shares
+        completed = complete_shares(shares, shifts).shares
         exposure, aggregate = completed.exposure(a), completed.aggregate(b)
         triplets, table = completed.nonzero(), _share_columns(completed)
         peak = tracemalloc.get_traced_memory()[1]

@@ -821,7 +821,7 @@ class TestRankCheckedSolves:
         with pytest.raises(EstimationError, match="^rank-deficient design; collinear terms: a$"):
             wls_coefficients(design, np.ones(3), np.ones(3), ("a", "b"))
         with pytest.raises(EstimationError, match="^design matrix is identically zero$"):
-            wls_coefficients(np.zeros((3, 2)), np.ones(3), np.ones(3))
+            wls_coefficients(np.zeros((3, 2)), np.ones(3), np.ones(3), ("a", "b"))
 
 
 def lapack_pivoted_solve(matrix, rhs, names):

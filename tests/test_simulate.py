@@ -120,6 +120,9 @@ class TestGenerate:
             for count in (0, -3, 1.5):
                 with pytest.raises(ValidationError, match=f"{name} must be an integer of at"):
                     DgpConfig(n=20, m=20, **{name: count})
+        for name, count in (("n", 20.0), ("m", 8.5), ("n", 1), ("m", np.float64(8))):
+            with pytest.raises(ValidationError, match=f"^{name} must be an integer of at least 2$"):
+                DgpConfig(**{"n": 20, "m": 8, name: count})
 
 
 class TestRunCoverage:

@@ -16,8 +16,11 @@ tool's temporary directory), emptied before each command:
 - on the ``cli-paper`` inputs, the report paths that no workload takes: ``construct
   --decompose --loo`` with ``--initial-shares`` and ``--unit-shifts``, on the CSV inputs
   and on the JSON ones, so that every long-format reader runs in both formats; ``ri
-  --beta0``, ``estimate --report csv``, ``estimate --report text`` and ``diagnose
-  --tables``.
+  --beta0``, ``estimate --report csv``, ``estimate --report text``, ``estimate --se
+  residualized``, ``construct --replace-threshold --replace-shares`` and ``diagnose
+  --tables``; ``estimate --framework share`` on a units file without ``x`` (the OLS
+  fit); and ``diagnose --autocorr`` on shifts with ids ``<base>@<period>`` and a
+  ``period`` column, with the shares renamed to match.
 
 Commands run without ``--quiet``, so what they print is compared too. For each command
 the exit code, standard output, standard error and every output file but
@@ -52,10 +55,13 @@ sys.exit(main())
 def extra_commands(directory: Path, io: dict[str, list[str]],
                    seed: int) -> list[tuple[str, list[str]]]:
     """The report paths that no workload takes, on the inputs that the flags ``io[fmt]``
-    name, CSV unless stated. ``construct --decompose --loo`` also reads initial shares and
-    unit-by-shift values: they are written under ``directory`` in each format, derived
-    from the CSV shares file, so that both sides read the same bytes."""
-    rows = [row.split(",") for row in Path(io["csv"][1]).read_text().splitlines()[1:]]
+    name, CSV unless stated. Inputs that a path needs beside those are derived from the
+    CSV files and written under ``directory``, so that both sides read the same bytes:
+    ``construct --decompose --loo`` reads initial shares and unit-by-shift values in each
+    format, the OLS fit a units file without ``x``, and ``diagnose --autocorr`` shifts
+    in series of 4 periods each."""
+    files = dict(zip(io["csv"][::2], io["csv"][1::2]))
+    rows = [row.split(",") for row in Path(files["--shares"]).read_text().splitlines()[1:]]
     tables = {
         "initial_shares": ("weight", [(u, s, repr(float(w) * (0.5 + k % 2 / 2)))
                                       for k, (u, s, w) in enumerate(rows)]),
@@ -78,6 +84,20 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
                                   "--initial-shares", str(paths["initial_shares"]),
                                   "--unit-shifts", str(paths["unit_shifts"])]))
     csv = io["csv"]
+    units, shifts = (_table(Path(files[flag])) for flag in ("--units", "--shifts"))
+    keep = [k for k, name in enumerate(units[0]) if name != "x"]
+    _write_table(directory / "units_without_x.csv", [[row[k] for k in keep] for row in units])
+    # shift k becomes period t<k % 4> of series b<k // 4>
+    renamed = {row[0]: f"b{k // 4}@t{k % 4}" for k, row in enumerate(shifts[1:])}
+    _write_table(directory / "panel_shifts.csv", [
+        [*shifts[0], "period"],
+        *([renamed[row[0]], *row[1:], f"t{k % 4}"] for k, row in enumerate(shifts[1:]))])
+    _write_table(directory / "panel_shares.csv", [["unit_id", "shift_id", "weight"],
+                                                  *([u, renamed[s], w] for u, s, w in rows)])
+    ols = ["--shares", files["--shares"], "--shifts", files["--shifts"],
+           "--units", str(directory / "units_without_x.csv")]
+    panel = ["--shares", str(directory / "panel_shares.csv"),
+             "--shifts", str(directory / "panel_shifts.csv"), "--units", files["--units"]]
     return [
         *decompose,
         ("ri --beta0", ["ri", *csv, "--beta0", "1.0", "--draws", "500", "--groups",
@@ -88,7 +108,25 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
         ("diagnose --tables", ["diagnose", *csv, "--concentration", "--cluster", "cluster",
                                "--balance", "placebo", "--icc", "cluster", "--residualize",
                                "p_1", "--tables"]),
+        ("estimate --se residualized", ["estimate", *csv, "--framework", "shift", "--se",
+                                        "residualized", "--residualize", "p_1",
+                                        "--cluster-shift", "cluster"]),
+        ("construct --replace-threshold --replace-shares",
+         ["construct", *csv, "--replace-threshold", "0.00078", "--replace-shares"]),
+        ("estimate --framework share (OLS)", ["estimate", *ols, "--framework", "share",
+                                              "--rotemberg", "--cluster-unit", "region"]),
+        ("diagnose --autocorr", ["diagnose", *panel, "--autocorr", "1,2", "--residualize",
+                                 "p_1", "--tables"]),
     ]
+
+
+def _table(path: Path) -> list[list[str]]:
+    """The header and rows of a CSV file that the package wrote, none of its cells quoted."""
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+def _write_table(path: Path, rows) -> None:
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
 
 
 def run(checkout: Path, args: list[str], out: Path, cache: Path) -> dict[str, bytes]:
