@@ -61,12 +61,12 @@ def decompose(
     initial_shares: ShareMatrix,
     current_shares: ShareMatrix,
     unit_shifts: Triplets,
-    reference_shifts: np.ndarray | None = None,
 ) -> DecompositionResult:
     """Decompose the observed aggregate ``sum_j w_ijt D_ijt`` per unit.
 
     ``unit_shifts`` are the ``(rows, cols, values)`` triplets of ``D_ijt``, absent pairs
-    zero. ``reference_shifts`` defaults to their current-share-weighted mean per column.
+    zero. The reference shift of each column is its current-share-weighted mean, zero for
+    a column without current shares.
     """
     # the two are matched by position, so they must list the same ids in the same order
     if (initial_shares.row_ids, initial_shares.col_ids) != (current_shares.row_ids,
@@ -77,15 +77,10 @@ def decompose(
     _, ct, wt = current_shares.nonzero()
     d0, dt = initial_shares.at_shares(unit_shifts), current_shares.at_shares(unit_shifts)
     wd = wt * dt
-    if reference_shifts is None:
-        mass = current_shares.column_totals(wt)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ref = np.where(mass > 0, current_shares.column_totals(wd)
-                           / np.where(mass > 0, mass, 1.0), 0.0)
-    else:
-        ref = np.asarray(reference_shifts, dtype=float)
-        if ref.shape != (current_shares.n_shifts,):
-            raise ValidationError("reference shifts must have one value per shift column")
+    mass = current_shares.column_totals(wt)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ref = np.where(mass > 0, current_shares.column_totals(wd)
+                       / np.where(mass > 0, mass, 1.0), 0.0)
     expected = initial_shares.exposure(ref)
     shock = initial_shares.row_totals(w0 * (d0 - ref[c0]))
     return DecompositionResult(
@@ -330,35 +325,28 @@ class LeaveOneOutInstrument:
 
     z: np.ndarray
     undefined: np.ndarray
-    normalized: bool
 
     @property
     def n_undefined(self) -> int:
         return int(self.undefined.sum())
 
 
-def leave_one_out_shifts(
-    unit_shifts: Triplets,
-    shares: ShareMatrix,
-    normalize: bool = True,
-) -> LeaveOneOutInstrument:
+def leave_one_out_shifts(unit_shifts: Triplets, shares: ShareMatrix) -> LeaveOneOutInstrument:
     """Instrument each unit with shifts re-aggregated over all *other* units.
 
     ``unit_shifts`` are the ``(rows, cols, values)`` triplets of the unit-level shifts,
-    absent pairs zero. For unit ``k`` and shift ``j`` the leave-one-out shift excludes row
-    ``k``'s contribution, weighting by shares; with ``normalize=True`` (default) the sum is
-    divided by the remaining share mass so it stays a weighted average. A shift whose entire
-    weight comes from one unit has no leave-one-out value for that unit: the pair is
-    flagged in ``undefined``, excluded from the instrument with a warning.
+    absent pairs zero. For unit ``k`` and shift ``j`` the leave-one-out shift is the
+    share-weighted mean of the other units' values: their share-weighted sum divided by
+    their share mass. A shift whose entire weight comes from one unit has no leave-one-out
+    value for that unit: the pair is flagged in ``undefined``, excluded from the instrument
+    with a warning.
     """
     _, cols, w = shares.nonzero()  # every stored share is positive
     wd = w * shares.at_shares(unit_shifts)
     loo = shares.column_totals(wd)[cols] - wd
-    undefined = np.zeros(w.shape, dtype=bool)
-    if normalize:
-        denom = shares.column_totals(w)[cols] - w
-        undefined = denom <= 0
-        loo = np.where(undefined, 0.0, loo / np.where(undefined, 1.0, denom))
+    denom = shares.column_totals(w)[cols] - w
+    undefined = denom <= 0
+    loo = np.where(undefined, 0.0, loo / np.where(undefined, 1.0, denom))
     if undefined.any():
         warnings.warn(
             f"{int(undefined.sum())} unit-shift pair(s) have no leave-one-out value "
@@ -366,5 +354,4 @@ def leave_one_out_shifts(
             ShiftShareWarning,
             stacklevel=2,
         )
-    return LeaveOneOutInstrument(z=shares.row_totals(w * loo), undefined=undefined,
-                                 normalized=normalize)
+    return LeaveOneOutInstrument(z=shares.row_totals(w * loo), undefined=undefined)

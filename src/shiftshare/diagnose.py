@@ -160,12 +160,13 @@ _TRAILING_NUMBER = re.compile(r"-?\d+(\.\d+)?$")
 
 def _numeric_period(label: str) -> float:
     try:
-        return float(label)
+        value = float(label)
     except ValueError:
         match = _TRAILING_NUMBER.search(str(label))
-        if match:
-            return float(match.group())
-    raise ValidationError(f"period label {label!r} is not numeric")
+        value = float(match.group()) if match else math.nan
+    if not math.isfinite(value):  # a NaN period pairs with nothing, not even itself
+        raise ValidationError(f"period label {label!r} is not a finite number")
+    return value
 
 
 def autocorrelation(
@@ -178,7 +179,7 @@ def autocorrelation(
 
     Pairs ``(D_{j,t}, D_{j,t-lag})`` are pooled over series ``j``; the
     p-value is the two-sided t test of the Pearson correlation. Each period
-    label is read as a number, or by its trailing number (``t3``, ``2019q3``);
+    label is read as a finite number, or by its trailing number (``t3``, ``2019q3``);
     two shifts of one series at one numeric period raise ``ValidationError``.
     """
     if lag < 1:
@@ -399,8 +400,9 @@ def shift_summary(
     ``residuals`` the summarized values are the residualized shifts and
     ``sse_ratio`` is taken from the residualization; otherwise raw values
     are summarized and the ratio is 1. Autocorrelations need period labels
-    on the shift table; series identity defaults to the part of each shift
-    id before the ``@period`` suffix.
+    on the shift table; a shift's series is the part of its id before the
+    ``@period`` suffix, and shifts where no series holds two raise
+    ``ValidationError``.
     """
     w = np.asarray(shift_weights, dtype=float)
     values = residuals.eta_hat if residuals is not None else shifts.values
@@ -414,6 +416,9 @@ def shift_summary(
     autocorr: dict[int, AutocorrelationResult] = {}
     if lags and shifts.period is not None:
         series = _series_labels(shifts)
+        if np.unique(series).size == series.size:
+            raise ValidationError("no series holds two shifts; shift ids name their series "
+                                  "as <series>@<period>")
         for lag in lags:
             autocorr[lag] = autocorrelation(values, series, shifts.period, lag)
     return ShiftSummary(

@@ -105,15 +105,14 @@ class RiResult:
         }
 
 
-def _group_indices(shifts: ShiftTable, groups) -> list[np.ndarray]:
-    if groups is None:
-        labels = shifts.exchange_group
-    elif isinstance(groups, str):
-        labels = shifts.label_column(groups)
-    else:
-        labels = groups
-        if np.shape(labels) != (shifts.n_shifts,):
-            raise ValidationError("exchange group labels must cover all shifts")
+def _group_indices(shifts: ShiftTable, groups: str | None) -> list[np.ndarray]:
+    """The shift indices of each exchange group: the levels of the label column named
+    ``groups``, or of ``exchange_group`` where ``groups`` is None; one group of every shift
+    where that column is absent."""
+    if groups is not None and not isinstance(groups, str):
+        raise ValidationError("groups must name a label column of the shift table, "
+                              f"not {type(groups).__name__}")
+    labels = shifts.exchange_group if groups is None else shifts.label_column(groups)
     if labels is None:
         return [np.arange(shifts.n_shifts)]
     levels, codes = _label_codes(labels)
@@ -169,7 +168,7 @@ def _randomization_moments(
     shifts: ShiftTable,
     draws: int,
     seed: int,
-    groups,
+    groups: str | None,
 ):
     """Reference-set (A, C) pairs defining T(beta) = A - beta * C, observed
     assignment first; also the draws within it (all but row 0 under
@@ -267,7 +266,7 @@ def ri_test(
     beta0: float,
     draws: int = 2000,
     seed: int = 0,
-    groups=None,
+    groups: str | None = None,
 ) -> RiTest:
     """Two-sided randomization p-value for the sharp null ``beta = beta0``.
 
@@ -275,7 +274,9 @@ def ri_test(
     Extremity is the absolute deviation of the cross-moment from the mean of
     the reference set; under enumeration the reference set is every distinct
     within-group permutation, otherwise the sampled draws plus the observed
-    assignment.
+    assignment. ``groups`` names the shift table's label column of exchange
+    groups, ``exchange_group`` when None; without that column every shift is in
+    one group.
     """
     if not math.isfinite(beta0):
         raise ValidationError(f"the null coefficient must be finite, got {beta0!r}")
@@ -302,7 +303,7 @@ def ri_estimate(
     draws: int = 2000,
     level: float = 0.95,
     seed: int = 0,
-    groups=None,
+    groups: str | None = None,
     grid: np.ndarray | None = None,
 ) -> RiResult:
     """Randomization point estimate and exact confidence set by test inversion.
@@ -313,7 +314,7 @@ def ri_estimate(
     exceeds ``1 - level``: ``intervals`` holds its disjoint closed pieces,
     ``ci_lower``/``ci_upper`` their hull, infinite (with a warning) where the
     set is unbounded. The p-value profile is evaluated on ``grid``, by
-    default 41 points around the hull.
+    default 41 points around the hull. ``groups`` is as in :func:`ri_test`.
     """
     if not 0.0 < level < 1.0:
         raise ValidationError("confidence level must be in (0, 1)")

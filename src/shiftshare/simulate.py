@@ -208,9 +208,9 @@ def _draw_shifts(config: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(d, dtype=float)
 
 
-def generate(config: DgpConfig, _path: tuple[int, ...] = ()) -> SimulatedData:
+def generate(config: DgpConfig) -> SimulatedData:
     """Draw one dataset from the configured process; deterministic given the seed."""
-    return _generate(config, _labels(config), _path)
+    return _generate(config, _labels(config), ())
 
 
 def _generate(config: DgpConfig, labels: _Labels, path: tuple[int, ...]) -> SimulatedData:
@@ -402,7 +402,9 @@ def run_coverage(
     Every estimator sees the identical draw within a replication, and each
     distinct fit runs once on it; replication streams are keyed by ``(seed,
     replication)``. A failed fit is caught, counted against every estimator
-    that reads it, and excluded from the summary.
+    that reads it, and excluded from the summary. An empty estimator list, or an
+    unknown or repeated name, raises ``ValidationError`` before the warning
+    that fewer than 100 replications give noisy estimates.
 
     Replications run on every CPU this process may use, one forked worker per
     50 replications or part of 50, each over one contiguous range. They are
@@ -413,12 +415,6 @@ def run_coverage(
     """
     if replications < 1:
         raise ValidationError(f"need at least 1 replication, got {replications}")
-    if replications < 100:
-        warnings.warn(
-            f"only {replications} replications; coverage estimates will be noisy",
-            ShiftShareWarning,
-            stacklevel=2,
-        )
     resolved: list[tuple[str, Fit, str]] = []
     for item in estimators:
         if isinstance(item, str):
@@ -435,6 +431,12 @@ def run_coverage(
             raise ValidationError(f"estimator {resolved[-1][0]!r} is given more than once")
     if not resolved:
         raise ValidationError(f"no estimators given; available: {sorted(ESTIMATORS)}")
+    if replications < 100:
+        warnings.warn(
+            f"only {replications} replications; coverage estimates will be noisy",
+            ShiftShareWarning,
+            stacklevel=2,
+        )
 
     base = dc_replace(config, seed=seed)
     with warnings.catch_warnings():

@@ -281,6 +281,25 @@ class TestDiagnoseAutocorrelation:
             "error: series 's0' has two shifts at one period: '2019q1' and '2020q1'"]
         assert not out.exists()
 
+    def test_non_finite_period_exits_one(self, tmp_path, capsys):
+        paths = self.write_panel(tmp_path, ["nan", "1", "2"])
+        out = tmp_path / "d"
+        assert main(["--quiet", "diagnose", "--autocorr", "1", *io_args(paths, out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: period label 'nan' is not a finite number"]
+        assert not out.exists()
+
+    def test_ids_without_a_period_suffix_exit_one(self, inputs, tmp_path, capsys):
+        # each shift is then a series of its own, so no pair exists at any lag
+        inputs["shifts"].write_text("shift_id,value,period\n" + "".join(
+            f"s{j},{j / 4},{j + 1}\n" for j in range(4)))
+        out = tmp_path / "d"
+        assert main(["--quiet", "diagnose", "--autocorr", "1", *io_args(inputs, out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no series holds two shifts; shift ids name their series as "
+            "<series>@<period>"]
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_coverage_run(self, tmp_path):
@@ -345,13 +364,20 @@ class TestSimulateCommand:
         (["--reps", "0"], "at least 1 replication"),
         (["--estimators", ","], "no estimators given"),
         (["--estimators", "conventional-hc,conventional-hc"], "given more than once"),
+        # names are checked before the warning of few replications, which would print
+        # two more lines ahead of the error
+        (["--reps", "5", "--estimators", ""], "no estimators given"),
+        (["--reps", "5", "--estimators", "nope"], "unknown estimator 'nope'"),
     ])
     def test_no_work_exits_one(self, args, message, tmp_path, capsys):
         config = tmp_path / "dgp.txt"
         config.write_text("n = 20\nm = 8\n")
         out = tmp_path / "sim"
-        assert main(["--quiet", "simulate", "--config", str(config), *args,
-                     "--out", str(out)]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--quiet", "simulate", "--config", str(config), *args,
+                         "--out", str(out)]) == 1
+        assert caught == []
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
         assert not out.exists()

@@ -166,6 +166,16 @@ class TestAutocorrelation:
                                                   f"'{first}' and '{second}'$"):
             autocorrelation(np.arange(1.0, 10.0), series, np.array(periods * 3), lag=1)
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e400", "spring"])
+    def test_period_without_a_finite_reading_rejected(self, label):
+        # a NaN period pairs with nothing and never equals another, so it went unnoticed;
+        # a label without a trailing number has no reading at all
+        series = np.repeat(["a", "b", "c"], 4)
+        with pytest.raises(ValidationError,
+                           match=f"^period label '{label}' is not a finite number$"):
+            autocorrelation(np.arange(1.0, 13.0), series,
+                            np.array([label, label, "1", "2"] * 3), lag=1)
+
 
 class TestBalanceUnit:
     def test_self_regression_coefficient_one(self, rng):

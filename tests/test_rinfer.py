@@ -81,6 +81,16 @@ class TestRiTest:
         with pytest.raises(ValidationError, match="fewer than 2"):
             ri_test(ds, shares, shifts, beta0=1.0, draws=200, seed=0)
 
+    @pytest.mark.parametrize("groups", [["g0"] * 6 + ["g1"] * 6, np.repeat(["g0", "g1"], 6)])
+    def test_label_array_groups_rejected(self, rng, groups):
+        # groups names a label column; the labels themselves go in the shift table
+        ds, shares, shifts = build_case(rng, m=12)
+        with pytest.raises(ValidationError, match="^groups must name a label column of the "
+                                                  "shift table, not (list|ndarray)$"):
+            ri_test(ds, shares, shifts, beta0=1.0, draws=200, seed=0, groups=groups)
+        with pytest.raises(ValidationError, match="^groups must name a label column"):
+            ri_estimate(ds, shares, shifts, draws=200, seed=0, groups=groups)
+
     def test_permutations_confined_to_groups(self, rng):
         # two groups with wildly different scales: if permutations leaked
         # across groups the null distribution would explode

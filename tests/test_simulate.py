@@ -88,7 +88,7 @@ class TestGenerate:
                         error_sd=1.0, seed=7)
         ratios = []
         for rep in range(200):
-            data = generate(cfg, _path=(rep,))
+            data = simulate._generate(cfg, simulate._labels(cfg), (rep,))
             u = data.truth.latent_error_shock
             shared = data.shares.weights @ u
             shared = shared * np.sqrt(

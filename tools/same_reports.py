@@ -16,9 +16,10 @@ tool's temporary directory), emptied before each command:
 - on the ``cli-paper`` inputs, the report paths that no workload takes: ``construct
   --decompose --loo`` with ``--initial-shares`` and ``--unit-shifts``, on the CSV inputs
   and on the JSON ones, so that every long-format reader runs in both formats; ``ri
-  --beta0``, ``estimate --report csv``, ``estimate --report text``, ``estimate --se
-  residualized``, ``construct --replace-threshold --replace-shares`` and ``diagnose
-  --tables``; ``estimate --framework share`` on a units file without ``x`` (the OLS
+  --beta0``; ``ri`` without ``--groups``, which groups the shifts by the table's own
+  ``exchange_group`` column; ``estimate --report csv``, ``estimate --report text``,
+  ``estimate --se residualized``, ``construct --replace-threshold --replace-shares`` and
+  ``diagnose --tables``; ``estimate --framework share`` on a units file without ``x`` (the OLS
   fit); and ``diagnose --autocorr`` on shifts with ids ``<base>@<period>`` and a
   ``period`` column, with the shares renamed to match.
 
@@ -102,6 +103,7 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
         *decompose,
         ("ri --beta0", ["ri", *csv, "--beta0", "1.0", "--draws", "500", "--groups",
                         "exchange_group", "--seed", str(seed)]),
+        ("ri (no --groups)", ["ri", *csv, "--draws", "500", "--seed", str(seed)]),
         ("estimate --report csv", ["estimate", *csv, "--framework", "shift", "--residualize",
                                    "p_1", "--cluster-shift", "cluster", "--report", "csv"]),
         ("estimate --report text", ["estimate", *csv, "--rotemberg", "--report", "text"]),
