@@ -42,7 +42,7 @@ from .construct import (
 )
 from .data import (
     Triplets,
-    _checked_unit_shifts,
+    _finite_unit_shifts,
     _read_long_matrix,
     _share_columns,
     _shares_of,
@@ -378,15 +378,16 @@ def _cmd_construct(args, shares, shifts, dataset) -> dict:
         raise ValidationError("--decompose needs --initial-shares and --unit-shifts")
     if args.loo and args.unit_shifts is None:
         raise ValidationError("--loo needs --unit-shifts")
+    if args.replace_shares and args.replace_threshold is None:
+        raise ValidationError("--replace-shares needs --replace-threshold")
     if args.decompose:
         initial = args.reader.shares(args.initial_shares, dataset.unit_ids,
                                      shifts.shift_ids, args.format)
-    # read once for both uses, and checked as at_shares checks them; the complement column
+    # read once for both uses, its triplets checked by the read; the complement column
     # that --complete-shares appends is not in the file, so its unit-by-shift values are zero
     if args.decompose or args.loo:
-        ids = dataset.unit_ids, shifts.shift_ids
-        unit_shifts = args.reader.triplets(args.unit_shifts, "value", *ids, args.format,
-                                           lambda found: _checked_unit_shifts(found, *ids)[:3])
+        unit_shifts = args.reader.triplets(args.unit_shifts, "value", dataset.unit_ids,
+                                           shifts.shift_ids, args.format, _finite_unit_shifts)
 
     if args.decompose:
         result = decompose(initial, shares, unit_shifts)
@@ -452,6 +453,11 @@ def _estimate_share_framework(args, shares, shifts, dataset):
 
 def _cmd_estimate(args, shares, shifts, dataset) -> dict:
     if args.framework == "share":
+        for flag, given in (("--residualize", args.residualize is not None),
+                            ("--cluster-shift", args.cluster_shift is not None),
+                            (f"--se {args.se}", args.se in ("exposure", "residualized"))):
+            if given:
+                raise ValidationError(f"{flag} needs --framework shift")
         payload = _estimate_share_framework(args, shares, shifts, dataset)
     else:
         payload = estimate_shift_framework(
@@ -492,6 +498,8 @@ def _cmd_ri(args, shares, shifts, dataset) -> dict:
 
 
 def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
+    if args.cluster is not None and not (args.concentration or args.balance):
+        raise ValidationError("--cluster needs --concentration or --balance")
     w_j = shift_weights_from(dataset, shares)
     payload: dict = {"schema_version": SCHEMA_VERSION}
 
@@ -531,6 +539,8 @@ def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
                 raise ValidationError(
                     f"balance column {col!r} contains non-numeric values"
                 ) from None
+            if not np.all(np.isfinite(placebo)):
+                raise ValidationError(f"balance column {col!r} contains non-finite values")
             result = balance_test_unit(
                 placebo, variable, controls=dataset.controls,
                 unit_weights=dataset.unit_weights, shares=shares, eta_hat=eta,

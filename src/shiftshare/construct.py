@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._wls import wls_coefficients
-from .data import Dataset, ShareMatrix, ShiftTable, Triplets, _label_codes
+from .data import Dataset, ShareMatrix, ShiftTable, Triplets, _checked_unit_shifts, _label_codes
 from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
 
 COMPLEMENT_ID = "__complement__"
@@ -68,14 +68,15 @@ def decompose(
     zero. The reference shift of each column is its current-share-weighted mean, zero for
     a column without current shares.
     """
-    # the two are matched by position, so they must list the same ids in the same order
-    if (initial_shares.row_ids, initial_shares.col_ids) != (current_shares.row_ids,
-                                                            current_shares.col_ids):
+    # matched by position, the two list the same ids, and one check of the unit shifts serves both
+    ids = initial_shares.row_ids, initial_shares.col_ids
+    if ids != (current_shares.row_ids, current_shares.col_ids):
         raise ValidationError("id mismatch: the initial and current shares must list the "
                               "same units and shifts in the same order")
+    _, _, d, keys = _checked_unit_shifts(unit_shifts, *ids)
     _, c0, w0 = initial_shares.nonzero()
     _, ct, wt = current_shares.nonzero()
-    d0, dt = initial_shares.at_shares(unit_shifts), current_shares.at_shares(unit_shifts)
+    d0, dt = initial_shares._at_keys(keys, d), current_shares._at_keys(keys, d)
     wd = wt * dt
     mass = current_shares.column_totals(wt)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -29,12 +29,14 @@ long-format file is parsed in one pass into triplets: CSV by one C parse, JSON b
 ``json.load`` that turns each row object into three appends, so that no dict per row is kept.
 ``_triplet_order`` alone checks triplets, parsed or given, and sorts them by ``(row, col)``,
 so that any row order gives the same storage; it skips the sort for sorted triplets, as
-``save_inputs`` writes them. A file that pass does not take whole is read again entry by entry,
-which words the error or accepts what ``float`` and ``str`` accept: for JSON, an empty
-array, a numeric id, a row with keys besides the three, and any malformed file. A JSON row
-object that gives a key twice keeps the last value (``json.load`` collapses it), and a JSON
-string holding a lone surrogate (an unpaired ``\\ud800`` escape) is rejected, since no file
-could be written with it.
+``save_inputs`` writes them. It runs once per set: the read (or the CLI's cache hit) checks a
+file's triplets and its consumers trust them, and the public entry points (``from_triplets``,
+``at_shares``, ``decompose``, ``leave_one_out_shifts``) check whatever their callers pass.
+A file that the one pass does not take whole is read again entry by entry, which words the
+error or accepts what ``float`` and ``str`` accept: for JSON, an empty array, a numeric id, a
+row with keys besides the three, and any malformed file. A JSON row object that gives a key
+twice keeps the last value (``json.load`` collapses it), and a JSON string holding a lone
+surrogate (an unpaired ``\\ud800`` escape) is rejected, since no file could be written with it.
 
 Every CSV the package writes (``save_inputs`` and the CLI tables) uses the default
 ``csv.writer`` dialect: QUOTE_MINIMAL quoting and ``\r\n`` line ends, with floats written as
@@ -48,7 +50,7 @@ import csv
 import json
 import warnings
 from array import array
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -120,10 +122,14 @@ def _checked_unit_shifts(triplets: Triplets, row_ids, col_ids):
     as ``ShareMatrix.from_triplets`` checks shares."""
     if isinstance(triplets, np.ndarray) or len(triplets) != 3:
         raise ValidationError("unit shifts must be (rows, cols, values) triplets")
-    out = _sorted_triplets(*triplets, row_ids, col_ids, "unit shift")
-    if not np.all(np.isfinite(out[2])):
+    return _finite_unit_shifts(_sorted_triplets(*triplets, row_ids, col_ids, "unit shift"))
+
+
+def _finite_unit_shifts(triplets):
+    """Unit-shift ``triplets`` that ``_triplet_order`` passed, whose values must be finite."""
+    if not np.all(np.isfinite(triplets[2])):
         raise ValidationError("unit shifts contain non-finite values")
-    return out
+    return triplets
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -238,11 +244,16 @@ class ShareMatrix:
         """The shares ``values[k]`` at unit ``rows[k]`` and shift ``cols[k]``, given in
         any order; a pair may appear once, and absent pairs are zero."""
         row_ids, col_ids = tuple(map(str, row_ids)), tuple(map(str, col_ids))
-        rows, cols, values, _ = _sorted_triplets(rows, cols, values, row_ids, col_ids, "share")
+        triplets = _sorted_triplets(rows, cols, values, row_ids, col_ids, "share")
+        return cls._of_sorted(*triplets[:3], row_ids, col_ids)
+
+    @classmethod
+    def _of_sorted(cls, rows, cols, values, row_ids, col_ids) -> "ShareMatrix":
+        """``from_triplets`` of triplets that ``_triplet_order`` found in range and in order."""
         stored = values != 0.0
         out = cls.__new__(cls)
         out._set(np.searchsorted(rows[stored], np.arange(len(row_ids) + 1)),
-                 cols[stored], values[stored], row_ids, col_ids)
+                 cols[stored], values[stored], tuple(map(str, row_ids)), tuple(map(str, col_ids)))
         return out
 
     def _set(self, indptr, indices, data, row_ids, col_ids) -> None:
@@ -375,6 +386,10 @@ class ShareMatrix:
         """One value per stored share, in ``nonzero()`` order, of finite unit-by-shift ``(rows,
         cols, values)`` triplets checked as ``from_triplets`` checks shares; absent pairs are 0."""
         _, _, values, keys = _checked_unit_shifts(triplets, self.row_ids, self.col_ids)
+        return self._at_keys(keys, values)
+
+    def _at_keys(self, keys, values) -> np.ndarray:
+        """``at_shares`` of checked unit shifts, by their sorted keys ``row * n_shifts + col``."""
         wanted = self._rows() * self.n_shifts + self.indices
         at = np.searchsorted(keys, wanted)  # an absent pair finds another key, or the last -1
         return np.where(np.append(keys, -1)[at] == wanted, np.append(values, 0.0)[at], 0.0)
@@ -726,14 +741,16 @@ def _read_long_matrix(
     every value must parse as a number, and no pair may appear twice.
 
     The file is parsed in one pass, CSV by ``_parse_long_csv`` and JSON by ``_parse_long_json``;
-    a file that pass does not take whole or that repeats a pair is read again by
-    ``_scan_long_matrix``, which words the error or accepts what ``float`` accepts."""
+    a file that pass does not take whole is read again by ``_scan_long_matrix``, which words the
+    error or accepts what ``float`` accepts; one ``_triplet_order`` sorts either's triplets."""
     parse = _LONG_PARSERS.get(fmt)
     parsed = None if parse is None else parse(path, column, unit_ids, shift_ids)
-    if parsed is not None:
-        with suppress(ValidationError):  # a repeated pair, which the scan names
-            return _sorted_triplets(*parsed, unit_ids, shift_ids, column)[:3]
-    return _scan_long_matrix(path, column, unit_ids, shift_ids, fmt)
+    rows, cols, values = parsed or _scan_long_matrix(path, column, unit_ids, shift_ids, fmt)
+    _, order, k = _triplet_order(rows, cols, values, unit_ids, shift_ids, column)
+    if k is not None:
+        pair = str(unit_ids[rows[k]]), str(shift_ids[cols[k]])
+        raise ValidationError(f"{path}: repeated (unit_id, shift_id) pair {pair}")
+    return (rows, cols, values) if order is None else (rows[order], cols[order], values[order])
 
 
 # numpy's number parser strips these around a number and ``float`` does not, and a
@@ -822,7 +839,7 @@ def _id_positions(ids: list[str], found: np.ndarray) -> np.ndarray | None:
 
 
 def _scan_long_matrix(path, column, unit_ids, shift_ids, fmt) -> Triplets:
-    """``_read_long_matrix`` entry by entry, with its errors and their precedence."""
+    """``_read_long_matrix``'s parse entry by entry, in file order, with its errors in order."""
     columns = _read_columns(path, fmt, ("unit_id", "shift_id", column), allow_empty=True)
     units, shifts = (list(map(str, columns[c])) for c in ("unit_id", "shift_id"))
     unit_index = {str(u): i for i, u in enumerate(unit_ids)}
@@ -841,10 +858,7 @@ def _scan_long_matrix(path, column, unit_ids, shift_ids, fmt) -> Triplets:
     ]
     if problems:
         raise ValidationError(f"{path}: " + "; ".join(problems))
-    _, order, k = _triplet_order(rows, cols, values, unit_ids, shift_ids, column)
-    if k is not None:
-        raise ValidationError(f"{path}: repeated (unit_id, shift_id) pair {(units[k], shifts[k])}")
-    return (rows, cols, values) if order is None else (rows[order], cols[order], values[order])
+    return rows, cols, values
 
 
 def load_shares(
@@ -858,10 +872,10 @@ def load_shares(
 
 
 def _shares_of(path, triplets: Triplets, unit_ids, shift_ids) -> ShareMatrix:
-    """The shares of the long-format file ``path`` from the triplets read from it."""
+    """The shares of long-format file ``path`` from the triplets its read or cache hit checked."""
     rows, cols, values = triplets
     try:
-        return ShareMatrix.from_triplets(rows, cols, values, unit_ids, shift_ids)
+        return ShareMatrix._of_sorted(rows, cols, values, unit_ids, shift_ids)
     except ValidationError as error:
         if np.any(values < 0):  # a negative share is checked first; name its file
             raise ValidationError(f"{path}: {error}") from None

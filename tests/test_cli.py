@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: artifacts, exit codes, reproducibility."""
 
 import ast
+import collections
 import contextlib
 import csv
 import hashlib
@@ -242,6 +243,15 @@ class TestDiagnoseCommand:
                      *io_args(inputs, tmp_path / "d")])
         assert code == 1
 
+    def test_non_finite_balance_column_exits_one(self, inputs, tmp_path, capsys):
+        inputs["units"].write_text(UNITS.replace(",-1.2555\n", ",nan\n"))
+        out = tmp_path / "d"
+        code = main(["--quiet", "diagnose", "--balance", "placebo", *io_args(inputs, out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: balance column 'placebo' contains non-finite values"]
+        assert not out.exists()
+
 
 class TestDiagnoseAutocorrelation:
     """``diagnose --autocorr`` on three series of shifts, ids ``s<j>@<period>``."""
@@ -381,6 +391,29 @@ class TestSimulateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--residualize", "p_1"], "--residualize needs --framework shift"),
+    (["estimate", "--framework", "share", "--cluster-shift", "cluster"],
+     "--cluster-shift needs --framework shift"),
+    (["estimate", "--se", "exposure"], "--se exposure needs --framework shift"),
+    (["estimate", "--se", "residualized"], "--se residualized needs --framework shift"),
+    (["estimate", "--framework", "share", "--residualize", "nonsense", "--cluster-shift",
+      "nope", "--se", "exposure"], "--residualize needs --framework shift"),
+    (["construct", "--replace-shares"], "--replace-shares needs --replace-threshold"),
+    (["construct", "--complete-shares", "--replace-shares"],
+     "--replace-shares needs --replace-threshold"),
+    (["diagnose", "--cluster", "cluster"], "--cluster needs --concentration or --balance"),
+    (["diagnose", "--icc", "cluster", "--cluster", "cluster"],
+     "--cluster needs --concentration or --balance"),
+])
+def test_a_flag_that_the_path_ignores_exits_one(argv, message, inputs, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, *io_args(inputs, out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"] and captured.out == ""
+    assert not out.exists()
 
 
 def write_reference_mirror(path, payload):
@@ -1063,6 +1096,33 @@ class TestInputCache:
         reads.clear()
         assert _run(argv, tmp_path / "second")["exit code"] == 0
         assert reads == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_read_checks_its_triplets_once(self, fmt, inputs, tmp_path, monkeypatch):
+        """``_triplet_order`` runs once for each long-format read, in the reader on a miss
+        and on the entry on a hit; of the consumers, only the public ``decompose`` and
+        ``leave_one_out_shifts`` check the unit shifts again, once each."""
+        passes = collections.Counter()
+        check = shiftshare.data._triplet_order
+
+        def counted(*args):
+            passes[args[-1]] += 1  # what the triplets are
+            return check(*args)
+        monkeypatch.setattr(shiftshare.data, "_triplet_order", counted)
+        monkeypatch.setattr(cli, "_triplet_order", counted)
+        construct = _every_long_format_file(inputs, tmp_path, fmt)
+        estimate = ["estimate", "--format", fmt, *construct[construct.index("--shares"):]]
+        # --shares and --initial-shares ("weight"), --unit-shifts ("value"), and the unit
+        # shifts in decompose and in leave_one_out_shifts ("unit shift")
+        for argv, expected in ((construct, {"weight": 2, "value": 1, "unit shift": 2}),
+                               (estimate, {"weight": 1})):
+            for entry in _cache_entries():
+                entry.unlink()
+            for run in ("miss", "hit"):
+                passes.clear()
+                assert _run(argv, tmp_path / run)["exit code"] == 0
+                assert passes == expected, (argv[0], run)
+            assert _cache_entries()
 
     @pytest.mark.parametrize("change", ["one byte", "reordered units", "other format"])
     def test_a_changed_input_is_a_miss(self, change, inputs, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -480,6 +481,13 @@ def long_json_files(draw):
     return _seldom(draw, st.sampled_from(files), text, odds=4), unit_ids, shift_ids
 
 
+def _scanned(path, column, unit_ids, shift_ids, fmt):
+    """``_read_long_matrix`` with no one-pass parser: ``_scan_long_matrix`` reads the file
+    entry by entry, and the one triplet check sorts what it read."""
+    with mock.patch.dict(shiftshare.data._LONG_PARSERS, clear=True):
+        return _read_long_matrix(path, column, unit_ids, shift_ids, fmt)
+
+
 def _outcome(read):
     try:
         return read()
@@ -496,7 +504,7 @@ class TestLongFormatReader:
             path = Path(tmp, "long.csv")
             path.write_text(text, newline="")
             fast = _outcome(lambda: _read_long_matrix(path, "value", unit_ids, shift_ids))
-            slow = _outcome(lambda: _scan_long_matrix(path, "value", unit_ids, shift_ids, "csv"))
+            slow = _outcome(lambda: _scanned(path, "value", unit_ids, shift_ids, "csv"))
         if isinstance(slow[0], np.ndarray):  # the (rows, cols, values) triplets
             assert isinstance(fast[0], np.ndarray)
             for got, want in zip(fast, slow):
@@ -519,8 +527,7 @@ class TestLongFormatReader:
             path.write_text(text)
             fast = _outcome(lambda: _read_long_matrix(path, "value", unit_ids, shift_ids,
                                                       "json"))
-            slow = _outcome(lambda: _scan_long_matrix(path, "value", unit_ids, shift_ids,
-                                                      "json"))
+            slow = _outcome(lambda: _scanned(path, "value", unit_ids, shift_ids, "json"))
         if isinstance(slow[0], np.ndarray):  # the same triplet bytes
             assert [a.dtype for a in fast] == [a.dtype for a in slow]
             assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
@@ -583,6 +590,26 @@ class TestLongFormatReader:
         # the unit "c" is unknown here, so the scan runs and the stand-in above raises
         with pytest.raises(AssertionError, match="entry-by-entry"):
             _read_long_matrix(paths["shares"], "weight", ("a", "b"), ("s1", "s2"), "json")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_repeated_pair_is_parsed_once(self, fmt, tmp_path, monkeypatch):
+        """A file whose one fault is a repeated pair goes through its one-pass parser once and
+        never to the entry-by-entry scan: the one triplet check names the pair."""
+        def scan(*args):
+            raise AssertionError("the entry-by-entry reader ran")
+
+        parses = []
+        parse = shiftshare.data._LONG_PARSERS[fmt]
+        monkeypatch.setitem(shiftshare.data._LONG_PARSERS, fmt,
+                            lambda path, *args: parses.append(path) or parse(path, *args))
+        monkeypatch.setattr(shiftshare.data, "_scan_long_matrix", scan)
+        shares = BASE["shares"] + [["c", "s1", "0.1"], ["a", "s2", "0.1"]]
+        paths = _write_inputs(tmp_path, {"shares": shares}, fmt)
+        with pytest.raises(ValidationError) as caught:
+            _read_long_matrix(paths["shares"], "weight", ("a", "b", "c"), ("s1", "s2"), fmt)
+        assert str(caught.value) == (f"{paths['shares']}: repeated (unit_id, shift_id) pair "
+                                     "('a', 's2')")
+        assert parses == [paths["shares"]]
 
     def test_a_json_file_is_read_without_a_dict_per_row(self, tmp_path):
         """Reading a JSON share file holds its text, not one dict of three strings per row:

@@ -15,7 +15,10 @@ tool's temporary directory), emptied before each command:
 - every workload command;
 - on the ``cli-paper`` inputs, the report paths that no workload takes: ``construct
   --decompose --loo`` with ``--initial-shares`` and ``--unit-shifts``, on the CSV inputs
-  and on the JSON ones, so that every long-format reader runs in both formats; ``ri
+  and on the JSON ones, so that every long-format reader runs in both formats; the same
+  on the CSV inputs with ``--complete-shares --replace-threshold --replace-shares``, so
+  that the leave-one-out shifts read completed shares with zeroed columns, whose
+  complement column no unit shift names; ``ri
   --beta0``; ``ri`` without ``--groups``, which groups the shifts by the table's own
   ``exchange_group`` column; ``estimate --report csv``, ``estimate --report text``,
   ``estimate --se residualized``, ``construct --replace-threshold --replace-shares`` and
@@ -59,7 +62,8 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
     name, CSV unless stated. Inputs that a path needs beside those are derived from the
     CSV files and written under ``directory``, so that both sides read the same bytes:
     ``construct --decompose --loo`` reads initial shares and unit-by-shift values in each
-    format, the OLS fit a units file without ``x``, and ``diagnose --autocorr`` shifts
+    format (and, on the CSV ones, completes the shares and zeroes the columns of replaced
+    shifts), the OLS fit a units file without ``x``, and ``diagnose --autocorr`` shifts
     in series of 4 periods each."""
     files = dict(zip(io["csv"][::2], io["csv"][1::2]))
     rows = [row.split(",") for row in Path(files["--shares"]).read_text().splitlines()[1:]]
@@ -84,6 +88,10 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
         decompose.append((label, ["construct", *io[fmt], "--decompose", "--loo",
                                   "--initial-shares", str(paths["initial_shares"]),
                                   "--unit-shifts", str(paths["unit_shifts"])]))
+    label, args = decompose[0]
+    decompose.append((f"{label} --complete-shares --replace-threshold --replace-shares",
+                      [*args, "--complete-shares", "--replace-threshold", "0.00078",
+                       "--replace-shares"]))
     csv = io["csv"]
     units, shifts = (_table(Path(files[flag])) for flag in ("--units", "--shifts"))
     keep = [k for k, name in enumerate(units[0]) if name != "x"]
