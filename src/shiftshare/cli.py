@@ -41,11 +41,12 @@ from .construct import (
     shift_weights_from,
 )
 from .data import (
+    ShareMatrix,
     Triplets,
     _finite_unit_shifts,
+    _naming,
     _read_long_matrix,
     _share_columns,
-    _shares_of,
     _triplet_order,
     _undecodable,
     _write_columns,
@@ -201,7 +202,8 @@ class _Reader:
         """``accept(_read_long_matrix(path, column, unit_ids, shift_ids, fmt))``, ``accept``
         being the check the triplets' consumer runs, from an entry that ``_triplet_order``
         finds in range and in order and that ``accept`` takes; another is removed and the
-        file parsed. Only triplets that ``accept`` takes, of an unchanged file, are cached."""
+        file parsed, and what ``accept`` refuses then names the file. Only triplets that
+        ``accept`` takes, of an unchanged file, are cached."""
         digest = self.digest(path)
         directory = _cache_dir()
         entry = None
@@ -216,15 +218,16 @@ class _Reader:
                         return accept(cached)
                 _cache_remove(entry)
         triplets = _read_long_matrix(path, column, unit_ids, shift_ids, fmt)
-        out = accept(triplets)
+        with _naming(path):
+            out = accept(triplets)
         if entry is not None and _sha256(path) == digest:
             _cache_store(entry, triplets)
         return out
 
     def shares(self, path: Path, unit_ids, shift_ids, fmt: str):
         """``load_shares`` through the cache."""
-        return self.triplets(path, "weight", unit_ids, shift_ids, fmt,
-                             lambda triplets: _shares_of(path, triplets, unit_ids, shift_ids))
+        return self.triplets(path, "weight", unit_ids, shift_ids, fmt, lambda triplets:
+                             ShareMatrix._of_sorted(*triplets, unit_ids, shift_ids))
 
 
 def _input_paths(args) -> list[Path]:
@@ -339,7 +342,7 @@ def build_parser() -> _Parser:
     _add_io_arguments(p)
     p.add_argument("--beta0", type=float, default=None,
                    help="test this coefficient only (otherwise estimate + invert)")
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=float, default=None, help="interval level (default 0.95)")
     p.add_argument("--draws", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--groups", default=None, metavar="COL")
@@ -374,12 +377,6 @@ def build_parser() -> _Parser:
 def _cmd_construct(args, shares, shifts, dataset) -> dict:
     reports = {}
     w_j = shift_weights_from(dataset, shares)
-    if args.decompose and (args.initial_shares is None or args.unit_shifts is None):
-        raise ValidationError("--decompose needs --initial-shares and --unit-shifts")
-    if args.loo and args.unit_shifts is None:
-        raise ValidationError("--loo needs --unit-shifts")
-    if args.replace_shares and args.replace_threshold is None:
-        raise ValidationError("--replace-shares needs --replace-threshold")
     if args.decompose:
         initial = args.reader.shares(args.initial_shares, dataset.unit_ids,
                                      shifts.shift_ids, args.format)
@@ -453,11 +450,6 @@ def _estimate_share_framework(args, shares, shifts, dataset):
 
 def _cmd_estimate(args, shares, shifts, dataset) -> dict:
     if args.framework == "share":
-        for flag, given in (("--residualize", args.residualize is not None),
-                            ("--cluster-shift", args.cluster_shift is not None),
-                            (f"--se {args.se}", args.se in ("exposure", "residualized"))):
-            if given:
-                raise ValidationError(f"{flag} needs --framework shift")
         payload = _estimate_share_framework(args, shares, shifts, dataset)
     else:
         payload = estimate_shift_framework(
@@ -493,13 +485,12 @@ def _cmd_ri(args, shares, shifts, dataset) -> dict:
         del payload["stat_distribution"]
     else:
         payload = ri_estimate(dataset, shares, shifts, draws=args.draws,
-                              level=args.level, seed=args.seed, groups=args.groups).to_dict()
+                              level=0.95 if args.level is None else args.level,
+                              seed=args.seed, groups=args.groups).to_dict()
     return {"ri.json": (_write_json, {"schema_version": SCHEMA_VERSION, **payload})}
 
 
 def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
-    if args.cluster is not None and not (args.concentration or args.balance):
-        raise ValidationError("--cluster needs --concentration or --balance")
     w_j = shift_weights_from(dataset, shares)
     payload: dict = {"schema_version": SCHEMA_VERSION}
 
@@ -509,12 +500,12 @@ def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
     eta = shifts.values if res is None else res.eta_hat
 
     if args.concentration:
-        labels = shifts.label_column(args.cluster) if args.cluster else None
+        labels = None if args.cluster is None else shifts.label_column(args.cluster)
         payload["concentration"] = dataclasses.asdict(concentration(w_j, clusters=labels))
 
-    if args.autocorr:
+    if args.autocorr is not None:
         try:
-            lags = tuple(int(v) for v in args.autocorr.split(",") if v)
+            lags = tuple(int(v) for v in args.autocorr.split(","))
         except ValueError:
             raise ValidationError(f"--autocorr lags must be integers, got {args.autocorr!r}") from None
         if shifts.period is None:
@@ -522,15 +513,15 @@ def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
         summary = shift_summary(shifts, w_j, residuals=res, lags=lags)
         payload["shift_summary"] = summary.to_dict()
 
-    if args.icc:
+    if args.icc is not None:
         r = icc(eta, shifts.label_column(args.icc), seed=args.seed)
         payload.setdefault("icc", {})[args.icc] = {
             "icc": r.icc, "se": r.se, "n_groups": r.n_groups, "n_obs": r.n_obs,
         }
 
-    if args.balance:
+    if args.balance is not None:
         variable = shares.exposure(eta)
-        cluster_labels = shifts.label_column(args.cluster) if args.cluster else None
+        cluster_labels = None if args.cluster is None else shifts.label_column(args.cluster)
         balance = {}
         for col in args.balance.split(","):
             try:
@@ -602,6 +593,34 @@ COMMANDS = {
 }
 
 
+def _check_flags(args) -> None:
+    """Refuse, before any input is read, a flag that the path ignores or that needs another."""
+    a, rules = args, ()
+    if a.command == "construct":
+        rules = ((a.decompose and None in (a.initial_shares, a.unit_shifts),
+                  "--decompose needs --initial-shares and --unit-shifts"),
+                 (a.loo and a.unit_shifts is None, "--loo needs --unit-shifts"),
+                 (a.replace_shares and a.replace_threshold is None,
+                  "--replace-shares needs --replace-threshold"),
+                 (a.initial_shares is not None and not a.decompose,
+                  "--initial-shares needs --decompose"),
+                 (a.unit_shifts is not None and not (a.loo or a.decompose),
+                  "--unit-shifts needs --loo or --decompose"))
+    elif a.command == "estimate" and a.framework == "share":
+        rules = ((a.residualize is not None, "--residualize needs --framework shift"),
+                 (a.cluster_shift is not None, "--cluster-shift needs --framework shift"),
+                 (a.se in ("exposure", "residualized"), f"--se {a.se} needs --framework shift"))
+    elif a.command == "ri":
+        rules = ((a.beta0 is not None and a.level is not None,
+                  "--level needs an interval, which --beta0 does not compute"),)
+    elif a.command == "diagnose":
+        rules = ((a.cluster is not None and not a.concentration and a.balance is None,
+                  "--cluster needs --concentration or --balance"),)
+    for broken, message in rules:
+        if broken:
+            raise ValidationError(message)
+
+
 def _read_inputs(args) -> tuple:
     """What the command reads, checked before ``--out`` is created: the three input files,
     the shifts and units first and then the shares against their ids, or for ``simulate``
@@ -623,6 +642,7 @@ def dispatch(argv) -> int:
     args = build_parser().parse_args(argv)
     args.reader = _Reader()  # one per run: each input's digest, and the cache
     try:
+        _check_flags(args)
         inputs = _read_inputs(args)
         if args.out.exists() and not args.out.is_dir():  # found before the command runs
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(args.out))

@@ -27,12 +27,7 @@ DEMEAN_MAX_ITER = 10000  # alternating-demeaning sweeps before giving up
 
 def build_exposure(shares: ShareMatrix, shifts: ShiftTable | np.ndarray) -> np.ndarray:
     """Exposure of each unit: the share-weighted sum of shift values."""
-    values = shifts.values if isinstance(shifts, ShiftTable) else np.asarray(shifts, dtype=float)
-    if values.shape != (shares.n_shifts,):
-        raise ValidationError(
-            f"dimension mismatch: {shares.n_shifts} share columns vs {values.shape[0]} shifts"
-        )
-    return shares.exposure(values)
+    return shares.exposure(shifts.values if isinstance(shifts, ShiftTable) else shifts)
 
 
 @dataclass(frozen=True)
@@ -113,13 +108,16 @@ def complete_shares(shares: ShareMatrix, shifts: ShiftTable) -> CompletedShares:
     Existing covariate columns are zero-filled for the complement. The
     returned ``sum_of_shares`` control is the original row sum per unit.
     """
-    sums = shares.row_sums()
-    new_shares = shares.with_column(np.clip(1.0 - sums, 0.0, None), COMPLEMENT_ID)
     if shifts.n_shifts != shares.n_shifts:
         raise ValidationError("shift table does not match the share matrix")
     if REAL_SHIFT_COVARIATE in shifts.covariate_names:
         raise ValidationError(f"shift covariate name {REAL_SHIFT_COVARIATE!r} is reserved "
                               "for the indicator that share completion adds")
+    if COMPLEMENT_ID in shares.col_ids + shifts.shift_ids:
+        raise ValidationError(f"shift id {COMPLEMENT_ID!r} is reserved for the share that "
+                              "completion adds")
+    sums = shares.row_sums()
+    new_shares = shares.with_column(np.clip(1.0 - sums, 0.0, None), COMPLEMENT_ID)
     m = shifts.n_shifts
     indicator = np.concatenate([np.ones(m), [0.0]])
     if shifts.covariates is not None:
@@ -315,8 +313,6 @@ def residualize_shifts(
 
 def shift_weights_from(dataset: Dataset, shares: ShareMatrix) -> np.ndarray:
     """Importance-weighted aggregate share of each shift: ``w_j = sum_i e_i w_ij``."""
-    if dataset.n_units != shares.n_units:
-        raise ValidationError("dataset and share matrix have different unit counts")
     return shares.aggregate(dataset.unit_weights)
 
 

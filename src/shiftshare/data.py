@@ -20,6 +20,8 @@ The share matrix is stored as row-sorted triplets (CSR, about 16 bytes per nonze
 and unit-by-shift values (``--unit-shifts``) stay ``(rows, cols, values)`` triplets, read at
 the stored shares by ``ShareMatrix.at_shares``: no module builds a dense units-by-shifts array.
 
+Each table checks its own invariants, ids that repeat as strings among them, however it is
+built; a loader prefixes the file's path to an error that building its table raises.
 A leading UTF-8 byte-order mark is skipped, in CSV and JSON. CSV files use RFC 4180 quoting
 as ``save_inputs`` writes it: ``#`` is data, blank lines (before the header too) are skipped,
 and ragged rows and a header naming a column twice are rejected. Ids are matched exactly,
@@ -36,7 +38,8 @@ A file that the one pass does not take whole is read again entry by entry, which
 error or accepts what ``float`` and ``str`` accept: for JSON, an empty array, a numeric id, a
 row with keys besides the three, and any malformed file. A JSON row object that gives a key
 twice keeps the last value (``json.load`` collapses it), and a JSON string holding a lone
-surrogate (an unpaired ``\\ud800`` escape) is rejected, since no file could be written with it.
+surrogate (an unpaired ``\\ud800`` escape) is rejected, as is a table built with one in an id
+or label, since no file could be written with it.
 
 Every CSV the package writes (``save_inputs`` and the CLI tables) uses the default
 ``csv.writer`` dialect: QUOTE_MINIMAL quoting and ``\r\n`` line ends, with floats written as
@@ -185,8 +188,20 @@ def _check_names(table: str, reserved: tuple[str, ...], names: Sequence[str]) ->
         seen.add(name)
 
 
+def _checked_ids(ids, column: str) -> tuple[str, ...]:
+    """``ids`` as strings that a file can hold, none given twice: ``column`` names them."""
+    ids = tuple(map(str, ids))
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"duplicate {column} values")
+    if not "".join(ids).isascii():
+        _check_unicode(ids)
+    return ids
+
+
 def _frozen_labels(values) -> np.ndarray:
     out = np.array([str(v) for v in values], dtype=object)
+    if not "".join(out).isascii():
+        _check_unicode(out)
     out.setflags(write=False)
     return out
 
@@ -253,7 +268,7 @@ class ShareMatrix:
         stored = values != 0.0
         out = cls.__new__(cls)
         out._set(np.searchsorted(rows[stored], np.arange(len(row_ids) + 1)),
-                 cols[stored], values[stored], tuple(map(str, row_ids)), tuple(map(str, col_ids)))
+                 cols[stored], values[stored], row_ids, col_ids)
         return out
 
     def _set(self, indptr, indices, data, row_ids, col_ids) -> None:
@@ -261,6 +276,7 @@ class ShareMatrix:
         for name, value in (("indptr", indptr), ("indices", indices), ("data", data)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        row_ids, col_ids = _checked_ids(row_ids, "unit_id"), _checked_ids(col_ids, "shift_id")
         object.__setattr__(self, "row_ids", row_ids)
         object.__setattr__(self, "col_ids", col_ids)
 
@@ -444,15 +460,14 @@ class ShiftTable:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValidationError("shift values must be one-dimensional")
-        if not np.all(np.isfinite(v)):
-            j = int(np.argmax(~np.isfinite(v)))
-            ident = self.shift_ids[j] if j < len(self.shift_ids) else j
-            raise ValidationError(f"non-finite shift value for shift {ident!r}")
-        object.__setattr__(self, "values", _frozen_array(v))
-        object.__setattr__(self, "shift_ids", tuple(str(s) for s in self.shift_ids))
+        object.__setattr__(self, "shift_ids", _checked_ids(self.shift_ids, "shift_id"))
         m = v.shape[0]
         if len(self.shift_ids) != m:
             raise ValidationError("shift ids do not match the number of values")
+        if not np.all(np.isfinite(v)):
+            j = int(np.argmax(~np.isfinite(v)))
+            raise ValidationError(f"non-finite shift value for shift {self.shift_ids[j]!r}")
+        object.__setattr__(self, "values", _frozen_array(v))
         for name in ("cluster", "period", "exchange_group"):
             labels = getattr(self, name)
             if labels is None:
@@ -517,12 +532,12 @@ class Dataset:
         if y.ndim != 1:
             raise ValidationError("outcome must be one-dimensional")
         n = y.shape[0]
+        object.__setattr__(self, "unit_ids", _checked_ids(self.unit_ids, "unit_id"))
+        if len(self.unit_ids) != n:
+            raise ValidationError("unit ids do not match the number of outcomes")
         if not np.all(np.isfinite(y)):
             raise ValidationError("outcome contains non-finite values")
         object.__setattr__(self, "outcome", _frozen_array(y))
-        object.__setattr__(self, "unit_ids", tuple(str(u) for u in self.unit_ids))
-        if len(self.unit_ids) != n:
-            raise ValidationError("unit ids do not match the number of outcomes")
         if self.regressor is not None:
             x = np.asarray(self.regressor, dtype=float)
             if x.shape != (n,):
@@ -587,7 +602,8 @@ def _read_columns(
             if not isinstance(row, dict) or row.keys() != rows[0].keys():
                 raise SchemaError(f"{file}: row {k + 1} is not an object with the keys of row 1")
         names, n_rows = list(rows[0]) if rows else list(required), len(rows)
-        _check_unicode(file, chain(names, chain.from_iterable(map(dict.values, rows))))
+        _check_unicode(chain(names, chain.from_iterable(map(dict.values, rows))),
+                       lambda message: SchemaError(f"{file}: {message}"))
     else:
         raise SchemaError(f"unknown input format {fmt!r} (expected csv or json)")
     if n_rows == 0 and not allow_empty:
@@ -649,15 +665,24 @@ def _open_csv(path: str | Path):
         raise _undecodable(path, error) from None
 
 
-def _check_unicode(path: Path, texts) -> None:
+def _check_unicode(texts, error=ValidationError) -> None:
     """Reject a string of ``texts`` that holds a lone surrogate, which a JSON ``\\ud800``
-    escape can give and no file can be written with."""
+    escape can give and no file can be written with, by raising ``error``."""
     for text in texts:
         if isinstance(text, str) and not text.isascii():
             try:
                 text.encode()
             except UnicodeEncodeError:
-                raise SchemaError(f"{path}: {text!r} is not valid Unicode") from None
+                raise error(f"{text!r} is not valid Unicode") from None
+
+
+@contextmanager
+def _naming(path: str | Path):
+    """Prefix ``"{path}: "`` to a ``ValidationError`` that building the file's table raises."""
+    try:
+        yield
+    except ValidationError as error:
+        raise ValidationError(f"{path}: {error}") from None
 
 
 def _undecodable(path: str | Path, error: UnicodeDecodeError) -> SchemaError:
@@ -690,42 +715,29 @@ def _float_columns(columns: dict[str, list], names: Sequence[str], path) -> np.n
 def load_shifts(path: str | Path, fmt: str = "csv") -> ShiftTable:
     columns = _read_columns(path, fmt, ("shift_id", "value"))
     ids = columns.pop("shift_id")
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"{path}: duplicate shift_id values")
     values = _floats(columns.pop("value"), lambda k: f"{path} shift {ids[k]!r}")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValidationError(f"{path}: non-finite shift value for shift {ids[bad[0]]!r}")
     labels = {c: columns.pop(c) for c in ("cluster", "period", "exchange_group") if c in columns}
     cov_names = sorted((c for c in columns if c.startswith("p_")), key=lambda c: (len(c), c))
-    return ShiftTable(
-        values=values,
-        shift_ids=tuple(ids),
-        covariates=_float_columns(columns, cov_names, path) if cov_names else None,
-        covariate_names=tuple(cov_names),
-        extras={c: col for c, col in columns.items() if c not in cov_names},
-        **labels,
-    )
+    covariates = _float_columns(columns, cov_names, path) if cov_names else None
+    with _naming(path):
+        return ShiftTable(values, ids, covariates=covariates, covariate_names=tuple(cov_names),
+                          extras={c: col for c, col in columns.items() if c not in cov_names},
+                          **labels)
 
 
 def load_units(path: str | Path, fmt: str = "csv") -> Dataset:
     columns = _read_columns(path, fmt, ("unit_id", "y"))
     ids = columns.pop("unit_id")
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"{path}: duplicate unit_id values")
     y = _floats(columns.pop("y"), lambda k: f"{path} unit {ids[k]!r}")
     x = _float_columns(columns, ("x",), path)[:, 0] if "x" in columns else None
     weights = _float_columns(columns, ("w_e",), path)[:, 0] if "w_e" in columns else None
     pi_names = sorted((c for c in columns if c.startswith("pi_")), key=lambda c: (len(c), c))
-    return Dataset(
-        outcome=y,
-        unit_ids=tuple(ids),
-        regressor=x,
-        controls=_float_columns(columns, pi_names, path) if pi_names else None,
-        control_names=tuple(pi_names),
-        unit_weights=weights,
-        extras={c: col for c, col in columns.items() if c not in ("x", "w_e", *pi_names)},
-    )
+    controls = _float_columns(columns, pi_names, path) if pi_names else None
+    with _naming(path):
+        return Dataset(outcome=y, unit_ids=ids, regressor=x, controls=controls,
+                       control_names=tuple(pi_names), unit_weights=weights,
+                       extras={c: col for c, col in columns.items()
+                               if c not in ("x", "w_e", *pi_names)})
 
 
 def _read_long_matrix(
@@ -867,19 +879,9 @@ def load_shares(
     shift_ids: Sequence[str],
     fmt: str = "csv",
 ) -> ShareMatrix:
-    return _shares_of(path, _read_long_matrix(path, "weight", unit_ids, shift_ids, fmt),
-                      unit_ids, shift_ids)
-
-
-def _shares_of(path, triplets: Triplets, unit_ids, shift_ids) -> ShareMatrix:
-    """The shares of long-format file ``path`` from the triplets its read or cache hit checked."""
-    rows, cols, values = triplets
-    try:
-        return ShareMatrix._of_sorted(rows, cols, values, unit_ids, shift_ids)
-    except ValidationError as error:
-        if np.any(values < 0):  # a negative share is checked first; name its file
-            raise ValidationError(f"{path}: {error}") from None
-        raise
+    triplets = _read_long_matrix(path, "weight", unit_ids, shift_ids, fmt)
+    with _naming(path):
+        return ShareMatrix._of_sorted(*triplets, unit_ids, shift_ids)
 
 
 def load_inputs(
@@ -995,6 +997,8 @@ def save_inputs(
     fmt: str = "csv",
 ) -> dict[str, Path]:
     """Write the three input files into ``directory``; returns their paths."""
+    if (shares.row_ids, shares.col_ids) != (dataset.unit_ids, shifts.shift_ids):
+        raise ValidationError("the shares must list the units' and shifts' ids in their order")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     shift_columns = {"shift_id": shifts.shift_ids, "value": shifts.values}

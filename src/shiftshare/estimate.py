@@ -389,10 +389,6 @@ def invert(
     reproduces the unit-level one; ``diagnose.aggregate_placebo`` aggregates a
     unit variable as it is.
     """
-    if shares.n_units != dataset.n_units:
-        raise ValidationError("share matrix and dataset have different unit counts")
-    if shares.n_shifts != shifts.n_shifts:
-        raise ValidationError("share matrix and shift table have different shift counts")
     if not incomplete_ok and not shares.is_complete():
         raise ValidationError(
             "shares are incomplete; run complete_shares first or include the "
@@ -722,10 +718,6 @@ def estimate_shift_framework(
             report.se_variants["residualized_cluster"] = residualized_se(
                 *args, clusters=shift_labels
             )
-    if se == "conventional":
-        report.se_variants = {
-            k: v for k, v in report.se_variants.items() if k.startswith("conventional")
-        }
     report.m_shifts = inverted.m_shifts
     table = rotemberg(augmented, shares, shifts) if with_rotemberg else None
     return ShiftFrameworkResult(estimate=report, inverted=inverted, residuals=res, rotemberg=table)

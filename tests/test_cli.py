@@ -238,6 +238,20 @@ class TestDiagnoseCommand:
         assert err == ["numerical failure: clustered standard errors need at least 2 "
                        "shift clusters"]
 
+    @pytest.mark.parametrize("args, message", [
+        (["--concentration", "--cluster", ""], "shift table has no column named ''"),
+        (["--icc", ""], "shift table has no column named ''"),
+        (["--balance", ""], "units table has no column named ''"),
+        (["--balance", "", "--cluster", "cluster"], "units table has no column named ''"),
+        (["--autocorr", ""], "--autocorr lags must be integers, got ''"),
+        (["--autocorr", "1,"], "--autocorr lags must be integers, got '1,'"),
+    ])
+    def test_an_empty_name_is_an_unknown_name(self, args, message, inputs, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["--quiet", "diagnose", *args, *io_args(inputs, out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_unknown_balance_column_exits_one(self, inputs, tmp_path):
         code = main(["--quiet", "diagnose", "--balance", "nope",
                      *io_args(inputs, tmp_path / "d")])
@@ -407,6 +421,13 @@ class TestSimulateCommand:
     (["diagnose", "--cluster", "cluster"], "--cluster needs --concentration or --balance"),
     (["diagnose", "--icc", "cluster", "--cluster", "cluster"],
      "--cluster needs --concentration or --balance"),
+    # named files that do not exist: the flag is refused before any input is read
+    (["construct", "--initial-shares", "absent.csv"], "--initial-shares needs --decompose"),
+    (["construct", "--loo", "--unit-shifts", "ds.csv", "--initial-shares", "absent.csv"],
+     "--initial-shares needs --decompose"),
+    (["construct", "--unit-shifts", "absent.csv"], "--unit-shifts needs --loo or --decompose"),
+    (["ri", "--beta0", "1", "--level", "0.9"],
+     "--level needs an interval, which --beta0 does not compute"),
 ])
 def test_a_flag_that_the_path_ignores_exits_one(argv, message, inputs, tmp_path, capsys):
     out = tmp_path / "out"
@@ -650,7 +671,7 @@ def test_over_unit_share_row_message(inputs, tmp_path, capsys):
                                 .replace("u0,s3,0.2912", "u0,s3,0.25"))
     assert main(["--quiet", "estimate", *io_args(inputs, tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
-        "error: row sum 1.5 for unit 'u0' exceeds 1 + 1e-09\n"
+        f"error: {inputs['shares']}: row sum 1.5 for unit 'u0' exceeds 1 + 1e-09\n"
     )
 
 
@@ -784,7 +805,28 @@ class TestConstructTables:
                      *io_args(inputs, out)])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: unit shifts contain non-finite values"]
+        assert err == [f"error: {unit_shifts}: unit shifts contain non-finite values"]
+        assert not out.exists()
+
+    def test_a_shift_named_like_the_complement_exits_one(self, inputs, tmp_path, capsys):
+        inputs["shifts"].write_text(SHIFTS.replace("s3,", "__complement__,"))
+        inputs["shares"].write_text(SHARES.replace(",s3,", ",__complement__,"))
+        out = tmp_path / "out"
+        assert main(["--quiet", "construct", "--complete-shares", *io_args(inputs, out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: shift id '__complement__' is reserved for the share that completion adds"]
+        assert not out.exists()
+
+    def test_non_finite_initial_share_names_its_file(self, inputs, tmp_path, capsys):
+        initial = tmp_path / "initial.csv"
+        initial.write_text(SHARES.replace("u3,s2,0.2001", "u3,s2,nan"))
+        unit_shifts = tmp_path / "ds.csv"
+        unit_shifts.write_text("unit_id,shift_id,value\nu0,s0,1.5\n")
+        out = tmp_path / "out"
+        assert main(["--quiet", "construct", "--decompose", "--initial-shares", str(initial),
+                     "--unit-shifts", str(unit_shifts), *io_args(inputs, out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {initial}: non-finite share at unit 'u3', shift 's2'"]
         assert not out.exists()
 
 

@@ -49,7 +49,7 @@ class TestBuildExposure:
 
     def test_dimension_mismatch(self):
         shares = ShareMatrix(np.array([[0.5, 0.5]]), unit_ids(1), shift_ids(2))
-        with pytest.raises(ValidationError, match="mismatch"):
+        with pytest.raises(ValidationError, match="one value per shift"):
             build_exposure(shares, table([1.0, 2.0, 3.0]))
 
 

@@ -228,10 +228,20 @@ INGESTION_CASES = [
     ("nan_value", BOTH, {"shifts": _cell("shifts", 1, "value", "nan")},
      (ValidationError, "{shifts}: non-finite shift value for shift 's1'")),
     ("inf_y", BOTH, {"units": _cell("units", 1, "y", "inf")},
-     (ValidationError, "outcome contains non-finite values")),
+     (ValidationError, "{units}: outcome contains non-finite values")),
     ("duplicate_unit", BOTH, {"units": _cell("units", 2, "unit_id", "a")},
      (ValidationError, "{units}: duplicate unit_id values")),
     ("duplicate_shift", BOTH, {"shifts": _cell("shifts", 2, "shift_id", "s1")},
+     (ValidationError, "{shifts}: duplicate shift_id values")),
+    # a number is parsed before its table is built, and the table checks its ids
+    ("duplicate_shift_and_bad_value", BOTH,
+     {"shifts": _rows("shifts", BASE["shifts"][1], ["s1", "abc", "west", "0.2"])},
+     (ValidationError, "{shifts} shift 's1': cannot parse 'abc' as a number")),
+    ("duplicate_unit_and_bad_y", BOTH,
+     {"units": _rows("units", *BASE["units"][1:3], ["a", "abc", "0.25", "1.0", "0.3"])},
+     (ValidationError, "{units} unit 'a': cannot parse 'abc' as a number")),
+    ("duplicate_shift_and_nan_value", BOTH,
+     {"shifts": _rows("shifts", BASE["shifts"][1], ["s1", "nan", "west", "0.2"])},
      (ValidationError, "{shifts}: duplicate shift_id values")),
     ("unknown_ids", BOTH,
      {"shares": BASE["shares"] + [["zz", "s1", "0.1"], ["a", "s9", "0.1"], ["yy", "s8", "0.1"]]},
@@ -262,9 +272,9 @@ INGESTION_CASES = [
     ("negative_share", BOTH, {"shares": _cell("shares", 3, "weight", "-0.1")},
      (ValidationError, "{shares}: negative share -0.1 at unit 'b', shift 's1'")),
     ("nan_share", BOTH, {"shares": _cell("shares", 3, "weight", "nan")},
-     (ValidationError, "non-finite share at unit 'b', shift 's1'")),
+     (ValidationError, "{shares}: non-finite share at unit 'b', shift 's1'")),
     ("row_sum_above_one", BOTH, {"shares": _cell("shares", 2, "weight", "0.75")},
-     (ValidationError, "row sum 1.25 for unit 'a' exceeds 1 + 1e-09")),
+     (ValidationError, "{shares}: row sum 1.25 for unit 'a' exceeds 1 + 1e-09")),
     ("repeated_pair", BOTH,
      {"shares": BASE["shares"] + [["c", "s1", "0.1"], ["a", "s2", "0.1"]]},
      (ValidationError, "{shares}: repeated (unit_id, shift_id) pair ('a', 's2')")),
@@ -654,17 +664,21 @@ class TestLongFormatReader:
 LABELS = st.sampled_from(
     ["", " ", "a,b", '"q"', "#x", " lead", "trail ", "a\nb", "a\r\nb", "é ü", "1.5", "nan"]
 ) | st.text(alphabet=',"# \r\nab\xe9.1', max_size=5)
+# any text: the control characters that parsers strip or read as line ends, and now and
+# then a lone surrogate (a text that holds one refuses the whole example)
+ANY_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=4) | st.sampled_from(
+    ["\x00", "a\x00", "\x1c1", "\u2028", "\x85", "\x0b", "\ufeff", "\r", "b\ud800"])
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [5e-324, -2.5e-310, 1e308, -1e308, -0.0]
 )
 
 
 @st.composite
-def input_sets(draw):
+def input_sets(draw, text=LABELS):
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
 
     def labels(size, unique=False):
-        return draw(st.lists(LABELS, min_size=size, max_size=size, unique=unique))
+        return draw(st.lists(text, min_size=size, max_size=size, unique=unique))
 
     def floats(shape, elements=FLOATS):
         return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
@@ -746,6 +760,38 @@ class TestRoundTrip:
         assert dataset2.extras["region"].tolist() == dataset.extras["region"].tolist()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_text_round_trips_or_is_refused_when_built(self, fmt, data):
+        """Tables whose ids and labels are any text, lone surrogates included, are refused
+        when built if a text holds one, and otherwise reload bit for bit."""
+        try:
+            tables = data.draw(input_sets(ANY_TEXT))
+        except ValidationError as error:
+            text, _, rest = str(error).rpartition(" is not valid Unicode")
+            assert rest == ""
+            with pytest.raises(UnicodeEncodeError):
+                ast.literal_eval(text).encode()
+            return
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShiftShareWarning)  # all-zero share rows
+            paths = save_inputs(tmp, *tables, fmt=fmt)
+            loaded = load_inputs(paths["shares"], paths["shifts"], paths["units"], fmt=fmt)
+        assert _contents(*loaded) == _contents(*tables)
+
+    def test_shares_of_other_ids_are_not_saved(self, tmp_path):
+        shares = ShareMatrix(np.array([[0.5, 0.25]]), ("a",), ("s1", "s2"))
+        dataset = Dataset(outcome=[1.0], unit_ids=("a",))
+        for shift_ids in (("s1", "s3"), ("s2", "s1"), ("s1",)):
+            shifts = ShiftTable(np.ones(len(shift_ids)), shift_ids)
+            with pytest.raises(ValidationError, match="the shares must list"):
+                save_inputs(tmp_path / "out", shares, shifts, dataset)
+        with pytest.raises(ValidationError, match="the shares must list"):
+            save_inputs(tmp_path / "out", shares, ShiftTable([1.0, 2.0], ("s1", "s2")),
+                        Dataset(outcome=[1.0], unit_ids=("b",)))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_all_zero_shares_round_trip(self, tmp_path, fmt):
         with pytest.warns(ShiftShareWarning, match="all-zero"):
             shares = ShareMatrix(np.zeros((1, 1)), ("a",), ("s1",))
@@ -774,6 +820,15 @@ class TestRoundTrip:
             b"d,s2,0.2\r\n"
             b"d,s3,0.3\r\n"
         )
+
+
+def _contents(shares, shifts, dataset):
+    """Every id and label of the tables of ``input_sets``, and the bytes of every float."""
+    arrays = (shares.weights, shifts.values, shifts.covariates, dataset.outcome,
+              dataset.regressor, dataset.controls, dataset.unit_weights)
+    return (shares.row_ids, shares.col_ids, shifts.shift_ids, dataset.unit_ids,
+            [(a.shape, a.tobytes()) for a in arrays], shifts.cluster.tolist(),
+            shifts.extras["note"].tolist(), dataset.extras["region"].tolist())
 
 
 def _fmt(value) -> str:
@@ -926,6 +981,31 @@ class TestValidation:
             ShiftTable(**shift, covariates=[0.0, 1.0], extras={"p_1": ["a", "b"]})
         with pytest.raises(ValidationError, match="'k'"):
             ShiftTable(**shift, covariates=np.zeros((2, 2)), covariate_names=("k", "k"))
+
+    def test_repeated_ids_rejected(self):
+        """Ids are compared as the strings they are stored as, so 1 repeats "1"."""
+        for ids in (("a", "a"), (1, "1")):
+            with pytest.raises(ValidationError, match="^duplicate shift_id values$"):
+                ShiftTable(values=[1.0, 2.0], shift_ids=ids)
+            with pytest.raises(ValidationError, match="^duplicate unit_id values$"):
+                Dataset(outcome=[1.0, 2.0], unit_ids=ids)
+            with pytest.raises(ValidationError, match="^duplicate unit_id values$"):
+                ShareMatrix(np.zeros((2, 1)), ids, ("s",))
+            with pytest.raises(ValidationError, match="^duplicate shift_id values$"):
+                ShareMatrix.from_triplets([0], [1], [0.5], ("u",), ids)
+
+    def test_text_that_no_file_can_hold_rejected(self):
+        """A lone surrogate is refused in the words of the JSON reader, which refuses it
+        in a file."""
+        message = r"^'b\\ud800' is not valid Unicode$"
+        with pytest.raises(ValidationError, match=message):
+            ShiftTable(values=[1.0], shift_ids=("b\ud800",))
+        with pytest.raises(ValidationError, match=message):
+            ShiftTable(values=[1.0], shift_ids=("s",), cluster=["b\ud800"])
+        with pytest.raises(ValidationError, match=message):
+            Dataset(outcome=[1.0], unit_ids=("u",), extras={"note": ["b\ud800"]})
+        with pytest.raises(ValidationError, match=message):
+            ShareMatrix(np.zeros((1, 1)), ("b\ud800",), ("s",))
 
     def test_label_coverage(self):
         with pytest.raises(ValidationError, match="cluster"):
