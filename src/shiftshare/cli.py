@@ -291,9 +291,12 @@ def _write_csv_mirror(path: Path, payload: dict) -> None:
     _write_csv(path, {"metric": [k for k, _ in rows], "value": [v for _, v in rows]})
 
 
-def _terms(text: str | None) -> tuple[str, ...]:
-    """Terms of a comma-separated ``--residualize`` value."""
-    return tuple(t for t in (text or "").split(",") if t)
+def _terms(text: str) -> tuple[str, ...]:
+    """Terms of a comma-separated ``--residualize`` value, none of them empty."""
+    terms = tuple(text.split(","))
+    if "" in terms:
+        raise ValidationError(f"--residualize has an empty term: {text!r}")
+    return terms
 
 
 def _add_io_arguments(parser, need_inputs=True):
@@ -417,14 +420,13 @@ def _cmd_construct(args, shares, shifts, dataset) -> dict:
                   f"({replacement.replaced_fraction:.1%})")
 
     if args.residualize is not None:
-        spec = _terms(args.residualize)
-        res = residualize_shifts(shifts, spec, w_j)
+        res = residualize_shifts(shifts, args.residualize, w_j)
         reports["shift_residuals.csv"] = _write_csv, {
             "shift_id": shifts.shift_ids, "eta_hat": res.eta_hat, "fitted": res.fitted,
             "weight": w_j,
         }
         if not args.quiet:
-            print(f"residualized on {spec}; sse_ratio = {res.sse_ratio:.4f}")
+            print(f"residualized on {args.residualize}; sse_ratio = {res.sse_ratio:.4f}")
 
     if args.loo:
         loo = leave_one_out_shifts(unit_shifts, shares)
@@ -454,7 +456,7 @@ def _cmd_estimate(args, shares, shifts, dataset) -> dict:
     else:
         payload = estimate_shift_framework(
             shares, shifts, dataset,
-            residualize=_terms(args.residualize),
+            residualize=args.residualize or (),
             cluster_unit=args.cluster_unit,
             cluster_shift=args.cluster_shift,
             se=args.se,
@@ -496,7 +498,7 @@ def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
 
     res = None
     if args.residualize is not None:
-        res = residualize_shifts(shifts, _terms(args.residualize), w_j)
+        res = residualize_shifts(shifts, args.residualize, w_j)
     eta = shifts.values if res is None else res.eta_hat
 
     if args.concentration:
@@ -594,7 +596,8 @@ COMMANDS = {
 
 
 def _check_flags(args) -> None:
-    """Refuse, before any input is read, a flag that the path ignores or that needs another."""
+    """Refuse, before any input is read, a flag that the path ignores or that needs another,
+    and split ``--residualize`` into its terms."""
     a, rules = args, ()
     if a.command == "construct":
         rules = ((a.decompose and None in (a.initial_shares, a.unit_shifts),
@@ -619,6 +622,8 @@ def _check_flags(args) -> None:
     for broken, message in rules:
         if broken:
             raise ValidationError(message)
+    if getattr(a, "residualize", None) is not None:
+        a.residualize = _terms(a.residualize)
 
 
 def _read_inputs(args) -> tuple:

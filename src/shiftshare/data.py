@@ -54,7 +54,8 @@ import json
 import warnings
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace as dc_replace
+from copy import copy
+from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -144,6 +145,14 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 def _label_codes(labels) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct labels (compared as strings) and each entry's index into them."""
     return np.unique(np.asarray(labels, dtype=object).astype(str), return_inverse=True)
+
+
+def _vector(values, message: str) -> np.ndarray:
+    """``values`` as a one-dimensional float array; ``message`` refuses any other shape."""
+    out = np.asarray(values, dtype=float)
+    if out.ndim != 1:
+        raise ValidationError(message)
+    return out
 
 
 def _columns(values, rows: int, message: str) -> np.ndarray:
@@ -457,17 +466,10 @@ class ShiftTable:
     extras: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValidationError("shift values must be one-dimensional")
+        v = _vector(self.values, "shift values must be one-dimensional")
         object.__setattr__(self, "shift_ids", _checked_ids(self.shift_ids, "shift_id"))
+        self._set_values(v)
         m = v.shape[0]
-        if len(self.shift_ids) != m:
-            raise ValidationError("shift ids do not match the number of values")
-        if not np.all(np.isfinite(v)):
-            j = int(np.argmax(~np.isfinite(v)))
-            raise ValidationError(f"non-finite shift value for shift {self.shift_ids[j]!r}")
-        object.__setattr__(self, "values", _frozen_array(v))
         for name in ("cluster", "period", "exchange_group"):
             labels = getattr(self, name)
             if labels is None:
@@ -495,9 +497,21 @@ class ShiftTable:
     def n_shifts(self) -> int:
         return self.values.shape[0]
 
+    def _set_values(self, v: np.ndarray) -> None:
+        """Store the one-dimensional ``v`` as the values: one finite value per shift id."""
+        if len(self.shift_ids) != v.shape[0]:
+            raise ValidationError("shift ids do not match the number of values")
+        if not np.all(np.isfinite(v)):
+            j = int(np.argmax(~np.isfinite(v)))
+            raise ValidationError(f"non-finite shift value for shift {self.shift_ids[j]!r}")
+        object.__setattr__(self, "values", _frozen_array(v))
+
     def with_values(self, values: np.ndarray) -> "ShiftTable":
-        """Copy of the table with ``values`` swapped in (labels untouched)."""
-        return dc_replace(self, values=np.asarray(values, dtype=float))
+        """Copy of the table with ``values`` swapped in, checked as the constructor checks
+        them; the ids, labels and covariates are the same objects."""
+        out = copy(self)
+        out._set_values(_vector(values, "shift values must be one-dimensional"))
+        return out
 
     def label_column(self, name: str) -> np.ndarray:
         """Fetch a label column by name (``cluster``/``period``/``exchange_group`` or extra)."""
@@ -528,23 +542,10 @@ class Dataset:
     extras: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        y = np.asarray(self.outcome, dtype=float)
-        if y.ndim != 1:
-            raise ValidationError("outcome must be one-dimensional")
-        n = y.shape[0]
+        y = _vector(self.outcome, "outcome must be one-dimensional")
         object.__setattr__(self, "unit_ids", _checked_ids(self.unit_ids, "unit_id"))
-        if len(self.unit_ids) != n:
-            raise ValidationError("unit ids do not match the number of outcomes")
-        if not np.all(np.isfinite(y)):
-            raise ValidationError("outcome contains non-finite values")
-        object.__setattr__(self, "outcome", _frozen_array(y))
-        if self.regressor is not None:
-            x = np.asarray(self.regressor, dtype=float)
-            if x.shape != (n,):
-                raise ValidationError("regressor must have one value per unit")
-            if not np.all(np.isfinite(x)):
-                raise ValidationError("regressor contains non-finite values")
-            object.__setattr__(self, "regressor", _frozen_array(x))
+        self._set_outcome(y, self.regressor)
+        n = y.shape[0]
         if self.controls is not None:
             pi = _columns(self.controls, n, "controls must have one row per unit")
             if not np.all(np.isfinite(pi)):
@@ -560,6 +561,32 @@ class Dataset:
         extras = _frozen_extras(self.extras, n, "unit")
         object.__setattr__(self, "extras", extras)
         _check_names("unit", ("unit_id", "y", "x", "w_e"), (*self.control_names, *extras))
+
+    def _set_outcome(self, y: np.ndarray, regressor) -> None:
+        """Store the one-dimensional ``y`` as the outcome and ``regressor`` (None for none) as
+        the regressor: one finite value each per unit id."""
+        n = y.shape[0]
+        if len(self.unit_ids) != n:
+            raise ValidationError("unit ids do not match the number of outcomes")
+        if not np.all(np.isfinite(y)):
+            raise ValidationError("outcome contains non-finite values")
+        object.__setattr__(self, "outcome", _frozen_array(y))
+        if regressor is not None:
+            x = np.asarray(regressor, dtype=float)
+            if x.shape != (n,):
+                raise ValidationError("regressor must have one value per unit")
+            if not np.all(np.isfinite(x)):
+                raise ValidationError("regressor contains non-finite values")
+            regressor = _frozen_array(x)
+        object.__setattr__(self, "regressor", regressor)
+
+    def with_outcome(self, outcome: np.ndarray, regressor: np.ndarray | None) -> "Dataset":
+        """Copy of the dataset with ``outcome`` and ``regressor`` (None for none) swapped in,
+        checked as the constructor checks them; the ids, controls, weights and extras are
+        the same objects."""
+        out = copy(self)
+        out._set_outcome(_vector(outcome, "outcome must be one-dimensional"), regressor)
+        return out
 
     @property
     def n_units(self) -> int:

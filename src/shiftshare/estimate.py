@@ -165,6 +165,35 @@ def _unit_design(dataset: Dataset) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.hstack([ones, dataset.controls]), ("intercept",) + dataset.control_names
 
 
+def _unit_iv(dataset: Dataset, instrument: np.ndarray, regressor: np.ndarray | None):
+    """The checks and the partialled solve of ``shiftshare_2sls``: the ``_partialled_iv``
+    tuple on the unit controls with intercept, and the controls' names."""
+    z = np.asarray(instrument, dtype=float)
+    n = dataset.n_units
+    if z.shape != (n,):
+        raise ValidationError("instrument must have one value per unit")
+    if regressor is None:
+        regressor = dataset.regressor
+    if regressor is None:
+        raise ValidationError("dataset has no endogenous regressor; pass one explicitly")
+    x = np.asarray(regressor, dtype=float)
+    if x.shape != (n,):
+        raise ValidationError("regressor must have one value per unit")
+    controls, control_names = _unit_design(dataset)
+    fit = _partialled_iv(controls, control_names, z, x, dataset.outcome, dataset.unit_weights)
+    return fit, control_names
+
+
+def _conventional_se(fit, weights: np.ndarray, codes: np.ndarray,
+                     k: int) -> tuple[float, float]:
+    """The conventional SE of a ``_unit_iv`` fit with ``k`` coefficients at the unit
+    cluster ``codes``, and its small-cluster factor ``G/(G-1) * (n-1)/(n-k)``."""
+    _, _, resid, z_perp, _, denom = fit
+    n, g = codes.size, int(codes.max()) + 1
+    correction = (g / (g - 1)) * ((n - 1) / (n - k)) if g > 1 and n > k else 1.0
+    return _robust_se(weights * z_perp * resid, codes, denom, correction), correction
+
+
 def shiftshare_2sls(
     dataset: Dataset,
     instrument: np.ndarray,
@@ -179,29 +208,12 @@ def shiftshare_2sls(
     cluster labels each unit is its own cluster, which reduces the factor to
     ``n/(n-k)``.
     """
-    z = np.asarray(instrument, dtype=float)
-    n = dataset.n_units
-    if z.shape != (n,):
-        raise ValidationError("instrument must have one value per unit")
-    if regressor is None:
-        regressor = dataset.regressor
-    if regressor is None:
-        raise ValidationError("dataset has no endogenous regressor; pass one explicitly")
-    x = np.asarray(regressor, dtype=float)
-    if x.shape != (n,):
-        raise ValidationError("regressor must have one value per unit")
-    e = dataset.unit_weights
-    controls, control_names = _unit_design(dataset)
-    beta, gamma, resid, z_perp, x_perp, denom = _partialled_iv(
-        controls, control_names, z, x, dataset.outcome, e
-    )
-
+    fit, control_names = _unit_iv(dataset, instrument, regressor)
+    beta, gamma, resid, z_perp, x_perp, _ = fit
+    n, e = dataset.n_units, dataset.unit_weights
     labels = dataset.extra_column(cluster) if isinstance(cluster, str) else cluster
     codes = np.arange(n) if labels is None else _cluster_codes(labels, n, "unit")
-    g = int(codes.max()) + 1
-    k = 1 + controls.shape[1]
-    correction = (g / (g - 1)) * ((n - 1) / (n - k)) if g > 1 and n > k else 1.0
-    se = _robust_se(e * z_perp * resid, codes, denom, correction)
+    se, correction = _conventional_se(fit, e, codes, 1 + len(control_names))
     fs_f = _conventional_f(z_perp, x_perp, e, codes, correction)
 
     return EstimateReport(
@@ -213,7 +225,7 @@ def shiftshare_2sls(
         residuals=resid,
         x_perp=x_perp,
         n_units=n,
-        n_clusters=None if labels is None else g,
+        n_clusters=None if labels is None else int(codes.max()) + 1,
     )
 
 
@@ -419,7 +431,8 @@ def invert(
         weight=w,
         instrument=instrument[kept],
         shift_values=shifts.values[kept],
-        shift_ids=tuple(np.array(shifts.shift_ids, dtype=object)[kept]),
+        shift_ids=(shifts.shift_ids if kept.all()
+                   else tuple(np.array(shifts.shift_ids, dtype=object)[kept])),
         cluster=cluster,
         kept=kept,
         n_units=dataset.n_units,
@@ -429,8 +442,8 @@ def invert(
 def _negligibility_check(weight: np.ndarray, shift_ids: tuple[str, ...]) -> None:
     # the fictitious complement share is excluded from the negligibility
     # conditions, so it must not trigger the dominance warning
-    real = np.array([sid != COMPLEMENT_ID for sid in shift_ids])
-    weight = weight[real]
+    if COMPLEMENT_ID in shift_ids:
+        weight = weight[np.array([sid != COMPLEMENT_ID for sid in shift_ids])]
     if weight.size == 0:
         return
     total = weight.sum()
@@ -449,28 +462,15 @@ def _negligibility_check(weight: np.ndarray, shift_ids: tuple[str, ...]) -> None
         )
 
 
-def estimate_inverted(
-    inverted: InvertedDataset,
-    shift_controls: np.ndarray | None = None,
-    cluster=None,
-) -> EstimateReport:
-    """Weighted IV in the inverted regression with exposure-robust standard errors.
-
-    Observations are shifts, weighted by their aggregate share, instrumented
-    by the (possibly residualized) shift value. ``shift_controls`` (shift-level
-    covariate columns; a 1-D array is one column) and explicit ``cluster``
-    labels have one row per shift of the original shift table and are subset
-    to the kept shifts; an intercept is always included. Reports the
-    heteroskedasticity-robust sandwich and, when shift cluster labels are
-    available (``cluster``, else the table's cluster column), the
-    cluster-robust one, both without degrees-of-freedom corrections, plus
-    conventional and effective first-stage F statistics.
-    """
+def _inverted_iv(inverted: InvertedDataset, shift_controls: np.ndarray | None = None,
+                 cluster=None) -> tuple[EstimateReport, np.ndarray]:
+    """The fit of ``estimate_inverted`` without the dominance warning and the first-stage
+    F statistics: its report, whose ``first_stage_f`` is empty, and the residualized
+    instrument."""
     w = inverted.weight
     m = inverted.n_shifts
     if m < 2:
         raise EstimationError("inverted regression needs at least 2 shifts with positive weight")
-    _negligibility_check(w, inverted.shift_ids)
 
     q_cols = np.ones((m, 1))
     q_names: tuple[str, ...] = ("intercept",)
@@ -497,24 +497,50 @@ def estimate_inverted(
         n_clusters = int(codes.max()) + 1
         se_variants["cluster_exposure_robust"] = _robust_se(scores, codes, denom)
 
-    conventional_f = _conventional_f(inst_perp, x_perp, w, np.arange(m), 1.0)
-    try:
-        eff_f = effective_f(x_perp, inst_perp, w, shift_values=inverted.shift_values)
-    except EstimationError:
-        eff_f = float("nan")
-
-    return EstimateReport(
+    report = EstimateReport(
         beta_hat=beta,
         gamma_hat=gamma,
         gamma_names=q_names,
         se_variants=se_variants,
-        first_stage_f={"conventional": conventional_f, "effective": eff_f},
+        first_stage_f={},
         residuals=resid,
         x_perp=x_perp,
         n_units=inverted.n_units,
         m_shifts=m,
         n_clusters=n_clusters,
     )
+    return report, inst_perp
+
+
+def estimate_inverted(
+    inverted: InvertedDataset,
+    shift_controls: np.ndarray | None = None,
+    cluster=None,
+) -> EstimateReport:
+    """Weighted IV in the inverted regression with exposure-robust standard errors.
+
+    Observations are shifts, weighted by their aggregate share, instrumented
+    by the (possibly residualized) shift value. ``shift_controls`` (shift-level
+    covariate columns; a 1-D array is one column) and explicit ``cluster``
+    labels have one row per shift of the original shift table and are subset
+    to the kept shifts; an intercept is always included. Reports the
+    heteroskedasticity-robust sandwich and, when shift cluster labels are
+    available (``cluster``, else the table's cluster column), the
+    cluster-robust one, both without degrees-of-freedom corrections, plus
+    conventional and effective first-stage F statistics.
+    """
+    w = inverted.weight
+    if inverted.n_shifts >= 2:  # a fit of fewer shifts fails, and warns of nothing first
+        _negligibility_check(w, inverted.shift_ids)
+    report, inst_perp = _inverted_iv(inverted, shift_controls, cluster)
+    x_perp = report.x_perp
+    conventional_f = _conventional_f(inst_perp, x_perp, w, np.arange(report.m_shifts), 1.0)
+    try:
+        eff_f = effective_f(x_perp, inst_perp, w, shift_values=inverted.shift_values)
+    except EstimationError:
+        eff_f = float("nan")
+    report.first_stage_f = {"conventional": conventional_f, "effective": eff_f}
+    return report
 
 
 # ---------------------------------------------------------------------------

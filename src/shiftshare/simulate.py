@@ -13,8 +13,11 @@ Randomness is organized as counter-based streams keyed by
 perturbs the draws, and every estimator inside a replication sees the same
 data. A coverage estimator is a fit of one design and the SE key it reads
 from that fit's report, as a registry name or a custom ``(name, fit, se_key)``
-triple; each design is fitted once per replication, so the two exposure
-estimators share one shift-level regression.
+triple. Each design is fitted once per replication: the two conventional
+estimators share one unit-level solve, as the two exposure estimators share one
+shift-level regression. The shift table and the dataset are built once per
+configuration, through their constructors, and each replication swaps in its
+draws, checked as the constructors check them.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .construct import residualize_shifts, shift_weights_from
-from .data import Dataset, ShareMatrix, ShiftTable
+from .data import PRODUCT_BLOCK, Dataset, ShareMatrix, ShiftTable
 from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
-from .estimate import EstimateReport, estimate_inverted, invert, shiftshare_2sls
+from .estimate import EstimateReport, _conventional_se, _inverted_iv, _unit_iv, invert
 
 SHARE_MODELS = ("dirichlet", "sparse-block", "network-inverse-degree")
 SHIFT_MODELS = ("iid-normal", "clustered", "exchangeable-groups", "bernoulli")
@@ -104,7 +107,9 @@ class DgpConfig:
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """Latent quantities behind one simulated draw."""
+    """Latent quantities behind one simulated draw. ``pi`` holds the first-stage
+    coefficient of each stored share, in ``ShareMatrix.nonzero()`` order, where the
+    process draws them."""
 
     beta_true: float
     latent_error_shock: np.ndarray | None
@@ -129,13 +134,12 @@ def _stream(seed: int, *path: int) -> np.random.Generator:
 
 
 class _Labels(NamedTuple):
-    """The ids and label arrays of a draw, which depend only on the configuration's
-    shape, so a Monte Carlo builds them once."""
+    """The shift table and the dataset of a draw with their ids and labels, which depend
+    only on the configuration's shape, so a Monte Carlo builds them once; each draw swaps
+    in its values."""
 
-    unit_ids: tuple[str, ...]
-    shift_ids: tuple[str, ...]
-    cluster: np.ndarray | None
-    exchange_group: np.ndarray | None
+    shifts: ShiftTable
+    dataset: Dataset
 
 
 def _labels(config: DgpConfig) -> _Labels:
@@ -147,15 +151,19 @@ def _labels(config: DgpConfig) -> _Labels:
     elif config.shift_model == "exchangeable-groups":
         codes = np.arange(m) % min(config.n_exchange_groups, m)
         exchange = np.array([f"g{c}" for c in codes], dtype=object)
-    return _Labels(tuple(f"u{i}" for i in range(n)), tuple(f"s{j}" for j in range(m)),
-                   cluster, exchange)
+    shifts = ShiftTable(np.zeros(m), [f"s{j}" for j in range(m)], cluster=cluster,
+                        exchange_group=exchange)
+    dataset = Dataset(outcome=np.zeros(n), unit_ids=[f"u{i}" for i in range(n)],
+                      regressor=np.zeros(n))
+    return _Labels(shifts, dataset)
 
 
 def _draw_shares(config: DgpConfig, rng: np.random.Generator, labels: _Labels) -> ShareMatrix:
     n, m = config.n, config.m
+    unit_ids, shift_ids = labels.dataset.unit_ids, labels.shifts.shift_ids
     if config.share_model == "dirichlet":
         w = rng.dirichlet(np.full(m, config.dirichlet_concentration), size=n)
-        return ShareMatrix(w, labels.unit_ids, labels.shift_ids)
+        return ShareMatrix(w, unit_ids, shift_ids)
     if config.share_model == "sparse-block":
         blocks = np.array_split(np.arange(m), min(config.n_blocks, m))
         assignment = rng.integers(0, len(blocks), size=n)
@@ -172,7 +180,7 @@ def _draw_shares(config: DgpConfig, rng: np.random.Generator, labels: _Labels) -
                     np.full(block.size, config.dirichlet_concentration), size=rows.size
                 )
         rows = np.repeat(np.arange(n), counts)
-        return ShareMatrix.from_triplets(rows, cols, values, labels.unit_ids, labels.shift_ids)
+        return ShareMatrix.from_triplets(rows, cols, values, unit_ids, shift_ids)
     # network-inverse-degree on a ring: neighbors within `network_neighbors`
     k = config.network_neighbors
     if 2 * k >= n:
@@ -181,7 +189,7 @@ def _draw_shares(config: DgpConfig, rng: np.random.Generator, labels: _Labels) -
     rows = np.repeat(np.arange(n), offsets.size)
     cols = (rows + np.tile(offsets, n)) % n
     return ShareMatrix.from_triplets(rows, cols, np.full(rows.size, 1.0 / offsets.size),
-                                     labels.unit_ids, labels.shift_ids)
+                                     unit_ids, shift_ids)
 
 
 def _draw_shifts(config: DgpConfig, rng: np.random.Generator) -> np.ndarray:
@@ -208,6 +216,20 @@ def _draw_shifts(config: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(d, dtype=float)
 
 
+def _pi_at_shares(config: DgpConfig, rng: np.random.Generator, rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """The coefficients ``pi_mean + pi_sd * N(0, 1)`` of an ``n x m`` draw at the stored
+    shares ``(rows, cols)``, row-sorted. The draw runs in blocks of about ``PRODUCT_BLOCK``
+    cells, which consume the stream as one draw does, and keeps only those values."""
+    step = max(1, PRODUCT_BLOCK // config.m)
+    bounds = np.searchsorted(rows, np.arange(0, config.n + step, step))
+    pi = np.empty(cols.size)
+    for r0, s, e in zip(range(0, config.n, step), bounds, bounds[1:]):
+        block = rng.standard_normal((min(step, config.n - r0), config.m))
+        pi[s:e] = block[rows[s:e] - r0, cols[s:e]]
+    return config.pi_mean + config.pi_sd * pi
+
+
 def generate(config: DgpConfig) -> SimulatedData:
     """Draw one dataset from the configured process; deterministic given the seed."""
     return _generate(config, _labels(config), ())
@@ -216,8 +238,10 @@ def generate(config: DgpConfig) -> SimulatedData:
 def _generate(config: DgpConfig, labels: _Labels, path: tuple[int, ...]) -> SimulatedData:
     rng_w = _stream(config.seed, *path, _ROLE_SHARES)
     rng_d = _stream(config.seed, *path, _ROLE_SHIFTS)
-    rng_fs = _stream(config.seed, *path, _ROLE_FIRST_STAGE)
     rng_e = _stream(config.seed, *path, _ROLE_ERRORS)
+    draws_pi = config.pi_sd > 0 or config.pi_mean != 1.0
+    if draws_pi or config.first_stage_noise_sd > 0:  # the only draws of this stream
+        rng_fs = _stream(config.seed, *path, _ROLE_FIRST_STAGE)
 
     shares = _draw_shares(config, rng_w, labels)
     d = _draw_shifts(config, rng_d)
@@ -237,9 +261,9 @@ def _generate(config: DgpConfig, labels: _Labels, path: tuple[int, ...]) -> Simu
 
     z = shares.exposure(d)
     pi = None
-    if config.pi_sd > 0 or config.pi_mean != 1.0:
-        pi = config.pi_mean + config.pi_sd * rng_fs.standard_normal((n, m))
-        x_signal = shares.row_totals(w * pi[rows, cols] * d[cols])
+    if draws_pi:
+        pi = _pi_at_shares(config, rng_fs, rows, cols)
+        x_signal = shares.row_totals(w * pi * d[cols])
     else:
         x_signal = z
     if config.first_stage_noise_sd > 0:
@@ -253,9 +277,8 @@ def _generate(config: DgpConfig, labels: _Labels, path: tuple[int, ...]) -> Simu
     x = x_signal + v
     y = config.beta_true * x + eps
 
-    shifts = ShiftTable(d, labels.shift_ids, cluster=labels.cluster,
-                        exchange_group=labels.exchange_group)
-    dataset = Dataset(outcome=y, unit_ids=labels.unit_ids, regressor=x)
+    shifts = labels.shifts.with_values(d)
+    dataset = labels.dataset.with_outcome(y, x)
     truth = TruthRecord(
         beta_true=config.beta_true,
         latent_error_shock=u,
@@ -273,21 +296,25 @@ Fit = Callable[[SimulatedData], EstimateReport]
 
 
 def _unit_fit(data: SimulatedData) -> EstimateReport:
-    return shiftshare_2sls(data.dataset, data.instrument)
-
-
-def _unit_cluster_fit(data: SimulatedData) -> EstimateReport:
-    # arbitrary geography-style unit clusters that ignore the share structure
-    n = data.dataset.n_units
-    groups = max(2, n // 10)
-    labels = [f"c{i % groups}" for i in range(n)]
-    return shiftshare_2sls(data.dataset, data.instrument, cluster=labels)
+    """``shiftshare_2sls``'s conventional SEs from one solve: heteroskedasticity-robust,
+    and clustered on arbitrary geography-style unit clusters that ignore the share
+    structure. ``_robust_se`` sums each cluster in observation order and sorts the
+    squared sums, so the clusters' numbering never enters."""
+    fit, names = _unit_iv(data.dataset, data.instrument, None)
+    beta, gamma, resid, _, x_perp, _ = fit
+    n, e, k = data.dataset.n_units, data.dataset.unit_weights, 1 + len(names)
+    codes = {"conventional_hc": np.arange(n),
+             "conventional_cluster": np.arange(n) % max(2, n // 10)}
+    se = {key: _conventional_se(fit, e, c, k)[0] for key, c in codes.items()}
+    return EstimateReport(beta, gamma, names, se, {}, resid, x_perp, n_units=n)
 
 
 def _shift_fit(data: SimulatedData) -> EstimateReport:
+    """``estimate_inverted``'s exposure-robust SEs, without the first-stage F statistics
+    that no coverage number reads."""
     w_j = shift_weights_from(data.dataset, data.shares)
     res = residualize_shifts(data.shifts, (), w_j)
-    rep = estimate_inverted(invert(data.dataset, data.shares, data.shifts, residuals=res))
+    rep = _inverted_iv(invert(data.dataset, data.shares, data.shifts, residuals=res))[0]
     # without shift cluster labels every shift is its own cluster, which is
     # exactly the heteroskedasticity-robust variant
     rep.se_variants.setdefault("cluster_exposure_robust", rep.se_variants["hc_exposure_robust"])
@@ -296,7 +323,7 @@ def _shift_fit(data: SimulatedData) -> EstimateReport:
 
 ESTIMATORS: dict[str, tuple[Fit, str]] = {
     "conventional-hc": (_unit_fit, "conventional_hc"),
-    "conventional-cluster": (_unit_cluster_fit, "conventional_cluster"),
+    "conventional-cluster": (_unit_fit, "conventional_cluster"),
     "exposure-robust": (_shift_fit, "hc_exposure_robust"),
     "exposure-cluster": (_shift_fit, "cluster_exposure_robust"),
 }

@@ -437,6 +437,21 @@ def test_a_flag_that_the_path_ignores_exits_one(argv, message, inputs, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["construct"], ["estimate", "--framework", "shift"],
+                                     ["diagnose", "--concentration"]],
+                         ids=["construct", "estimate", "diagnose"])
+@pytest.mark.parametrize("terms", ["", ",", "p_1,,", ",cluster", "cluster,,p_1"])
+def test_an_empty_residualize_term_exits_one(command, terms, inputs, tmp_path, capsys,
+                                             monkeypatch):
+    # refused before any input is read
+    monkeypatch.setattr(cli, "load_shifts", None)
+    out = tmp_path / "out"
+    assert main([*command, "--residualize", terms, *io_args(inputs, out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --residualize has an empty term: {terms!r}"]
+    assert captured.out == "" and not out.exists()
+
+
 def write_reference_mirror(path, payload):
     """The report's CSV mirror written row by row with ``csv.writer``: nested keys joined by
     dots in sorted order, lists as JSON text, and ``None`` left to ``csv.writer``."""

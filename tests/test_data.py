@@ -2,13 +2,16 @@
 
 import ast
 import csv
+import dataclasses
 import json
+import re
 import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Mapping
 from unittest import mock
 
 import numpy as np
@@ -1042,6 +1045,68 @@ class TestValidation:
         w = gen.dirichlet(np.ones(m), size=n) * gen.uniform(0.1, 1.0, size=(n, 1))
         shares = ShareMatrix(w, tuple(map(str, range(n))), tuple(map(str, range(m))))
         assert np.all(shares.row_sums() <= 1.0 + 1e-9)
+
+
+def _same_table(a, b) -> bool:
+    """Whether two tables hold equal fields, arrays compared by value and type."""
+    def same(x, y):
+        if isinstance(x, np.ndarray):
+            return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+        if isinstance(x, Mapping):
+            return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+        return x == y
+    return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                      for f in dataclasses.fields(a))
+
+
+class TestValueSwaps:
+    """``ShiftTable.with_values`` and ``Dataset.with_outcome`` check only what they swap."""
+
+    SHIFTS = dict(shift_ids=("s1", "s2", "s3"), cluster=["a", "b", "a"], period=["1", "1", "2"],
+                  covariates=np.arange(6.0).reshape(3, 2), extras={"g": ["x", "y", "x"]})
+    UNITS = dict(unit_ids=("u1", "u2"), controls=np.array([[1.0], [3.0]]),
+                 unit_weights=[1.0, 3.0], extras={"region": ["r", "s"]})
+
+    def test_shift_values_swapped(self):
+        table = ShiftTable(np.zeros(3), **self.SHIFTS)
+        swapped = table.with_values([1.5, -2.0, 0.25])
+        assert _same_table(swapped, ShiftTable(np.array([1.5, -2.0, 0.25]), **self.SHIFTS))
+        assert not swapped.values.flags.writeable and np.array_equal(table.values, np.zeros(3))
+        for name in ("shift_ids", "cluster", "period", "covariates", "covariate_names",
+                     "extras"):
+            assert getattr(swapped, name) is getattr(table, name), name
+
+    def test_outcome_and_regressor_swapped(self):
+        data = Dataset(outcome=np.zeros(2), regressor=np.zeros(2), **self.UNITS)
+        swapped = data.with_outcome([1.0, 2.0], [0.5, 0.25])
+        assert _same_table(swapped, Dataset(outcome=[1.0, 2.0], regressor=[0.5, 0.25],
+                                            **self.UNITS))
+        assert not swapped.outcome.flags.writeable and not swapped.regressor.flags.writeable
+        for name in ("unit_ids", "controls", "control_names", "unit_weights", "extras"):
+            assert getattr(swapped, name) is getattr(data, name), name
+        without = data.with_outcome([1.0, 2.0], None)
+        assert without.regressor is None
+        assert _same_table(without, Dataset(outcome=[1.0, 2.0], **self.UNITS))
+
+    @pytest.mark.parametrize("values", [[1.0, float("nan"), 2.0], [1.0, 2.0], np.zeros((3, 1)),
+                                        [1.0, 2.0, float("-inf")], 3.0])
+    def test_shift_values_refused_as_the_constructor_refuses_them(self, values):
+        table = ShiftTable(np.zeros(3), **self.SHIFTS)
+        with pytest.raises(ValidationError) as built:
+            ShiftTable(values, **self.SHIFTS)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(built.value))}$"):
+            table.with_values(values)
+
+    @pytest.mark.parametrize("outcome, regressor", [
+        ([1.0, float("inf")], [0.0, 0.0]), ([1.0], [0.0, 0.0]), (np.zeros((2, 2)), None),
+        ([1.0, 2.0], [0.0, float("nan")]), ([1.0, 2.0], [0.0, 0.0, 1.0]),
+        ([1.0, 2.0], np.zeros((2, 1))), (1.0, None)])
+    def test_outcome_refused_as_the_constructor_refuses_it(self, outcome, regressor):
+        data = Dataset(outcome=np.zeros(2), regressor=np.zeros(2), **self.UNITS)
+        with pytest.raises(ValidationError) as built:
+            Dataset(outcome=outcome, regressor=regressor, **self.UNITS)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(built.value))}$"):
+            data.with_outcome(outcome, regressor)
 
 
 @st.composite

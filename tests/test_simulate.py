@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import threading
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, replace
 
@@ -15,8 +16,12 @@ from shiftshare import (
     NumericalError,
     ShiftShareWarning,
     ValidationError,
+    estimate_inverted,
     generate,
+    invert,
+    residualize_shifts,
     run_coverage,
+    shift_weights_from,
     shiftshare_2sls,
 )
 from shiftshare import simulate
@@ -103,6 +108,21 @@ class TestGenerate:
         data = generate(cfg)
         assert data.truth.pi is not None
         assert not np.array_equal(data.dataset.regressor, data.instrument)
+
+    @pytest.mark.parametrize("block", [1, 9, 30, 10**6])
+    def test_pi_is_the_dense_draw_at_the_stored_shares(self, block, monkeypatch):
+        # pi is drawn in blocks of rows; the stream is the one n x m draw's, and the
+        # first-stage noise drawn after it is too
+        monkeypatch.setattr(simulate, "PRODUCT_BLOCK", block)
+        cfg = DgpConfig(n=23, m=7, share_model="sparse-block", n_blocks=3, pi_mean=0.5,
+                        pi_sd=0.3, first_stage_noise_sd=0.5, seed=8)
+        data = simulate._generate(cfg, simulate._labels(cfg), (4,))
+        stream = simulate._stream(cfg.seed, 4, simulate._ROLE_FIRST_STAGE)
+        dense = cfg.pi_mean + cfg.pi_sd * stream.standard_normal((cfg.n, cfg.m))
+        xi = stream.standard_normal(cfg.n)
+        rows, cols, _ = data.shares.nonzero()
+        assert np.array_equal(data.truth.pi, dense[rows, cols])
+        assert np.array_equal(data.truth.first_stage_noise, 0.5 * xi)  # no endogeneity
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValidationError):
@@ -254,19 +274,33 @@ class TestOneFitPerDesign:
         "no-shift-clusters": DgpConfig(n=40, m=16, share_model="sparse-block", n_blocks=4),
     }
 
-    def test_exposure_estimators_share_one_fit(self, monkeypatch):
-        # shared memory, so that the calls of forked workers are counted too
+    @staticmethod
+    def _count_calls(monkeypatch, name):
+        """Count the calls of ``simulate``'s ``name`` in shared memory, so that the calls
+        of forked workers are counted too."""
         calls = multiprocessing.get_context("fork").Value("i", 0)
-        fit = simulate.estimate_inverted
+        fit = getattr(simulate, name)
 
         def counted(*args, **kwargs):
             with calls.get_lock():
                 calls.value += 1
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "estimate_inverted", counted)
+        monkeypatch.setattr(simulate, name, counted)
+        return calls
+
+    def test_exposure_estimators_share_one_fit(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, "_inverted_iv")
         results = run_coverage(self.CONFIGS["clustered-shifts"],
                                ["exposure-robust", "exposure-cluster"], replications=100, seed=0)
+        assert calls.value == 100
+        assert [r.n_failed for r in results] == [0, 0]
+
+    def test_conventional_estimators_share_one_solve(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, "_unit_iv")
+        results = run_coverage(self.CONFIGS["clustered-shifts"],
+                               ["conventional-hc", "conventional-cluster"], replications=100,
+                               seed=0)
         assert calls.value == 100
         assert [r.n_failed for r in results] == [0, 0]
 
@@ -297,9 +331,122 @@ class TestOneFitPerDesign:
         unit_fit = ESTIMATORS["conventional-hc"][0]
         with pytest.warns(ShiftShareWarning, match="only 5 replications"):
             with pytest.raises(ValidationError,
-                               match=r"'hc_exposure_robust'.*\['conventional_hc'\]"):
+                               match=r"'hc_exposure_robust'.*"
+                                     r"\['conventional_cluster', 'conventional_hc'\]"):
                 run_coverage(DgpConfig(n=20, m=8), [("x", unit_fit, "hc_exposure_robust")],
                              replications=5)
+
+
+class TestFusedFits:
+    """The registry's fits are the public estimators' numbers, bit for bit."""
+
+    CONFIGS = {
+        "dirichlet": DgpConfig(n=30, m=12, pi_sd=0.3, first_stage_noise_sd=0.5),
+        "sparse-block": DgpConfig(n=40, m=16, share_model="sparse-block", n_blocks=4,
+                                  shift_model="clustered", n_shift_clusters=4,
+                                  error_model="share-correlated"),
+        "network-inverse-degree": DgpConfig(n=25, m=25, share_model="network-inverse-degree",
+                                            shift_model="bernoulli", seeding_prob=0.4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_unit_fit_is_shiftshare_2sls(self, name):
+        config = self.CONFIGS[name]
+        assert ESTIMATORS["conventional-cluster"][0] is ESTIMATORS["conventional-hc"][0]
+        g = max(2, config.n // 10)
+        for rep in range(4):
+            data = simulate._generate(config, simulate._labels(config), (rep,))
+            fused = ESTIMATORS["conventional-hc"][0](data)
+            hc = shiftshare_2sls(data.dataset, data.instrument)
+            cluster = shiftshare_2sls(data.dataset, data.instrument,
+                                      cluster=[f"c{i % g}" for i in range(config.n)])
+            assert fused.beta_hat == hc.beta_hat == cluster.beta_hat
+            assert fused.se_variants == {**hc.se_variants, **cluster.se_variants}
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_shift_fit_is_estimate_inverted(self, name):
+        config = self.CONFIGS[name]
+        for rep in range(4):
+            data = simulate._generate(config, simulate._labels(config), (rep,))
+            fused = ESTIMATORS["exposure-robust"][0](data)
+            res = residualize_shifts(data.shifts, (), shift_weights_from(data.dataset,
+                                                                         data.shares))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ShiftShareWarning)
+                public = estimate_inverted(invert(data.dataset, data.shares, data.shifts,
+                                                  residuals=res))
+            assert fused.beta_hat == public.beta_hat
+            se = public.se_variants
+            assert fused.se_variants == {"cluster_exposure_robust": se["hc_exposure_robust"],
+                                         **se}
+
+
+# The results of ``run_coverage`` (40 replications each, seed 3, every registry estimator)
+# on one configuration per share and shift model, as the fits gave them before the two
+# conventional estimators shared a solve, as their fields' repr.
+GOLDEN = {
+    "dirichlet-iid-normal": (
+        DgpConfig(n=30, m=12, pi_sd=0.3, first_stage_noise_sd=0.5, first_stage_endog=0.4),
+        [
+            ("conventional-hc", 40, 0, 0.05013029528795336, 0.6485158703266406,
+             0.8908837751047421, 1.0, 0.0),
+            ("conventional-cluster", 40, 0, 0.05013029528795336, 0.6485158703266406,
+             0.8721999251777076, 0.9, 0.09999999999999998),
+            ("exposure-robust", 40, 0, 0.0501302952879535, 0.6485158703266406,
+             0.8294559553873985, 0.95, 0.050000000000000044),
+            ("exposure-cluster", 40, 0, 0.0501302952879535, 0.6485158703266406,
+             0.8294559553873985, 0.95, 0.050000000000000044),
+        ]),
+    "sparse-block-clustered": (
+        DgpConfig(n=40, m=16, share_model="sparse-block", n_blocks=4,
+                  dirichlet_concentration=0.01, shift_model="clustered", n_shift_clusters=4,
+                  shift_rho=0.3, error_model="share-correlated"),
+        [
+            ("conventional-hc", 40, 0, -0.043102955865670665, 0.26993689758454453,
+             0.16423731191204036, 0.7, 0.30000000000000004),
+            ("conventional-cluster", 40, 0, -0.043102955865670665, 0.26993689758454453,
+             0.14676686982855536, 0.675, 0.32499999999999996),
+            ("exposure-robust", 40, 0, -0.04310295586567072, 0.2699368975845446,
+             0.20459147159637991, 0.825, 0.17500000000000004),
+            ("exposure-cluster", 40, 0, -0.04310295586567072, 0.2699368975845446,
+             0.17102817943514959, 0.675, 0.32499999999999996),
+        ]),
+    "network-bernoulli": (
+        DgpConfig(n=12, m=12, share_model="network-inverse-degree", shift_model="bernoulli",
+                  seeding_prob=0.2),
+        [
+            ("conventional-hc", 40, 3, -0.0005082160082882303, 1.2056597585699835,
+             0.9333845462004775, 0.7837837837837838, 0.21621621621621623),
+            ("conventional-cluster", 40, 3, -0.0005082160082882303, 1.2056597585699835,
+             0.6195376658552908, 0.6486486486486487, 0.3513513513513513),
+            ("exposure-robust", 40, 3, -0.0005082160082883262, 1.2056597585699835,
+             0.593338267886005, 0.7027027027027027, 0.29729729729729726),
+            ("exposure-cluster", 40, 3, -0.0005082160082883262, 1.2056597585699835,
+             0.593338267886005, 0.7027027027027027, 0.29729729729729726),
+        ]),
+    "dirichlet-exchangeable": (
+        DgpConfig(n=30, m=12, shift_model="exchangeable-groups", n_exchange_groups=3,
+                  group_mean_spread=0.5, pi_mean=0.8),
+        [
+            ("conventional-hc", 40, 0, -0.08319879324041042, 0.7194939367948252,
+             0.8124881705052864, 1.0, 0.0),
+            ("conventional-cluster", 40, 0, -0.08319879324041042, 0.7194939367948252,
+             0.7697051289574613, 0.875, 0.125),
+            ("exposure-robust", 40, 0, -0.08319879324041039, 0.7194939367948252,
+             0.7473589121474516, 0.925, 0.07499999999999996),
+            ("exposure-cluster", 40, 0, -0.08319879324041039, 0.7194939367948252,
+             0.7473589121474516, 0.925, 0.07499999999999996),
+        ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_coverage_results_are_the_recorded_ones(name):
+    config, expected = GOLDEN[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ShiftShareWarning)
+        results = run_coverage(config, list(ESTIMATORS), replications=40, seed=3)
+    assert _bits(results) == [repr(fields) for fields in expected]
 
 
 def _bits(results):

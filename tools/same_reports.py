@@ -24,7 +24,13 @@ tool's temporary directory), emptied before each command:
   ``estimate --se residualized``, ``construct --replace-threshold --replace-shares`` and
   ``diagnose --tables``; ``estimate --framework share`` on a units file without ``x`` (the OLS
   fit); and ``diagnose --autocorr`` on shifts with ids ``<base>@<period>`` and a
-  ``period`` column, with the shares renamed to match.
+  ``period`` column, with the shares renamed to match;
+- ``simulate`` on each branch of the data-generating process that the workload's
+  sparse-block run does not take, every estimator, over forked workers: ``dirichlet``
+  shares with first-stage coefficients ``pi`` (over more than one block of rows) and
+  first-stage noise; ``network-inverse-degree`` shares with ``bernoulli`` shifts;
+  ``exchangeable-groups`` shifts; and ``sparse-block`` shares at
+  ``dirichlet_concentration = 0.01``, whose draws hold exact zero shares, with ``pi``.
 
 Commands run without ``--quiet``, so what they print is compared too. For each command
 the exit code, standard output, standard error and every output file but
@@ -56,6 +62,22 @@ sys.exit(main())
 """
 
 
+# the ``simulate`` configurations of ``extra_commands``: 200 x 200 dirichlet shares draw
+# ``pi`` in two blocks of rows
+SIMULATE_DGPS = {
+    "dirichlet-pi": {"n": 200, "m": 200, "pi_sd": 0.3, "first_stage_noise_sd": 0.5,
+                     "first_stage_endog": 0.3},
+    "network-bernoulli": {"n": 30, "m": 30, "share_model": "network-inverse-degree",
+                          "shift_model": "bernoulli", "seeding_prob": 0.2},
+    "exchangeable-groups": {"n": 60, "m": 24, "shift_model": "exchangeable-groups",
+                            "n_exchange_groups": 4, "group_mean_spread": 0.5},
+    "sparse-block-zeros": {"n": 60, "m": 30, "share_model": "sparse-block", "n_blocks": 5,
+                           "dirichlet_concentration": 0.01, "shift_model": "clustered",
+                           "n_shift_clusters": 5, "error_model": "share-correlated",
+                           "pi_mean": 0.8, "pi_sd": 0.2},
+}
+
+
 def extra_commands(directory: Path, io: dict[str, list[str]],
                    seed: int) -> list[tuple[str, list[str]]]:
     """The report paths that no workload takes, on the inputs that the flags ``io[fmt]``
@@ -63,8 +85,8 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
     CSV files and written under ``directory``, so that both sides read the same bytes:
     ``construct --decompose --loo`` reads initial shares and unit-by-shift values in each
     format (and, on the CSV ones, completes the shares and zeroes the columns of replaced
-    shifts), the OLS fit a units file without ``x``, and ``diagnose --autocorr`` shifts
-    in series of 4 periods each."""
+    shifts), the OLS fit a units file without ``x``, ``diagnose --autocorr`` shifts in
+    series of 4 periods each, and each ``simulate`` its DGP configuration file."""
     files = dict(zip(io["csv"][::2], io["csv"][1::2]))
     rows = [row.split(",") for row in Path(files["--shares"]).read_text().splitlines()[1:]]
     tables = {
@@ -107,6 +129,14 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
            "--units", str(directory / "units_without_x.csv")]
     panel = ["--shares", str(directory / "panel_shares.csv"),
              "--shifts", str(directory / "panel_shifts.csv"), "--units", files["--units"]]
+    simulate = []
+    for name, dgp in SIMULATE_DGPS.items():
+        config = directory / f"{name}.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in dgp.items()))
+        simulate.append((f"simulate ({name})", [
+            "simulate", "--config", str(config), "--reps", "120", "--seed", str(seed),
+            "--estimators", "conventional-hc,conventional-cluster,exposure-robust,"
+                            "exposure-cluster"]))
     return [
         *decompose,
         ("ri --beta0", ["ri", *csv, "--beta0", "1.0", "--draws", "500", "--groups",
@@ -127,6 +157,7 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
                                               "--rotemberg", "--cluster-unit", "region"]),
         ("diagnose --autocorr", ["diagnose", *panel, "--autocorr", "1,2", "--residualize",
                                  "p_1", "--tables"]),
+        *simulate,
     ]
 
 
