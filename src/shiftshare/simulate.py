@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .construct import residualize_shifts, shift_weights_from
-from .data import PRODUCT_BLOCK, Dataset, ShareMatrix, ShiftTable
+from .data import Dataset, ShareMatrix, ShiftTable
 from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
 from .estimate import EstimateReport, _conventional_se, _inverted_iv, _unit_iv, invert
 
@@ -107,9 +107,7 @@ class DgpConfig:
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """Latent quantities behind one simulated draw. ``pi`` holds the first-stage
-    coefficient of each stored share, in ``ShareMatrix.nonzero()`` order, where the
-    process draws them."""
+    """Latent quantities behind one simulated draw."""
 
     beta_true: float
     latent_error_shock: np.ndarray | None
@@ -216,20 +214,6 @@ def _draw_shifts(config: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(d, dtype=float)
 
 
-def _pi_at_shares(config: DgpConfig, rng: np.random.Generator, rows: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """The coefficients ``pi_mean + pi_sd * N(0, 1)`` of an ``n x m`` draw at the stored
-    shares ``(rows, cols)``, row-sorted. The draw runs in blocks of about ``PRODUCT_BLOCK``
-    cells, which consume the stream as one draw does, and keeps only those values."""
-    step = max(1, PRODUCT_BLOCK // config.m)
-    bounds = np.searchsorted(rows, np.arange(0, config.n + step, step))
-    pi = np.empty(cols.size)
-    for r0, s, e in zip(range(0, config.n, step), bounds, bounds[1:]):
-        block = rng.standard_normal((min(step, config.n - r0), config.m))
-        pi[s:e] = block[rows[s:e] - r0, cols[s:e]]
-    return config.pi_mean + config.pi_sd * pi
-
-
 def generate(config: DgpConfig) -> SimulatedData:
     """Draw one dataset from the configured process; deterministic given the seed."""
     return _generate(config, _labels(config), ())
@@ -262,8 +246,8 @@ def _generate(config: DgpConfig, labels: _Labels, path: tuple[int, ...]) -> Simu
     z = shares.exposure(d)
     pi = None
     if draws_pi:
-        pi = _pi_at_shares(config, rng_fs, rows, cols)
-        x_signal = shares.row_totals(w * pi * d[cols])
+        pi = config.pi_mean + config.pi_sd * rng_fs.standard_normal((n, m))
+        x_signal = shares.row_totals(w * pi[rows, cols] * d[cols])
     else:
         x_signal = z
     if config.first_stage_noise_sd > 0:

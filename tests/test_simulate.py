@@ -109,21 +109,6 @@ class TestGenerate:
         assert data.truth.pi is not None
         assert not np.array_equal(data.dataset.regressor, data.instrument)
 
-    @pytest.mark.parametrize("block", [1, 9, 30, 10**6])
-    def test_pi_is_the_dense_draw_at_the_stored_shares(self, block, monkeypatch):
-        # pi is drawn in blocks of rows; the stream is the one n x m draw's, and the
-        # first-stage noise drawn after it is too
-        monkeypatch.setattr(simulate, "PRODUCT_BLOCK", block)
-        cfg = DgpConfig(n=23, m=7, share_model="sparse-block", n_blocks=3, pi_mean=0.5,
-                        pi_sd=0.3, first_stage_noise_sd=0.5, seed=8)
-        data = simulate._generate(cfg, simulate._labels(cfg), (4,))
-        stream = simulate._stream(cfg.seed, 4, simulate._ROLE_FIRST_STAGE)
-        dense = cfg.pi_mean + cfg.pi_sd * stream.standard_normal((cfg.n, cfg.m))
-        xi = stream.standard_normal(cfg.n)
-        rows, cols, _ = data.shares.nonzero()
-        assert np.array_equal(data.truth.pi, dense[rows, cols])
-        assert np.array_equal(data.truth.first_stage_noise, 0.5 * xi)  # no endogeneity
-
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValidationError):
             DgpConfig(n=10, m=5, shift_rho=1.0)

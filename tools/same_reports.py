@@ -27,8 +27,7 @@ tool's temporary directory), emptied before each command:
   ``period`` column, with the shares renamed to match;
 - ``simulate`` on each branch of the data-generating process that the workload's
   sparse-block run does not take, every estimator, over forked workers: ``dirichlet``
-  shares with first-stage coefficients ``pi`` (over more than one block of rows) and
-  first-stage noise; ``network-inverse-degree`` shares with ``bernoulli`` shifts;
+  shares with first-stage coefficients ``pi`` and first-stage noise; ``network-inverse-degree`` shares with ``bernoulli`` shifts;
   ``exchangeable-groups`` shifts; and ``sparse-block`` shares at
   ``dirichlet_concentration = 0.01``, whose draws hold exact zero shares, with ``pi``.
 
@@ -62,8 +61,7 @@ sys.exit(main())
 """
 
 
-# the ``simulate`` configurations of ``extra_commands``: 200 x 200 dirichlet shares draw
-# ``pi`` in two blocks of rows
+# the ``simulate`` configurations of ``extra_commands``
 SIMULATE_DGPS = {
     "dirichlet-pi": {"n": 200, "m": 200, "pi_sd": 0.3, "first_stage_noise_sd": 0.5,
                      "first_stage_endog": 0.3},
