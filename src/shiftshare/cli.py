@@ -31,15 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .construct import (
-    build_exposure,
-    complete_shares,
-    decompose,
-    leave_one_out_shifts,
-    replace_shifts,
-    residualize_shifts,
-    shift_weights_from,
-)
 from .data import (
     ShareMatrix,
     Triplets,
@@ -53,7 +44,6 @@ from .data import (
     load_shifts,
     load_units,
 )
-from .diagnose import balance_test_unit, concentration, icc, shift_summary
 from .errors import (
     EstimationError,
     NumericalError,
@@ -61,9 +51,6 @@ from .errors import (
     ShiftShareError,
     ValidationError,
 )
-from .estimate import estimate_shift_framework, rotemberg, shiftshare_2sls, shiftshare_ols
-from .rinfer import ri_estimate, ri_test
-from .simulate import CoverageResult, DgpConfig, run_coverage
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -374,10 +361,14 @@ def build_parser() -> _Parser:
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each returns its reports as ``{file name: (writer,
-# content)}``, which the runner writes into ``--out``
+# content)}``, which the runner writes into ``--out``; each imports the modules it runs,
+# so that a command loads no other
 
 
 def _cmd_construct(args, shares, shifts, dataset) -> dict:
+    from .construct import (_leave_one_out, build_exposure, complete_shares, decompose,
+                            replace_shifts, residualize_shifts, shift_weights_from)
+
     reports = {}
     w_j = shift_weights_from(dataset, shares)
     if args.decompose:
@@ -429,7 +420,8 @@ def _cmd_construct(args, shares, shifts, dataset) -> dict:
             print(f"residualized on {args.residualize}; sse_ratio = {res.sse_ratio:.4f}")
 
     if args.loo:
-        loo = leave_one_out_shifts(unit_shifts, shares)
+        rows, cols, values = unit_shifts  # checked and sorted by the read
+        loo = _leave_one_out(rows * shares.n_shifts + cols, values, shares)
         reports["loo_instrument.csv"] = _write_csv, {"unit_id": dataset.unit_ids,
                                                      "z_loo": loo.z}
 
@@ -439,6 +431,9 @@ def _cmd_construct(args, shares, shifts, dataset) -> dict:
 
 
 def _estimate_share_framework(args, shares, shifts, dataset):
+    from .construct import build_exposure
+    from .estimate import rotemberg, shiftshare_2sls, shiftshare_ols
+
     exposure = build_exposure(shares, shifts)
     if dataset.regressor is None:
         report = shiftshare_ols(dataset, exposure, cluster=args.cluster_unit)
@@ -454,6 +449,8 @@ def _cmd_estimate(args, shares, shifts, dataset) -> dict:
     if args.framework == "share":
         payload = _estimate_share_framework(args, shares, shifts, dataset)
     else:
+        from .estimate import estimate_shift_framework
+
         payload = estimate_shift_framework(
             shares, shifts, dataset,
             residualize=args.residualize or (),
@@ -480,6 +477,8 @@ def _cmd_estimate(args, shares, shifts, dataset) -> dict:
 
 
 def _cmd_ri(args, shares, shifts, dataset) -> dict:
+    from .rinfer import ri_estimate, ri_test
+
     if args.beta0 is not None:
         payload = dataclasses.asdict(ri_test(dataset, shares, shifts, beta0=args.beta0,
                                              draws=args.draws, seed=args.seed,
@@ -493,6 +492,9 @@ def _cmd_ri(args, shares, shifts, dataset) -> dict:
 
 
 def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
+    from .construct import residualize_shifts, shift_weights_from
+    from .diagnose import balance_test_unit, concentration, icc, shift_summary
+
     w_j = shift_weights_from(dataset, shares)
     payload: dict = {"schema_version": SCHEMA_VERSION}
 
@@ -548,7 +550,10 @@ def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
     return reports
 
 
-def _parse_dgp_config(path: Path, seed: int) -> DgpConfig:
+def _parse_dgp_config(path: Path, seed: int):
+    """The ``DgpConfig`` of a plain ``key = value`` file, at ``seed``."""
+    from .simulate import DgpConfig
+
     kinds = {"int": int, "float": float, "str": str}
     fields = {f.name: kinds[f.type] for f in dataclasses.fields(DgpConfig)}
     values: dict = {"seed": seed}
@@ -576,6 +581,8 @@ def _parse_dgp_config(path: Path, seed: int) -> DgpConfig:
 
 
 def _cmd_simulate(args, config, estimators) -> dict:
+    from .simulate import CoverageResult, run_coverage
+
     results = run_coverage(config, estimators, replications=args.reps, seed=args.seed)
     if not args.quiet:
         for r in results:

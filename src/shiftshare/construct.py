@@ -338,8 +338,16 @@ def leave_one_out_shifts(unit_shifts: Triplets, shares: ShareMatrix) -> LeaveOne
     value for that unit: the pair is flagged in ``undefined``, excluded from the instrument
     with a warning.
     """
+    _, _, values, keys = _checked_unit_shifts(unit_shifts, shares.row_ids, shares.col_ids)
+    return _leave_one_out(keys, values, shares)
+
+
+def _leave_one_out(keys: np.ndarray, values: np.ndarray,
+                   shares: ShareMatrix) -> LeaveOneOutInstrument:
+    """``leave_one_out_shifts`` of checked unit shifts, by their sorted keys
+    ``row * shares.n_shifts + col``, as ``ShareMatrix._at_keys`` takes them."""
     _, cols, w = shares.nonzero()  # every stored share is positive
-    wd = w * shares.at_shares(unit_shifts)
+    wd = w * shares._at_keys(keys, values)
     loo = shares.column_totals(wd)[cols] - wd
     denom = shares.column_totals(w)[cols] - w
     undefined = denom <= 0
@@ -349,6 +357,6 @@ def leave_one_out_shifts(unit_shifts: Triplets, shares: ShareMatrix) -> LeaveOne
             f"{int(undefined.sum())} unit-shift pair(s) have no leave-one-out value "
             "(entire shift weight from one unit); excluded from the instrument",
             ShiftShareWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return LeaveOneOutInstrument(z=shares.row_totals(w * loo), undefined=undefined)

@@ -21,7 +21,10 @@ and unit-by-shift values (``--unit-shifts``) stay ``(rows, cols, values)`` tripl
 the stored shares by ``ShareMatrix.at_shares``: no module builds a dense units-by-shifts array.
 
 Each table checks its own invariants, ids that repeat as strings among them, however it is
-built; a loader prefixes the file's path to an error that building its table raises.
+built; a loader prefixes the file's path to an error that building its table raises. Each id
+is checked by the table that owns it: a ``ShareMatrix`` built from the ids of a checked
+``Dataset``, ``ShiftTable`` or ``ShareMatrix`` takes them as given, and its public
+constructors (``ShareMatrix(...)``, ``from_triplets``, ``load_shares``) check theirs.
 A leading UTF-8 byte-order mark is skipped, in CSV and JSON. CSV files use RFC 4180 quoting
 as ``save_inputs`` writes it: ``#`` is data, blank lines (before the header too) are skipped,
 and ragged rows and a header naming a column twice are rejected. Ids are matched exactly,
@@ -207,6 +210,10 @@ def _checked_ids(ids, column: str) -> tuple[str, ...]:
     return ids
 
 
+def _checked_share_ids(row_ids, col_ids) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return _checked_ids(row_ids, "unit_id"), _checked_ids(col_ids, "shift_id")
+
+
 def _frozen_labels(values) -> np.ndarray:
     out = np.array([str(v) for v in values], dtype=object)
     if not "".join(out).isascii():
@@ -255,13 +262,13 @@ class ShareMatrix:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2:
             raise ValidationError("share matrix must be two-dimensional")
-        row_ids, col_ids = tuple(map(str, row_ids)), tuple(map(str, col_ids))
+        row_ids, col_ids = tuple(row_ids), tuple(col_ids)
         if (len(row_ids), len(col_ids)) != w.shape:
             raise ValidationError("share matrix ids do not match its shape")
         stored = w != 0.0
         self._set(np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1)))),
                   np.broadcast_to(np.arange(w.shape[1]), w.shape)[stored], w[stored],
-                  row_ids, col_ids)
+                  *_checked_share_ids(row_ids, col_ids))
 
     @classmethod
     def from_triplets(cls, rows, cols, values, row_ids, col_ids) -> "ShareMatrix":
@@ -269,23 +276,31 @@ class ShareMatrix:
         any order; a pair may appear once, and absent pairs are zero."""
         row_ids, col_ids = tuple(map(str, row_ids)), tuple(map(str, col_ids))
         triplets = _sorted_triplets(rows, cols, values, row_ids, col_ids, "share")
-        return cls._of_sorted(*triplets[:3], row_ids, col_ids)
+        return cls._of_sorted(*triplets[:3], *_checked_share_ids(row_ids, col_ids))
 
     @classmethod
     def _of_sorted(cls, rows, cols, values, row_ids, col_ids) -> "ShareMatrix":
-        """``from_triplets`` of triplets that ``_triplet_order`` found in range and in order."""
+        """``from_triplets`` of triplets that ``_triplet_order`` found in range and in order,
+        and of checked ids."""
         stored = values != 0.0
+        return cls._of_rows(np.searchsorted(rows[stored], np.arange(len(row_ids) + 1)),
+                            cols[stored], values[stored], row_ids, col_ids)
+
+    @classmethod
+    def _of_rows(cls, indptr, indices, data, row_ids, col_ids) -> "ShareMatrix":
+        """The shares stored as given: row-sorted triplets without zeros (CSR), in range and
+        in order, and the ids of a checked ``Dataset``, ``ShiftTable`` or ``ShareMatrix``.
+        The values are checked."""
         out = cls.__new__(cls)
-        out._set(np.searchsorted(rows[stored], np.arange(len(row_ids) + 1)),
-                 cols[stored], values[stored], row_ids, col_ids)
+        out._set(indptr, indices, data, row_ids, col_ids)
         return out
 
     def _set(self, indptr, indices, data, row_ids, col_ids) -> None:
-        """Store and validate row-sorted triplets that this class built."""
+        """Store row-sorted triplets that this class built, at checked ids, and validate
+        their values."""
         for name, value in (("indptr", indptr), ("indices", indices), ("data", data)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        row_ids, col_ids = _checked_ids(row_ids, "unit_id"), _checked_ids(col_ids, "shift_id")
         object.__setattr__(self, "row_ids", row_ids)
         object.__setattr__(self, "col_ids", col_ids)
 
@@ -326,9 +341,7 @@ class ShareMatrix:
         ))
 
     def _with(self, indptr, indices, data, col_ids) -> "ShareMatrix":
-        out = ShareMatrix.__new__(ShareMatrix)
-        out._set(indptr, indices, data, self.row_ids, col_ids)
-        return out
+        return ShareMatrix._of_rows(indptr, indices, data, self.row_ids, col_ids)
 
     @property
     def n_units(self) -> int:
@@ -432,7 +445,7 @@ class ShareMatrix:
             self.indptr + np.concatenate(([0], np.cumsum(added))),
             np.insert(self.indices, at, self.n_shifts),
             np.insert(self.data, at, column[added]),
-            self.col_ids + (str(col_id),),
+            _checked_ids(self.col_ids + (str(col_id),), "shift_id"),
         )
 
     def zero_columns(self, mask) -> "ShareMatrix":
@@ -442,11 +455,21 @@ class ShareMatrix:
         if mask.shape != (self.n_shifts,):
             raise ValidationError("column mask misaligned with share columns")
         kept = ~mask[self.indices]
-        before = np.concatenate(([0], np.cumsum(kept)))
+        return self._keeping(kept, self.indices[kept], self.col_ids)
+
+    def _kept(self, kept) -> "ShareMatrix":
+        """The shares of the columns where the boolean ``kept`` is True."""
+        entries = kept[self.indices]
+        return self._keeping(entries, (np.cumsum(kept) - 1)[self.indices[entries]],
+                             tuple(compress(self.col_ids, kept)))
+
+    def _keeping(self, entries, indices, col_ids) -> "ShareMatrix":
+        """The stored shares where the boolean ``entries`` is True, at the column ``indices``
+        of ``col_ids``, without the all-zero-row warning."""
+        before = np.concatenate(([0], np.cumsum(entries)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ShiftShareWarning)
-            return self._with(before[self.indptr], self.indices[kept], self.data[kept],
-                              self.col_ids)
+            return self._with(before[self.indptr], indices, self.data[entries], col_ids)
 
 
 @dataclass(frozen=True)
@@ -512,6 +535,16 @@ class ShiftTable:
         out = copy(self)
         out._set_values(_vector(values, "shift values must be one-dimensional"))
         return out
+
+    def _kept(self, kept) -> "ShiftTable":
+        """The table of the shifts where the boolean ``kept`` is True."""
+        def take(column):
+            return None if column is None else column[kept]
+
+        return ShiftTable(self.values[kept], tuple(compress(self.shift_ids, kept)),
+                          take(self.cluster), take(self.period), take(self.exchange_group),
+                          take(self.covariates), self.covariate_names,
+                          {name: column[kept] for name, column in self.extras.items()})
 
     def label_column(self, name: str) -> np.ndarray:
         """Fetch a label column by name (``cluster``/``period``/``exchange_group`` or extra)."""
@@ -908,7 +941,7 @@ def load_shares(
 ) -> ShareMatrix:
     triplets = _read_long_matrix(path, "weight", unit_ids, shift_ids, fmt)
     with _naming(path):
-        return ShareMatrix._of_sorted(*triplets, unit_ids, shift_ids)
+        return ShareMatrix._of_sorted(*triplets, *_checked_share_ids(unit_ids, shift_ids))
 
 
 def load_inputs(

@@ -95,7 +95,11 @@ def _cluster_codes(labels, size: int, what: str) -> np.ndarray:
     up to round-off."""
     if np.shape(labels) != (size,):
         raise ValidationError(f"cluster labels must have one entry per {what}")
-    codes = _label_codes(labels)[1]
+    return _two_clusters(_label_codes(labels)[1], what)
+
+
+def _two_clusters(codes: np.ndarray, what: str) -> np.ndarray:
+    """Cluster ``codes`` of ``_cluster_codes``, which must number at least two clusters."""
     if codes.max(initial=0) < 1:
         clusters = "clusters" if what == "unit" else f"{what} clusters"
         raise EstimationError(f"clustered standard errors need at least 2 {clusters}")
@@ -409,29 +413,37 @@ def invert(
     instrument = shifts.values if residuals is None else residuals.eta_hat
     if instrument.shape != (shares.n_shifts,):
         raise ValidationError("instrument values misaligned with share columns")
+    return _invert(dataset, shares, shifts, instrument, shift_weights_from(dataset, shares))
 
-    w_j = shift_weights_from(dataset, shares)
+
+def _drop_warning(kept: np.ndarray, stacklevel: int) -> None:
+    """Warn that the shifts outside ``kept`` go, at ``stacklevel`` counted from the caller."""
+    warnings.warn(f"dropping {int((~kept).sum())} shift(s) with zero aggregate weight",
+                  ShiftShareWarning, stacklevel=stacklevel + 1)
+
+
+def _invert(dataset: Dataset, shares: ShareMatrix, shifts: ShiftTable, instrument: np.ndarray,
+            w_j: np.ndarray) -> InvertedDataset:
+    """``invert`` at the ``instrument`` and the shift weights ``w_j`` that its caller computed
+    with ``shift_weights_from``, without the completeness and alignment checks."""
     kept = w_j > 0
-    if not kept.all():
-        warnings.warn(
-            f"dropping {int((~kept).sum())} shift(s) with zero aggregate weight",
-            ShiftShareWarning,
-            stacklevel=2,
-        )
+    every = bool(kept.all())
+    if not every:
+        _drop_warning(kept, 3)
     # aggregate every column and keep the shifts after: a column subset of
-    # the shares would be a dense n x m copy
+    # the shares would be a copy of them
     w = w_j[kept]
     y_sum, x_sum = _moment_vectors(dataset, shares, shifts)
     ybar = y_sum[kept] / w
     xbar = x_sum[kept] / w
-    cluster = shifts.cluster[kept] if shifts.cluster is not None else None
+    cluster = shifts.cluster if shifts.cluster is None or every else shifts.cluster[kept]
     return InvertedDataset(
         ybar=ybar,
         xbar=xbar,
         weight=w,
         instrument=instrument[kept],
         shift_values=shifts.values[kept],
-        shift_ids=(shifts.shift_ids if kept.all()
+        shift_ids=(shifts.shift_ids if every
                    else tuple(np.array(shifts.shift_ids, dtype=object)[kept])),
         cluster=cluster,
         kept=kept,
@@ -458,15 +470,15 @@ def _negligibility_check(weight: np.ndarray, shift_ids: tuple[str, ...]) -> None
             f"({ratio_sq:.0%} of squared shares); exposure-robust asymptotics "
             "assume no shift dominates",
             ShiftShareWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def _inverted_iv(inverted: InvertedDataset, shift_controls: np.ndarray | None = None,
-                 cluster=None) -> tuple[EstimateReport, np.ndarray]:
+def _inverted_iv(inverted: InvertedDataset, shift_controls: np.ndarray | None,
+                 codes: np.ndarray | None) -> tuple[EstimateReport, np.ndarray]:
     """The fit of ``estimate_inverted`` without the dominance warning and the first-stage
-    F statistics: its report, whose ``first_stage_f`` is empty, and the residualized
-    instrument."""
+    F statistics, clustered at the kept shifts' cluster ``codes`` (``_label_codes``) where
+    given: its report, whose ``first_stage_f`` is empty, and the residualized instrument."""
     w = inverted.weight
     m = inverted.n_shifts
     if m < 2:
@@ -485,16 +497,9 @@ def _inverted_iv(inverted: InvertedDataset, shift_controls: np.ndarray | None = 
     )
     scores = w * inst_perp * resid
     se_variants = {"hc_exposure_robust": _robust_se(scores, np.arange(m), denom)}
-    labels = inverted.cluster
-    if cluster is not None:
-        labels = np.asarray(cluster, dtype=object)
-        if labels.shape != inverted.kept.shape:
-            raise ValidationError("cluster labels must have one entry per shift of the shift table")
-        labels = labels[inverted.kept]
     n_clusters = None
-    if labels is not None:
-        codes = _cluster_codes(labels, m, "shift")
-        n_clusters = int(codes.max()) + 1
+    if codes is not None:
+        n_clusters = int(_two_clusters(codes, "shift").max()) + 1
         se_variants["cluster_exposure_robust"] = _robust_se(scores, codes, denom)
 
     report = EstimateReport(
@@ -529,10 +534,23 @@ def estimate_inverted(
     cluster-robust one, both without degrees-of-freedom corrections, plus
     conventional and effective first-stage F statistics.
     """
+    labels = inverted.cluster
+    if cluster is not None:
+        labels = np.asarray(cluster, dtype=object)
+        if labels.shape != inverted.kept.shape:
+            raise ValidationError("cluster labels must have one entry per shift of the shift table")
+        labels = labels[inverted.kept]
+    codes = None if labels is None else _label_codes(labels)[1]
+    return _estimate_inverted(inverted, shift_controls, codes)
+
+
+def _estimate_inverted(inverted: InvertedDataset, shift_controls: np.ndarray | None,
+                       codes: np.ndarray | None) -> EstimateReport:
+    """``estimate_inverted`` clustered at the kept shifts' cluster ``codes`` where given."""
     w = inverted.weight
     if inverted.n_shifts >= 2:  # a fit of fewer shifts fails, and warns of nothing first
         _negligibility_check(w, inverted.shift_ids)
-    report, inst_perp = _inverted_iv(inverted, shift_controls, cluster)
+    report, inst_perp = _inverted_iv(inverted, shift_controls, codes)
     x_perp = report.x_perp
     conventional_f = _conventional_f(inst_perp, x_perp, w, np.arange(report.m_shifts), 1.0)
     try:
@@ -576,6 +594,12 @@ def residualized_se(
         raise ValidationError("residuals and x_perp must have one value per unit")
     m = shares.n_shifts
     codes = np.arange(m) if clusters is None else _cluster_codes(clusters, m, "shift")
+    return _residualized_se(e, shares, eta, eps, xp, codes)
+
+
+def _residualized_se(e: np.ndarray, shares: ShareMatrix, eta: np.ndarray, eps: np.ndarray,
+                     xp: np.ndarray, codes: np.ndarray) -> float:
+    """``residualized_se`` of checked float vectors over the shift cluster ``codes``."""
     denom = abs(float(np.sum(e * xp * shares.exposure(eta))))
     if denom == 0.0:
         raise EstimationError("degenerate first stage: sum e * x_perp * z is zero")
@@ -695,7 +719,9 @@ def estimate_shift_framework(
     Incomplete shares (a row sum off 1 by more than 1e-8) are completed, the
     sum of shares joins the unit controls, and ``p_real`` is prepended to the
     spec unless a label fixed effect in ``residualize`` already absorbs the
-    complement's own level. Shifts are residualized on the spec, the unit
+    complement's own level. Shifts with zero aggregate weight are then dropped
+    with a warning, so that the estimates are those of the table without them.
+    Shifts are residualized on the spec, the unit
     controls gain the aggregated spec terms, and the unit-level 2SLS uses the
     residualized shifts as instrument. The inverted regression gives the
     exposure-robust SEs, clustered on the shift label column
@@ -713,6 +739,11 @@ def estimate_shift_framework(
         blocks.append(completed.sum_of_shares[:, None])
         if not any(t in _label_terms(shifts) for t in spec):
             spec = (REAL_SHIFT_COVARIATE,) + spec
+    w_j = shift_weights_from(dataset, shares)
+    kept = w_j > 0
+    if not kept.all():
+        _drop_warning(kept, 2)
+        shares, shifts, w_j = shares._kept(kept), shifts._kept(kept), w_j[kept]
     blocks += [column[:, None] for column in _spec_controls(shares, shifts, spec)]
     augmented = Dataset(
         outcome=dataset.outcome,
@@ -722,16 +753,18 @@ def estimate_shift_framework(
         unit_weights=dataset.unit_weights,
         extras=dict(dataset.extras),
     )
-    res = residualize_shifts(shifts, spec, shift_weights_from(augmented, shares))
+    res = residualize_shifts(shifts, spec, w_j)
     report = shiftshare_2sls(
         augmented,
         build_exposure(shares, res.eta_hat),
         cluster=cluster_unit,
         regressor=_endogenous(augmented, shares, shifts),
     )
-    shift_labels = None if cluster_shift is None else shifts.label_column(cluster_shift)
-    inverted = estimate_inverted(invert(augmented, shares, shifts, residuals=res),
-                                 cluster=shift_labels)
+    # the inverted regression clusters on the table's own cluster column by default
+    labels = shifts.cluster if cluster_shift is None else shifts.label_column(cluster_shift)
+    codes = None if labels is None else _label_codes(labels)[1]
+    inverted = _estimate_inverted(_invert(augmented, shares, shifts, res.eta_hat, w_j), None,
+                                  codes)
     if se in ("all", "exposure"):
         report.se_variants.update(
             {k: v for k, v in inverted.se_variants.items() if "exposure" in k}
@@ -740,10 +773,8 @@ def estimate_shift_framework(
     if se in ("all", "residualized"):
         args = (augmented.unit_weights, shares, res.eta_hat, report.residuals, report.x_perp)
         report.se_variants["residualized"] = residualized_se(*args)
-        if shift_labels is not None:
-            report.se_variants["residualized_cluster"] = residualized_se(
-                *args, clusters=shift_labels
-            )
+        if cluster_shift is not None:
+            report.se_variants["residualized_cluster"] = _residualized_se(*args, codes)
     report.m_shifts = inverted.m_shifts
     table = rotemberg(augmented, shares, shifts) if with_rotemberg else None
     return ShiftFrameworkResult(estimate=report, inverted=inverted, residuals=res, rotemberg=table)

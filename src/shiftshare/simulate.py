@@ -17,7 +17,10 @@ triple. Each design is fitted once per replication: the two conventional
 estimators share one unit-level solve, as the two exposure estimators share one
 shift-level regression. The shift table and the dataset are built once per
 configuration, through their constructors, and each replication swaps in its
-draws, checked as the constructors check them.
+draws, checked as the constructors check them; so are the cluster codes that
+the fits read, which a draw re-encodes only for the shifts it keeps when it drops
+shifts of zero aggregate weight. A ``sparse-block`` draw is written row by row and
+stored as drawn, its values checked as every share matrix's are.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .construct import residualize_shifts, shift_weights_from
-from .data import Dataset, ShareMatrix, ShiftTable
+from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
 from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
-from .estimate import EstimateReport, _conventional_se, _inverted_iv, _unit_iv, invert
+from .estimate import EstimateReport, _conventional_se, _invert, _inverted_iv, _unit_iv
 
 SHARE_MODELS = ("dirichlet", "sparse-block", "network-inverse-degree")
 SHIFT_MODELS = ("iid-normal", "clustered", "exchangeable-groups", "bernoulli")
@@ -123,6 +126,8 @@ class SimulatedData:
     dataset: Dataset
     instrument: np.ndarray
     truth: TruthRecord
+    # the design the draw was made from, with the cluster codes the coverage fits read
+    _design: _Labels | None = field(default=None, repr=False, compare=False)
 
 
 def _stream(seed: int, *path: int) -> np.random.Generator:
@@ -134,10 +139,21 @@ def _stream(seed: int, *path: int) -> np.random.Generator:
 class _Labels(NamedTuple):
     """The shift table and the dataset of a draw with their ids and labels, which depend
     only on the configuration's shape, so a Monte Carlo builds them once; each draw swaps
-    in its values."""
+    in its values. So are the codes the coverage fits cluster at: those of the shift
+    cluster labels (None without them), and each conventional SE's unit cluster codes."""
 
     shifts: ShiftTable
     dataset: Dataset
+    shift_codes: np.ndarray | None
+    unit_codes: dict[str, np.ndarray]
+
+
+def _labels_of(shifts: ShiftTable, dataset: Dataset) -> _Labels:
+    n = dataset.n_units
+    return _Labels(shifts, dataset,
+                   None if shifts.cluster is None else _label_codes(shifts.cluster)[1],
+                   {"conventional_hc": np.arange(n),
+                    "conventional_cluster": np.arange(n) % max(2, n // 10)})
 
 
 def _labels(config: DgpConfig) -> _Labels:
@@ -153,7 +169,7 @@ def _labels(config: DgpConfig) -> _Labels:
                         exchange_group=exchange)
     dataset = Dataset(outcome=np.zeros(n), unit_ids=[f"u{i}" for i in range(n)],
                       regressor=np.zeros(n))
-    return _Labels(shifts, dataset)
+    return _labels_of(shifts, dataset)
 
 
 def _draw_shares(config: DgpConfig, rng: np.random.Generator, labels: _Labels) -> ShareMatrix:
@@ -165,20 +181,23 @@ def _draw_shares(config: DgpConfig, rng: np.random.Generator, labels: _Labels) -
     if config.share_model == "sparse-block":
         blocks = np.array_split(np.arange(m), min(config.n_blocks, m))
         assignment = rng.integers(0, len(blocks), size=n)
-        # each unit's row is its block's columns, so the triplets are written in row order
+        # each unit's row is its block's columns, so the triplets are written row-sorted
         counts = np.array([cols.size for cols in blocks])[assignment]
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        cols, values = np.empty(counts.sum(), dtype=np.intp), np.empty(counts.sum())
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        cols, values = np.empty(indptr[-1], dtype=np.intp), np.empty(indptr[-1])
         for b, block in enumerate(blocks):
             rows = np.flatnonzero(assignment == b)
             if rows.size:
-                at = starts[rows, None] + np.arange(block.size)
+                at = indptr[rows, None] + np.arange(block.size)
                 cols[at] = block
                 values[at] = rng.dirichlet(
                     np.full(block.size, config.dirichlet_concentration), size=rows.size
                 )
-        rows = np.repeat(np.arange(n), counts)
-        return ShareMatrix.from_triplets(rows, cols, values, unit_ids, shift_ids)
+        stored = values != 0.0  # a small concentration draws exact zeros, which go
+        if not stored.all():
+            indptr = np.concatenate(([0], np.cumsum(stored)))[indptr]
+            cols, values = cols[stored], values[stored]
+        return ShareMatrix._of_rows(indptr, cols, values, unit_ids, shift_ids)
     # network-inverse-degree on a ring: neighbors within `network_neighbors`
     k = config.network_neighbors
     if 2 * k >= n:
@@ -270,13 +289,19 @@ def _generate(config: DgpConfig, labels: _Labels, path: tuple[int, ...]) -> Simu
         first_stage_noise=v,
         errors=eps,
     )
-    return SimulatedData(shares=shares, shifts=shifts, dataset=dataset, instrument=z, truth=truth)
+    return SimulatedData(shares=shares, shifts=shifts, dataset=dataset, instrument=z, truth=truth,
+                         _design=labels)
 
 
 # ---------------------------------------------------------------------------
 # coverage experiments
 
 Fit = Callable[[SimulatedData], EstimateReport]
+
+
+def _draw_labels(data: SimulatedData) -> _Labels:
+    """The labels of the design ``data`` was drawn from, or, for data built otherwise, its own."""
+    return data._design or _labels_of(data.shifts, data.dataset)
 
 
 def _unit_fit(data: SimulatedData) -> EstimateReport:
@@ -287,18 +312,22 @@ def _unit_fit(data: SimulatedData) -> EstimateReport:
     fit, names = _unit_iv(data.dataset, data.instrument, None)
     beta, gamma, resid, _, x_perp, _ = fit
     n, e, k = data.dataset.n_units, data.dataset.unit_weights, 1 + len(names)
-    codes = {"conventional_hc": np.arange(n),
-             "conventional_cluster": np.arange(n) % max(2, n // 10)}
-    se = {key: _conventional_se(fit, e, c, k)[0] for key, c in codes.items()}
+    se = {key: _conventional_se(fit, e, c, k)[0]
+          for key, c in _draw_labels(data).unit_codes.items()}
     return EstimateReport(beta, gamma, names, se, {}, resid, x_perp, n_units=n)
 
 
 def _shift_fit(data: SimulatedData) -> EstimateReport:
     """``estimate_inverted``'s exposure-robust SEs, without the first-stage F statistics
-    that no coverage number reads."""
+    that no coverage number reads. The shares of a draw are complete by construction.
+    The design's shift cluster codes serve every draw that keeps all shifts."""
     w_j = shift_weights_from(data.dataset, data.shares)
     res = residualize_shifts(data.shifts, (), w_j)
-    rep = _inverted_iv(invert(data.dataset, data.shares, data.shifts, residuals=res))[0]
+    inverted = _invert(data.dataset, data.shares, data.shifts, res.eta_hat, w_j)
+    codes = _draw_labels(data).shift_codes
+    if codes is not None and not inverted.kept.all():
+        codes = _label_codes(inverted.cluster)[1]
+    rep = _inverted_iv(inverted, None, codes)[0]
     # without shift cluster labels every shift is its own cluster, which is
     # exactly the heteroskedasticity-robust variant
     rep.se_variants.setdefault("cluster_exposure_robust", rep.se_variants["hc_exposure_robust"])

@@ -112,6 +112,19 @@ class TestEstimateCommand:
         assert report["framework"] == "shift"
         assert (out / "manifest.json").exists()
 
+    def test_a_shift_that_no_unit_holds_changes_no_report(self, inputs, tmp_path):
+        """A shift without shares is dropped with one warning before the shifts are
+        residualized, so the report is that of the shifts file without it."""
+        argv = ["estimate", "--framework", "shift", "--residualize", "p_1",
+                "--cluster-shift", "cluster", "--rotemberg", *io_args(inputs, tmp_path)[:-2]]
+        narrow = _run(argv, tmp_path / "narrow")
+        inputs["shifts"].write_text(SHIFTS + "s_zero,0.7926,west,g0,0.8448\n")
+        wider = _run(argv, tmp_path / "wider")
+        assert narrow["exit code"] == wider["exit code"] == 0
+        assert wider["estimate.json"] == narrow["estimate.json"]
+        dropped = [w[1] for w in wider["warnings"] if "aggregate weight" in w[1]]
+        assert dropped == ["dropping 1 shift(s) with zero aggregate weight"]
+
     def test_rerun_byte_identical(self, inputs, tmp_path):
         args = ["--quiet", "estimate", "--framework", "shift"]
         code = main([*args, *io_args(inputs, tmp_path / "a")])
@@ -361,7 +374,7 @@ class TestSimulateCommand:
     def test_out_that_names_a_file_exits_before_the_run(self, tmp_path, monkeypatch, capsys):
         config = tmp_path / "dgp.txt"
         config.write_text("n = 20\nm = 8\n")
-        monkeypatch.setattr(cli, "run_coverage", None)  # a call would raise TypeError
+        monkeypatch.setattr(simulate, "run_coverage", None)  # a call would raise TypeError
         assert main(["--quiet", "simulate", "--config", str(config), "--reps", "100000",
                      "--out", str(config)]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {config}: File exists"]
@@ -1157,8 +1170,8 @@ class TestInputCache:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_each_read_checks_its_triplets_once(self, fmt, inputs, tmp_path, monkeypatch):
         """``_triplet_order`` runs once for each long-format read, in the reader on a miss
-        and on the entry on a hit; of the consumers, only the public ``decompose`` and
-        ``leave_one_out_shifts`` check the unit shifts again, once each."""
+        and on the entry on a hit; of the consumers, only the public ``decompose`` checks the
+        unit shifts again, and the leave-one-out shifts take the read's."""
         passes = collections.Counter()
         check = shiftshare.data._triplet_order
 
@@ -1170,8 +1183,8 @@ class TestInputCache:
         construct = _every_long_format_file(inputs, tmp_path, fmt)
         estimate = ["estimate", "--format", fmt, *construct[construct.index("--shares"):]]
         # --shares and --initial-shares ("weight"), --unit-shifts ("value"), and the unit
-        # shifts in decompose and in leave_one_out_shifts ("unit shift")
-        for argv, expected in ((construct, {"weight": 2, "value": 1, "unit shift": 2}),
+        # shifts in decompose ("unit shift")
+        for argv, expected in ((construct, {"weight": 2, "value": 1, "unit shift": 1}),
                                (estimate, {"weight": 1})):
             for entry in _cache_entries():
                 entry.unlink()

@@ -40,6 +40,7 @@ from shiftshare.data import (
     _share_columns,
     _triplet_order,
     _write_columns,
+    load_shares,
 )
 
 TOY_SHARES = """unit_id,shift_id,weight
@@ -1010,6 +1011,31 @@ class TestValidation:
         with pytest.raises(ValidationError, match=message):
             ShareMatrix(np.zeros((1, 1)), ("b\ud800",), ("s",))
 
+    @pytest.mark.parametrize("ids, message", [
+        (("a", "a"), "^{path}duplicate {kind}_id values$"),
+        ((1, "1"), "^{path}duplicate {kind}_id values$"),
+        (("a", "b\ud800"), r"^{path}'b\\ud800' is not valid Unicode$"),
+    ])
+    def test_public_share_constructors_check_ids(self, ids, message, tmp_path):
+        """The private share constructors take the ids of checked tables as given, so each
+        public route that takes ids checks them: the constructor, ``from_triplets``,
+        ``load_shares`` and the id that ``with_column`` appends."""
+        path = tmp_path / "shares.csv"
+        path.write_text("unit_id,shift_id,weight\n")
+        for kind in ("unit", "shift"):
+            row_ids, col_ids = (ids, ("s",)) if kind == "unit" else (("u",), ids)
+            match = message.format(path="", kind=kind)
+            with pytest.raises(ValidationError, match=match):
+                ShareMatrix(np.zeros((len(row_ids), len(col_ids))), row_ids, col_ids)
+            with pytest.raises(ValidationError, match=match):
+                ShareMatrix.from_triplets([0], [0], [0.5], row_ids, col_ids)
+            with pytest.raises(ValidationError, match=message.format(
+                    path=re.escape(f"{path}: "), kind=kind)):
+                load_shares(path, row_ids, col_ids)
+        shares = ShareMatrix([[0.5]], ("u",), (ids[0],))
+        with pytest.raises(ValidationError, match=message.format(path="", kind="shift")):
+            shares.with_column([0.25], ids[1])
+
     def test_label_coverage(self):
         with pytest.raises(ValidationError, match="cluster"):
             ShiftTable(np.array([1.0, 2.0]), ("s1", "s2"), cluster=["only-one"])
@@ -1181,8 +1207,12 @@ class TestShareOperator:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ShiftShareWarning)  # zeroed rows stay quiet
             zeroed = shares.zero_columns(mask)
+            kept = shares._kept(~mask)  # the columns that the shift framework keeps
         assert np.array_equal(zeroed.weights, expected)
         assert (zeroed.row_ids, zeroed.col_ids) == (shares.row_ids, shares.col_ids)
+        assert np.array_equal(kept.weights, shares.weights[:, ~mask])
+        assert kept.row_ids == shares.row_ids
+        assert kept.col_ids == tuple(c for c, gone in zip(shares.col_ids, mask) if not gone)
 
     def test_misaligned_arguments_rejected(self):
         shares = ShareMatrix(np.array([[0.5, 0.25]]), ("a",), ("s1", "s2"))
@@ -1303,8 +1333,9 @@ def test_only_the_triplet_contract_sorts_stably():
 
 
 def test_only_the_cluster_rule_refuses_a_clustered_se():
-    """``estimate._cluster_codes`` is the one place that turns cluster labels into the codes
-    of a clustered standard error: no other ``raise`` in the package names one."""
+    """``estimate._two_clusters``, which ``_cluster_codes`` calls on the codes it turns
+    cluster labels into, is the one place that refuses the codes of a clustered standard
+    error: no other ``raise`` in the package names one."""
     found = []
     for path in sorted(Path(shiftshare.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -1314,7 +1345,7 @@ def test_only_the_cluster_rule_refuses_a_clustered_se():
                         and "clustered standard errors" in part.value
                         for part in ast.walk(node)):
                     found.append((path.name, getattr(top, "name", None)))
-    assert found == [("estimate.py", "_cluster_codes")]
+    assert found == [("estimate.py", "_two_clusters")]
 
 
 class TestLongForm:

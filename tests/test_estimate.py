@@ -1,6 +1,7 @@
 """Estimators, standard errors, and the algebraic equivalence properties."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftshare.estimate
 from shiftshare import (
     Dataset,
     EstimationError,
@@ -945,6 +947,70 @@ class TestEstimateShiftFramework:
             est.se_variants["cluster_exposure_robust"], rel=1e-8
         )
         assert ("p_real" in result.residuals.spec) == (not complete and "cluster" not in spec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(30, 120),
+        m=st.integers(6, 25),
+        complete=st.booleans(),
+        spec=st.sampled_from(SHIFT_SPECS),
+        at=st.floats(0.0, 1.0),
+    )
+    def test_a_shift_of_zero_weight_changes_nothing(self, seed, n, m, complete, spec, at):
+        """A shift that no unit holds is dropped once, with one warning, before anything
+        is computed from the shifts, so every number is that of the table without it."""
+        shares, shifts, dataset = shift_framework_instance(seed, n, m, complete)
+        k = round(at * m)  # where the shift goes; it copies a neighbour's values
+
+        def insert(values, value):
+            return np.insert(np.asarray(values, dtype=object if values.dtype == object
+                                        else float), k, value, axis=0)
+
+        ids = shifts.shift_ids[:k] + ("s_zero",) + shifts.shift_ids[k:]
+        wider_shares = ShareMatrix(np.insert(shares.weights, k, 0.0, axis=1),
+                                   shares.row_ids, ids)
+        wider_shifts = ShiftTable(insert(shifts.values, shifts.values[k % m]), ids,
+                                  cluster=insert(shifts.cluster, shifts.cluster[k % m]),
+                                  covariates=insert(shifts.covariates,
+                                                    shifts.covariates[k % m]))
+        options = {"residualize": spec, "cluster_shift": "cluster", "with_rotemberg": True}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wider = estimate_shift_framework(wider_shares, wider_shifts, dataset, **options)
+        dropping = [str(w.message) for w in caught if "aggregate weight" in str(w.message)]
+        assert dropping == ["dropping 1 shift(s) with zero aggregate weight"]
+        narrow = estimate_shift_framework(shares, shifts, dataset, **options)
+        assert wider.to_dict() == narrow.to_dict()
+        assert wider.inverted.to_dict() == narrow.inverted.to_dict()
+
+    def test_the_table_cluster_column_clusters_the_inverted_fit(self):
+        """Without ``cluster_shift`` the shift-level fit clusters on the table's own
+        ``cluster`` column, as ``estimate_inverted`` does; only the residualized SE needs
+        ``cluster_shift``."""
+        shares, shifts, dataset = shift_framework_instance(11, 60, 9, complete=True)
+        default = estimate_shift_framework(shares, shifts, dataset).estimate.se_variants
+        named = estimate_shift_framework(shares, shifts, dataset,
+                                         cluster_shift="cluster").estimate.se_variants
+        assert default["cluster_exposure_robust"] == named["cluster_exposure_robust"]
+        assert "residualized_cluster" not in default and "residualized_cluster" in named
+
+    def test_cluster_shift_is_encoded_once(self, monkeypatch):
+        """One encoding of the ``cluster_shift`` labels serves the shift-level fit and the
+        clustered residualized SE."""
+        encoded = []
+        encode = shiftshare.estimate._label_codes
+
+        def counted(labels):
+            encoded.append(list(labels))
+            return encode(labels)
+
+        monkeypatch.setattr(shiftshare.estimate, "_label_codes", counted)
+        shares, shifts, dataset = shift_framework_instance(13, 60, 9, complete=True)
+        result = estimate_shift_framework(shares, shifts, dataset, residualize=("p_1",),
+                                          cluster_shift="cluster")
+        assert "residualized_cluster" in result.estimate.se_variants
+        assert encoded == [list(shifts.cluster)]
 
     def test_incomplete_p1_spec_is_the_completed_composition(self, rng):
         shares, shifts, dataset = shift_framework_instance(3, 60, 8, complete=False)

@@ -5,15 +5,19 @@ import os
 import threading
 import warnings
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import shiftshare.estimate
 from shiftshare import (
     DgpConfig,
     EstimationError,
     NumericalError,
+    ShareMatrix,
     ShiftShareWarning,
     ValidationError,
     estimate_inverted,
@@ -128,6 +132,36 @@ class TestGenerate:
         for name, count in (("n", 20.0), ("m", 8.5), ("n", 1), ("m", np.float64(8))):
             with pytest.raises(ValidationError, match=f"^{name} must be an integer of at least 2$"):
                 DgpConfig(**{"n": 20, "m": 8, name: count})
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=st.sampled_from(simulate.SHARE_MODELS), n=st.integers(3, 40),
+           m=st.integers(2, 40), n_blocks=st.integers(1, 12),
+           concentration=st.floats(0.01, 5.0), seed=st.integers(0, 2**16), data=st.data())
+    @example(model="sparse-block", n=60, m=30, n_blocks=5, concentration=0.01, seed=1,
+             data=None)  # holds exact zeros
+    def test_a_draw_stores_what_from_triplets_would(self, model, n, m, n_blocks,
+                                                    concentration, seed, data):
+        """However a share model writes its draw, the stored matrix is the one that
+        ``from_triplets`` builds from the draw's own nonzero shares, field by field."""
+        neighbors = 1
+        if model == "network-inverse-degree":
+            m = n
+            neighbors = 1 if data is None else data.draw(st.integers(1, (n - 1) // 2))
+        config = DgpConfig(n=n, m=m, seed=seed, share_model=model, n_blocks=n_blocks,
+                           dirichlet_concentration=concentration,
+                           network_neighbors=neighbors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ShiftShareWarning)  # rows of zeros may be drawn
+            shares = generate(config).shares
+            rebuilt = ShareMatrix.from_triplets(*shares.nonzero(), shares.row_ids,
+                                                shares.col_ids)
+        for name in [f.name for f in fields(ShareMatrix)] + ["_blocks"]:
+            ours, theirs = getattr(shares, name), getattr(rebuilt, name)
+            if isinstance(ours, np.ndarray):
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), name
+                assert not ours.flags.writeable
+            else:
+                assert ours == theirs, name
 
 
 class TestRunCoverage:
@@ -311,6 +345,34 @@ class TestOneFitPerDesign:
         assert together == alone
         assert together[0].n_failed == together[2].n_failed > 0
         assert together[1].n_failed == 0
+
+    @pytest.mark.parametrize("name", ["clustered-shifts", "drops"])
+    def test_shift_cluster_labels_are_encoded_once_per_design(self, monkeypatch, name):
+        """The design encodes its shift cluster labels once; a draw that drops shifts of
+        zero aggregate weight encodes the labels of the shifts it keeps."""
+        config = {**self.CONFIGS, "drops": DgpConfig(
+            n=12, m=40, share_model="sparse-block", n_blocks=10, shift_model="clustered",
+            n_shift_clusters=4, error_model="share-correlated")}[name]
+        base, labels = replace(config, seed=5), simulate._labels(config)
+        drops = 0
+        for rep in range(100):
+            data = simulate._generate(base, labels, (rep,))
+            drops += bool(np.any(shift_weights_from(data.dataset, data.shares) == 0))
+        assert (drops > 0) == (name == "drops")
+        calls = self._count_calls(monkeypatch, "_label_codes")
+        results = run_coverage(config, ["exposure-robust", "exposure-cluster"],
+                               replications=100, seed=5)
+        assert calls.value == 1 + drops
+        assert [r.n_failed for r in results] == [0, 0]
+
+    def test_shift_weights_are_computed_once_per_shift_fit(self, monkeypatch):
+        """The inversion takes the weights that residualizing the shifts computed."""
+        calls = self._count_calls(monkeypatch, "shift_weights_from")
+        monkeypatch.setattr(shiftshare.estimate, "shift_weights_from",
+                            simulate.shift_weights_from)
+        run_coverage(self.CONFIGS["clustered-shifts"], ["exposure-robust", "exposure-cluster"],
+                     replications=100, seed=0)
+        assert calls.value == 100
 
     def test_se_key_missing_from_the_report_is_a_validation_error(self):
         unit_fit = ESTIMATORS["conventional-hc"][0]

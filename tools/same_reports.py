@@ -28,8 +28,10 @@ tool's temporary directory), emptied before each command:
 - ``simulate`` on each branch of the data-generating process that the workload's
   sparse-block run does not take, every estimator, over forked workers: ``dirichlet``
   shares with first-stage coefficients ``pi`` and first-stage noise; ``network-inverse-degree`` shares with ``bernoulli`` shifts;
-  ``exchangeable-groups`` shifts; and ``sparse-block`` shares at
-  ``dirichlet_concentration = 0.01``, whose draws hold exact zero shares, with ``pi``.
+  ``exchangeable-groups`` shifts; ``sparse-block`` shares at
+  ``dirichlet_concentration = 0.01``, whose draws hold exact zero shares, with ``pi``; and
+  ``sparse-block`` shares of more blocks than a draw fills, so that nearly every draw drops
+  shifts of zero aggregate weight and clusters the kept ones.
 
 Commands run without ``--quiet``, so what they print is compared too. For each command
 the exit code, standard output, standard error and every output file but
@@ -73,6 +75,9 @@ SIMULATE_DGPS = {
                            "dirichlet_concentration": 0.01, "shift_model": "clustered",
                            "n_shift_clusters": 5, "error_model": "share-correlated",
                            "pi_mean": 0.8, "pi_sd": 0.2},
+    "sparse-block-drops": {"n": 12, "m": 40, "share_model": "sparse-block", "n_blocks": 10,
+                           "shift_model": "clustered", "n_shift_clusters": 4,
+                           "error_model": "share-correlated"},
 }
 
 
