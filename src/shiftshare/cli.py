@@ -346,7 +346,7 @@ def build_parser() -> _Parser:
     p.add_argument("--concentration", action="store_true")
     p.add_argument("--cluster", default=None, metavar="COL", help="shift cluster column")
     p.add_argument("--residualize", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="ICC bootstrap seed (default 0)")
     p.add_argument("--tables", action="store_true", help="also write CSV tables")
 
     p = sub.add_parser("simulate", help="Monte Carlo coverage experiments")
@@ -518,7 +518,7 @@ def _cmd_diagnose(args, shares, shifts, dataset) -> dict:
         payload["shift_summary"] = summary.to_dict()
 
     if args.icc is not None:
-        r = icc(eta, shifts.label_column(args.icc), seed=args.seed)
+        r = icc(eta, shifts.label_column(args.icc), seed=args.seed or 0)
         payload.setdefault("icc", {})[args.icc] = {
             "icc": r.icc, "se": r.se, "n_groups": r.n_groups, "n_obs": r.n_obs,
         }
@@ -620,12 +620,18 @@ def _check_flags(args) -> None:
         rules = ((a.residualize is not None, "--residualize needs --framework shift"),
                  (a.cluster_shift is not None, "--cluster-shift needs --framework shift"),
                  (a.se in ("exposure", "residualized"), f"--se {a.se} needs --framework shift"))
+    elif a.command == "estimate" and a.se == "conventional":
+        rules = ((a.cluster_shift is not None,
+                  "--cluster-shift needs --se all, exposure or residualized"),)
     elif a.command == "ri":
         rules = ((a.beta0 is not None and a.level is not None,
                   "--level needs an interval, which --beta0 does not compute"),)
     elif a.command == "diagnose":
         rules = ((a.cluster is not None and not a.concentration and a.balance is None,
-                  "--cluster needs --concentration or --balance"),)
+                  "--cluster needs --concentration or --balance"),
+                 (a.residualize is not None and a.icc is a.balance is a.autocorr is None,
+                  "--residualize needs --icc, --balance or --autocorr"),
+                 (a.seed is not None and a.icc is None, "--seed needs --icc"))
     for broken, message in rules:
         if broken:
             raise ValidationError(message)

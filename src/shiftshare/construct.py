@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._wls import wls_coefficients
-from .data import Dataset, ShareMatrix, ShiftTable, Triplets, _checked_unit_shifts, _label_codes
+from .data import Dataset, ShareMatrix, ShiftTable, Triplets, _checked_unit_shifts
 from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
 
 COMPLEMENT_ID = "__complement__"
@@ -266,7 +266,7 @@ def residualize_shifts(
     cov_names: list[str] = []
     for term in spec:
         if term in _label_terms(shifts):
-            fe_codes.append(_label_codes(shifts.label_column(term))[1])
+            fe_codes.append(shifts._coded(term)[1])
         elif shifts.covariates is not None and term in shifts.covariate_names:
             k = shifts.covariate_names.index(term)
             cov_cols.append(shifts.covariates[:, k])

@@ -515,6 +515,12 @@ class ShiftTable:
         object.__setattr__(self, "extras", extras)
         _check_names("shift", ("shift_id", "value", "cluster", "period", "exchange_group"),
                      (*self.covariate_names, *extras))
+        columns = {"cluster": self.cluster, "period": self.period,
+                   "exchange_group": self.exchange_group, **extras}
+        object.__setattr__(self, "_codes", MappingProxyType({
+            name: tuple(_frozen_array(a, a.dtype) for a in _label_codes(labels))
+            for name, labels in columns.items() if labels is not None
+        }))
 
     @property
     def n_shifts(self) -> int:
@@ -531,7 +537,7 @@ class ShiftTable:
 
     def with_values(self, values: np.ndarray) -> "ShiftTable":
         """Copy of the table with ``values`` swapped in, checked as the constructor checks
-        them; the ids, labels and covariates are the same objects."""
+        them; the ids, labels, their codes and the covariates are the same objects."""
         out = copy(self)
         out._set_values(_vector(values, "shift values must be one-dimensional"))
         return out
@@ -556,6 +562,12 @@ class ShiftTable:
         if name in self.extras:
             return self.extras[name]
         raise SchemaError(f"shift table has no column named {name!r}")
+
+    def _coded(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``_label_codes`` of the label column ``name``, encoded when the table was built;
+        ``label_column`` raises for a column that the table lacks."""
+        self.label_column(name)
+        return self._codes[name]
 
 
 @dataclass(frozen=True)
@@ -828,18 +840,21 @@ def _read_long_matrix(
 # numpy's number parser strips these around a number and ``float`` does not, and a
 # ``U`` array drops a trailing NUL of an id; a file holding any of them is scanned
 _C_PARSE_HAZARDS = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# bytes per read of the search for those (1 MiB reads raised a command's peak RSS 0.3 MB)
+_HAZARD_CHUNK = 1 << 16
 
 
 def _parse_long_csv(path, column, unit_ids, shift_ids) -> Triplets | None:
     """The triplets of a CSV file, in file order, from one structured ``np.loadtxt``, or None
     where the file is anything but a clean, non-empty table of known ids."""
     try:
-        raw = Path(path).read_bytes()
+        with Path(path).open("rb") as fh:
+            # each hazard is one byte, so none straddles two chunks
+            if any(byte in chunk for chunk in iter(lambda: fh.read(_HAZARD_CHUNK), b"")
+                   for byte in _C_PARSE_HAZARDS):
+                return None
     except OSError:
         return None
-    if any(byte in raw for byte in _C_PARSE_HAZARDS):
-        return None
-    del raw  # the parser reads the file again; its bytes need not stay in memory meanwhile
     known = {"unit_id": list(map(str, unit_ids)), "shift_id": list(map(str, shift_ids))}
     # an id one character longer than every known id is never cut to a known one
     kinds = {name: f"U{max(map(len, ids), default=0) + 1}" for name, ids in known.items()}

@@ -30,6 +30,7 @@ correction.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -86,6 +87,15 @@ class EstimateReport:
             "m_shifts": self.m_shifts,
             "n_clusters": self.n_clusters,
         }
+
+
+def _outside() -> int:
+    """The ``stacklevel`` of a warning raised here that points at the first frame outside
+    this module: at the code that called the estimator, whichever path led to the warning."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _cluster_codes(labels, size: int, what: str) -> np.ndarray:
@@ -416,36 +426,32 @@ def invert(
     return _invert(dataset, shares, shifts, instrument, shift_weights_from(dataset, shares))
 
 
-def _drop_warning(kept: np.ndarray, stacklevel: int) -> None:
-    """Warn that the shifts outside ``kept`` go, at ``stacklevel`` counted from the caller."""
+def _weighted_shifts(shares: ShareMatrix | None, shifts: ShiftTable, w_j: np.ndarray):
+    """``(shares, shifts, w_j, kept)`` of the shifts of positive aggregate weight ``w_j``,
+    ``kept`` their mask, with a warning that drops the others. ``_invert`` passes no
+    ``shares``: it keeps the shifts after aggregating, as a column subset copies the shares."""
+    kept = w_j > 0
+    if kept.all():
+        return shares, shifts, w_j, kept
     warnings.warn(f"dropping {int((~kept).sum())} shift(s) with zero aggregate weight",
-                  ShiftShareWarning, stacklevel=stacklevel + 1)
+                  ShiftShareWarning, stacklevel=_outside())
+    return None if shares is None else shares._kept(kept), shifts._kept(kept), w_j[kept], kept
 
 
 def _invert(dataset: Dataset, shares: ShareMatrix, shifts: ShiftTable, instrument: np.ndarray,
             w_j: np.ndarray) -> InvertedDataset:
     """``invert`` at the ``instrument`` and the shift weights ``w_j`` that its caller computed
     with ``shift_weights_from``, without the completeness and alignment checks."""
-    kept = w_j > 0
-    every = bool(kept.all())
-    if not every:
-        _drop_warning(kept, 3)
-    # aggregate every column and keep the shifts after: a column subset of
-    # the shares would be a copy of them
-    w = w_j[kept]
     y_sum, x_sum = _moment_vectors(dataset, shares, shifts)
-    ybar = y_sum[kept] / w
-    xbar = x_sum[kept] / w
-    cluster = shifts.cluster if shifts.cluster is None or every else shifts.cluster[kept]
+    _, shifts, w, kept = _weighted_shifts(None, shifts, w_j)
     return InvertedDataset(
-        ybar=ybar,
-        xbar=xbar,
+        ybar=y_sum[kept] / w,
+        xbar=x_sum[kept] / w,
         weight=w,
         instrument=instrument[kept],
-        shift_values=shifts.values[kept],
-        shift_ids=(shifts.shift_ids if every
-                   else tuple(np.array(shifts.shift_ids, dtype=object)[kept])),
-        cluster=cluster,
+        shift_values=shifts.values,
+        shift_ids=shifts.shift_ids,
+        cluster=shifts.cluster,
         kept=kept,
         n_units=dataset.n_units,
     )
@@ -470,7 +476,7 @@ def _negligibility_check(weight: np.ndarray, shift_ids: tuple[str, ...]) -> None
             f"({ratio_sq:.0%} of squared shares); exposure-robust asymptotics "
             "assume no shift dominates",
             ShiftShareWarning,
-            stacklevel=4,
+            stacklevel=_outside(),
         )
 
 
@@ -541,12 +547,6 @@ def estimate_inverted(
             raise ValidationError("cluster labels must have one entry per shift of the shift table")
         labels = labels[inverted.kept]
     codes = None if labels is None else _label_codes(labels)[1]
-    return _estimate_inverted(inverted, shift_controls, codes)
-
-
-def _estimate_inverted(inverted: InvertedDataset, shift_controls: np.ndarray | None,
-                       codes: np.ndarray | None) -> EstimateReport:
-    """``estimate_inverted`` clustered at the kept shifts' cluster ``codes`` where given."""
     w = inverted.weight
     if inverted.n_shifts >= 2:  # a fit of fewer shifts fails, and warns of nothing first
         _negligibility_check(w, inverted.shift_ids)
@@ -695,9 +695,9 @@ def _spec_controls(shares: ShareMatrix, shifts: ShiftTable, spec: Sequence[str])
     columns = []
     for term in spec:
         if term in _label_terms(shifts):
-            labels = shifts.label_column(term)
-            for level in _label_codes(labels[labels != COMPLEMENT_ID])[0][1:]:
-                columns.append(shares.exposure((labels == level).astype(float)))
+            levels, codes = shifts._coded(term)
+            for k in np.flatnonzero(levels != COMPLEMENT_ID)[1:]:
+                columns.append(shares.exposure((codes == k).astype(float)))
         elif term != REAL_SHIFT_COVARIATE and term in shifts.covariate_names:
             k = shifts.covariate_names.index(term)
             columns.append(shares.exposure(shifts.covariates[:, k]))
@@ -739,11 +739,8 @@ def estimate_shift_framework(
         blocks.append(completed.sum_of_shares[:, None])
         if not any(t in _label_terms(shifts) for t in spec):
             spec = (REAL_SHIFT_COVARIATE,) + spec
-    w_j = shift_weights_from(dataset, shares)
-    kept = w_j > 0
-    if not kept.all():
-        _drop_warning(kept, 2)
-        shares, shifts, w_j = shares._kept(kept), shifts._kept(kept), w_j[kept]
+    shares, shifts, w_j, _ = _weighted_shifts(shares, shifts,
+                                              shift_weights_from(dataset, shares))
     blocks += [column[:, None] for column in _spec_controls(shares, shifts, spec)]
     augmented = Dataset(
         outcome=dataset.outcome,
@@ -761,10 +758,9 @@ def estimate_shift_framework(
         regressor=_endogenous(augmented, shares, shifts),
     )
     # the inverted regression clusters on the table's own cluster column by default
-    labels = shifts.cluster if cluster_shift is None else shifts.label_column(cluster_shift)
-    codes = None if labels is None else _label_codes(labels)[1]
-    inverted = _estimate_inverted(_invert(augmented, shares, shifts, res.eta_hat, w_j), None,
-                                  codes)
+    labels = None if cluster_shift is None else shifts.label_column(cluster_shift)
+    inverted = estimate_inverted(_invert(augmented, shares, shifts, res.eta_hat, w_j), None,
+                                 labels)
     if se in ("all", "exposure"):
         report.se_variants.update(
             {k: v for k, v in inverted.se_variants.items() if "exposure" in k}
@@ -774,7 +770,8 @@ def estimate_shift_framework(
         args = (augmented.unit_weights, shares, res.eta_hat, report.residuals, report.x_perp)
         report.se_variants["residualized"] = residualized_se(*args)
         if cluster_shift is not None:
-            report.se_variants["residualized_cluster"] = _residualized_se(*args, codes)
+            report.se_variants["residualized_cluster"] = _residualized_se(
+                *args, shifts._coded(cluster_shift)[1])
     report.m_shifts = inverted.m_shifts
     table = rotemberg(augmented, shares, shifts) if with_rotemberg else None
     return ShiftFrameworkResult(estimate=report, inverted=inverted, residuals=res, rotemberg=table)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
+from .data import Dataset, ShareMatrix, ShiftTable
 from .errors import EstimationError, ShiftShareWarning, ValidationError
 from .estimate import _moment_vectors
 
@@ -112,10 +112,9 @@ def _group_indices(shifts: ShiftTable, groups: str | None) -> list[np.ndarray]:
     if groups is not None and not isinstance(groups, str):
         raise ValidationError("groups must name a label column of the shift table, "
                               f"not {type(groups).__name__}")
-    labels = shifts.exchange_group if groups is None else shifts.label_column(groups)
-    if labels is None:
+    if groups is None and shifts.exchange_group is None:
         return [np.arange(shifts.n_shifts)]
-    levels, codes = _label_codes(labels)
+    levels, codes = shifts._coded("exchange_group" if groups is None else groups)
     out = [np.flatnonzero(codes == g) for g in range(levels.shape[0])]
     small = [idx for idx in out if idx.size < 2]
     if small:

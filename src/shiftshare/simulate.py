@@ -17,10 +17,10 @@ triple. Each design is fitted once per replication: the two conventional
 estimators share one unit-level solve, as the two exposure estimators share one
 shift-level regression. The shift table and the dataset are built once per
 configuration, through their constructors, and each replication swaps in its
-draws, checked as the constructors check them; so are the cluster codes that
-the fits read, which a draw re-encodes only for the shifts it keeps when it drops
-shifts of zero aggregate weight. A ``sparse-block`` draw is written row by row and
-stored as drawn, its values checked as every share matrix's are.
+draws, checked as the constructors check them, so a draw's table shares the design's
+label codes; a draw that drops shifts of zero aggregate weight builds, and so encodes,
+the table of those it keeps. A ``sparse-block`` draw is written row by row and stored
+as drawn, its values checked as every share matrix's are.
 """
 
 from __future__ import annotations
@@ -29,15 +29,16 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .construct import residualize_shifts, shift_weights_from
-from .data import Dataset, ShareMatrix, ShiftTable, _label_codes
+from .data import Dataset, ShareMatrix, ShiftTable
 from .errors import EstimationError, NumericalError, ShiftShareWarning, ValidationError
-from .estimate import EstimateReport, _conventional_se, _invert, _inverted_iv, _unit_iv
+from .estimate import (EstimateReport, _conventional_se, _invert, _inverted_iv, _unit_iv,
+                       _weighted_shifts)
 
 SHARE_MODELS = ("dirichlet", "sparse-block", "network-inverse-degree")
 SHIFT_MODELS = ("iid-normal", "clustered", "exchangeable-groups", "bernoulli")
@@ -126,8 +127,6 @@ class SimulatedData:
     dataset: Dataset
     instrument: np.ndarray
     truth: TruthRecord
-    # the design the draw was made from, with the cluster codes the coverage fits read
-    _design: _Labels | None = field(default=None, repr=False, compare=False)
 
 
 def _stream(seed: int, *path: int) -> np.random.Generator:
@@ -139,21 +138,10 @@ def _stream(seed: int, *path: int) -> np.random.Generator:
 class _Labels(NamedTuple):
     """The shift table and the dataset of a draw with their ids and labels, which depend
     only on the configuration's shape, so a Monte Carlo builds them once; each draw swaps
-    in its values. So are the codes the coverage fits cluster at: those of the shift
-    cluster labels (None without them), and each conventional SE's unit cluster codes."""
+    in its values."""
 
     shifts: ShiftTable
     dataset: Dataset
-    shift_codes: np.ndarray | None
-    unit_codes: dict[str, np.ndarray]
-
-
-def _labels_of(shifts: ShiftTable, dataset: Dataset) -> _Labels:
-    n = dataset.n_units
-    return _Labels(shifts, dataset,
-                   None if shifts.cluster is None else _label_codes(shifts.cluster)[1],
-                   {"conventional_hc": np.arange(n),
-                    "conventional_cluster": np.arange(n) % max(2, n // 10)})
 
 
 def _labels(config: DgpConfig) -> _Labels:
@@ -169,7 +157,7 @@ def _labels(config: DgpConfig) -> _Labels:
                         exchange_group=exchange)
     dataset = Dataset(outcome=np.zeros(n), unit_ids=[f"u{i}" for i in range(n)],
                       regressor=np.zeros(n))
-    return _labels_of(shifts, dataset)
+    return _Labels(shifts, dataset)
 
 
 def _draw_shares(config: DgpConfig, rng: np.random.Generator, labels: _Labels) -> ShareMatrix:
@@ -289,19 +277,13 @@ def _generate(config: DgpConfig, labels: _Labels, path: tuple[int, ...]) -> Simu
         first_stage_noise=v,
         errors=eps,
     )
-    return SimulatedData(shares=shares, shifts=shifts, dataset=dataset, instrument=z, truth=truth,
-                         _design=labels)
+    return SimulatedData(shares=shares, shifts=shifts, dataset=dataset, instrument=z, truth=truth)
 
 
 # ---------------------------------------------------------------------------
 # coverage experiments
 
 Fit = Callable[[SimulatedData], EstimateReport]
-
-
-def _draw_labels(data: SimulatedData) -> _Labels:
-    """The labels of the design ``data`` was drawn from, or, for data built otherwise, its own."""
-    return data._design or _labels_of(data.shifts, data.dataset)
 
 
 def _unit_fit(data: SimulatedData) -> EstimateReport:
@@ -312,21 +294,21 @@ def _unit_fit(data: SimulatedData) -> EstimateReport:
     fit, names = _unit_iv(data.dataset, data.instrument, None)
     beta, gamma, resid, _, x_perp, _ = fit
     n, e, k = data.dataset.n_units, data.dataset.unit_weights, 1 + len(names)
-    se = {key: _conventional_se(fit, e, c, k)[0]
-          for key, c in _draw_labels(data).unit_codes.items()}
+    codes = {"conventional_hc": np.arange(n),
+             "conventional_cluster": np.arange(n) % max(2, n // 10)}
+    se = {key: _conventional_se(fit, e, c, k)[0] for key, c in codes.items()}
     return EstimateReport(beta, gamma, names, se, {}, resid, x_perp, n_units=n)
 
 
 def _shift_fit(data: SimulatedData) -> EstimateReport:
     """``estimate_inverted``'s exposure-robust SEs, without the first-stage F statistics
-    that no coverage number reads. The shares of a draw are complete by construction.
-    The design's shift cluster codes serve every draw that keeps all shifts."""
-    w_j = shift_weights_from(data.dataset, data.shares)
-    res = residualize_shifts(data.shifts, (), w_j)
-    inverted = _invert(data.dataset, data.shares, data.shifts, res.eta_hat, w_j)
-    codes = _draw_labels(data).shift_codes
-    if codes is not None and not inverted.kept.all():
-        codes = _label_codes(inverted.cluster)[1]
+    that no coverage number reads. The shares of a draw are complete by construction;
+    shifts of zero aggregate weight are dropped first, as ``estimate_shift_framework`` does."""
+    shares, shifts, w_j, _ = _weighted_shifts(
+        data.shares, data.shifts, shift_weights_from(data.dataset, data.shares))
+    res = residualize_shifts(shifts, (), w_j)
+    inverted = _invert(data.dataset, shares, shifts, res.eta_hat, w_j)
+    codes = None if shifts.cluster is None else shifts._coded("cluster")[1]
     rep = _inverted_iv(inverted, None, codes)[0]
     # without shift cluster labels every shift is its own cluster, which is
     # exactly the heteroskedasticity-robust variant

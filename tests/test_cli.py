@@ -231,13 +231,14 @@ class TestDiagnoseCommand:
     def test_full_battery(self, inputs, tmp_path):
         out = tmp_path / "d"
         code = main(["--quiet", "diagnose", "--concentration", "--cluster", "cluster",
-                     "--balance", "placebo", "--residualize", "p_1",
+                     "--balance", "placebo", "--icc", "cluster", "--residualize", "p_1",
                      "--tables", "--seed", "11", *io_args(inputs, out)])
         assert code == 0
         payload = json.loads((out / "diagnose.json").read_text())
         assert payload["concentration"]["cluster_level"] is True
         assert payload["concentration"]["n"] == 2
         assert "placebo" in payload["balance_unit"]
+        assert "cluster" in payload["icc"]
         assert (out / "diagnose.csv").exists()
 
     def test_balance_over_one_cluster_exits_two(self, inputs, tmp_path, capsys):
@@ -441,6 +442,11 @@ class TestSimulateCommand:
     (["construct", "--unit-shifts", "absent.csv"], "--unit-shifts needs --loo or --decompose"),
     (["ri", "--beta0", "1", "--level", "0.9"],
      "--level needs an interval, which --beta0 does not compute"),
+    (["diagnose", "--concentration", "--residualize", "p_1"],
+     "--residualize needs --icc, --balance or --autocorr"),
+    (["diagnose", "--balance", "placebo", "--seed", "9"], "--seed needs --icc"),
+    (["estimate", "--framework", "shift", "--se", "conventional", "--cluster-shift", "cluster"],
+     "--cluster-shift needs --se all, exposure or residualized"),
 ])
 def test_a_flag_that_the_path_ignores_exits_one(argv, message, inputs, tmp_path, capsys):
     out = tmp_path / "out"
@@ -451,7 +457,7 @@ def test_a_flag_that_the_path_ignores_exits_one(argv, message, inputs, tmp_path,
 
 
 @pytest.mark.parametrize("command", [["construct"], ["estimate", "--framework", "shift"],
-                                     ["diagnose", "--concentration"]],
+                                     ["diagnose", "--icc", "cluster"]],
                          ids=["construct", "estimate", "diagnose"])
 @pytest.mark.parametrize("terms", ["", ",", "p_1,,", ",cluster", "cluster,,p_1"])
 def test_an_empty_residualize_term_exits_one(command, terms, inputs, tmp_path, capsys,
@@ -688,9 +694,10 @@ class TestLargeUnitCovariates:
     def test_diagnose_accepts_large_units(self, inputs, tmp_path):
         write_wide_inputs(inputs)
         write_positive_covariate(inputs["shifts"], 1e10)
-        assert main(["--quiet", "diagnose", "--residualize", "p_1", "--concentration",
+        assert main(["--quiet", "diagnose", "--residualize", "p_1", "--balance", "placebo",
                      *io_args(inputs, tmp_path / "d")]) == 0
-        assert "concentration" in json.loads((tmp_path / "d" / "diagnose.json").read_text())
+        assert "placebo" in json.loads((tmp_path / "d" / "diagnose.json").read_text())[
+            "balance_unit"]
 
 
 def test_over_unit_share_row_message(inputs, tmp_path, capsys):

@@ -576,11 +576,27 @@ class TestLongFormatReader:
     def test_a_clean_file_is_read_once_for_the_hazard_check(self, tmp_path, monkeypatch):
         paths = _write_inputs(tmp_path, {}, "csv")
         reads = []
-        read_bytes = Path.read_bytes
-        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        path_open = Path.open
+        monkeypatch.setattr(Path, "open",
+                            lambda self, *args: reads.append(self) or path_open(self, *args))
         triplets = _read_long_matrix(paths["shares"], "weight", ("a", "b", "c"), ("s1", "s2"))
         assert isinstance(triplets[0], np.ndarray)
         assert reads == [Path(paths["shares"])]
+
+    def test_a_hazard_past_the_first_chunk_routes_the_file_to_the_scan(self, tmp_path,
+                                                                        monkeypatch):
+        """The hazard search reads a file chunk by chunk and searches every chunk."""
+        def scan(*args):
+            raise AssertionError("the entry-by-entry reader ran")
+
+        monkeypatch.setattr(shiftshare.data, "_scan_long_matrix", scan)
+        # blank lines, which both readers skip, push past the first chunk a unit id with a
+        # trailing NUL, which a U array would cut to the known id "c"
+        text = (_csv_text(BASE["shares"]) + "\n" * shiftshare.data._HAZARD_CHUNK
+                + "c\0,s1,0.1\n")
+        paths = _write_inputs(tmp_path, {"shares": text}, "csv")
+        with pytest.raises(AssertionError, match="entry-by-entry"):
+            _read_long_matrix(paths["shares"], "weight", ("a", "b", "c"), ("s1", "s2"))
 
     def test_a_clean_json_file_is_never_scanned(self, rng, tmp_path, monkeypatch):
         def scan(*args):
@@ -1346,6 +1362,52 @@ def test_only_the_cluster_rule_refuses_a_clustered_se():
                         for part in ast.walk(node)):
                     found.append((path.name, getattr(top, "name", None)))
     assert found == [("estimate.py", "_two_clusters")]
+
+
+def _package_nodes(holds) -> list[tuple[str, str]]:
+    """The module and the dotted name of the innermost enclosing class or function of each
+    node of the package for which ``holds`` is true."""
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if holds(child):
+                found.append((path.name, ".".join(scope)))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, scope + [child.name] if named else scope)
+
+    for path in sorted(Path(shiftshare.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, [])
+    return found
+
+
+def test_one_function_drops_the_shifts_of_zero_weight():
+    """``estimate._weighted_shifts``, which ``estimate_shift_framework``, ``invert`` and the
+    Monte Carlo's shift-level fit call, is the one place that warns of the shifts of zero
+    aggregate weight that it drops."""
+    def drop_warning(node):
+        return (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn"
+                and any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+                        and "zero aggregate weight" in part.value for part in ast.walk(node)))
+
+    assert _package_nodes(drop_warning) == [("estimate.py", "_weighted_shifts")]
+
+
+def test_shift_tables_encode_their_own_labels():
+    """A shift table encodes its label columns when it is built, and what holds a table
+    reads its codes; ``_label_codes`` is called elsewhere only on labels that no table
+    holds: those given to a clustered SE, the inverted regression's and the diagnostics'."""
+    def encodes(node):
+        return isinstance(node, ast.Call) and "_label_codes" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    assert _package_nodes(encodes) == [
+        ("data.py", "ShiftTable.__post_init__"),
+        ("diagnose.py", "icc"),
+        ("diagnose.py", "concentration"),
+        ("estimate.py", "_cluster_codes"),
+        ("estimate.py", "estimate_inverted"),
+    ]
 
 
 class TestLongForm:

@@ -996,8 +996,8 @@ class TestEstimateShiftFramework:
         assert "residualized_cluster" not in default and "residualized_cluster" in named
 
     def test_cluster_shift_is_encoded_once(self, monkeypatch):
-        """One encoding of the ``cluster_shift`` labels serves the shift-level fit and the
-        clustered residualized SE."""
+        """The estimator encodes the ``cluster_shift`` labels once, for the shift-level fit;
+        the clustered residualized SE reads the codes that the shift table encoded."""
         encoded = []
         encode = shiftshare.estimate._label_codes
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shiftshare.data
 import shiftshare.estimate
 from shiftshare import (
     DgpConfig,
@@ -294,18 +295,18 @@ class TestOneFitPerDesign:
     }
 
     @staticmethod
-    def _count_calls(monkeypatch, name):
-        """Count the calls of ``simulate``'s ``name`` in shared memory, so that the calls
+    def _count_calls(monkeypatch, name, module=simulate):
+        """Count the calls of ``module``'s ``name`` in shared memory, so that the calls
         of forked workers are counted too."""
         calls = multiprocessing.get_context("fork").Value("i", 0)
-        fit = getattr(simulate, name)
+        fit = getattr(module, name)
 
         def counted(*args, **kwargs):
             with calls.get_lock():
                 calls.value += 1
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, name, counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_exposure_estimators_share_one_fit(self, monkeypatch):
@@ -348,8 +349,8 @@ class TestOneFitPerDesign:
 
     @pytest.mark.parametrize("name", ["clustered-shifts", "drops"])
     def test_shift_cluster_labels_are_encoded_once_per_design(self, monkeypatch, name):
-        """The design encodes its shift cluster labels once; a draw that drops shifts of
-        zero aggregate weight encodes the labels of the shifts it keeps."""
+        """The design's shift table encodes its cluster labels once; a draw that drops
+        shifts of zero aggregate weight builds, and so encodes, the table of those it keeps."""
         config = {**self.CONFIGS, "drops": DgpConfig(
             n=12, m=40, share_model="sparse-block", n_blocks=10, shift_model="clustered",
             n_shift_clusters=4, error_model="share-correlated")}[name]
@@ -359,7 +360,7 @@ class TestOneFitPerDesign:
             data = simulate._generate(base, labels, (rep,))
             drops += bool(np.any(shift_weights_from(data.dataset, data.shares) == 0))
         assert (drops > 0) == (name == "drops")
-        calls = self._count_calls(monkeypatch, "_label_codes")
+        calls = self._count_calls(monkeypatch, "_label_codes", shiftshare.data)
         results = run_coverage(config, ["exposure-robust", "exposure-cluster"],
                                replications=100, seed=5)
         assert calls.value == 1 + drops

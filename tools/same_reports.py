@@ -23,8 +23,9 @@ tool's temporary directory), emptied before each command:
   ``exchange_group`` column; ``estimate --report csv``, ``estimate --report text``,
   ``estimate --se residualized``, ``construct --replace-threshold --replace-shares`` and
   ``diagnose --tables``; ``estimate --framework share`` on a units file without ``x`` (the OLS
-  fit); and ``diagnose --autocorr`` on shifts with ids ``<base>@<period>`` and a
-  ``period`` column, with the shares renamed to match;
+  fit); ``diagnose --autocorr`` on shifts with ids ``<base>@<period>`` and a
+  ``period`` column, with the shares renamed to match; and ``estimate --framework shift``
+  on shifts with one more shift that no unit holds, which the estimator drops;
 - ``simulate`` on each branch of the data-generating process that the workload's
   sparse-block run does not take, every estimator, over forked workers: ``dirichlet``
   shares with first-stage coefficients ``pi`` and first-stage noise; ``network-inverse-degree`` shares with ``bernoulli`` shifts;
@@ -89,7 +90,8 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
     ``construct --decompose --loo`` reads initial shares and unit-by-shift values in each
     format (and, on the CSV ones, completes the shares and zeroes the columns of replaced
     shifts), the OLS fit a units file without ``x``, ``diagnose --autocorr`` shifts in
-    series of 4 periods each, and each ``simulate`` its DGP configuration file."""
+    series of 4 periods each, the shift framework's drop a shift table with a shift that no
+    share names, and each ``simulate`` its DGP configuration file."""
     files = dict(zip(io["csv"][::2], io["csv"][1::2]))
     rows = [row.split(",") for row in Path(files["--shares"]).read_text().splitlines()[1:]]
     tables = {
@@ -128,6 +130,10 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
         *([renamed[row[0]], *row[1:], f"t{k % 4}"] for k, row in enumerate(shifts[1:]))])
     _write_table(directory / "panel_shares.csv", [["unit_id", "shift_id", "weight"],
                                                   *([u, renamed[s], w] for u, s, w in rows)])
+    # the first shift's labels and covariates again, under an id that no share names
+    _write_table(directory / "unheld_shifts.csv", [*shifts, ["unheld", *shifts[1][1:]]])
+    unheld = ["--shares", files["--shares"], "--shifts", str(directory / "unheld_shifts.csv"),
+              "--units", files["--units"]]
     ols = ["--shares", files["--shares"], "--shifts", files["--shifts"],
            "--units", str(directory / "units_without_x.csv")]
     panel = ["--shares", str(directory / "panel_shares.csv"),
@@ -160,6 +166,9 @@ def extra_commands(directory: Path, io: dict[str, list[str]],
                                               "--rotemberg", "--cluster-unit", "region"]),
         ("diagnose --autocorr", ["diagnose", *panel, "--autocorr", "1,2", "--residualize",
                                  "p_1", "--tables"]),
+        ("estimate --framework shift (a shift no unit holds)",
+         ["estimate", *unheld, "--framework", "shift", "--residualize", "p_1",
+          "--cluster-shift", "cluster", "--rotemberg"]),
         *simulate,
     ]
 
